@@ -8,8 +8,9 @@ so repeated runs agree bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -18,9 +19,9 @@ from .features import ScalerParams
 
 DEFAULT_HIDDEN = 30
 DEFAULT_GAMMA = 0.8
-DEFAULT_DAMPING_INIT = 1e-3
-DEFAULT_DAMPING_FACTOR = 10.0
 DEFAULT_MULTISTART = 5
+DAMPING_INIT = 1e-3
+DAMPING_FACTOR = 10.0
 _MAX_RETRIES = 10
 
 
@@ -102,8 +103,6 @@ class TrainConfig:
     epochs: int | None = None
     gamma: float = DEFAULT_GAMMA
     multistart: int = DEFAULT_MULTISTART
-    damping_init: float = DEFAULT_DAMPING_INIT
-    damping_factor: float = DEFAULT_DAMPING_FACTOR
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -117,8 +116,6 @@ class TrainConfig:
             raise ConfigError(f"gamma {self.gamma} outside [0, 1]")
         if self.multistart < 1:
             raise ConfigError(f"multistart count must be >= 1, got {self.multistart}")
-        if self.damping_init <= 0 or self.damping_factor <= 1:
-            raise ConfigError("damping_init must be > 0 and damping_factor > 1")
 
 
 # -- multilayer perceptron ----------------------------------------------------
@@ -235,7 +232,7 @@ def mlp_train(
         r = _residuals(th, x, t, hidden, gamma, reg_scale)
         return float(r @ r)
 
-    lam = cfg.damping_init
+    lam = DAMPING_INIT
     history = [loss_of(theta)]
     identity = np.eye(n_params)
     for _ in range(cfg.epochs):
@@ -253,10 +250,10 @@ def mlp_train(
             new_loss = loss_of(candidate)
             if new_loss < current:
                 theta = candidate
-                lam /= cfg.damping_factor
+                lam /= DAMPING_FACTOR
                 history.append(new_loss)
                 break
-            lam *= cfg.damping_factor
+            lam *= DAMPING_FACTOR
     w1, b1, w2, b2 = _unpack(theta, hidden, n_in, n_out)
     return MlpModel(
         person_ids=person_ids,
@@ -288,17 +285,8 @@ def train_members(
     members = []
     failure: TrainingError | None = None
     for k in range(cfg.multistart):
-        run_cfg = TrainConfig(
-            loss=cfg.loss,
-            epochs=cfg.epochs,
-            gamma=cfg.gamma,
-            multistart=cfg.multistart,
-            damping_init=cfg.damping_init,
-            damping_factor=cfg.damping_factor,
-            seed=cfg.seed + k,
-        )
         try:
-            members.append(mlp_train(train, run_cfg, hidden))
+            members.append(mlp_train(train, replace(cfg, seed=cfg.seed + k), hidden))
         except TrainingError as exc:
             failure = exc
     if not members:
@@ -457,8 +445,6 @@ def save_model(model: MlpModel | RbfModel | TemplateDb, path: str | Path) -> Non
             f"epochs {cfg.epochs}",
             f"gamma {cfg.gamma:.17g}",
             f"multistart {cfg.multistart}",
-            f"damping_init {cfg.damping_init:.17g}",
-            f"damping_factor {cfg.damping_factor:.17g}",
             f"seed {cfg.seed}",
             f"loss_history {_fmt(np.array(model.loss_history))}",
         ]
@@ -487,63 +473,76 @@ def save_model(model: MlpModel | RbfModel | TemplateDb, path: str | Path) -> Non
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _floats(text: str) -> np.ndarray:
+    return np.array([float(v) for v in text.split()])
+
+
 def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or not text[0].startswith("handgeo-model"):
+    """Inverse of save_model; a missing or malformed field is a ConfigError.
+    Fields it does not read, such as older files' damping lines, are ignored."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or not lines[0].startswith("handgeo-model"):
         raise ConfigError(f"{path} is not a model file")
     fields: dict[str, str] = {}
-    templates: list[tuple[int, np.ndarray]] = []
-    for line in text[1:]:
+    templates: list[tuple[str, str]] = []
+    for line in lines[1:]:
         if not line.strip():
             continue
         key, _, value = line.partition(" ")
         if key == "template":
             person, _, rest = value.partition(" ")
-            templates.append((int(person), np.array([float(v) for v in rest.split()])))
+            templates.append((person, rest))
         else:
             fields[key] = value
 
-    def arr(key: str) -> np.ndarray:
-        return np.array([float(v) for v in fields[key].split()])
+    def read(key: str, cast: Callable = str, text: str | None = None):
+        """cast(text), by default of the field named key."""
+        try:
+            return cast(fields[key] if text is None else text)
+        except KeyError:
+            raise ConfigError(f"{path}: missing field {key!r}") from None
+        except ValueError as exc:
+            raise ConfigError(f"{path}: field {key!r}: {exc}") from None
 
     scaler = None
     if fields.get("scaler") == "1":
-        scaler = ScalerParams(mins=arr("scaler_min"), maxs=arr("scaler_max"))
+        scaler = ScalerParams(mins=read("scaler_min", _floats), maxs=read("scaler_max", _floats))
 
-    kind = fields["type"]
+    kind = read("type")
     if kind == "nn":
-        return TemplateDb(entries=templates, scaler=scaler)
-    person_ids = tuple(int(v) for v in fields["person_ids"].split())
-    n_in = int(fields["inputs"])
+        entries = [(read("template", int, p), read("template", _floats, v)) for p, v in templates]
+        if not entries:
+            raise ConfigError(f"{path}: no templates")
+        return TemplateDb(entries=entries, scaler=scaler)
+    person_ids = read("person_ids", lambda t: tuple(int(v) for v in t.split()))
+    n_in = read("inputs", int)
     if kind == "mlp":
-        h = int(fields["hidden"])
+        h = read("hidden", int)
         cfg = TrainConfig(
-            loss=fields["loss"],
-            epochs=int(fields["epochs"]),
-            gamma=float(fields["gamma"]),
-            multistart=int(fields["multistart"]),
-            damping_init=float(fields["damping_init"]),
-            damping_factor=float(fields["damping_factor"]),
-            seed=int(fields["seed"]),
+            loss=read("loss"),
+            epochs=read("epochs", int),
+            gamma=read("gamma", float),
+            multistart=read("multistart", int),
+            seed=read("seed", int),
         )
         return MlpModel(
             person_ids=person_ids,
-            w1=arr("w1").reshape(h, n_in),
-            b1=arr("b1"),
-            w2=arr("w2").reshape(len(person_ids), h),
-            b2=arr("b2"),
+            w1=read("w1", lambda t: _floats(t).reshape(h, n_in)),
+            b1=read("b1", lambda t: _floats(t).reshape(h)),
+            w2=read("w2", lambda t: _floats(t).reshape(len(person_ids), h)),
+            b2=read("b2", lambda t: _floats(t).reshape(len(person_ids))),
             config=cfg,
-            loss_history=tuple(arr("loss_history")),
+            loss_history=tuple(read("loss_history", _floats)),
             scaler=scaler,
         )
     if kind == "rbf":
-        k = int(fields["centres"])
+        k = read("centres", int)
         return RbfModel(
             person_ids=person_ids,
-            centres=arr("centre_rows").reshape(k, n_in),
-            spread=float(fields["spread"]),
-            weights=arr("weights").reshape(len(person_ids), k),
-            requested_centres=int(fields["requested"]),
+            centres=read("centre_rows", lambda t: _floats(t).reshape(k, n_in)),
+            spread=read("spread", float),
+            weights=read("weights", lambda t: _floats(t).reshape(len(person_ids), k)),
+            requested_centres=read("requested", int),
             scaler=scaler,
         )
     raise ConfigError(f"unknown model type {kind!r} in {path}")

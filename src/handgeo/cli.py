@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +43,7 @@ from .evaluation import (
     DEFAULT_RBF_CENTRES,
     EvalReport,
     Split,
+    corpus_echo,
     count_trials,
     emit_table,
     evaluate_features,
@@ -53,25 +53,11 @@ from .evaluation import (
     sweep_rbf_features,
 )
 from .features import apply_scaler, fit_scaler, load_features, save_features
-from .imaging import load_bmp
+from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_SIGMA, DEFAULT_THRESHOLD, load_bmp
 from .pipeline import ExtractionSettings, extract
-from .synthgen import load_corpus, make_corpus, save_corpus
+from .synthgen import Corpus, load_corpus, make_corpus, save_corpus
 
 DEFAULT_SWEEP_CENTRES = ",".join(str(k) for k in range(5, 111, 5))
-
-
-@dataclass
-class RunConfig:
-    """Merged command settings: defaults, then config file, then flags."""
-
-    command: str
-    values: dict[str, object] = field(default_factory=dict)
-
-    def __getattr__(self, key: str) -> object:
-        try:
-            return self.values[key]
-        except KeyError:
-            raise AttributeError(key) from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -89,6 +75,12 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 #: key -> (cast from string, default, help); None default means "required
 #: unless the command treats absence itself".
+_EXTRACTION: dict[str, tuple] = {
+    "threshold": (float, DEFAULT_THRESHOLD, "binarization threshold"),
+    "sigma": (float, DEFAULT_SIGMA, "LoG smoothing width"),
+    "kernel_radius": (int, DEFAULT_KERNEL_RADIUS, "box-filter radius (0 disables)"),
+}
+
 _OPTIONS: dict[str, dict[str, tuple]] = {
     "gen": {
         "out": (str, None, "corpus output directory"),
@@ -102,9 +94,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
     "extract": {
         "input": (str, None, "BMP file or corpus directory"),
         "out": (str, None, "features CSV to write"),
-        "threshold": (float, 0.07, "binarization threshold"),
-        "sigma": (float, 1.0, "LoG smoothing width"),
-        "kernel_radius": (int, 1, "box-filter radius (0 disables)"),
+        **_EXTRACTION,
         "person": (int, 0, "person id recorded for a single image"),
         "sample": (int, 0, "sample index recorded for a single image"),
     },
@@ -133,9 +123,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "hidden": (int, DEFAULT_HIDDEN, "mlp hidden units"),
         "centres": (int, DEFAULT_RBF_CENTRES, "rbf centre count"),
         "spread": (float, None, "rbf kernel width"),
-        "threshold": (float, 0.07, "binarization threshold"),
-        "sigma": (float, 1.0, "LoG smoothing width"),
-        "kernel_radius": (int, 1, "box-filter radius"),
+        **_EXTRACTION,
     },
     "sweep": {
         "corpus": (str, None, "corpus directory to evaluate"),
@@ -143,9 +131,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "out": (str, None, "curve CSV to write"),
         "centres": (str, DEFAULT_SWEEP_CENTRES, "comma-separated centre counts"),
         "spread": (float, None, "rbf kernel width"),
-        "threshold": (float, 0.07, "binarization threshold"),
-        "sigma": (float, 1.0, "LoG smoothing width"),
-        "kernel_radius": (int, 1, "box-filter radius"),
+        **_EXTRACTION,
     },
 }
 
@@ -172,7 +158,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(args: argparse.Namespace) -> RunConfig:
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """Fill every option in args: flag, else config-file value, else default."""
     options = _OPTIONS[args.command]
     from_file = _read_config_file(args.config) if args.config else {}
     unknown = set(from_file) - set(options)
@@ -180,32 +167,24 @@ def _merge(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(
             f"unknown config key(s) for {args.command}: {', '.join(sorted(unknown))}"
         )
-    values: dict[str, object] = {}
     for key, (cast, default, _help) in options.items():
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            values[key] = flag_value
-        elif key in from_file:
+        if getattr(args, key) is None:
             try:
-                values[key] = cast(from_file[key])
+                setattr(args, key, cast(from_file[key]) if key in from_file else default)
             except ValueError as exc:
                 raise ConfigError(f"config key {key}: {exc}") from None
-        else:
-            values[key] = default
-    return RunConfig(command=args.command, values=values)
+    return args
 
 
-def _require(cfg: RunConfig, key: str) -> object:
-    value = cfg.values.get(key)
+def _require(cfg: argparse.Namespace, key: str) -> object:
+    value = getattr(cfg, key)
     if value is None:
         raise ConfigError(f"{cfg.command} needs --{key.replace('_', '-')}")
     return value
 
 
-def _settings(cfg: RunConfig) -> ExtractionSettings:
-    return ExtractionSettings(
-        threshold=cfg.threshold, kernel_radius=cfg.kernel_radius, sigma=cfg.sigma
-    )
+def _settings(cfg: argparse.Namespace) -> ExtractionSettings:
+    return ExtractionSettings(**{key: getattr(cfg, key) for key in _EXTRACTION})
 
 
 def _parse_centre_list(text: str) -> tuple[int, ...]:
@@ -218,28 +197,28 @@ def _parse_centre_list(text: str) -> tuple[int, ...]:
     return counts
 
 
-def _load_entries(cfg: RunConfig) -> tuple[list, int, dict[str, str]]:
+def _extract_corpus(cfg: argparse.Namespace, root: str | Path) -> tuple[list, int, Corpus]:
+    """Entries of every extractable corpus image, the failure count, and the
+    corpus; each failure is reported as one warning line on stderr."""
+    corpus = load_corpus(root)
+    entries, failures = extract_features(corpus, _settings(cfg))
+    for person, sample, message in failures:
+        print(f"warning: person {person} sample {sample}: {message}", file=sys.stderr)
+    return entries, len(failures), corpus
+
+
+def _load_entries(cfg: argparse.Namespace) -> tuple[list, int, dict[str, str]]:
     """Feature entries for eval/sweep from --corpus or --features, plus the
     corpus metadata to echo in reports (empty for CSV input)."""
     if (cfg.corpus is None) == (cfg.features is None):
         raise ConfigError(f"{cfg.command} needs exactly one of --corpus or --features")
     if cfg.corpus is not None:
-        corpus = load_corpus(cfg.corpus)
-        entries, failures = extract_features(corpus, _settings(cfg))
-        for person, sample, message in failures:
-            print(f"warning: person {person} sample {sample}: {message}", file=sys.stderr)
-        info = {
-            "corpus_seed": str(corpus.master_seed),
-            "intra_sigma": f"{corpus.intra_sigma:.17g}",
-            "noise_level": f"{corpus.noise_level:.17g}",
-            "persons": str(len(corpus.images)),
-            "samples_per_person": str(len(corpus.images[0]) if corpus.images else 0),
-        }
-        return entries, len(failures), info
+        entries, failures, corpus = _extract_corpus(cfg, cfg.corpus)
+        return entries, failures, corpus_echo(corpus)
     return load_features(cfg.features), 0, {}
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(cfg: argparse.Namespace) -> int:
     out = Path(str(_require(cfg, "out")))
     corpus = make_corpus(
         cfg.seed,
@@ -254,24 +233,20 @@ def cmd_gen(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_extract(cfg: RunConfig) -> int:
+def cmd_extract(cfg: argparse.Namespace) -> int:
     source = Path(str(_require(cfg, "input")))
     out = Path(str(_require(cfg, "out")))
-    settings = _settings(cfg)
     if source.is_dir():
-        corpus = load_corpus(source)
-        entries, failures = extract_features(corpus, settings)
-        for person, sample, message in failures:
-            print(f"warning: person {person} sample {sample}: {message}", file=sys.stderr)
+        entries, failures, _ = _extract_corpus(cfg, source)
     else:
-        vector = extract(load_bmp(source), settings).vector
-        entries, failures = [(cfg.person, cfg.sample, vector)], []
+        vector = extract(load_bmp(source), _settings(cfg)).vector
+        entries, failures = [(cfg.person, cfg.sample, vector)], 0
     save_features(out, entries)
-    print(f"wrote {len(entries)} feature rows to {out} ({len(failures)} failed)")
+    print(f"wrote {len(entries)} feature rows to {out} ({failures} failed)")
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(cfg: argparse.Namespace) -> int:
     entries = load_features(str(_require(cfg, "features")))
     out = Path(str(_require(cfg, "out")))
     if not entries:
@@ -311,7 +286,18 @@ def _model_decider(model: TemplateDb | MlpModel | RbfModel, metric: str):
     return lambda v: rbf_identify(model, v)
 
 
-def _eval_models(cfg: RunConfig, entries: list, exclusions: int) -> EvalReport:
+def _input_widths(model: TemplateDb | MlpModel | RbfModel) -> set[int]:
+    """Every feature-vector width the model's weights and scaler imply."""
+    if isinstance(model, TemplateDb):
+        widths = {len(v) for _, v in model.entries}
+    else:
+        widths = {(model.w1 if isinstance(model, MlpModel) else model.centres).shape[1]}
+    if model.scaler is not None:
+        widths |= {len(model.scaler.mins), len(model.scaler.maxs)}
+    return widths
+
+
+def _eval_models(cfg: argparse.Namespace, entries: list, exclusions: int) -> EvalReport:
     """Score pre-trained model files on the test half of the split."""
     split = Split()
     _, test_e = split_entries(entries, split)
@@ -321,6 +307,12 @@ def _eval_models(cfg: RunConfig, entries: list, exclusions: int) -> EvalReport:
     for path_text in str(cfg.models).split(","):
         path = Path(path_text.strip())
         model = load_model(path)
+        widths = _input_widths(model)
+        if widths != {len(test_e[0][2])}:
+            raise ConfigError(
+                f"{path}: model takes {'/'.join(map(str, sorted(widths)))} features,"
+                f" the input rows have {len(test_e[0][2])}"
+            )
         decide = _model_decider(model, cfg.metric)
         scaler = model.scaler
         test_s = [
@@ -340,7 +332,7 @@ def _eval_models(cfg: RunConfig, entries: list, exclusions: int) -> EvalReport:
     )
 
 
-def cmd_eval(cfg: RunConfig) -> int:
+def cmd_eval(cfg: argparse.Namespace) -> int:
     out = Path(str(_require(cfg, "out")))
     entries, exclusions, corpus_info = _load_entries(cfg)
     if cfg.models is not None:
@@ -366,7 +358,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: argparse.Namespace) -> int:
     out = Path(str(_require(cfg, "out")))
     entries, _, _ = _load_entries(cfg)
     counts = _parse_centre_list(str(cfg.centres))

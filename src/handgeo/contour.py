@@ -27,10 +27,6 @@ from .imaging import BinaryImage
 DELTAS = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
 _CODE_OF = {d: c for c, d in enumerate(DELTAS)}
 
-#: Codes that move up the image (decreasing y) and down it (increasing y).
-ASCENDING_BAND = frozenset({1, 2, 3})
-DESCENDING_BAND = frozenset({5, 6, 7})
-
 _SQRT2 = math.sqrt(2.0)
 
 

@@ -10,7 +10,7 @@ class HandGeoError(Exception):
 
 
 class FormatError(HandGeoError):
-    """Unsupported or malformed image file."""
+    """Unsupported or malformed input file."""
 
     category = "format_error"
 

@@ -9,7 +9,7 @@ configuration echo, and is stable byte for byte for fixed seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -117,7 +117,17 @@ class EvalReport:
     total: int
     exclusions: int
     config: dict[str, str] = field(default_factory=dict)
-    sweep: list[tuple[int, float]] | None = None
+
+
+def corpus_echo(corpus: Corpus) -> dict[str, str]:
+    """Corpus metadata echoed at the head of a report's configuration."""
+    return {
+        "corpus_seed": str(corpus.master_seed),
+        "intra_sigma": f"{corpus.intra_sigma:.17g}",
+        "noise_level": f"{corpus.noise_level:.17g}",
+        "persons": str(len(corpus.images)),
+        "samples_per_person": str(len(corpus.images[0]) if corpus.images else 0),
+    }
 
 
 def evaluate_all(
@@ -134,18 +144,11 @@ def evaluate_all(
 ) -> EvalReport:
     """Train and test every classifier family on one corpus split."""
     entries, failures = extract_features(corpus, settings)
-    corpus_info = {
-        "corpus_seed": str(corpus.master_seed),
-        "intra_sigma": f"{corpus.intra_sigma:.17g}",
-        "noise_level": f"{corpus.noise_level:.17g}",
-        "persons": str(len(corpus.images)),
-        "samples_per_person": str(len(corpus.images[0]) if corpus.images else 0),
-    }
     return evaluate_features(
         entries,
         split,
         exclusions=len(failures),
-        extra_config=corpus_info,
+        extra_config=corpus_echo(corpus),
         n_persons=len(corpus.images),
         train_seed=train_seed,
         gamma=gamma,
@@ -194,9 +197,8 @@ def evaluate_features(
 
     members: dict[str, list[MlpModel]] = {}
     for loss in ("mse", "msereg"):
-        cfg = TrainConfig(
-            loss=loss, gamma=base.gamma, multistart=base.multistart, seed=train_seed
-        )
+        # epochs=None re-resolves the per-loss default instead of inheriting base's.
+        cfg = replace(base, loss=loss, epochs=None)
         members[loss] = train_members(train_pairs, cfg, hidden)
         best = multistart_select(members[loss], train_pairs)
         rates[f"mlp_{loss}"] = run_identification(lambda v, m=best: mlp_identify(m, v), test_s)
@@ -218,8 +220,8 @@ def evaluate_features(
             "test_indices": " ".join(str(i) for i in split.test_indices),
             "train_seed": str(train_seed),
             "gamma": f"{base.gamma:.17g}",
-            "epochs_mse": "10",
-            "epochs_msereg": "50",
+            "epochs_mse": str(members["mse"][0].config.epochs),
+            "epochs_msereg": str(members["msereg"][0].config.epochs),
             "multistart": str(base.multistart),
             "committee_size": str(COMMITTEE_SIZE),
             "hidden": str(hidden),
@@ -290,9 +292,6 @@ def emit_table(report: EvalReport) -> tuple[str, str]:
         "Configuration:",
     ]
     lines += [f"  {k} = {v}" for k, v in report.config.items()]
-    if report.sweep:
-        lines += ["", "RBF centre sweep (centres, rate %):"]
-        lines += [f"  {k:>4}  {r:.2f}" for k, r in report.sweep]
     text = "\n".join(lines) + "\n"
 
     rows = ["key,value"]
@@ -309,7 +308,5 @@ def emit_table(report: EvalReport) -> tuple[str, str]:
         f"exclusions,{report.exclusions}",
     ]
     rows += [f"{k},{v}" for k, v in report.config.items()]
-    if report.sweep:
-        rows += [f"sweep_{k},{r:.17g}" for k, r in report.sweep]
     csv_text = "\n".join(rows) + "\n"
     return text, csv_text

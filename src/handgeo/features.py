@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .contour import ChainCode, Landmarks, perimeter
-from .errors import ScalerError
+from .errors import FormatError, ScalerError
 from .imaging import MM_PER_INCH, BinaryImage
 
 FEATURE_NAMES = (
@@ -160,9 +160,15 @@ def save_features(path: str | Path, entries: list[tuple[int, int, np.ndarray]]) 
 
 
 def load_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
+    """Inverse of save_features; a short or non-numeric row is a FormatError."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    return [
-        (int(row[0]), int(row[1]), np.array([float(v) for v in row[2:]]))
-        for row in rows[1:]
-    ]
+        header, *rows = list(csv.reader(fh)) or [[]]
+    entries = []
+    for ln, row in enumerate(rows, 2):
+        try:
+            if len(row) != len(header) or len(row) < 3:
+                raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+            entries.append((int(row[0]), int(row[1]), np.array([float(v) for v in row[2:]])))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{ln}: {exc}") from None
+    return entries

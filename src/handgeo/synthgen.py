@@ -21,19 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .contour import find_landmarks, perimeter, trace_contour
+from .contour import perimeter, trace_contour
 from .errors import CorpusError, HandGeoError, RenderError
 from .features import base_segments
-from .imaging import (
-    MM_PER_INCH,
-    BinaryImage,
-    GrayImage,
-    binarize,
-    detect_edges_log,
-    load_bmp,
-    lowpass_filter,
-    save_bmp,
-)
+from .imaging import MM_PER_INCH, BinaryImage, GrayImage, load_bmp, save_bmp
+from .pipeline import extract
 
 REFERENCE_DPI = 100.0
 _MARGIN = 10.0
@@ -395,8 +387,7 @@ def render(
 def _landmarks_detectable(img: GrayImage) -> bool:
     """True when the default extraction chain finds 5 tips and 4 valleys."""
     try:
-        edges = detect_edges_log(binarize(lowpass_filter(img)))
-        find_landmarks(trace_contour(edges))
+        extract(img)
     except HandGeoError:
         return False
     return True
@@ -463,6 +454,10 @@ def make_corpus(
     """
     if not 0.0 <= intra_sigma <= 0.1:
         raise CorpusError(f"intra_sigma {intra_sigma} outside [0, 0.1]")
+    if persons < 1 or samples < 1:
+        raise CorpusError(f"need at least 1 person and 1 sample, got {persons} x {samples}")
+    if not dpi > 0:
+        raise CorpusError(f"dpi must be positive, got {dpi}")
     protos: list[HandParams] = []
     images: list[list[GrayImage]] = []
     truths: list[list[GroundTruth]] = []

@@ -1,6 +1,7 @@
 """Distance metrics, losses, MLP training, committees, and RBF networks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,7 +160,6 @@ class TestTrainConfig:
             {"gamma": 1.5},
             {"gamma": -0.1},
             {"multistart": 0},
-            {"damping_factor": 1.0},
         ],
     )
     def test_invalid_settings_are_rejected(self, kwargs):
@@ -198,6 +198,20 @@ class TestMlpTraining:
         assert len(plain.loss_history) == len(mixed.loss_history)
         for a, b in zip(plain.loss_history, mixed.loss_history):
             assert abs(a - b) <= 1e-12
+
+    @pytest.mark.parametrize("loss", ["mse", "msereg"])
+    def test_final_history_entry_is_the_public_loss(self, loss):
+        train = toy_two_person_set()
+        model = mlp_train(train, TrainConfig(loss=loss, epochs=5, seed=2), hidden=4)
+        labels = np.array([p for p, _ in train])
+        targets = np.where(labels[:, None] == np.array(model.person_ids), 1.0, -1.0)
+        outputs = model.outputs(np.array([v for _, v in train]))
+        if loss == "mse":
+            expected = loss_mse(targets, outputs)
+        else:
+            theta = np.concatenate([a.ravel() for a in (model.w1, model.b1, model.w2, model.b2)])
+            expected = loss_msereg(targets, outputs, theta, model.config.gamma)
+        assert model.loss_history[-1] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_jacobian_matches_central_finite_differences(self):
         from handgeo.classifiers import _jacobian, _residuals
@@ -389,6 +403,31 @@ class TestModelSerialization:
         for (pa, va), (pb, vb) in zip(db.entries, back.entries):
             assert pa == pb
             np.testing.assert_array_equal(va, vb)
+
+    def test_damping_lines_of_older_files_are_ignored(self, tmp_path):
+        model = mlp_train(toy_two_person_set(), TrainConfig(seed=9), hidden=4)
+        path = tmp_path / "old.model"
+        save_model(model, path)
+        text = path.read_text()
+        assert "damping" not in text
+        path.write_text(text + "damping_init 0.001\ndamping_factor 10\n")
+        assert load_model(path).config == model.config
+
+    @pytest.mark.parametrize(
+        "field,mutate",
+        [
+            ("person_ids", lambda lines: lines[:2]),
+            ("epochs", lambda lines: [ln.replace("epochs ", "epochs ten") for ln in lines]),
+            ("w1", lambda lines: [ln + " 0.5" if ln.startswith("w1 ") else ln for ln in lines]),
+        ],
+        ids=["missing", "non_numeric", "wrong_size"],
+    )
+    def test_missing_or_malformed_fields_name_the_file(self, tmp_path, field, mutate):
+        path = tmp_path / "bad.model"
+        save_model(mlp_train(toy_two_person_set(), TrainConfig(seed=9), hidden=4), path)
+        path.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: .*{field}"):
+            load_model(path)
 
     def test_non_model_file_is_rejected(self, tmp_path):
         path = tmp_path / "junk.model"

@@ -59,6 +59,13 @@ class TestGen:
         assert main(["gen"]) == 1
         assert capsys.readouterr().err.startswith("config_error:")
 
+    @pytest.mark.parametrize("flag", ["--persons", "--samples", "--dpi"])
+    def test_empty_or_zero_dpi_corpus_fails_cleanly(self, tmp_path, capsys, flag):
+        assert main(["gen", "--out", str(tmp_path / "z"), flag, "0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("corpus_error:")
+        assert not (tmp_path / "z").exists()
+
 
 class TestExtract:
     def test_single_image_yields_one_row(self, tmp_path):
@@ -120,6 +127,19 @@ class TestTrain:
         assert isinstance(model, model_type)
         assert model.scaler is not None
 
+    def test_non_numeric_cell_is_a_format_error_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        save_features(path, [(p, j, np.full(9, p + j / 10)) for p in range(2) for j in range(3)])
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "abc"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["train", "--features", str(path), "--out", str(tmp_path / "m")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"format_error: {path}:4: ")
+
     def test_unknown_kind_fails_cleanly(self, tmp_path, features_csv, capsys):
         code = main(
             ["train", "--features", str(features_csv), "--out", str(tmp_path / "m"),
@@ -160,6 +180,31 @@ class TestEval:
         )
         assert code == 0
         assert "model:nearest" in (out / "report.txt").read_text()
+
+    def test_model_file_missing_fields_fails_cleanly(self, tmp_path, features_csv, capsys):
+        model = tmp_path / "stub.model"
+        model.write_text("handgeo-model 1\ntype mlp\n")
+        code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
+                     "--models", str(model)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config_error: {model}: ")
+
+    def test_model_of_another_feature_width_fails_cleanly(
+        self, tmp_path, features_csv, capsys
+    ):
+        model = tmp_path / "nine.model"
+        main(["train", "--features", str(features_csv), "--out", str(model), "--kind", "nn"])
+        narrow = tmp_path / "narrow.csv"
+        narrow.write_text("\n".join(
+            ",".join(line.split(",")[:4]) for line in features_csv.read_text().splitlines()
+        ) + "\n")
+        capsys.readouterr()
+        code = main(["eval", "--features", str(narrow), "--out", str(tmp_path / "r"),
+                     "--models", str(model)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config_error: {model}: ")
 
     def test_requiring_exactly_one_input_source(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path / "r")]) == 1

@@ -9,7 +9,6 @@ from handgeo.classifiers import TemplateDb, nn_identify
 from handgeo.errors import ConfigError, LandmarkError
 from handgeo.evaluation import (
     ROW_LABELS,
-    EvalReport,
     Split,
     count_trials,
     emit_table,
@@ -109,6 +108,7 @@ class TestEvaluateFeatures:
     def test_config_echo_names_the_training_settings(self, report):
         for key in ("gamma", "epochs_mse", "epochs_msereg", "hidden", "rbf_spread"):
             assert key in report.config
+        assert (report.config["epochs_mse"], report.config["epochs_msereg"]) == ("10", "50")
 
     def test_separable_clusters_are_identified_well(self, report):
         assert report.rates["nn_mse"] == 100.0
@@ -160,16 +160,3 @@ class TestEmitTable:
             assert f"rate_{key}," in csv_text
         for line in ("Client trials", "Impostor trials", "Total trials"):
             assert line in text
-
-    def test_sweep_block_appears_when_present(self):
-        report = EvalReport(
-            rates={"nn_mse": 50.0},
-            clients=10,
-            impostors=90,
-            total=100,
-            exclusions=0,
-            sweep=[(5, 40.0), (10, 60.0)],
-        )
-        text, csv_text = emit_table(report)
-        assert "centre sweep" in text
-        assert "sweep_5,40" in csv_text

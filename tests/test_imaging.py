@@ -21,6 +21,7 @@ from handgeo.imaging import (
     save_pbm,
     save_pgm,
 )
+from handgeo.synthgen import make_corpus
 
 
 def bmp_bytes(rows, bit_depth=8, ppm=0, compression=0):
@@ -190,6 +191,16 @@ class TestDetectEdgesLog:
         edges = detect_edges_log(BinaryImage(bits=mask.astype(np.uint8)), sigma=1.0)
         expected = boundary_of(mask)
         np.testing.assert_array_equal(edges.bits.astype(bool), expected)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    def test_default_chain_edges_are_the_silhouette_boundary_ring(self, sigma):
+        corpus = make_corpus(0, persons=2, samples=2)
+        for img in (img for row in corpus.images for img in row):
+            silhouette = binarize(lowpass_filter(img))
+            edges = detect_edges_log(silhouette, sigma)
+            np.testing.assert_array_equal(
+                edges.bits.astype(bool), boundary_of(silhouette.bits.astype(bool))
+            )
 
     def test_two_blobs_yield_two_closed_loops(self):
         bits = np.zeros((30, 60), dtype=np.uint8)

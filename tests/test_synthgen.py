@@ -130,6 +130,14 @@ class TestMakeCorpus:
         with pytest.raises(CorpusError, match="intra_sigma"):
             make_corpus(0, 0.2)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"persons": 0}, {"samples": 0}, {"dpi": 0.0}, {"dpi": -100.0}]
+    )
+    def test_empty_or_unrenderable_shapes_are_rejected_up_front(self, monkeypatch, kwargs):
+        monkeypatch.setattr(synthgen, "render", None)  # no render may be attempted
+        with pytest.raises(CorpusError, match="persons|sample|dpi"):
+            make_corpus(0, **kwargs)
+
     def test_regeneration_gives_up_after_bounded_attempts(self, monkeypatch):
         monkeypatch.setattr(synthgen, "_landmarks_detectable", lambda img: False)
         with pytest.raises(CorpusError, match="100"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -178,7 +178,11 @@ def _residuals(theta, x, t, hidden, gamma, reg_scale):
 
 
 def _jacobian(theta, x, t, hidden, gamma, reg_scale):
-    """Analytic Jacobian of _residuals with respect to theta."""
+    """Analytic Jacobian of _residuals with respect to theta.
+
+    Training never forms it; tests keep it as the reference for
+    _normal_blocks and _lm_step.
+    """
     n, n_in = x.shape
     n_out = t.shape[1]
     _, a1, w2 = _forward(theta, x, hidden, n_out)
@@ -202,6 +206,109 @@ def _jacobian(theta, x, t, hidden, gamma, reg_scale):
     return j
 
 
+class _NormalBlocks(NamedTuple):
+    """J^T J and J^T r of _residuals in the blocks the network gives them.
+
+    Parameters are grouped by unit: hidden unit h owns [w1[h], b1[h]]
+    (P_h = hidden * (n_in + 1) of them in all) and class c owns [w2[c], b2[c]].
+    Classes never meet each other, so with u = tanh' * [x, 1], a = [a1, 1] and
+    s^2 = gamma / t.size the Gram is
+
+        hidden x hidden:       hid + reg I, hid = (w2^T w2)[h, h'] * s^2 u^T u
+        class c x class c:     out + reg I, out = s^2 a^T a for every class
+        hidden (h, i) x c:     w2[c, h] * cross[(h, i)], cross = s^2 u^T a
+    """
+
+    hid: np.ndarray  # P_h x P_h
+    out: np.ndarray  # (hidden + 1) x (hidden + 1)
+    cross: np.ndarray  # P_h x (hidden + 1)
+    w2: np.ndarray  # n_out x hidden
+    w2_gram: np.ndarray  # hidden x hidden: w2^T w2
+    g_hid: np.ndarray  # hidden x (n_in + 1)
+    g_out: np.ndarray  # n_out x (hidden + 1)
+    reg: float  # reg_scale**2, the regularizer's share of the diagonal
+
+
+def _by_unit(v: np.ndarray, n_weights: int) -> np.ndarray:
+    """[w1 rows, b1] in theta order -> one [w1[h], b1[h]] row per hidden unit
+    (and likewise [w2, b2] -> one row per class)."""
+    units = len(v) - n_weights
+    return np.concatenate([v[:n_weights].reshape(units, -1), v[n_weights:, None]], axis=1)
+
+
+def _normal_blocks(theta, x, t, hidden, gamma, reg_scale) -> _NormalBlocks:
+    """_jacobian(...).T @ [_jacobian(...), _residuals(...)] without forming J.
+
+    Per sample, d out[c] / d[w1[h], b1[h]] = w2[c, h] * tanh'_h * [x, 1] and
+    d out[c] / d[w2[c], b2[c]] = [a1, 1]; the Gram blocks are sums of their
+    outer products (Wilamowski & Yu, IEEE TNN 21(6), 2010).
+    """
+    n, n_in = x.shape
+    n_out = t.shape[1]
+    out, a1, w2 = _forward(theta, x, hidden, n_out)
+    d1 = 1.0 - a1**2
+    ones = np.ones((n, 1))
+    xb = np.concatenate([x, ones], axis=1)
+    u = (d1[:, :, None] * xb[:, None, :]).reshape(n, -1)
+    ua = np.concatenate([u, a1, ones], axis=1)  # [u, a]: one Gram gives hid, cross, out
+
+    s2 = gamma / t.size
+    reg = reg_scale**2
+    err = t - out
+    n_hid = u.shape[1]
+    gram = s2 * (ua.T @ ua)
+    w2_gram = w2.T @ w2
+    hid = gram[:n_hid, :n_hid].reshape(hidden, n_in + 1, hidden, n_in + 1)
+    return _NormalBlocks(
+        hid=(hid * w2_gram[:, None, :, None]).reshape(n_hid, n_hid),
+        out=gram[n_hid:, n_hid:],
+        cross=gram[:n_hid, n_hid:],
+        w2=w2,
+        w2_gram=w2_gram,
+        g_hid=-s2 * ((d1 * (err @ w2)).T @ xb) + reg * _by_unit(theta[:n_hid], hidden * n_in),
+        g_out=-s2 * (err.T @ ua[:, n_hid:]) + reg * _by_unit(theta[n_hid:], n_out * hidden),
+        reg=reg,
+    )
+
+
+def _lm_step(blocks: _NormalBlocks, lam: float) -> np.ndarray:
+    """Solution of (J^T J + lam I) delta = -J^T r, in theta order.
+
+    The per-class output blocks are eliminated onto the hidden block (a Schur
+    complement; Hagan & Menhaj, IEEE TNN 5(6), 1994), so the largest
+    factorization is P_h x P_h. Raises LinAlgError when a Cholesky
+    factorization fails.
+    """
+    # Imported here: scipy.linalg adds about 6 MB to every process that loads
+    # it, and only training needs it.
+    from scipy.linalg import cho_solve
+
+    b = blocks
+    hidden, width = b.g_hid.shape
+    mu = lam + b.reg
+    # The factorizations use NumPy's LAPACK: scipy.linalg's run in SciPy's own
+    # OpenBLAS, whose threads contend with NumPy's on matrices this small
+    # (training ran about 3x slower on 2 cores). cho_solve with one right-hand
+    # side stays on one thread.
+    # (out + mu I)^-1 = l_inv^T l_inv. Eliminating through cross_l = cross l_inv^T
+    # keeps the subtracted term cross_l cross_l^T symmetric and is more accurate
+    # than forming the inverse itself.
+    l_inv = np.linalg.inv(np.linalg.cholesky(b.out + mu * np.eye(len(b.out))))
+    cross_l = b.cross @ l_inv.T  # P_h x (hidden + 1)
+    grad_l = l_inv @ b.g_out.T  # (hidden + 1) x n_out
+    eliminated = (cross_l @ cross_l.T).reshape(hidden, width, hidden, width)
+    schur = b.hid - (eliminated * b.w2_gram[:, None, :, None]).reshape(b.hid.shape)
+    schur.flat[:: len(schur) + 1] += mu
+    rhs = ((cross_l @ grad_l).reshape(hidden, width, -1) * b.w2.T[:, None, :]).sum(axis=2)
+    rhs -= b.g_hid
+    schur_l = np.linalg.cholesky(schur)
+    d_hid = cho_solve((schur_l, True), rhs.ravel(), check_finite=False).reshape(hidden, width)
+    # Row c is w2[c, h] * d_hid[h, i], so cross_c^T d_hid = cross^T (row c).
+    per_class = (b.w2[:, :, None] * d_hid).reshape(len(b.w2), -1)
+    d_out = -l_inv.T @ (grad_l + cross_l.T @ per_class.T)  # (hidden + 1) x n_out
+    return np.concatenate([d_hid[:, :-1].ravel(), d_hid[:, -1], d_out[:-1].T.ravel(), d_out[-1]])
+
+
 def mlp_train(
     train: list[tuple[int, np.ndarray]],
     cfg: TrainConfig,
@@ -212,9 +319,12 @@ def mlp_train(
     Each epoch makes at most one accepted parameter update: the damped
     normal equations are solved and the step kept only if the loss drops,
     otherwise the damping grows and the solve is retried within the epoch.
+    A factorization that fails counts as a rejected retry.
     """
     if not train:
         raise ConfigError("empty training set")
+    if hidden < 1:
+        raise ConfigError(f"hidden units must be >= 1, got {hidden}")
     labels = np.array([p for p, _ in train])
     x = np.array([np.asarray(v, dtype=float) for _, v in train])
     person_ids = tuple(sorted(set(int(p) for p in labels)))
@@ -234,19 +344,15 @@ def mlp_train(
 
     lam = DAMPING_INIT
     history = [loss_of(theta)]
-    identity = np.eye(n_params)
     for _ in range(cfg.epochs):
-        r = _residuals(theta, x, t, hidden, gamma, reg_scale)
-        j = _jacobian(theta, x, t, hidden, gamma, reg_scale)
-        jtj = j.T @ j
-        jtr = j.T @ r
+        blocks = _normal_blocks(theta, x, t, hidden, gamma, reg_scale)
         current = history[-1]
         for _ in range(1 + _MAX_RETRIES):
             try:
-                delta = np.linalg.solve(jtj + lam * identity, -jtr)
-            except np.linalg.LinAlgError as exc:
-                raise TrainingError(f"normal equations singular at damping {lam}") from exc
-            candidate = theta + delta
+                candidate = theta + _lm_step(blocks, lam)
+            except np.linalg.LinAlgError:
+                lam *= DAMPING_FACTOR
+                continue
             new_loss = loss_of(candidate)
             if new_loss < current:
                 theta = candidate
@@ -282,16 +388,9 @@ def train_members(
     hidden: int = DEFAULT_HIDDEN,
 ) -> list[MlpModel]:
     """The multi-start population: one model per seed cfg.seed + 0..K-1."""
-    members = []
-    failure: TrainingError | None = None
-    for k in range(cfg.multistart):
-        try:
-            members.append(mlp_train(train, replace(cfg, seed=cfg.seed + k), hidden))
-        except TrainingError as exc:
-            failure = exc
-    if not members:
-        raise TrainingError(f"all {cfg.multistart} starts failed: {failure}")
-    return members
+    return [
+        mlp_train(train, replace(cfg, seed=cfg.seed + k), hidden) for k in range(cfg.multistart)
+    ]
 
 
 def multistart_select(
@@ -377,8 +476,10 @@ def rbf_train(
 
     if spread is None:
         spread = median_pairwise_distance(x)
-    if not spread > 0:
-        raise TrainingError("kernel spread must be positive (duplicate training points?)")
+        if not spread > 0:
+            raise TrainingError("kernel spread must be positive (duplicate training points?)")
+    elif not spread > 0:
+        raise ConfigError(f"rbf spread must be positive, got {spread}")
 
     phi = _kernel(x, x, spread)
     residual = phi.copy()  # candidate columns, orthogonalized against picks

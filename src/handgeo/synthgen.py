@@ -568,8 +568,26 @@ def load_corpus(root: str | Path) -> Corpus:
         if line.strip():
             key, _, value = line.partition("=")
             config[key.strip()] = value.strip()
-    persons = int(config["persons"])
-    samples = int(config["samples"])
+
+    def field(key: str, cast: type):
+        try:
+            return cast(config[key])
+        except KeyError:
+            raise CorpusError(f"{config_path}: missing key {key!r}") from None
+        except ValueError as exc:
+            raise CorpusError(f"{config_path}: key {key!r}: {exc}") from None
+
+    persons, samples = field("persons", int), field("samples", int)
+    if persons < 1 or samples < 1:
+        raise CorpusError(
+            f"{config_path}: need at least 1 person and 1 sample, got {persons} x {samples}"
+        )
+    echo = {
+        "master_seed": field("master_seed", int),
+        "intra_sigma": field("intra_sigma", float),
+        "noise_level": field("noise_level", float),
+        "dpi": field("dpi", float),
+    }
     images: list[list[GrayImage]] = []
     truths: list[list[GroundTruth]] = []
     for p in range(persons):
@@ -578,12 +596,4 @@ def load_corpus(root: str | Path) -> Corpus:
         with open(pdir / "ground_truth.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))[1:]
         truths.append([_gt_from_row(row) for row in rows])
-    return Corpus(
-        images=images,
-        truths=truths,
-        persons=None,
-        master_seed=int(config["master_seed"]),
-        intra_sigma=float(config["intra_sigma"]),
-        noise_level=float(config["noise_level"]),
-        dpi=float(config["dpi"]),
-    )
+    return Corpus(images=images, truths=truths, persons=None, **echo)

@@ -5,9 +5,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handgeo import classifiers
 from handgeo.classifiers import (
     MlpModel,
     RbfModel,
@@ -30,6 +31,7 @@ from handgeo.classifiers import (
     save_model,
     train_members,
 )
+from handgeo.classifiers import _jacobian, _lm_step, _normal_blocks, _residuals
 from handgeo.errors import ConfigError
 
 vectors = st.lists(st.floats(-50, 50), min_size=1, max_size=9)
@@ -214,8 +216,6 @@ class TestMlpTraining:
         assert model.loss_history[-1] == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_jacobian_matches_central_finite_differences(self):
-        from handgeo.classifiers import _jacobian, _residuals
-
         rng = np.random.default_rng(11)
         x = rng.normal(size=(6, 9))
         t = rng.choice([-1.0, 1.0], size=(6, 2))
@@ -233,6 +233,92 @@ class TestMlpTraining:
             numeric = (residual_vector(up) - residual_vector(down)) / (2 * step)
             denom = np.maximum(np.abs(numeric), 1e-8)
             assert (np.abs(analytic[:, k] - numeric) / denom).max() <= 1e-4
+
+    @pytest.mark.parametrize("hidden", [0, -3])
+    def test_non_positive_hidden_count_is_rejected(self, hidden):
+        with pytest.raises(ConfigError, match="hidden units must be >= 1"):
+            mlp_train(toy_two_person_set(), TrainConfig(seed=0), hidden=hidden)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        hidden=st.integers(1, 6),
+        n_out=st.integers(2, 4),
+        gamma=st.sampled_from([1.0, 0.8]),
+        log_lam=st.floats(-6.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_blockwise_normal_equations_match_the_dense_jacobian(
+        self, hidden, n_out, gamma, log_lam, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n, n_in = 3 * n_out, 9
+        x = rng.uniform(-1.0, 1.0, size=(n, n_in))
+        t = np.full((n, n_out), -1.0)
+        t[np.arange(n), np.arange(n) % n_out] = 1.0
+        n_params = hidden * n_in + hidden + n_out * hidden + n_out
+        theta = rng.uniform(-0.5, 0.5, n_params)
+        args = (theta, x, t, hidden, gamma, np.sqrt((1.0 - gamma) / n_params))
+        j, r = _jacobian(*args), _residuals(*args)
+        jtj, jtr = j.T @ j, j.T @ r
+        blocks = _normal_blocks(*args)
+
+        # Theta index of each blockwise parameter: [w1[h], b1[h]] per hidden
+        # unit, then [w2[c], b2[c]] per class.
+        n_hid = hidden * n_in + hidden
+        w1_idx = np.arange(hidden * n_in).reshape(hidden, n_in)
+        b1_idx = hidden * n_in + np.arange(hidden)
+        hid_idx = np.concatenate([w1_idx, b1_idx[:, None]], axis=1).ravel()
+        w2_idx = n_hid + np.arange(n_out * hidden).reshape(n_out, hidden)
+        b2_idx = n_hid + n_out * hidden + np.arange(n_out)
+        out_idx = np.concatenate([w2_idx, b2_idx[:, None]], axis=1)
+        unit = np.repeat(np.arange(hidden), n_in + 1)
+        gram = np.zeros((n_params, n_params))
+        grad = np.zeros(n_params)
+        gram[np.ix_(hid_idx, hid_idx)] = blocks.hid
+        grad[hid_idx] = blocks.g_hid.ravel()
+        for c in range(n_out):
+            cross_c = blocks.w2[c, unit][:, None] * blocks.cross
+            gram[np.ix_(hid_idx, out_idx[c])] = cross_c
+            gram[np.ix_(out_idx[c], hid_idx)] = cross_c.T
+            gram[np.ix_(out_idx[c], out_idx[c])] = blocks.out
+            grad[out_idx[c]] = blocks.g_out[c]
+        gram += blocks.reg * np.eye(n_params)
+        assert np.linalg.norm(gram - jtj) <= 1e-10 * np.linalg.norm(jtj)
+        assert np.linalg.norm(grad - jtr) <= 1e-10 * np.linalg.norm(jtr)
+
+        lam = 10.0**log_lam
+        damped = jtj + lam * np.eye(n_params)
+        dense = np.linalg.solve(damped, -jtr)
+        step = _lm_step(blocks, lam)
+        # The step solves the dense damped system to working precision ...
+        backward = np.linalg.norm(damped @ step + jtr) / (
+            np.linalg.norm(damped, 2) * np.linalg.norm(step) + np.linalg.norm(jtr)
+        )
+        assert backward <= 1e-12
+        # ... and agrees with the dense solve to 1e-10, or to what any two
+        # backward-stable solvers can agree on (10 eps cond) when tiny damping
+        # leaves the rank-deficient system worse conditioned than that.
+        tol = max(1e-10, 10 * np.finfo(float).eps * np.linalg.cond(damped))
+        assert np.linalg.norm(step - dense) <= tol * np.linalg.norm(dense)
+
+    def test_failed_factorization_is_a_rejected_retry(self, monkeypatch):
+        # Inputs of 1000 saturate both tanh units exactly: the first-layer
+        # block is 0 and every entry of the output block is exactly 0.25, so
+        # damping 1e-20 is lost to rounding and its Cholesky factorization fails.
+        hidden, x = 2, np.full(9, 1000.0)
+        train = [(p, x.copy()) for p in range(4)]
+        theta = np.random.default_rng(0).uniform(-0.5, 0.5, hidden * 10 + 4 * (hidden + 1))
+        t = np.where(np.eye(4) > 0, 1.0, -1.0)
+        blocks = _normal_blocks(theta, np.array([x] * 4), t, hidden, 1.0, 0.0)
+        assert not blocks.hid.any() and (blocks.out == 0.25).all()
+        with pytest.raises(np.linalg.LinAlgError):
+            _lm_step(blocks, 1e-20)
+
+        monkeypatch.setattr(classifiers, "DAMPING_INIT", 1e-20)
+        model = mlp_train(train, TrainConfig(loss="mse", epochs=10, seed=0), hidden=hidden)
+        history = model.loss_history
+        assert len(history) >= 2
+        assert all(b < a for a, b in zip(history, history[1:]))
 
     def test_argmax_ties_resolve_to_the_first_person(self):
         model = MlpModel(
@@ -357,6 +443,11 @@ class TestRbf:
         model = rbf_train(train, n_centres=4, spread=1.0)
         assert model.requested_centres == 4
         assert len(model.centres) < 4
+
+    @pytest.mark.parametrize("spread", [0.0, -1.0])
+    def test_non_positive_spread_is_a_config_error(self, spread):
+        with pytest.raises(ConfigError, match="rbf spread must be positive"):
+            rbf_train(self.random_set(n=5), 3, spread=spread)
 
     def test_centre_count_bounds_are_enforced(self):
         train = self.random_set(n=5)

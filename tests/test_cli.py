@@ -105,6 +105,26 @@ class TestExtract:
         assert code == 1
         assert capsys.readouterr().err.startswith("io_error:")
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda text: text.replace("persons=2\n", ""), "missing key 'persons'"),
+            (lambda text: text.replace("samples=1", "samples=ten"), "key 'samples': "),
+            (lambda text: text.replace("persons=2", "persons=-1"), "need at least 1 person"),
+        ],
+        ids=["missing_persons", "non_numeric_samples", "negative_persons"],
+    )
+    def test_bad_corpus_config_is_one_corpus_error_line(self, tmp_path, capsys, edit, message):
+        corpus_dir = tmp_path / "corpus"
+        main(["gen", "--out", str(corpus_dir), "--persons", "2", "--samples", "1"])
+        config = corpus_dir / "corpus_config.txt"
+        config.write_text(edit(config.read_text()))
+        capsys.readouterr()
+        code = main(["extract", "--input", str(corpus_dir), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"corpus_error: {config}: {message}")
+
 
 class TestTrain:
     @pytest.mark.parametrize(
@@ -139,6 +159,28 @@ class TestTrain:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"format_error: {path}:4: ")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("hidden", ["0", "-3"])
+    def test_non_positive_hidden_count_fails_cleanly(
+        self, tmp_path, features_csv, capsys, command, hidden
+    ):
+        code = main(
+            [command, "--features", str(features_csv), "--out", str(tmp_path / "m"),
+             "--multistart", "1", "--hidden", hidden]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config_error: hidden units must be >= 1")
+
+    def test_non_positive_spread_fails_cleanly(self, tmp_path, features_csv, capsys):
+        code = main(
+            ["train", "--features", str(features_csv), "--out", str(tmp_path / "m"),
+             "--kind", "rbf", "--spread", "-1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config_error: rbf spread must be positive, got -1.0"]
 
     def test_unknown_kind_fails_cleanly(self, tmp_path, features_csv, capsys):
         code = main(

@@ -28,24 +28,34 @@ _MAX_RETRIES = 10
 # -- distances (template matching) -------------------------------------------
 
 
-def dist_mse(x: np.ndarray, y: np.ndarray) -> float:
-    """Sum of squared component differences (no normalization)."""
+def _sum_sq(d: np.ndarray) -> np.ndarray:
+    return (d * d).sum(axis=-1)
+
+
+def _sum_abs(d: np.ndarray) -> np.ndarray:
+    return np.abs(d).sum(axis=-1)
+
+
+#: Distance of each row of a difference array; one definition serves both
+#: the pairwise distances and the template scan in nn_identify.
+_ROW_DISTANCES = {"mse": _sum_sq, "mad": _sum_abs}
+
+
+def _difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    d = x - y
-    return float(np.dot(d, d))
+    return x - y
+
+
+def dist_mse(x: np.ndarray, y: np.ndarray) -> float:
+    """Sum of squared component differences (no normalization)."""
+    return float(_sum_sq(_difference(x, y)))
 
 
 def dist_mad(x: np.ndarray, y: np.ndarray) -> float:
     """Sum of absolute component differences."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    return float(np.abs(x - y).sum())
-
-
-_METRICS = {"mse": dist_mse, "mad": dist_mad}
+    return float(_sum_abs(_difference(x, y)))
 
 
 @dataclass
@@ -59,16 +69,18 @@ class TemplateDb:
 def nn_identify(x: np.ndarray, db: TemplateDb, metric: str = "mse") -> int:
     """Person of the closest template; ties break to the lowest person id,
     then the lowest template index."""
-    if metric not in _METRICS:
+    if metric not in _ROW_DISTANCES:
         raise ConfigError(f"unknown metric {metric!r}; use 'mse' or 'mad'")
     if not db.entries:
         raise ValueError("empty template database")
-    dist = _METRICS[metric]
-    best = min(
-        ((dist(x, vec), person, idx) for idx, (person, vec) in enumerate(db.entries)),
-        key=lambda t: (t[0], t[1], t[2]),
-    )
-    return best[1]
+    x = np.asarray(x, dtype=float)
+    templates = np.array([vec for _, vec in db.entries], dtype=float)
+    if templates.shape[1:] != x.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {templates.shape[1:]}")
+    dists = _ROW_DISTANCES[metric](x - templates)
+    persons = np.array([person for person, _ in db.entries])
+    # lexsort is stable, so equal (distance, person) keys keep index order.
+    return int(persons[np.lexsort((persons, dists))[0]])
 
 
 # -- training losses ----------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from .imaging import BinaryImage
 #: (dx, dy) step of each direction code.
 DELTAS = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
 _CODE_OF = {d: c for c, d in enumerate(DELTAS)}
+_DX = tuple(dx for dx, _ in DELTAS)
+_DY = tuple(dy for _, dy in DELTAS)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -39,8 +42,8 @@ class ChainCode:
 
     def __post_init__(self) -> None:
         self.start = (int(self.start[0]), int(self.start[1]))
-        self.codes = tuple(int(c) for c in self.codes)
-        if any(not 0 <= c <= 7 for c in self.codes):
+        self.codes = tuple(map(int, self.codes))
+        if self.codes and not (0 <= min(self.codes) and max(self.codes) <= 7):
             raise ValueError("chain codes must be in 0..7")
 
     def __len__(self) -> int:
@@ -48,13 +51,10 @@ class ChainCode:
 
     def pixels(self) -> list[tuple[int, int]]:
         """Replay the codes; entry i is the pixel before codes[i] is applied."""
-        x, y = self.start
-        pts = [(x, y)]
-        for c in self.codes[:-1]:
-            dx, dy = DELTAS[c]
-            x, y = x + dx, y + dy
-            pts.append((x, y))
-        return pts
+        x0, y0 = self.start
+        xs = accumulate((_DX[c] for c in self.codes[:-1]), initial=x0)
+        ys = accumulate((_DY[c] for c in self.codes[:-1]), initial=y0)
+        return list(zip(xs, ys))
 
     def end(self) -> tuple[int, int]:
         """Pixel reached after replaying every code."""
@@ -94,44 +94,48 @@ def perimeter(chain: ChainCode) -> float:
     return (len(chain.codes) - odd) + _SQRT2 * odd
 
 
-def _next_step(bits: np.ndarray, x: int, y: int, backtrack: int) -> int | None:
-    """First occupied neighbour scanning counter-clockwise after `backtrack`."""
-    h, w = bits.shape
-    for k in range(1, 9):
-        c = (backtrack + k) % 8
-        dx, dy = DELTAS[c]
-        nx, ny = x + dx, y + dy
-        if 0 <= nx < w and 0 <= ny < h and bits[ny, nx]:
-            return c
-    return None
+#: _NEXT[occupancy * 8 + backtrack]: first direction counter-clockwise after
+#: `backtrack` whose bit is set in the 8-bit neighbour occupancy (bit c set
+#: when the neighbour in direction c is foreground); None when no bit is set.
+_NEXT = tuple(
+    next((c % 8 for c in range(b + 1, b + 9) if occ >> (c % 8) & 1), None)
+    for occ in range(256)
+    for b in range(8)
+)
 
 
-def _trace_loop(bits: np.ndarray, start: tuple[int, int]) -> ChainCode | None:
-    """Moore walk from `start`; None when the component holds no cycle."""
-    x0, y0 = start
-    first = _next_step(bits, x0, y0, 4)
+def _trace_loop(
+    occ: dict[int, int], offsets: tuple[int, ...], start: int, size: int
+) -> list[int] | None:
+    """Moore walk from flat index `start` over a padded, flattened edge map.
+
+    `occ` maps each foreground index to 8 times its neighbour occupancy (a
+    row offset into _NEXT), `offsets` gives the flat step of each direction
+    code and `size` is the pixel count of the start's component. Returns the
+    codes, or None when the component holds no cycle.
+    """
+    first = _NEXT[occ[start] + 4]
     if first is None:
         return None
-    codes: list[int] = []
-    edge_once: set[frozenset[tuple[int, int]]] = set()
-    edge_twice: set[frozenset[tuple[int, int]]] = set()
-    x, y, backtrack = x0, y0, 4
-    limit = 4 * int(bits.sum()) + 8
-    while True:
-        c = _next_step(bits, x, y, backtrack)
-        if (x, y) == (x0, y0) and codes and c == first:
+    codes = [first]
+    p, backtrack = start + offsets[first], (first + 4) & 7
+    for _ in range(4 * size + 8):
+        c = _NEXT[occ[p] + backtrack]
+        if p == start and c == first:
             break
         codes.append(c)
-        if len(codes) > limit:
-            raise ContourError("contour walk failed to close")
-        dx, dy = DELTAS[c]
-        edge = frozenset({(x, y), (x + dx, y + dy)})
-        (edge_twice if edge in edge_once else edge_once).add(edge)
-        x, y, backtrack = x + dx, y + dy, (c + 4) % 8
-    # A walk that covers every pixel-pair twice retraced an open arc.
-    if len(codes) < 4 or not (edge_once - edge_twice):
+        p += offsets[c]
+        backtrack = (c + 4) & 7
+    else:
+        raise ContourError("contour walk failed to close")
+    if len(codes) < 4:
         return None
-    return ChainCode(start=start, codes=tuple(codes))
+    # A walk that covers every pixel-pair twice retraced an open arc.
+    walked = np.concatenate(([start], start + np.cumsum(np.take(offsets, codes))))
+    a, b = walked[:-1], walked[1:]
+    pairs = np.minimum(a, b) * (int(walked.max()) + 1) + np.maximum(a, b)
+    _, counts = np.unique(pairs, return_counts=True)
+    return codes if (counts == 1).any() else None
 
 
 def trace_contour(edges: BinaryImage) -> ChainCode:
@@ -140,15 +144,28 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
     Traversal is counter-clockwise from the loop's topmost-then-leftmost
     pixel. Equal-length loops tie-break on the smaller (y, x) start.
     """
-    labels, count = ndimage.label(edges.bits, structure=np.ones((3, 3), dtype=int))
+    labels, _ = ndimage.label(edges.bits, structure=np.ones((3, 3), dtype=int))
+    # A one-pixel zero border lets every neighbour lookup index the flat map.
+    flat = np.pad(labels, 1).ravel()
+    width = edges.width + 2
+    offsets = tuple(dy * width + dx for dx, dy in DELTAS)
+    idx = np.flatnonzero(flat != 0)
+    nbits = np.zeros(idx.size, dtype=np.int64)
+    for c, off in enumerate(offsets):
+        nbits |= (flat[idx + off] != 0).astype(np.int64) << c
+    occ = dict(zip(idx.tolist(), (nbits * 8).tolist()))
+    # idx is in raster order, so each label's first entry is the topmost-
+    # then-leftmost pixel of its component.
+    comp = flat[idx]
+    labs, first = np.unique(comp, return_index=True)
+    sizes = np.bincount(comp)[labs]
     best: ChainCode | None = None
-    for lab in range(1, count + 1):
-        mask = labels == lab
-        ys, xs = np.nonzero(mask)
-        top = int(np.lexsort((xs, ys))[0])
-        chain = _trace_loop(mask, (int(xs[top]), int(ys[top])))
-        if chain is None:
+    for start, size in zip(idx[first].tolist(), sizes.tolist()):
+        codes = _trace_loop(occ, offsets, start, size)
+        if codes is None:
             continue
+        y, x = divmod(start, width)  # padded coordinates
+        chain = ChainCode(start=(x - 1, y - 1), codes=tuple(codes))
         if (
             best is None
             or len(chain) > len(best)
@@ -161,7 +178,7 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
 
 
 def _alternating_extrema(
-    ys: np.ndarray, anchor: int, hysteresis: int
+    ys: list[int], anchor: int, hysteresis: int
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Cyclic minima/maxima plateaus of ys with the given prominence.
 
@@ -173,11 +190,11 @@ def _alternating_extrema(
     minima: list[tuple[int, int]] = []
     maxima: list[tuple[int, int]] = []
     seeking_min = True
-    best = int(ys[anchor])
+    best = ys[anchor]
     first = last = anchor
     for k in range(1, n + 1):
         i = (anchor + k) % n
-        y = int(ys[i])
+        y = ys[i]
         if seeking_min:
             if y < best:
                 best, first, last = y, i, i
@@ -213,11 +230,12 @@ def find_landmarks(chain: ChainCode, hysteresis: int = 3) -> Landmarks:
     prominence) absorbs staircase jitter on tilted runs.
     """
     pts = chain.pixels()
-    ys = np.array([p[1] for p in pts])
+    ys = [p[1] for p in pts]
     n = len(pts)
     if n < 8:
         raise LandmarkError(f"contour of {n} pixels is too short for a hand")
-    anchor = int(np.argmax(ys))
+    bottom_y = max(ys)
+    anchor = ys.index(bottom_y)
     minima, maxima = _alternating_extrema(ys, anchor, hysteresis)
     tips = [pts[_cyclic_midpoint(span, n)] for span in minima]
     valleys = [pts[_cyclic_midpoint(span, n)] for span in maxima]
@@ -231,8 +249,8 @@ def find_landmarks(chain: ChainCode, hysteresis: int = 3) -> Landmarks:
         if not (tips[j][1] < valley[1] and tips[j + 1][1] < valley[1]):
             raise LandmarkError("fingertips do not rise above their valleys")
 
-    bottom = np.nonzero(ys == ys[anchor])[0]
-    wrist = (pts[int(bottom[0])], pts[int(bottom[-1])])
+    bottom = [i for i, y in enumerate(ys) if y == bottom_y]
+    wrist = (pts[bottom[0]], pts[bottom[-1]])
     return Landmarks(tips=tips, valleys=valleys, wrist=wrist)
 
 

@@ -40,7 +40,7 @@ class GrayImage:
         if self.pixels.ndim != 2 or self.pixels.size == 0:
             raise ValueError("pixels must be a non-empty 2-D array")
         lo, hi = float(self.pixels.min()), float(self.pixels.max())
-        if lo < 0.0 or hi > 1.0:
+        if not (lo >= 0.0 and hi <= 1.0):  # also rejects NaN
             raise ValueError(f"intensities outside [0, 1]: min={lo}, max={hi}")
         if self.dpi <= 0:
             raise ValueError(f"dpi must be positive, got {self.dpi}")
@@ -181,11 +181,33 @@ def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -
         return GrayImage(pixels=img.pixels.copy(), dpi=img.dpi)
     size = 2 * kernel_radius + 1
     out = ndimage.uniform_filter(img.pixels, size=size, mode="nearest")
-    flat = ndimage.minimum_filter(
-        img.pixels, size=size, mode="nearest"
-    ) == ndimage.maximum_filter(img.pixels, size=size, mode="nearest")
+    flat = ~_window_varies(img.pixels, kernel_radius)
     out[flat] = img.pixels[flat]
     return GrayImage(pixels=np.clip(out, 0.0, 1.0), dpi=img.dpi)
+
+
+def _window_varies(pixels: np.ndarray, r: int) -> np.ndarray:
+    """True where the edge-replicated (2r+1)^2 window holds two values.
+
+    The window is 4-connected, so it is constant exactly when no pair of
+    adjacent pixels inside it differs.
+    """
+    h, w = pixels.shape
+    padded = np.pad(pixels, r, mode="edge")
+    steps_x = padded[:, 1:] != padded[:, :-1]  # pair (i, j)-(i, j+1)
+    steps_y = padded[1:, :] != padded[:-1, :]  # pair (i, j)-(i+1, j)
+    # Window (i, j) spans padded rows i..i+2r and columns j..j+2r: 2r
+    # horizontal pairs per row and 2r vertical pairs per column.
+    rows = np.zeros((h + 2 * r, w), dtype=bool)
+    for b in range(2 * r):
+        rows |= steps_x[:, b : b + w]
+    cols = np.zeros((h, w + 2 * r), dtype=bool)
+    for a in range(2 * r):
+        cols |= steps_y[a : a + h, :]
+    varies = np.zeros((h, w), dtype=bool)
+    for k in range(2 * r + 1):
+        varies |= rows[k : k + h, :] | cols[:, k : k + w]
+    return varies
 
 
 def binarize(img: GrayImage, threshold: float = DEFAULT_THRESHOLD) -> BinaryImage:

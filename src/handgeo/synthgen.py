@@ -259,12 +259,8 @@ def _rasterize(lay: _Layout) -> np.ndarray:
     x, y = xs.astype(float), ys.astype(float)
 
     cr = lay.corner_radius
-    core_dx = np.maximum.reduce(
-        [lay.palm_left + cr - x, x - (lay.palm_right - cr), np.zeros_like(x)]
-    )
-    core_dy = np.maximum.reduce(
-        [lay.palm_top + cr - y, y - (lay.palm_bottom - cr), np.zeros_like(y)]
-    )
+    core_dx = np.maximum(np.maximum(lay.palm_left + cr - x, x - (lay.palm_right - cr)), 0.0)
+    core_dy = np.maximum(np.maximum(lay.palm_top + cr - y, y - (lay.palm_bottom - cr)), 0.0)
     palm = core_dx**2 + core_dy**2 <= cr**2
 
     arm = (
@@ -280,8 +276,14 @@ def _rasterize(lay: _Layout) -> np.ndarray:
         px, py = tip
         vx, vy = px - bx, py - by
         denom = vx * vx + vy * vy
-        t = np.clip(((x - bx) * vx + (y - by) * vy) / denom, 0.0, 1.0)
-        mask |= (x - (bx + t * vx)) ** 2 + (y - (by + t * vy)) ** 2 <= r**2
+        # Only the capsule's bounding box (with a 2 px margin) can be inside.
+        box = (
+            slice(max(0, math.floor(min(by, py) - r - 2)), math.ceil(max(by, py) + r + 2) + 1),
+            slice(max(0, math.floor(min(bx, px) - r - 2)), math.ceil(max(bx, px) + r + 2) + 1),
+        )
+        xb, yb = x[box], y[box]
+        t = np.clip(((xb - bx) * vx + (yb - by) * vy) / denom, 0.0, 1.0)
+        mask[box] |= (xb - (bx + t * vx)) ** 2 + (yb - (by + t * vy)) ** 2 <= r**2
     return mask
 
 
@@ -517,6 +519,8 @@ def _gt_row(j: int, gt: GroundTruth) -> list[str]:
 
 
 def _gt_from_row(row: list[str]) -> GroundTruth:
+    if len(row) != len(_GT_HEADER):
+        raise ValueError(f"expected {len(_GT_HEADER)} cells, got {len(row)}")
     vals = row[1:]
     pts = [(int(vals[2 * i]), int(vals[2 * i + 1])) for i in range(11)]
     nums = [float(v) for v in vals[22:]]
@@ -593,7 +597,21 @@ def load_corpus(root: str | Path) -> Corpus:
     for p in range(persons):
         pdir = root / f"person_{p:02d}"
         images.append([load_bmp(pdir / f"sample_{j:02d}.bmp") for j in range(samples)])
-        with open(pdir / "ground_truth.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))[1:]
-        truths.append([_gt_from_row(row) for row in rows])
+        truths.append(_load_truths(pdir / "ground_truth.csv", samples))
     return Corpus(images=images, truths=truths, persons=None, **echo)
+
+
+def _load_truths(path: Path, samples: int) -> list[GroundTruth]:
+    """Parse one person's ground-truth CSV; a bad row names its line."""
+    truths: list[GroundTruth] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)  # header
+        for row in reader:
+            try:
+                truths.append(_gt_from_row(row))
+            except ValueError as exc:
+                raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
+    if len(truths) < samples:
+        raise CorpusError(f"{path}: {len(truths)} ground-truth rows for {samples} samples")
+    return truths

@@ -103,6 +103,29 @@ class TestNearestNeighbour:
         with pytest.raises(ValueError, match="empty"):
             nn_identify(np.zeros(2), TemplateDb(entries=[]), "mse")
 
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=12),
+        st.lists(st.integers(0, 4), min_size=12, max_size=12),
+        st.integers(0, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matrix_scan_matches_the_pairwise_loop(self, persons, picks, query_pick, seed):
+        # Templates drawn from a pool of five vectors repeat, often under
+        # different persons, so exact distance ties are common.
+        pool = np.random.default_rng(seed).normal(size=(5, 9))
+        entries = [(p, pool[k].copy()) for p, k in zip(persons, picks)]
+        db = TemplateDb(entries=entries)
+        query = pool[query_pick] + 0.5 * (query_pick % 2)
+        for metric, dist in (("mse", dist_mse), ("mad", dist_mad)):
+            expected = min(
+                (dist(query, vec), person, idx) for idx, (person, vec) in enumerate(entries)
+            )[1]
+            assert nn_identify(query, db, metric) == expected
+
+    def test_mismatched_dimensions_are_rejected(self):
+        with pytest.raises(ValueError, match="dimension"):
+            nn_identify(np.zeros(3), self.db, "mse")
+
     @given(st.floats(0.1, 100.0))
     def test_common_positive_scaling_never_changes_the_answer(self, factor):
         rng = np.random.default_rng(0)

@@ -125,6 +125,26 @@ class TestExtract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"corpus_error: {config}: {message}")
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda rows: rows[:1] + [",".join(rows[1].split(",")[:5])] + rows[2:], ":2: expected "),
+            (lambda rows: rows[:1] + [rows[1].replace(",", ",x", 1)] + rows[2:], ":2: invalid literal"),
+            (lambda rows: rows[:2], ": 1 ground-truth rows for 3 samples"),
+        ],
+        ids=["truncated_row", "non_numeric_cell", "missing_rows"],
+    )
+    def test_bad_ground_truth_is_one_corpus_error_line(self, tmp_path, capsys, edit, message):
+        corpus_dir = tmp_path / "corpus"
+        main(["gen", "--out", str(corpus_dir), "--persons", "2", "--samples", "3"])
+        truth = corpus_dir / "person_00" / "ground_truth.csv"
+        truth.write_text("\n".join(edit(truth.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        code = main(["extract", "--input", str(corpus_dir), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"corpus_error: {truth}{message}")
+
 
 class TestTrain:
     @pytest.mark.parametrize(

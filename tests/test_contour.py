@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
 from handgeo.contour import (
+    DELTAS,
     ChainCode,
     encode_direction,
     find_landmarks,
@@ -20,6 +21,75 @@ from handgeo.contour import (
 from handgeo.errors import ContourError, LandmarkError
 from handgeo.imaging import BinaryImage, binarize, detect_edges_log
 from handgeo.synthgen import canonical_params, render
+
+
+# -- reference tracer: the per-pixel Moore walk the table-driven one replaced --
+
+
+def _next_step(bits: np.ndarray, x: int, y: int, backtrack: int) -> int | None:
+    """First occupied neighbour scanning counter-clockwise after `backtrack`."""
+    h, w = bits.shape
+    for k in range(1, 9):
+        c = (backtrack + k) % 8
+        dx, dy = DELTAS[c]
+        nx, ny = x + dx, y + dy
+        if 0 <= nx < w and 0 <= ny < h and bits[ny, nx]:
+            return c
+    return None
+
+
+def _trace_loop(bits: np.ndarray, start: tuple[int, int]) -> ChainCode | None:
+    """Moore walk from `start`; None when the component holds no cycle."""
+    x0, y0 = start
+    first = _next_step(bits, x0, y0, 4)
+    if first is None:
+        return None
+    codes: list[int] = []
+    edge_once: set[frozenset[tuple[int, int]]] = set()
+    edge_twice: set[frozenset[tuple[int, int]]] = set()
+    x, y, backtrack = x0, y0, 4
+    limit = 4 * int(bits.sum()) + 8
+    while True:
+        c = _next_step(bits, x, y, backtrack)
+        if (x, y) == (x0, y0) and codes and c == first:
+            break
+        codes.append(c)
+        if len(codes) > limit:
+            raise ContourError("contour walk failed to close")
+        dx, dy = DELTAS[c]
+        edge = frozenset({(x, y), (x + dx, y + dy)})
+        (edge_twice if edge in edge_once else edge_once).add(edge)
+        x, y, backtrack = x + dx, y + dy, (c + 4) % 8
+    # A walk that covers every pixel-pair twice retraced an open arc.
+    if len(codes) < 4 or not (edge_once - edge_twice):
+        return None
+    return ChainCode(start=start, codes=tuple(codes))
+
+
+def reference_trace_contour(edges: BinaryImage) -> ChainCode:
+    """Chain code of the longest closed loop in an edge map.
+
+    Traversal is counter-clockwise from the loop's topmost-then-leftmost
+    pixel. Equal-length loops tie-break on the smaller (y, x) start.
+    """
+    labels, count = ndimage.label(edges.bits, structure=np.ones((3, 3), dtype=int))
+    best: ChainCode | None = None
+    for lab in range(1, count + 1):
+        mask = labels == lab
+        ys, xs = np.nonzero(mask)
+        top = int(np.lexsort((xs, ys))[0])
+        chain = _trace_loop(mask, (int(xs[top]), int(ys[top])))
+        if chain is None:
+            continue
+        if (
+            best is None
+            or len(chain) > len(best)
+            or (len(chain) == len(best) and (chain.start[1], chain.start[0]) < (best.start[1], best.start[0]))
+        ):
+            best = chain
+    if best is None:
+        raise ContourError("no closed contour loop found in the edge map")
+    return best
 
 
 def ring_of(mask):
@@ -139,6 +209,71 @@ class TestTraceContour:
             for i in range(len(mapped))
         )
         assert abs(perimeter(base) - perimeter(turned)) < 1e-9
+
+
+@st.composite
+def edge_maps(draw):
+    """Small binary maps built from rectangle rings, open arcs, isolated
+    pixels and random speckle; repeated ring sizes give equal-length loops."""
+    height, width = draw(st.integers(2, 16)), draw(st.integers(2, 16))
+    bits = np.zeros((height, width), dtype=np.uint8)
+    ring_size = (draw(st.integers(2, 6)), draw(st.integers(2, 6)))
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["ring", "same_ring", "arc", "pixel", "speckle"]))
+        y, x = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        if kind in ("ring", "same_ring"):
+            h, w = ring_size if kind == "same_ring" else (
+                draw(st.integers(1, 8)), draw(st.integers(1, 8))
+            )
+            block = np.zeros_like(bits, dtype=bool)
+            block[y : y + h, x : x + w] = True
+            bits |= ring_of(block).bits
+        elif kind == "arc":
+            steps = draw(st.lists(st.sampled_from(DELTAS), min_size=1, max_size=12))
+            for dx, dy in steps:
+                bits[y, x] = 1
+                y, x = min(max(y + dy, 0), height - 1), min(max(x + dx, 0), width - 1)
+            bits[y, x] = 1
+        elif kind == "pixel":
+            bits[y, x] = 1
+        else:
+            density = draw(st.floats(0.05, 0.6))
+            seed = draw(st.integers(0, 2**32 - 1))
+            bits |= (np.random.default_rng(seed).random(bits.shape) < density).astype(np.uint8)
+    return BinaryImage(bits=bits)
+
+
+def _outcome(trace, edges):
+    try:
+        chain = trace(edges)
+    except ContourError as exc:
+        return ("error", str(exc))
+    return ("chain", chain.start, chain.codes)
+
+
+class TestTableDrivenWalk:
+    """The table-driven tracer against the per-pixel Moore walk."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(edge_maps())
+    def test_same_chain_or_same_error_as_the_moore_walk(self, edges):
+        assert _outcome(trace_contour, edges) == _outcome(reference_trace_contour, edges)
+
+    def test_equal_length_loops_keep_the_upper_left_start(self):
+        mask = np.zeros((12, 16), dtype=bool)
+        mask[6:10, 2:6] = True
+        mask[1:5, 9:13] = True
+        mask[6:10, 9:13] = True
+        edges = ring_of(mask)
+        chain = trace_contour(edges)
+        assert chain.start == (9, 1)
+        assert _outcome(trace_contour, edges) == _outcome(reference_trace_contour, edges)
+
+    def test_renders_trace_like_the_moore_walk(self):
+        for seed in range(3):
+            img, _ = render(canonical_params(seed), noise_level=0.1)
+            edges = detect_edges_log(binarize(img))
+            assert _outcome(trace_contour, edges) == _outcome(reference_trace_contour, edges)
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -13,6 +13,7 @@ from handgeo.errors import FormatError, SizeError
 from handgeo.imaging import (
     BinaryImage,
     GrayImage,
+    _window_varies,
     binarize,
     detect_edges_log,
     load_bmp,
@@ -41,6 +42,13 @@ def bmp_bytes(rows, bit_depth=8, ppm=0, compression=0):
 
 def gray(array, dpi=100.0):
     return GrayImage(pixels=np.asarray(array, dtype=float), dpi=dpi)
+
+
+class TestGrayImage:
+    @pytest.mark.parametrize("bad", [np.nan, -0.01, 1.01, np.inf])
+    def test_values_outside_the_unit_range_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            GrayImage(pixels=[[bad, 0.5], [0.2, 0.3]])
 
 
 class TestLoadBmp:
@@ -142,6 +150,64 @@ class TestLowpassFilter:
     def test_output_stays_inside_unit_range(self, pixels, radius):
         out = lowpass_filter(gray(pixels), radius)
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 1.0
+
+
+@st.composite
+def plateau_images(draw):
+    """Images on a coarse grey scale, so constant windows are common."""
+    height = draw(st.integers(1, 12))
+    width = draw(st.integers(1, 12))
+    levels = draw(st.integers(1, 4))
+    steps = draw(
+        hnp.arrays(np.int64, (height, width), elements=st.integers(0, levels))
+    )
+    return steps / levels
+
+
+class TestFlatWindows:
+    """The slice-based flat mask against the rank filters it replaced."""
+
+    @staticmethod
+    def rank_flat(pixels, radius):
+        size = 2 * radius + 1
+        return ndimage.minimum_filter(
+            pixels, size=size, mode="nearest"
+        ) == ndimage.maximum_filter(pixels, size=size, mode="nearest")
+
+    @settings(deadline=None)
+    @given(
+        st.one_of(
+            plateau_images(),
+            hnp.arrays(
+                np.float64,
+                st.tuples(st.just(1), st.integers(1, 16)),
+                elements=st.sampled_from([0.0, 0.25, 1.0]),
+            ),
+            hnp.arrays(
+                np.float64,
+                hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+                elements=st.floats(0.0, 1.0),
+            ),
+        ),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_flat_mask_equals_min_equals_max(self, pixels, radius, transpose):
+        if transpose:
+            pixels = pixels.T.copy()
+        np.testing.assert_array_equal(
+            ~_window_varies(pixels, radius), self.rank_flat(pixels, radius)
+        )
+
+    @settings(deadline=None)
+    @given(plateau_images(), st.integers(1, 3))
+    def test_lowpass_output_matches_the_rank_filter_formula(self, pixels, radius):
+        size = 2 * radius + 1
+        expected = ndimage.uniform_filter(pixels, size=size, mode="nearest")
+        flat = self.rank_flat(pixels, radius)
+        expected[flat] = pixels[flat]
+        out = lowpass_filter(gray(pixels), radius)
+        np.testing.assert_array_equal(out.pixels, np.clip(expected, 0.0, 1.0))
 
 
 class TestBinarize:

@@ -41,10 +41,10 @@ from .classifiers import (
 from .errors import ConfigError, HandGeoError
 from .evaluation import (
     DEFAULT_RBF_CENTRES,
+    DEFAULT_SWEEP_COUNTS,
     EvalReport,
     Split,
     corpus_echo,
-    count_trials,
     emit_table,
     evaluate_features,
     extract_features,
@@ -57,7 +57,7 @@ from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_SIGMA, DEFAULT_THRESHOLD, lo
 from .pipeline import ExtractionSettings, extract
 from .synthgen import Corpus, load_corpus, make_corpus, save_corpus
 
-DEFAULT_SWEEP_CENTRES = ",".join(str(k) for k in range(5, 111, 5))
+DEFAULT_SWEEP_CENTRES = ",".join(str(k) for k in DEFAULT_SWEEP_COUNTS)
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -299,8 +299,7 @@ def _input_widths(model: TemplateDb | MlpModel | RbfModel) -> set[int]:
 
 def _eval_models(cfg: argparse.Namespace, entries: list, exclusions: int) -> EvalReport:
     """Score pre-trained model files on the test half of the split."""
-    split = Split()
-    _, test_e = split_entries(entries, split)
+    _, test_e = split_entries(entries, Split())
     if not test_e:
         raise ConfigError("the split left no test samples")
     rates: dict[str, float] = {}
@@ -320,13 +319,9 @@ def _eval_models(cfg: argparse.Namespace, entries: list, exclusions: int) -> Eva
             for p, j, v in test_e
         ]
         rates[f"model:{path.stem}"] = run_identification(decide, test_s)
-    persons = len({p for p, _, _ in entries})
-    clients, impostors, total = count_trials(persons, len(split.test_indices))
     return EvalReport(
         rates=rates,
-        clients=clients,
-        impostors=impostors,
-        total=total,
+        persons=len({p for p, _, _ in entries}),
         exclusions=exclusions,
         config={"models": str(cfg.models), "metric": cfg.metric},
     )
@@ -342,7 +337,6 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
             entries,
             exclusions=exclusions,
             extra_config=corpus_info,
-            n_persons=len({p for p, _, _ in entries}),
             train_seed=cfg.seed,
             gamma=cfg.gamma,
             multistart=cfg.multistart,

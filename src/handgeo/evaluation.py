@@ -19,7 +19,6 @@ from .classifiers import (
     DEFAULT_HIDDEN,
     DEFAULT_MULTISTART,
     MlpModel,
-    RbfModel,
     TemplateDb,
     TrainConfig,
     committee_identify,
@@ -37,6 +36,7 @@ from .synthgen import Corpus
 
 COMMITTEE_SIZE = 3
 DEFAULT_RBF_CENTRES = 50
+DEFAULT_SWEEP_COUNTS = tuple(range(5, 111, 5))
 
 #: Report rows in table order.
 ROW_LABELS = (
@@ -65,10 +65,10 @@ class Split:
             raise ConfigError("both split halves need at least one sample index")
 
 
-def count_trials(n_persons: int, n_test_per_person: int) -> tuple[int, int, int]:
+def count_trials(persons: int, n_test_per_person: int) -> tuple[int, int, int]:
     """(client trials, impostor trials, total) of the closed-set protocol."""
-    clients = n_persons * n_test_per_person
-    impostors = n_persons * (n_persons - 1) * n_test_per_person
+    clients = persons * n_test_per_person
+    impostors = persons * (persons - 1) * n_test_per_person
     return clients, impostors, clients + impostors
 
 
@@ -101,6 +101,18 @@ def split_entries(entries: list[Entry], split: Split) -> tuple[list[Entry], list
     return train, test
 
 
+def scaled_halves(entries: list[Entry]) -> tuple[list[tuple[int, np.ndarray]], list[Entry]]:
+    """Scaled (person, vector) training pairs and scaled test entries of the
+    default split; the scaler is fitted on the training half."""
+    train_e, test_e = split_entries(entries, Split())
+    if not train_e or not test_e:
+        raise ConfigError("the split left one half of the corpus empty")
+    scaler = fit_scaler(np.array([v for _, _, v in train_e]))
+    train_pairs = [(p, apply_scaler(scaler, v)) for p, _, v in train_e]
+    test_s = [(p, j, apply_scaler(scaler, v)) for p, j, v in test_e]
+    return train_pairs, test_s
+
+
 def run_identification(decide: Callable[[np.ndarray], int], test: list[Entry]) -> float:
     """Percentage of test vectors whose decision names the true person."""
     if not test:
@@ -112,11 +124,14 @@ def run_identification(decide: Callable[[np.ndarray], int], test: list[Entry]) -
 @dataclass
 class EvalReport:
     rates: dict[str, float]
-    clients: int
-    impostors: int
-    total: int
+    persons: int  # persons with at least one extracted sample
     exclusions: int
     config: dict[str, str] = field(default_factory=dict)
+
+    @property
+    def trials(self) -> tuple[int, int, int]:
+        """(client, impostor, total) trials of the default split."""
+        return count_trials(self.persons, len(Split().test_indices))
 
 
 def corpus_echo(corpus: Corpus) -> dict[str, str]:
@@ -130,67 +145,31 @@ def corpus_echo(corpus: Corpus) -> dict[str, str]:
     }
 
 
-def evaluate_all(
-    corpus: Corpus,
-    split: Split | None = None,
-    settings: ExtractionSettings | None = None,
-    *,
-    train_seed: int = 0,
-    gamma: float | None = None,
-    multistart: int | None = None,
-    hidden: int = DEFAULT_HIDDEN,
-    rbf_centres: int = DEFAULT_RBF_CENTRES,
-    rbf_spread: float | None = None,
-) -> EvalReport:
-    """Train and test every classifier family on one corpus split."""
-    entries, failures = extract_features(corpus, settings)
+def evaluate_all(corpus: Corpus) -> EvalReport:
+    """The default protocol on one corpus extracted with default settings."""
+    entries, failures = extract_features(corpus)
     return evaluate_features(
-        entries,
-        split,
-        exclusions=len(failures),
-        extra_config=corpus_echo(corpus),
-        n_persons=len(corpus.images),
-        train_seed=train_seed,
-        gamma=gamma,
-        multistart=multistart,
-        hidden=hidden,
-        rbf_centres=rbf_centres,
-        rbf_spread=rbf_spread,
+        entries, exclusions=len(failures), extra_config=corpus_echo(corpus)
     )
 
 
 def evaluate_features(
     entries: list[Entry],
-    split: Split | None = None,
     *,
     exclusions: int = 0,
     extra_config: dict[str, str] | None = None,
-    n_persons: int | None = None,
     train_seed: int = 0,
-    gamma: float | None = None,
-    multistart: int | None = None,
+    gamma: float = DEFAULT_GAMMA,
+    multistart: int = DEFAULT_MULTISTART,
     hidden: int = DEFAULT_HIDDEN,
     rbf_centres: int = DEFAULT_RBF_CENTRES,
     rbf_spread: float | None = None,
 ) -> EvalReport:
     """The classifier protocol on already-extracted feature entries."""
-    split = split or Split()
-    train_e, test_e = split_entries(entries, split)
-    if not train_e or not test_e:
-        raise ConfigError("the split left one half of the corpus empty")
+    train_pairs, test_s = scaled_halves(entries)
+    base = TrainConfig(seed=train_seed, gamma=gamma, multistart=multistart)
 
-    scaler = fit_scaler(np.array([v for _, _, v in train_e]))
-    train_s = [(p, j, apply_scaler(scaler, v)) for p, j, v in train_e]
-    test_s = [(p, j, apply_scaler(scaler, v)) for p, j, v in test_e]
-    train_pairs = [(p, v) for p, _, v in train_s]
-
-    base = TrainConfig(
-        seed=train_seed,
-        gamma=DEFAULT_GAMMA if gamma is None else gamma,
-        multistart=DEFAULT_MULTISTART if multistart is None else multistart,
-    )
-
-    db = TemplateDb(entries=train_pairs, scaler=scaler)
+    db = TemplateDb(entries=train_pairs)
     rates: dict[str, float] = {}
     rates["nn_mad"] = run_identification(lambda v: nn_identify(v, db, "mad"), test_s)
     rates["nn_mse"] = run_identification(lambda v: nn_identify(v, db, "mse"), test_s)
@@ -211,8 +190,7 @@ def evaluate_features(
     rbf = rbf_train(train_pairs, n_centres, rbf_spread)
     rates["rbf"] = run_identification(lambda v: rbf_identify(rbf, v), test_s)
 
-    persons = n_persons if n_persons is not None else len({p for p, _, _ in entries})
-    clients, impostors, total = count_trials(persons, len(split.test_indices))
+    split = Split()
     cfg_echo = dict(extra_config or {})
     cfg_echo.update(
         {
@@ -231,39 +209,19 @@ def evaluate_features(
     )
     return EvalReport(
         rates=rates,
-        clients=clients,
-        impostors=impostors,
-        total=total,
+        persons=len({p for p, _, _ in entries}),
         exclusions=exclusions,
         config=cfg_echo,
     )
 
 
-def sweep_rbf(
-    corpus: Corpus,
-    split: Split | None = None,
-    centre_counts: tuple[int, ...] = tuple(range(5, 111, 5)),
-    spread: float | None = None,
-    settings: ExtractionSettings | None = None,
-) -> list[tuple[int, float]]:
-    """Identification rate per RBF centre count on a fixed split."""
-    entries, _ = extract_features(corpus, settings)
-    return sweep_rbf_features(entries, split, centre_counts, spread)
-
-
 def sweep_rbf_features(
     entries: list[Entry],
-    split: Split | None = None,
-    centre_counts: tuple[int, ...] = tuple(range(5, 111, 5)),
+    centre_counts: tuple[int, ...] = DEFAULT_SWEEP_COUNTS,
     spread: float | None = None,
 ) -> list[tuple[int, float]]:
     """Identification rate per RBF centre count on extracted features."""
-    split = split or Split()
-    train_e, test_e = split_entries(entries, split)
-    scaler = fit_scaler(np.array([v for _, _, v in train_e]))
-    train_pairs = [(p, apply_scaler(scaler, v)) for p, _, v in train_e]
-    test_s = [(p, j, apply_scaler(scaler, v)) for p, j, v in test_e]
-
+    train_pairs, test_s = scaled_halves(entries)
     curve: list[tuple[int, float]] = []
     for k in centre_counts:
         model = rbf_train(train_pairs, min(k, len(train_pairs)), spread)
@@ -274,19 +232,18 @@ def sweep_rbf_features(
 
 def emit_table(report: EvalReport) -> tuple[str, str]:
     """(aligned text, CSV) renderings of the report."""
+    labels = dict(ROW_LABELS)
+    order = [key for key in labels if key in report.rates]
+    order += [key for key in report.rates if key not in labels]
+    clients, impostors, total = report.trials
+
     lines = ["Identification rate (%)", "-" * 38]
-    known = {key for key, _ in ROW_LABELS}
-    for key, label in ROW_LABELS:
-        if key in report.rates:
-            lines.append(f"{label:<22}{report.rates[key]:>12.2f}")
-    for key in report.rates:
-        if key not in known:
-            lines.append(f"{key:<22}{report.rates[key]:>12.2f}")
+    lines += [f"{labels.get(key, key):<22}{report.rates[key]:>12.2f}" for key in order]
     lines += [
         "-" * 38,
-        f"{'Client trials':<22}{report.clients:>12}",
-        f"{'Impostor trials':<22}{report.impostors:>12}",
-        f"{'Total trials':<22}{report.total:>12}",
+        f"{'Client trials':<22}{clients:>12}",
+        f"{'Impostor trials':<22}{impostors:>12}",
+        f"{'Total trials':<22}{total:>12}",
         f"{'Excluded extractions':<22}{report.exclusions:>12}",
         "",
         "Configuration:",
@@ -295,16 +252,11 @@ def emit_table(report: EvalReport) -> tuple[str, str]:
     text = "\n".join(lines) + "\n"
 
     rows = ["key,value"]
-    for key, _ in ROW_LABELS:
-        if key in report.rates:
-            rows.append(f"rate_{key},{report.rates[key]:.17g}")
-    for key in report.rates:
-        if key not in known:
-            rows.append(f"rate_{key},{report.rates[key]:.17g}")
+    rows += [f"rate_{key},{report.rates[key]:.17g}" for key in order]
     rows += [
-        f"clients,{report.clients}",
-        f"impostors,{report.impostors}",
-        f"total,{report.total}",
+        f"clients,{clients}",
+        f"impostors,{impostors}",
+        f"total,{total}",
         f"exclusions,{report.exclusions}",
     ]
     rows += [f"{k},{v}" for k, v in report.config.items()]

@@ -27,6 +27,9 @@ MAX_SIDE = 5000
 _METERS_PER_INCH = 0.0254
 MM_PER_INCH = 25.4
 
+#: Identity grey palette of save_bmp: BGRA quads (i, i, i, 0) for i = 0..255.
+_GREY_PALETTE = bytes(b for i in range(256) for b in (i, i, i, 0))
+
 
 @dataclass
 class GrayImage:
@@ -112,6 +115,8 @@ def load_bmp(path: str | Path) -> GrayImage:
 
     if bit_depth != 8:
         raise FormatError(f"unsupported bit depth {bit_depth}")
+    if colors_used > 256:
+        raise FormatError(f"palette of {colors_used} colours exceeds the 256 of 8-bit pixels")
     if compression != 0:
         raise FormatError(f"unsupported compression {compression}")
 
@@ -161,12 +166,9 @@ def save_bmp(img: GrayImage, path: str | Path) -> None:
         "<IiiHHIIiiII",
         40, width, height, 1, 8, 0, row_stride * height, ppm, ppm, 256, 0,
     )
-    palette = bytes(
-        b for i in range(256) for b in (i, i, i, 0)
-    )
     rows = np.zeros((height, row_stride), dtype=np.uint8)
     rows[:, :width] = values[::-1]
-    Path(path).write_bytes(header + dib + palette + rows.tobytes())
+    Path(path).write_bytes(header + dib + _GREY_PALETTE + rows.tobytes())
 
 
 def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -> GrayImage:

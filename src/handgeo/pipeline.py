@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import ChainCode, Landmarks, find_landmarks, trace_contour
+from .errors import ConfigError
 from .features import RawFeatures, measure, select
 from .imaging import (
     DEFAULT_KERNEL_RADIUS,
@@ -25,6 +26,14 @@ class ExtractionSettings:
     threshold: float = DEFAULT_THRESHOLD
     kernel_radius: int = DEFAULT_KERNEL_RADIUS
     sigma: float = DEFAULT_SIGMA
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.threshold <= 1.0:
+            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
+        if self.kernel_radius < 0:
+            raise ConfigError(f"kernel_radius must be >= 0, got {self.kernel_radius}")
+        if not self.sigma > 0:
+            raise ConfigError(f"sigma must be positive, got {self.sigma}")
 
 
 @dataclass

@@ -113,43 +113,40 @@ def canonical_params(seed: int = 0) -> HandParams:
     )
 
 
-def _seg_point_dist(x: float, y: float, bx: float, by: float, px: float, py: float) -> float:
-    vx, vy = px - bx, py - by
-    denom = vx * vx + vy * vy
-    t = 0.0 if denom == 0 else max(0.0, min(1.0, ((x - bx) * vx + (y - by) * vy) / denom))
-    dx, dy = x - (bx + t * vx), y - (by + t * vy)
-    return math.hypot(dx, dy)
-
-
 def _capsule_xsection(
     base: tuple[float, float], tip: tuple[float, float], r: float, y: float
 ) -> tuple[float, float] | None:
-    """Continuous [x_lo, x_hi] of a capsule cut by the horizontal line at y."""
-    bx, by, px, py = base[0], base[1], tip[0], tip[1]
-    if y > by + r or y < py - r:
-        return None
-    # An interior x on this row: the axis crossing, or the nearer cap centre.
-    if y >= by:
-        x_in = bx
-    elif y <= py:
-        x_in = px
-    else:
-        x_in = bx + (y - by) / (py - by) * (px - bx)
-    if _seg_point_dist(x_in, y, bx, by, px, py) >= r:
-        return None
-    span = r + abs(px - bx) + 2.0
-    lo_out, hi_out = x_in - span, x_in + span
+    """Continuous [x_lo, x_hi] of a capsule cut by the horizontal line at y.
 
-    def edge(inside: float, outside: float) -> float:
-        for _ in range(80):
-            mid = 0.5 * (inside + outside)
-            if _seg_point_dist(mid, y, bx, by, px, py) < r:
-                inside = mid
-            else:
-                outside = mid
-        return 0.5 * (inside + outside)
-
-    return edge(x_in, lo_out), edge(x_in, hi_out)
+    The cut is the union of the two end-circle chords and the stretch of the
+    line closer than r to the axis whose projection lands on the segment
+    (0 <= t <= 1); the capsule is convex, so the union is one interval.
+    """
+    spans = []
+    for cx, cy in (base, tip):
+        h2 = (r - (y - cy)) * (r + (y - cy))
+        if h2 > 0:
+            h = math.sqrt(h2)
+            spans.append((cx - h, cx + h))
+    bx, by = base
+    length = math.hypot(tip[0] - bx, tip[1] - by)
+    if length > 0:
+        ex, ey = (tip[0] - bx) / length, (tip[1] - by) / length
+        # In u = x - bx both strip conditions read |a*u + b| < bound: the
+        # position along the axis (between the centres) and the distance to it.
+        dy, half = y - by, 0.5 * length
+        lo, hi = -math.inf, math.inf
+        for a, b, bound in ((ex, dy * ey - half, half), (ey, -dy * ex, r)):
+            if a != 0:
+                ends = sorted(((-b - bound) / a, (-b + bound) / a))
+                lo, hi = max(lo, ends[0]), min(hi, ends[1])
+            elif abs(b) >= bound:
+                lo, hi = math.inf, -math.inf
+        if lo < hi:
+            spans.append((bx + lo, bx + hi))
+    if not spans:
+        return None
+    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
 
 
 @dataclass

@@ -29,7 +29,14 @@ from handgeo.classifiers import (
 )
 from handgeo.contour import ChainCode, perimeter, trace_contour
 from handgeo.errors import ConfigError, LandmarkError
-from handgeo.evaluation import Split, count_trials, emit_table, evaluate_all, sweep_rbf
+from handgeo.evaluation import (
+    Split,
+    count_trials,
+    emit_table,
+    evaluate_all,
+    extract_features,
+    sweep_rbf_features,
+)
 from handgeo.imaging import BinaryImage, GrayImage, binarize
 from handgeo.pipeline import ExtractionSettings, extract
 from handgeo.synthgen import canonical_params, make_corpus, render
@@ -278,7 +285,8 @@ def test_criterion_07_rbf_interpolation_and_centre_sweep():
         targets[np.arange(30), labels] = 1.0
         assert np.abs(model.outputs(x) - targets).max() <= 1e-6
 
-        curve = dict(sweep_rbf(make_corpus(0), centre_counts=tuple(range(5, 111, 5))))
+        entries, _ = extract_features(make_corpus(0))
+        curve = dict(sweep_rbf_features(entries, centre_counts=tuple(range(5, 111, 5))))
         assert max(curve.values()) > curve[5]
 
 

@@ -7,9 +7,10 @@ import pytest
 
 from handgeo.cli import main
 from handgeo.classifiers import MlpModel, RbfModel, TemplateDb, load_model
+from handgeo.evaluation import emit_table, evaluate_all
 from handgeo.features import load_features, save_features
-from handgeo.imaging import save_bmp
-from handgeo.synthgen import canonical_params, render
+from handgeo.imaging import GrayImage, load_bmp, save_bmp
+from handgeo.synthgen import canonical_params, load_corpus, render
 
 
 def tree_bytes(root):
@@ -145,6 +146,26 @@ class TestExtract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"corpus_error: {truth}{message}")
 
+    @pytest.mark.parametrize(
+        "command,source", [("extract", "--input"), ("eval", "--corpus"), ("sweep", "--corpus")]
+    )
+    @pytest.mark.parametrize(
+        "flag,value", [("--kernel-radius", "-1"), ("--threshold", "2"), ("--sigma", "0")]
+    )
+    def test_out_of_range_extraction_flag_is_one_config_error_line(
+        self, tmp_path, capsys, command, source, flag, value
+    ):
+        corpus_dir = tmp_path / "corpus"
+        main(["gen", "--out", str(corpus_dir), "--persons", "1", "--samples", "1"])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        code = main([command, source, str(corpus_dir), "--out", str(out), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config_error: ")
+        assert flag[2:].replace("-", "_") in err[0]
+        assert not out.exists()
+
 
 class TestTrain:
     @pytest.mark.parametrize(
@@ -271,6 +292,34 @@ class TestEval:
     def test_requiring_exactly_one_input_source(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path / "r")]) == 1
         assert "exactly one" in capsys.readouterr().err
+
+
+class TestOneProtocol:
+    """eval, sweep and evaluate_all run the same split and trial accounting."""
+
+    def test_eval_corpus_report_equals_evaluate_all(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        main(["gen", "--out", str(corpus_dir), "--persons", "3"])
+        for bmp in (corpus_dir / "person_02").glob("*.bmp"):
+            img = load_bmp(bmp)
+            save_bmp(GrayImage(pixels=np.zeros_like(img.pixels), dpi=img.dpi), bmp)
+        out = tmp_path / "report"
+        assert main(["eval", "--corpus", str(corpus_dir), "--out", str(out)]) == 0
+        want = emit_table(evaluate_all(load_corpus(corpus_dir)))[1]
+        assert (out / "report.csv").read_text() == want
+        assert "\nclients,10\nimpostors,10\ntotal,20\nexclusions,10\n" in want
+
+    def test_eval_and_sweep_report_the_same_empty_half(self, tmp_path, features_csv, capsys):
+        test_only = tmp_path / "test_only.csv"
+        save_features(test_only, [e for e in load_features(features_csv) if e[1] >= 5])
+        errors = []
+        for command in ("eval", "sweep"):
+            out = tmp_path / command
+            assert main([command, "--features", str(test_only), "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err.splitlines())
+        assert errors[0] == errors[1] == [
+            "config_error: the split left one half of the corpus empty"
+        ]
 
 
 class TestSweep:

@@ -86,6 +86,14 @@ class TestLoadBmp:
         path.write_bytes(bmp_bytes([[1]], ppm=3937))
         assert load_bmp(path).dpi == pytest.approx(100.0, abs=1e-3)
 
+    def test_palette_of_more_than_256_colours_is_rejected(self, tmp_path):
+        data = bytearray(bmp_bytes([[1, 2], [3, 4]]))
+        struct.pack_into("<I", data, 46, 300)
+        path = tmp_path / "wide.bmp"
+        path.write_bytes(bytes(data) + bytes(4 * 300))  # long enough for the palette
+        with pytest.raises(FormatError, match="palette of 300 colours"):
+            load_bmp(path)
+
     def test_bad_signature_is_rejected(self, tmp_path):
         path = tmp_path / "not.bmp"
         path.write_bytes(b"PNG" + b"\0" * 60)

@@ -1,9 +1,12 @@
 """Synthetic hand rendering, ground truth, and corpus generation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import handgeo.synthgen as synthgen
 from handgeo.errors import CorpusError, LandmarkError, RenderError
@@ -101,6 +104,89 @@ class TestRender:
         )
         marks = extract(img).landmarks
         assert len(marks.tips) == 5 and len(marks.valleys) == 4
+
+
+def _seg_point_dist(x: float, y: float, bx: float, by: float, px: float, py: float) -> float:
+    vx, vy = px - bx, py - by
+    denom = vx * vx + vy * vy
+    t = 0.0 if denom == 0 else max(0.0, min(1.0, ((x - bx) * vx + (y - by) * vy) / denom))
+    dx, dy = x - (bx + t * vx), y - (by + t * vy)
+    return math.hypot(dx, dy)
+
+
+def reference_capsule_xsection(
+    base: tuple[float, float], tip: tuple[float, float], r: float, y: float
+) -> tuple[float, float] | None:
+    """Continuous [x_lo, x_hi] of a capsule cut by the horizontal line at y."""
+    bx, by, px, py = base[0], base[1], tip[0], tip[1]
+    if y > by + r or y < py - r:
+        return None
+    # An interior x on this row: the axis crossing, or the nearer cap centre.
+    if y >= by:
+        x_in = bx
+    elif y <= py:
+        x_in = px
+    else:
+        x_in = bx + (y - by) / (py - by) * (px - bx)
+    if _seg_point_dist(x_in, y, bx, by, px, py) >= r:
+        return None
+    span = r + abs(px - bx) + 2.0
+    lo_out, hi_out = x_in - span, x_in + span
+
+    def edge(inside: float, outside: float) -> float:
+        for _ in range(80):
+            mid = 0.5 * (inside + outside)
+            if _seg_point_dist(mid, y, bx, by, px, py) < r:
+                inside = mid
+            else:
+                outside = mid
+        return 0.5 * (inside + outside)
+
+    return edge(x_in, lo_out), edge(x_in, hi_out)
+
+
+class TestCapsuleCrossSection:
+    """The closed-form cut against the bisection it replaced.
+
+    Rendered fingers point up, tilted by at most 10 degrees; the test allows
+    45. Near a horizontal axis a tangent row grazes the whole strip, and
+    there rounding alone decides the cut of either method.
+    """
+
+    @settings(deadline=None, max_examples=500)
+    @given(
+        st.floats(0.0, 300.0),
+        st.floats(20.0, 400.0),
+        st.floats(-45.0, 45.0),
+        st.floats(1.0, 150.0),
+        st.floats(0.5, 20.0),
+        st.floats(-0.2, 1.2),
+    )
+    def test_matches_the_bisection_reference(self, bx, by, tilt, length, r, where):
+        theta = math.radians(tilt)
+        base, tip = (bx, by), (bx + length * math.sin(theta), by - length * math.cos(theta))
+        y = tip[1] - r + where * (by - tip[1] + 2 * r)
+        want = reference_capsule_xsection(base, tip, r, y)
+        got = synthgen._capsule_xsection(base, tip, r, y)
+        assert (got is None) == (want is None)
+        if want is None:
+            return
+        # Near a tangent row both edges are square roots of tiny differences,
+        # so they agree only to about sqrt(eps) * r there.
+        assert got == pytest.approx(want, rel=0.0, abs=1e-6)
+        # Pixels agree unless an edge lies within that distance of a pixel
+        # boundary, where the bisection may stop on either side of it.
+        assume(all(abs(e - round(e)) > 1e-6 for e in want))
+        for g, w in zip(got, want):
+            assert (math.floor(g), math.ceil(g)) == (math.floor(w), math.ceil(w))
+
+    def test_row_above_every_reach_is_empty(self):
+        assert synthgen._capsule_xsection((10.0, 50.0), (12.0, 20.0), 3.0, 16.5) is None
+        assert synthgen._capsule_xsection((10.0, 50.0), (12.0, 20.0), 3.0, 53.0) is None
+
+    def test_axis_row_spans_the_width(self):
+        lo, hi = synthgen._capsule_xsection((10.0, 50.0), (10.0, 20.0), 3.0, 35.0)
+        assert (lo, hi) == (7.0, 13.0)
 
 
 class TestMakeCorpus:

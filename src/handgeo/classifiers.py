@@ -413,15 +413,6 @@ def multistart_select(
     return members[int(np.argmax(rates))]
 
 
-def multistart_train(
-    train: list[tuple[int, np.ndarray]],
-    cfg: TrainConfig,
-    hidden: int = DEFAULT_HIDDEN,
-) -> MlpModel:
-    """Train K models from consecutive seeds and keep the best on training data."""
-    return multistart_select(train_members(train, cfg, hidden), train)
-
-
 def committee_identify(models: list[MlpModel], x: np.ndarray) -> int:
     """Argmax of the component-wise mean of the members' output vectors."""
     if not models:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -32,11 +33,12 @@ from .classifiers import (
     TrainConfig,
     load_model,
     mlp_identify,
-    multistart_train,
+    multistart_select,
     nn_identify,
     rbf_identify,
     rbf_train,
     save_model,
+    train_members,
 )
 from .errors import ConfigError, HandGeoError
 from .evaluation import (
@@ -53,7 +55,7 @@ from .evaluation import (
     sweep_rbf_features,
 )
 from .features import apply_scaler, fit_scaler, load_features, save_features
-from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_SIGMA, DEFAULT_THRESHOLD, load_bmp
+from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_THRESHOLD, load_bmp
 from .pipeline import ExtractionSettings, extract
 from .synthgen import Corpus, load_corpus, make_corpus, save_corpus
 
@@ -77,7 +79,6 @@ def _read_config_file(path: str) -> dict[str, str]:
 #: unless the command treats absence itself".
 _EXTRACTION: dict[str, tuple] = {
     "threshold": (float, DEFAULT_THRESHOLD, "binarization threshold"),
-    "sigma": (float, DEFAULT_SIGMA, "LoG smoothing width"),
     "kernel_radius": (int, DEFAULT_KERNEL_RADIUS, "box-filter radius (0 disables)"),
 }
 
@@ -144,10 +145,15 @@ _HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one config_error line, not usage + exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="handgeo", description="hand-geometry identification toolkit"
-    )
+    parser = _Parser(prog="handgeo", description="hand-geometry identification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in _OPTIONS.items():
         p = sub.add_parser(command, help=_HELP[command])
@@ -266,7 +272,7 @@ def cmd_train(cfg: argparse.Namespace) -> int:
             multistart=cfg.multistart,
             seed=cfg.seed,
         )
-        model = multistart_train(train_pairs, train_cfg, cfg.hidden)
+        model = multistart_select(train_members(train_pairs, train_cfg, cfg.hidden), train_pairs)
         model.scaler = scaler
     elif cfg.kind == "rbf":
         model = rbf_train(train_pairs, min(cfg.centres, len(train_pairs)), cfg.spread)
@@ -322,6 +328,7 @@ def _eval_models(cfg: argparse.Namespace, entries: list, exclusions: int) -> Eva
     return EvalReport(
         rates=rates,
         persons=len({p for p, _, _ in entries}),
+        probes=len(test_e),
         exclusions=exclusions,
         config={"models": str(cfg.models), "metric": cfg.metric},
     )
@@ -374,9 +381,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = _merge(args)
+        cfg = _merge(_build_parser().parse_args(argv))
         return _COMMANDS[cfg.command](cfg)
     except HandGeoError as exc:
         print(f"{exc.category}: {exc}", file=sys.stderr)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -26,7 +25,6 @@ from .imaging import BinaryImage
 
 #: (dx, dy) step of each direction code.
 DELTAS = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
-_CODE_OF = {d: c for c, d in enumerate(DELTAS)}
 _DX = tuple(dx for dx, _ in DELTAS)
 _DY = tuple(dy for _, dy in DELTAS)
 
@@ -56,17 +54,6 @@ class ChainCode:
         ys = accumulate((_DY[c] for c in self.codes[:-1]), initial=y0)
         return list(zip(xs, ys))
 
-    def end(self) -> tuple[int, int]:
-        """Pixel reached after replaying every code."""
-        x, y = self.start
-        for c in self.codes:
-            dx, dy = DELTAS[c]
-            x, y = x + dx, y + dy
-        return (x, y)
-
-    def is_closed(self) -> bool:
-        return self.end() == self.start
-
 
 @dataclass
 class Landmarks:
@@ -75,15 +62,6 @@ class Landmarks:
     tips: list[tuple[int, int]]  # thumb..little, ordered by x
     valleys: list[tuple[int, int]]  # between adjacent fingers, ordered by x
     wrist: tuple[tuple[int, int], tuple[int, int]]  # traversal order: left, right
-
-
-def encode_direction(frm: tuple[int, int], to: tuple[int, int]) -> int:
-    """Direction code of a single step between 8-neighbours."""
-    delta = (to[0] - frm[0], to[1] - frm[1])
-    code = _CODE_OF.get(delta)
-    if code is None:
-        raise ValueError(f"{to} is not an 8-neighbour of {frm}")
-    return code
 
 
 def perimeter(chain: ChainCode) -> float:
@@ -252,18 +230,3 @@ def find_landmarks(chain: ChainCode, hysteresis: int = 3) -> Landmarks:
     bottom = [i for i, y in enumerate(ys) if y == bottom_y]
     wrist = (pts[bottom[0]], pts[bottom[-1]])
     return Landmarks(tips=tips, valleys=valleys, wrist=wrist)
-
-
-def save_chain(chain: ChainCode, path: str | Path) -> None:
-    """Text form: first line "x y" of the start, second line the code digits."""
-    x, y = chain.start
-    text = f"{x} {y}\n" + "".join(str(c) for c in chain.codes) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
-
-
-def load_chain(path: str | Path) -> ChainCode:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if len(lines) < 2:
-        raise ValueError(f"chain file {path} needs a start line and a code line")
-    x, y = (int(v) for v in lines[0].split())
-    return ChainCode(start=(x, y), codes=tuple(int(ch) for ch in lines[1].strip()))

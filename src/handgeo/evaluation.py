@@ -125,13 +125,16 @@ def run_identification(decide: Callable[[np.ndarray], int], test: list[Entry]) -
 class EvalReport:
     rates: dict[str, float]
     persons: int  # persons with at least one extracted sample
+    probes: int  # test vectors identified
     exclusions: int
     config: dict[str, str] = field(default_factory=dict)
 
     @property
     def trials(self) -> tuple[int, int, int]:
-        """(client, impostor, total) trials of the default split."""
-        return count_trials(self.persons, len(Split().test_indices))
+        """(client, impostor, total) trials: each probe is one client trial
+        and is implicitly an impostor against every other person."""
+        impostors = self.probes * (self.persons - 1)
+        return self.probes, impostors, self.probes + impostors
 
 
 def corpus_echo(corpus: Corpus) -> dict[str, str]:
@@ -210,6 +213,7 @@ def evaluate_features(
     return EvalReport(
         rates=rates,
         persons=len({p for p, _, _ in entries}),
+        probes=len(test_s),
         exclusions=exclusions,
         config=cfg_echo,
     )

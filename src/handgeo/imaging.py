@@ -248,18 +248,3 @@ def detect_edges_log(img: BinaryImage, sigma: float = DEFAULT_SIGMA) -> BinaryIm
     edges[:, 1:] |= neg[:, 1:] & pos[:, :-1] & steep_h
     edges[:, :-1] |= neg[:, :-1] & pos[:, 1:] & steep_h
     return BinaryImage(bits=edges.astype(np.uint8), dpi=img.dpi)
-
-
-def save_pgm(img: GrayImage, path: str | Path) -> None:
-    """Export as plain-text PGM (P2), one row of 0..255 values per line."""
-    values = np.rint(img.pixels * 255.0).astype(int)
-    lines = ["P2", f"{img.width} {img.height}", "255"]
-    lines += [" ".join(str(v) for v in row) for row in values]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def save_pbm(img: BinaryImage, path: str | Path) -> None:
-    """Export as plain-text PBM (P1), one row of bits per line."""
-    lines = ["P1", f"{img.width} {img.height}"]
-    lines += [" ".join(str(int(v)) for v in row) for row in img.bits]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

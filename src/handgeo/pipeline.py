@@ -11,7 +11,6 @@ from .errors import ConfigError
 from .features import RawFeatures, measure, select
 from .imaging import (
     DEFAULT_KERNEL_RADIUS,
-    DEFAULT_SIGMA,
     DEFAULT_THRESHOLD,
     BinaryImage,
     GrayImage,
@@ -25,15 +24,12 @@ from .imaging import (
 class ExtractionSettings:
     threshold: float = DEFAULT_THRESHOLD
     kernel_radius: int = DEFAULT_KERNEL_RADIUS
-    sigma: float = DEFAULT_SIGMA
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
         if self.kernel_radius < 0:
             raise ConfigError(f"kernel_radius must be >= 0, got {self.kernel_radius}")
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
 
 
 @dataclass
@@ -52,7 +48,7 @@ def extract(img: GrayImage, settings: ExtractionSettings | None = None) -> Extra
     s = settings or ExtractionSettings()
     smoothed = lowpass_filter(img, s.kernel_radius)
     silhouette = binarize(smoothed, s.threshold)
-    edges = detect_edges_log(silhouette, s.sigma)
+    edges = detect_edges_log(silhouette)
     chain = trace_contour(edges)
     landmarks = find_landmarks(chain)
     raw = measure(landmarks, chain, silhouette)

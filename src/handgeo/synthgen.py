@@ -24,7 +24,7 @@ import numpy as np
 from .contour import perimeter, trace_contour
 from .errors import CorpusError, HandGeoError, RenderError
 from .features import base_segments
-from .imaging import MM_PER_INCH, BinaryImage, GrayImage, load_bmp, save_bmp
+from .imaging import MM_PER_INCH, BinaryImage, GrayImage, _check_size, load_bmp, save_bmp
 from .pipeline import extract
 
 REFERENCE_DPI = 100.0
@@ -34,6 +34,8 @@ _BASE_MARGIN = 3.0  # clearance between outer fingers and the corner arcs
 _ARM_WIDTH_FRACTION = 0.45
 _ARM_LENGTH = 30.0
 _TIP_HEADROOM = 4.0
+_FOREGROUND = 0.95  # hand intensity before noise
+_BACKGROUND = 0.02  # scanner-bed intensity before noise
 
 #: Anthropometric sampling ranges (reference px) for corpus prototypes.
 FINGER_LENGTH_RANGE = (50.0, 90.0)
@@ -92,7 +94,6 @@ class Corpus:
 
     images: list[list[GrayImage]]
     truths: list[list[GroundTruth]]
-    persons: list[HandParams] | None
     master_seed: int
     intra_sigma: float
     noise_level: float
@@ -364,32 +365,35 @@ def render(
     dpi: float = REFERENCE_DPI,
     noise_level: float = 0.0,
     *,
-    foreground: float = 0.95,
-    background: float = 0.02,
     allow_defects: bool = False,
 ) -> tuple[GrayImage, GroundTruth]:
-    """Rasterize one hand; returns the image and its exact ground truth."""
+    """Rasterize one hand; returns the image and its exact ground truth.
+
+    A canvas larger than imaging.MAX_SIDE raises SizeError before any pixel
+    is allocated.
+    """
     scale = dpi / REFERENCE_DPI
     lay = _layout(params, scale)
+    _check_size(lay.width, lay.height)
     if not allow_defects:
         _validate_layout(params, lay, scale)
     mask = _rasterize(lay)
     truth = _ground_truth(lay, mask, dpi, allow_defects)
 
-    pixels = np.where(mask, foreground, background)
+    pixels = np.where(mask, _FOREGROUND, _BACKGROUND)
     if noise_level > 0:
         rng = np.random.default_rng(params.seed)
         pixels = pixels + rng.uniform(-noise_level, noise_level, pixels.shape)
     return GrayImage(pixels=np.clip(pixels, 0.0, 1.0), dpi=dpi), truth
 
 
-def _landmarks_detectable(img: GrayImage) -> bool:
-    """True when the default extraction chain finds 5 tips and 4 valleys."""
+def _extraction_error(img: GrayImage) -> HandGeoError | None:
+    """Why the default extraction chain fails on img; None when it succeeds."""
     try:
         extract(img)
-    except HandGeoError:
-        return False
-    return True
+    except HandGeoError as exc:
+        return exc
+    return None
 
 
 def _draw_prototype(rng: np.random.Generator) -> HandParams:
@@ -449,33 +453,39 @@ def make_corpus(
 
     A sample whose render fails or whose landmarks are not detected by the
     default extraction chain is regenerated from the same stream, up to 100
-    attempts.
+    attempts; giving up names the last attempt's failure.
     """
     if not 0.0 <= intra_sigma <= 0.1:
         raise CorpusError(f"intra_sigma {intra_sigma} outside [0, 0.1]")
+    if not 0.0 <= noise_level <= 1.0:
+        raise CorpusError(f"noise_level {noise_level} outside [0, 1]")
     if persons < 1 or samples < 1:
         raise CorpusError(f"need at least 1 person and 1 sample, got {persons} x {samples}")
-    if not dpi > 0:
-        raise CorpusError(f"dpi must be positive, got {dpi}")
-    protos: list[HandParams] = []
+    if not 0.0 < dpi < math.inf:
+        raise CorpusError(f"dpi must be positive and finite, got {dpi}")
     images: list[list[GrayImage]] = []
     truths: list[list[GroundTruth]] = []
     for p in range(persons):
         proto = _draw_prototype(np.random.default_rng((master_seed, p)))
-        protos.append(proto)
         row_img: list[GrayImage] = []
         row_gt: list[GroundTruth] = []
         for j in range(samples):
             rng = np.random.default_rng((master_seed, p, j))
+            failure: HandGeoError | None = None
             for _ in range(100):
                 try:
                     img, gt = render(_jitter(proto, intra_sigma, rng), dpi, noise_level)
-                except RenderError:
+                except RenderError as exc:
+                    failure = exc
                     continue
-                if _landmarks_detectable(img):
+                failure = _extraction_error(img)
+                if failure is None:
                     break
             else:
-                raise CorpusError(f"person {p} sample {j}: no valid sample in 100 attempts")
+                raise CorpusError(
+                    f"person {p} sample {j}: no valid sample in 100 attempts;"
+                    f" last {failure.category}: {failure}"
+                )
             row_img.append(img)
             row_gt.append(gt)
         images.append(row_img)
@@ -483,7 +493,6 @@ def make_corpus(
     return Corpus(
         images=images,
         truths=truths,
-        persons=protos,
         master_seed=master_seed,
         intra_sigma=intra_sigma,
         noise_level=noise_level,
@@ -595,7 +604,7 @@ def load_corpus(root: str | Path) -> Corpus:
         pdir = root / f"person_{p:02d}"
         images.append([load_bmp(pdir / f"sample_{j:02d}.bmp") for j in range(samples)])
         truths.append(_load_truths(pdir / "ground_truth.csv", samples))
-    return Corpus(images=images, truths=truths, persons=None, **echo)
+    return Corpus(images=images, truths=truths, **echo)
 
 
 def _load_truths(path: Path, samples: int) -> list[GroundTruth]:

@@ -24,7 +24,6 @@ from handgeo.classifiers import (
     mlp_identify,
     mlp_train,
     multistart_select,
-    multistart_train,
     nn_identify,
     rbf_identify,
     rbf_train,
@@ -369,14 +368,6 @@ class TestMultistart:
         )
         best = multistart_select(members, toy_two_person_set())
         assert best.config.seed == 7
-
-    def test_multistart_train_returns_the_selected_member(self):
-        cfg = TrainConfig(seed=2, multistart=3)
-        chosen = multistart_train(toy_two_person_set(), cfg, hidden=4)
-        members = train_members(toy_two_person_set(), cfg, hidden=4)
-        np.testing.assert_array_equal(
-            chosen.w1, multistart_select(members, toy_two_person_set()).w1
-        )
 
 
 def constant_output_model(b2, person_ids=(0, 1)):

@@ -67,6 +67,60 @@ class TestGen:
         assert len(err) == 1 and err[0].startswith("corpus_error:")
         assert not (tmp_path / "z").exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,start",
+        [
+            ("--noise-level", "-1", "corpus_error: noise_level -1.0 outside [0, 1]"),
+            ("--dpi", "100000", "size_error: image "),
+        ],
+    )
+    def test_out_of_range_noise_or_dpi_is_one_error_line(
+        self, tmp_path, capsys, flag, value, start
+    ):
+        assert main(["gen", "--out", str(tmp_path / "z"), "--persons", "1", flag, value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(start)
+        assert not (tmp_path / "z").exists()
+
+
+class TestCommandLine:
+    """A bad command line ends like a bad config value: one line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["extract", "--input", "x.bmp", "--out", "x.csv", "--sigma", "1"],
+            ["eval", "--features", "f.csv", "--out", "r", "--sigma", "1"],
+            ["sweep", "--features", "f.csv", "--out", "c.csv", "--sigma", "1"],
+            ["extract", "--input", "x.bmp", "--out", "x.csv", "--threshold", "abc"],
+            ["gen", "--out", "g", "--persons", "two"],
+        ],
+        ids=["no_command", "extract_sigma", "eval_sigma", "sweep_sigma", "threshold_abc", "persons_two"],
+    )
+    def test_bad_flag_is_one_config_error_line(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config_error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["gen", "extract", "train", "eval", "sweep"])
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: handgeo {command}")
+
+    @pytest.mark.parametrize("command", ["extract", "eval", "sweep"])
+    def test_sigma_in_a_config_file_is_an_unknown_key(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma=1\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config_error: unknown config key(s) for {command}: sigma"
+        ]
+
 
 class TestExtract:
     def test_single_image_yields_one_row(self, tmp_path):
@@ -150,7 +204,7 @@ class TestExtract:
         "command,source", [("extract", "--input"), ("eval", "--corpus"), ("sweep", "--corpus")]
     )
     @pytest.mark.parametrize(
-        "flag,value", [("--kernel-radius", "-1"), ("--threshold", "2"), ("--sigma", "0")]
+        "flag,value", [("--kernel-radius", "-1"), ("--threshold", "2")]
     )
     def test_out_of_range_extraction_flag_is_one_config_error_line(
         self, tmp_path, capsys, command, source, flag, value

@@ -11,11 +11,8 @@ from scipy import ndimage
 from handgeo.contour import (
     DELTAS,
     ChainCode,
-    encode_direction,
     find_landmarks,
-    load_chain,
     perimeter,
-    save_chain,
     trace_contour,
 )
 from handgeo.errors import ContourError, LandmarkError
@@ -108,27 +105,20 @@ def rect_mask(height, width, top=2, left=2, shape=None):
 
 
 class TestEncodeDirection:
+    """DELTAS maps each code to its (dx, dy) step; the tracer relies on it."""
+
     def test_east_is_zero(self):
-        assert encode_direction((5, 5), (6, 5)) == 0
+        assert DELTAS[0] == (1, 0)
 
     def test_north_is_two(self):
-        assert encode_direction((5, 5), (5, 4)) == 2
+        assert DELTAS[2] == (0, -1)
 
     def test_south_west_is_five(self):
-        assert encode_direction((5, 5), (4, 6)) == 5
+        assert DELTAS[5] == (-1, 1)
 
     def test_all_eight_neighbours_are_distinct(self):
-        codes = {
-            encode_direction((3, 3), (3 + dx, 3 + dy))
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            if (dx, dy) != (0, 0)
-        }
-        assert codes == set(range(8))
-
-    def test_non_neighbour_is_rejected(self):
-        with pytest.raises(ValueError, match="neighbour"):
-            encode_direction((0, 0), (2, 0))
+        neighbours = {(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)} - {(0, 0)}
+        assert len(DELTAS) == 8 and set(DELTAS) == neighbours
 
 
 class TestPerimeter:
@@ -170,8 +160,10 @@ class TestTraceContour:
 
     def test_replay_returns_to_start(self):
         chain = trace_contour(ring_of(rect_mask(7, 12)))
-        assert chain.is_closed()
-        assert chain.end() == chain.start
+        x, y = chain.start
+        for c in chain.codes:
+            x, y = x + DELTAS[c][0], y + DELTAS[c][1]
+        assert (x, y) == chain.start
 
     def test_empty_edge_map_is_rejected(self):
         with pytest.raises(ContourError, match="closed"):
@@ -312,18 +304,3 @@ class TestFindLandmarks:
             mask[10 + i, 20 - i : 20 + i + 1] = True
         with pytest.raises(LandmarkError, match="found 1 and 0"):
             find_landmarks(trace_contour(ring_of(mask)))
-
-
-class TestChainSerialization:
-    def test_round_trip_preserves_start_and_codes(self, tmp_path):
-        chain = trace_contour(ring_of(rect_mask(6, 9)))
-        path = tmp_path / "outline.txt"
-        save_chain(chain, path)
-        back = load_chain(path)
-        assert back == chain
-
-    def test_file_layout_is_start_line_then_digits(self, tmp_path):
-        chain = ChainCode(start=(3, 1), codes=(0, 6, 4, 2))
-        path = tmp_path / "c.txt"
-        save_chain(chain, path)
-        assert path.read_text() == "3 1\n0642\n"

@@ -9,6 +9,7 @@ from handgeo.classifiers import TemplateDb, nn_identify
 from handgeo.errors import ConfigError, LandmarkError
 from handgeo.evaluation import (
     ROW_LABELS,
+    EvalReport,
     Split,
     count_trials,
     emit_table,
@@ -105,6 +106,17 @@ class TestEvaluateFeatures:
     def test_trial_accounting_matches_the_person_count(self, report):
         assert report.persons == 4
         assert report.trials == count_trials(4, 5)
+
+    def test_trials_count_the_test_vectors_actually_identified(self):
+        # The third person enrolls but has no test samples: 10 probes, 3 persons.
+        entries = [e for e in synthetic_entries(persons=3) if e[0] < 2 or e[1] < 5]
+        report = evaluate_features(entries, multistart=1, rbf_centres=10)
+        assert (report.persons, report.probes) == (3, 10)
+        assert report.trials == (10, 20, 30)
+
+    def test_full_corpus_trials_match_the_paper(self):
+        report = EvalReport(rates={}, persons=22, probes=110, exclusions=0)
+        assert report.trials == (110, 2310, 2420)
 
     def test_config_echo_names_the_training_settings(self, report):
         for key in ("gamma", "epochs_mse", "epochs_msereg", "hidden", "rbf_spread"):

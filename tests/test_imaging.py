@@ -19,8 +19,6 @@ from handgeo.imaging import (
     load_bmp,
     lowpass_filter,
     save_bmp,
-    save_pbm,
-    save_pgm,
 )
 from handgeo.synthgen import make_corpus
 
@@ -287,17 +285,3 @@ class TestDetectEdgesLog:
     def test_non_positive_sigma_is_rejected(self):
         with pytest.raises(ValueError, match="sigma"):
             detect_edges_log(BinaryImage(bits=np.ones((3, 3))), sigma=0.0)
-
-
-class TestTextExports:
-    def test_pgm_holds_255_scaled_rows(self, tmp_path):
-        path = tmp_path / "img.pgm"
-        save_pgm(gray([[0.0, 1.0]]), path)
-        text = path.read_text().split()
-        assert text[0] == "P2" and text[4:] == ["0", "255"]
-
-    def test_pbm_holds_bits(self, tmp_path):
-        path = tmp_path / "img.pbm"
-        save_pbm(BinaryImage(bits=np.array([[0, 1], [1, 0]])), path)
-        text = path.read_text().split()
-        assert text[0] == "P1" and text[3:] == ["0", "1", "1", "0"]

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import handgeo.synthgen as synthgen
-from handgeo.errors import CorpusError, LandmarkError, RenderError
+from handgeo.errors import CorpusError, LandmarkError, RenderError, SizeError
 from handgeo.imaging import binarize
 from handgeo.pipeline import ExtractionSettings, extract
 from handgeo.synthgen import (
@@ -217,17 +217,39 @@ class TestMakeCorpus:
             make_corpus(0, 0.2)
 
     @pytest.mark.parametrize(
-        "kwargs", [{"persons": 0}, {"samples": 0}, {"dpi": 0.0}, {"dpi": -100.0}]
+        "kwargs",
+        [
+            {"persons": 0},
+            {"samples": 0},
+            {"dpi": 0.0},
+            {"dpi": -100.0},
+            {"dpi": math.inf},
+            {"noise_level": -1.0},
+            {"noise_level": 5.0},
+            {"noise_level": math.nan},
+        ],
     )
     def test_empty_or_unrenderable_shapes_are_rejected_up_front(self, monkeypatch, kwargs):
         monkeypatch.setattr(synthgen, "render", None)  # no render may be attempted
-        with pytest.raises(CorpusError, match="persons|sample|dpi"):
+        with pytest.raises(CorpusError, match="persons|sample|dpi|noise_level"):
             make_corpus(0, **kwargs)
 
     def test_regeneration_gives_up_after_bounded_attempts(self, monkeypatch):
-        monkeypatch.setattr(synthgen, "_landmarks_detectable", lambda img: False)
-        with pytest.raises(CorpusError, match="100"):
+        failure = LandmarkError("expected 5 fingertips and 4 valleys, found 4 and 3")
+        monkeypatch.setattr(synthgen, "_extraction_error", lambda img: failure)
+        with pytest.raises(CorpusError, match="100 attempts; last landmark_error: expected 5"):
             make_corpus(0, persons=1, samples=1)
+
+    def test_giving_up_names_the_last_render_failure(self):
+        with pytest.raises(CorpusError, match="100 attempts; last render_error: "):
+            make_corpus(0, persons=1, samples=1, dpi=10.0)
+
+    def test_oversized_canvas_is_a_size_error_before_rasterizing(self, monkeypatch):
+        monkeypatch.setattr(synthgen, "_rasterize", None)  # no canvas may be allocated
+        with pytest.raises(SizeError, match="exceeds"):
+            render(canonical_params(), dpi=100000.0)
+        with pytest.raises(SizeError, match="exceeds"):
+            make_corpus(0, persons=1, samples=1, dpi=100000.0)
 
 
 class TestCorpusSerialization:
@@ -240,7 +262,6 @@ class TestCorpusSerialization:
         assert back.intra_sigma == corpus.intra_sigma
         assert back.noise_level == corpus.noise_level
         assert back.dpi == corpus.dpi
-        assert back.persons is None
         assert back.truths == corpus.truths
         for row_a, row_b in zip(corpus.images, back.images):
             for img_a, img_b in zip(row_a, row_b):

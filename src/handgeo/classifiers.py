@@ -147,11 +147,11 @@ class MlpModel:
     scaler: ScalerParams | None = None
 
     def outputs(self, x: np.ndarray) -> np.ndarray:
-        """Network output vector(s); accepts one vector or a batch."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        hidden = np.tanh(x @ self.w1.T + self.b1)
+        """Network output vector for one vector, output rows for a batch."""
+        x = np.asarray(x, dtype=float)
+        hidden = np.tanh(np.atleast_2d(x) @ self.w1.T + self.b1)
         out = hidden @ self.w2.T + self.b2
-        return out[0] if out.shape[0] == 1 else out
+        return out[0] if x.ndim == 1 else out
 
 
 def _targets(labels: np.ndarray, person_ids: tuple[int, ...]) -> np.ndarray:
@@ -439,9 +439,10 @@ class RbfModel:
     scaler: ScalerParams | None = None
 
     def outputs(self, x: np.ndarray) -> np.ndarray:
-        phi = _kernel(np.atleast_2d(np.asarray(x, dtype=float)), self.centres, self.spread)
-        out = phi @ self.weights.T
-        return out[0] if out.shape[0] == 1 else out
+        """Output vector for one vector, output rows for a batch."""
+        x = np.asarray(x, dtype=float)
+        out = _kernel(np.atleast_2d(x), self.centres, self.spread) @ self.weights.T
+        return out[0] if x.ndim == 1 else out
 
 
 def _kernel(x: np.ndarray, centres: np.ndarray, spread: float) -> np.ndarray:

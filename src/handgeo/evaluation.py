@@ -66,10 +66,10 @@ class Split:
 
 
 def count_trials(persons: int, n_test_per_person: int) -> tuple[int, int, int]:
-    """(client trials, impostor trials, total) of the closed-set protocol."""
-    clients = persons * n_test_per_person
-    impostors = persons * (persons - 1) * n_test_per_person
-    return clients, impostors, clients + impostors
+    """(client trials, impostor trials, total) of the closed-set protocol
+    when every person identifies n_test_per_person probes."""
+    probes = persons * n_test_per_person
+    return EvalReport(rates={}, persons=persons, probes=probes, exclusions=0).trials
 
 
 Entry = tuple[int, int, np.ndarray]  # person, sample, feature vector

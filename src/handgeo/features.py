@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,27 +18,6 @@ import numpy as np
 from .contour import ChainCode, Landmarks, perimeter
 from .errors import FormatError, ScalerError
 from .imaging import MM_PER_INCH, BinaryImage
-
-FEATURE_NAMES = (
-    "thumb_length",
-    "first_length",
-    "middle_length",
-    "ring_length",
-    "little_length",
-    "wrist_length",
-    "thumb_base_width",
-    "first_width",
-    "middle_width",
-    "ring_width",
-    "little_width",
-    "perimeter",
-    "surface",
-)
-
-#: Positions kept by select(), 0-based into FEATURE_NAMES.
-SELECTED_INDICES = (1, 2, 3, 4, 7, 8, 9, 10, 11)
-SELECTED_NAMES = tuple(FEATURE_NAMES[i] for i in SELECTED_INDICES)
-
 
 @dataclass
 class RawFeatures:
@@ -60,6 +39,12 @@ class RawFeatures:
 
     def as_array(self) -> np.ndarray:
         return np.array(astuple(self), dtype=float)
+
+
+FEATURE_NAMES = tuple(f.name for f in fields(RawFeatures))
+#: Positions kept by select(), 0-based into FEATURE_NAMES.
+SELECTED_INDICES = (1, 2, 3, 4, 7, 8, 9, 10, 11)
+SELECTED_NAMES = tuple(FEATURE_NAMES[i] for i in SELECTED_INDICES)
 
 
 Point = tuple[int, int]

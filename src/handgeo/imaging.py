@@ -21,6 +21,11 @@ DEFAULT_THRESHOLD = 0.07
 DEFAULT_SIGMA = 1.0
 DEFAULT_KERNEL_RADIUS = 1
 
+#: Largest accepted box-filter radius: a 51x51 window, against the paper's
+#: 3x3. The filter pads the image by the radius on every side, so this also
+#: bounds its memory.
+MAX_KERNEL_RADIUS = 25
+
 #: Hard ceiling on accepted image dimensions (pixels per side).
 MAX_SIDE = 5000
 
@@ -177,8 +182,8 @@ def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -
     Radius 0 is the identity. Plateaus where the whole window is constant
     come out bit-exact, so constant images are preserved exactly.
     """
-    if kernel_radius < 0:
-        raise ValueError(f"kernel_radius must be >= 0, got {kernel_radius}")
+    if not 0 <= kernel_radius <= MAX_KERNEL_RADIUS:
+        raise ValueError(f"kernel_radius must be in [0, {MAX_KERNEL_RADIUS}], got {kernel_radius}")
     if kernel_radius == 0:
         return GrayImage(pixels=img.pixels.copy(), dpi=img.dpi)
     size = 2 * kernel_radius + 1

@@ -12,6 +12,7 @@ from .features import RawFeatures, measure, select
 from .imaging import (
     DEFAULT_KERNEL_RADIUS,
     DEFAULT_THRESHOLD,
+    MAX_KERNEL_RADIUS,
     BinaryImage,
     GrayImage,
     binarize,
@@ -28,8 +29,10 @@ class ExtractionSettings:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
-        if self.kernel_radius < 0:
-            raise ConfigError(f"kernel_radius must be >= 0, got {self.kernel_radius}")
+        if not 0 <= self.kernel_radius <= MAX_KERNEL_RADIUS:
+            raise ConfigError(
+                f"kernel_radius must be in [0, {MAX_KERNEL_RADIUS}], got {self.kernel_radius}"
+            )
 
 
 @dataclass

@@ -223,7 +223,9 @@ def _layout(params: HandParams, scale: float) -> _Layout:
     )
 
 
-def _validate_layout(params: HandParams, lay: _Layout, scale: float) -> None:
+def _validate_layout(params: HandParams, lay: _Layout, scale: float) -> list[tuple[float, float]]:
+    """Reject a hand that is no valid scan; return the five finger cuts
+    [x_lo, x_hi] on the last row above the palm."""
     if any(v <= 0 for v in params.finger_lengths + params.finger_widths):
         raise RenderError("finger lengths and widths must be positive")
     if not -10.0 <= params.tilt_deg <= 10.0:
@@ -250,6 +252,12 @@ def _validate_layout(params: HandParams, lay: _Layout, scale: float) -> None:
         tx = lay.tips[f][0]
         if tx - lay.radii[f] < 2.0 or tx + lay.radii[f] > lay.width - 3.0:
             raise RenderError(f"finger {f} leans outside the canvas")
+    # A valley also needs a background column between the rasterized bases.
+    # Checked last, so a hand failing an earlier test keeps that message.
+    for f, (a, b) in enumerate(_valley_columns(sections)):
+        if b < a:
+            raise RenderError(f"fingers {f} and {f + 1} merge at the base")
+    return sections
 
 
 def _rasterize(lay: _Layout) -> np.ndarray:
@@ -290,7 +298,15 @@ def _westward_mid(a: int, b: int) -> int:
     return b - (b - a) // 2
 
 
-def _ground_truth(lay: _Layout, mask: np.ndarray, dpi: float, allow_defects: bool) -> GroundTruth:
+def _valley_columns(cuts: list[tuple[float, float]]) -> list[tuple[int, int]]:
+    """First and last background column [a, b] between each pair of
+    neighbouring finger cuts; the run is empty when a > b."""
+    return [(math.floor(lo[1]) + 1, math.ceil(hi[0]) - 1) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _ground_truth(
+    lay: _Layout, cuts: list[tuple[float, float]], mask: np.ndarray, dpi: float
+) -> GroundTruth:
     mm = MM_PER_INCH / dpi
 
     tips: list[tuple[int, int]] = []
@@ -306,22 +322,8 @@ def _ground_truth(lay: _Layout, mask: np.ndarray, dpi: float, allow_defects: boo
             yt += 1  # sub-pixel cap: the first occupied row is lower
         tips.append((_westward_mid(a, b), yt))
 
-    row_above = math.ceil(lay.palm_top) - 1
-    floor_y = row_above + 1
-    valleys: list[tuple[int, int]] = []
-    for f in range(4):
-        left = _capsule_xsection(lay.bases[f], lay.tips[f], lay.radii[f], row_above)
-        right = _capsule_xsection(lay.bases[f + 1], lay.tips[f + 1], lay.radii[f + 1], row_above)
-        if left is None or right is None:
-            raise RenderError(f"fingers {f} or {f + 1} miss the palm top edge")
-        a = math.floor(left[1]) + 1  # first background column after the left finger
-        b = math.ceil(right[0]) - 1  # last background column before the right one
-        if b < a:
-            if not allow_defects:
-                raise RenderError(f"fingers {f} and {f + 1} merge at the base")
-            valleys.append((int(round(0.5 * (left[1] + right[0]))), floor_y))
-        else:
-            valleys.append((_westward_mid(a, b), floor_y))
+    floor_y = math.ceil(lay.palm_top)  # first palm row, below the cuts
+    valleys = [(_westward_mid(a, b), floor_y) for a, b in _valley_columns(cuts)]
 
     yb = math.floor(lay.arm_cut)
     wrist = ((math.ceil(lay.arm_left), yb), (math.floor(lay.arm_right), yb))
@@ -364,8 +366,6 @@ def render(
     params: HandParams,
     dpi: float = REFERENCE_DPI,
     noise_level: float = 0.0,
-    *,
-    allow_defects: bool = False,
 ) -> tuple[GrayImage, GroundTruth]:
     """Rasterize one hand; returns the image and its exact ground truth.
 
@@ -375,10 +375,9 @@ def render(
     scale = dpi / REFERENCE_DPI
     lay = _layout(params, scale)
     _check_size(lay.width, lay.height)
-    if not allow_defects:
-        _validate_layout(params, lay, scale)
+    cuts = _validate_layout(params, lay, scale)
     mask = _rasterize(lay)
-    truth = _ground_truth(lay, mask, dpi, allow_defects)
+    truth = _ground_truth(lay, cuts, mask, dpi)
 
     pixels = np.where(mask, _FOREGROUND, _BACKGROUND)
     if noise_level > 0:

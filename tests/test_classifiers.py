@@ -471,6 +471,24 @@ class TestRbf:
             rbf_train(train, 6)
 
 
+@pytest.mark.parametrize(
+    "train_model",
+    [
+        lambda train: mlp_train(train, TrainConfig(epochs=2, seed=0), hidden=4),
+        lambda train: rbf_train(train, n_centres=3),
+    ],
+    ids=["mlp", "rbf"],
+)
+def test_a_batch_of_one_keeps_its_batch_axis(train_model):
+    train = toy_two_person_set()
+    model = train_model(train)
+    x = np.array([v for _, v in train])
+    assert model.outputs(x).shape == (4, 2)
+    assert model.outputs(x[:1]).shape == (1, 2)
+    assert model.outputs(x[0]).shape == (2,)
+    np.testing.assert_array_equal(model.outputs(x[:1])[0], model.outputs(x[0]))
+
+
 class TestModelSerialization:
     def test_mlp_round_trip_is_bit_exact(self, tmp_path):
         model = mlp_train(toy_two_person_set(), TrainConfig(seed=9))

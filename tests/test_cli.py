@@ -1,10 +1,9 @@
 """End-to-end command-line behaviour."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
+from handgeo import pipeline
 from handgeo.cli import main
 from handgeo.classifiers import MlpModel, RbfModel, TemplateDb, load_model
 from handgeo.evaluation import emit_table, evaluate_all
@@ -142,12 +141,9 @@ class TestExtract:
         assert main(["extract", "--input", str(corpus_dir), "--out", str(out)]) == 0
         assert len(load_features(out)) == 6
 
-    def test_merged_fingers_exit_with_a_landmark_error(self, tmp_path, capsys):
-        params = canonical_params()
-        bad = dataclasses.replace(params, palm_width=params.palm_width - 90)
-        img, _ = render(bad, allow_defects=True)
+    def test_merged_fingers_exit_with_a_landmark_error(self, tmp_path, capsys, merged_scan):
         bmp = tmp_path / "merged.bmp"
-        save_bmp(img, bmp)
+        save_bmp(merged_scan(90), bmp)
         code = main(["extract", "--input", str(bmp), "--out", str(tmp_path / "x.csv")])
         assert code == 1
         assert capsys.readouterr().err.startswith("landmark_error:")
@@ -218,6 +214,32 @@ class TestExtract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config_error: ")
         assert flag[2:].replace("-", "_") in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "eval"])
+    def test_oversized_kernel_radius_fails_before_any_filter(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        # extract takes the radius as a flag on one BMP, eval from a config
+        # file over a corpus; either way the settings reject it up front.
+        if command == "extract":
+            img, _ = render(canonical_params(), noise_level=0.0)
+            save_bmp(img, tmp_path / "hand.bmp")
+            argv = ["--input", str(tmp_path / "hand.bmp"), "--kernel-radius", "20000"]
+        else:
+            main(["gen", "--out", str(tmp_path / "corpus"), "--persons", "1", "--samples", "2"])
+            (tmp_path / "bad.cfg").write_text("kernel_radius=20000\n")
+            argv = ["--corpus", str(tmp_path / "corpus"), "--config", str(tmp_path / "bad.cfg")]
+        capsys.readouterr()
+
+        def no_filter(*args):
+            raise AssertionError("the box filter ran with an oversized radius")
+
+        monkeypatch.setattr(pipeline, "lowpass_filter", no_filter)
+        out = tmp_path / "out"
+        assert main([command, *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config_error: kernel_radius must be in [0, 25], got 20000"]
         assert not out.exists()
 
 

@@ -11,6 +11,7 @@ from scipy import ndimage
 
 from handgeo.errors import FormatError, SizeError
 from handgeo.imaging import (
+    MAX_KERNEL_RADIUS,
     BinaryImage,
     GrayImage,
     _window_varies,
@@ -144,6 +145,11 @@ class TestLowpassFilter:
     def test_negative_radius_is_rejected(self):
         with pytest.raises(ValueError, match="radius"):
             lowpass_filter(gray(np.zeros((2, 2))), -1)
+
+    def test_radius_above_the_bound_is_rejected(self):
+        lowpass_filter(gray(np.zeros((2, 2))), MAX_KERNEL_RADIUS)
+        with pytest.raises(ValueError, match="radius"):
+            lowpass_filter(gray(np.zeros((2, 2))), MAX_KERNEL_RADIUS + 1)
 
     @given(
         hnp.arrays(

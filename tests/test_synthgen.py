@@ -80,10 +80,21 @@ class TestRender:
         with pytest.raises(RenderError, match="merge"):
             render(merged_params())
 
-    def test_defective_render_fails_landmark_detection(self):
-        img, _ = render(merged_params(), allow_defects=True)
+    @pytest.mark.parametrize("shrink,dpi", [(36.0, 100.0), (34.0, 50.0)])
+    def test_bases_without_a_background_column_between_them_merge(self, shrink, dpi):
+        # The bases clear each other by a pixel width, but no whole pixel
+        # column between two of them is background, so no valley exists.
+        params, scale = merged_params(shrink), dpi / synthgen.REFERENCE_DPI
+        lay = synthgen._layout(params, scale)
+        row = math.ceil(lay.palm_top) - 1
+        cuts = [synthgen._capsule_xsection(*f, row) for f in zip(lay.bases, lay.tips, lay.radii)]
+        assert all(right[0] - left[1] >= scale for left, right in zip(cuts, cuts[1:]))
+        with pytest.raises(RenderError, match="merge"):
+            render(params, dpi)
+
+    def test_defective_render_fails_landmark_detection(self, merged_scan):
         with pytest.raises(LandmarkError):
-            extract(img)
+            extract(merged_scan(90))
 
     def test_wrong_finger_count_is_rejected(self):
         with pytest.raises(RenderError, match="5"):

@@ -57,7 +57,8 @@ from .evaluation import (
 from .features import apply_scaler, fit_scaler, load_features, save_features
 from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_THRESHOLD, load_bmp
 from .pipeline import ExtractionSettings, extract
-from .synthgen import Corpus, load_corpus, make_corpus, save_corpus
+from .synthgen import DEFAULT_INTRA_SIGMA, DEFAULT_NOISE_LEVEL, DEFAULT_PERSONS, DEFAULT_SAMPLES
+from .synthgen import REFERENCE_DPI, Corpus, load_corpus, make_corpus, save_corpus
 
 DEFAULT_SWEEP_CENTRES = ",".join(str(k) for k in DEFAULT_SWEEP_COUNTS)
 
@@ -86,11 +87,11 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
     "gen": {
         "out": (str, None, "corpus output directory"),
         "seed": (int, 0, "master seed for the corpus draw"),
-        "intra_sigma": (float, 0.03, "relative within-person jitter"),
-        "persons": (int, 22, "number of persons"),
-        "samples": (int, 10, "samples per person"),
-        "noise_level": (float, 0.03, "uniform pixel noise amplitude"),
-        "dpi": (float, 100.0, "render resolution"),
+        "intra_sigma": (float, DEFAULT_INTRA_SIGMA, "relative within-person jitter"),
+        "persons": (int, DEFAULT_PERSONS, "number of persons"),
+        "samples": (int, DEFAULT_SAMPLES, "samples per person"),
+        "noise_level": (float, DEFAULT_NOISE_LEVEL, "uniform pixel noise amplitude"),
+        "dpi": (float, REFERENCE_DPI, "render resolution"),
     },
     "extract": {
         "input": (str, None, "BMP file or corpus directory"),

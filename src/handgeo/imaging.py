@@ -1,8 +1,8 @@
 """Scan ingestion and silhouette preprocessing.
 
 The chain is: 8-bit BMP -> GrayImage -> low-pass filter -> threshold
-binarization -> Laplacian-of-Gaussian edge map. All operations are pure
-functions of their inputs.
+binarization -> boundary ring. All operations are pure functions of their
+inputs.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import FormatError, SizeError
 
 DEFAULT_DPI = 100.0
 DEFAULT_THRESHOLD = 0.07
-DEFAULT_SIGMA = 1.0
 DEFAULT_KERNEL_RADIUS = 1
 
 #: Largest accepted box-filter radius: a 51x51 window, against the paper's
@@ -224,32 +223,23 @@ def binarize(img: GrayImage, threshold: float = DEFAULT_THRESHOLD) -> BinaryImag
     return BinaryImage(bits=(img.pixels >= threshold).astype(np.uint8), dpi=img.dpi)
 
 
-def detect_edges_log(img: BinaryImage, sigma: float = DEFAULT_SIGMA) -> BinaryImage:
-    """Laplacian-of-Gaussian zero-crossing edge map of a binary image.
+def boundary_ring(img: BinaryImage) -> BinaryImage:
+    """The silhouette's boundary: foreground pixels with a background 4-neighbour.
 
-    A pixel is an edge when its LoG response is negative (the bright side
-    of the transition) and a 4-neighbour has positive response with the
-    absolute difference above a small slope floor. Each foreground region
-    yields a closed, one-pixel-wide loop just inside its boundary; an
-    empty or constant image yields an empty map.
+    Pixels outside the image count as foreground (edge replication), so a
+    silhouette that runs off the image gets no edge along the border. A
+    region with no 1-px features yields a closed, one-pixel-wide loop just
+    inside its boundary; an empty or full image yields an empty map.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    response = ndimage.gaussian_laplace(
-        img.bits.astype(np.float64), sigma=sigma, mode="nearest"
-    )
-    peak = float(np.abs(response).max())
-    edges = np.zeros(img.bits.shape, dtype=bool)
-    if peak == 0.0:
-        return BinaryImage(bits=edges.astype(np.uint8), dpi=img.dpi)
-    floor = 1e-6 * peak
+    m = img.bits.astype(bool)
+    interior = m.copy()
+    interior[1:, :] &= m[:-1, :]
+    interior[:-1, :] &= m[1:, :]
+    interior[:, 1:] &= m[:, :-1]
+    interior[:, :-1] &= m[:, 1:]
+    return BinaryImage(bits=(m & ~interior).astype(np.uint8), dpi=img.dpi)
 
-    neg = response < 0.0
-    pos = response > 0.0
-    steep_v = np.abs(response[1:, :] - response[:-1, :]) > floor
-    edges[1:, :] |= neg[1:, :] & pos[:-1, :] & steep_v
-    edges[:-1, :] |= neg[:-1, :] & pos[1:, :] & steep_v
-    steep_h = np.abs(response[:, 1:] - response[:, :-1]) > floor
-    edges[:, 1:] |= neg[:, 1:] & pos[:, :-1] & steep_h
-    edges[:, :-1] |= neg[:, :-1] & pos[:, 1:] & steep_h
-    return BinaryImage(bits=edges.astype(np.uint8), dpi=img.dpi)
+
+# perfbench resolves the edge stage by this name and wraps functions by
+# identity, so the alias keeps its `imaging.detect_edges_log` span.
+detect_edges_log = boundary_ring

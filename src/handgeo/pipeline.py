@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ from .imaging import (
     BinaryImage,
     GrayImage,
     binarize,
-    detect_edges_log,
+    boundary_ring,
     lowpass_filter,
 )
 
@@ -29,6 +30,8 @@ class ExtractionSettings:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
+        if not isinstance(self.kernel_radius, numbers.Integral):
+            raise ConfigError(f"kernel_radius must be an integer, got {self.kernel_radius!r}")
         if not 0 <= self.kernel_radius <= MAX_KERNEL_RADIUS:
             raise ConfigError(
                 f"kernel_radius must be in [0, {MAX_KERNEL_RADIUS}], got {self.kernel_radius}"
@@ -51,7 +54,7 @@ def extract(img: GrayImage, settings: ExtractionSettings | None = None) -> Extra
     s = settings or ExtractionSettings()
     smoothed = lowpass_filter(img, s.kernel_radius)
     silhouette = binarize(smoothed, s.threshold)
-    edges = detect_edges_log(silhouette)
+    edges = boundary_ring(silhouette)
     chain = trace_contour(edges)
     landmarks = find_landmarks(chain)
     raw = measure(landmarks, chain, silhouette)

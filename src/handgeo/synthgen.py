@@ -24,10 +24,22 @@ import numpy as np
 from .contour import perimeter, trace_contour
 from .errors import CorpusError, HandGeoError, RenderError
 from .features import base_segments
-from .imaging import MM_PER_INCH, BinaryImage, GrayImage, _check_size, load_bmp, save_bmp
+from .imaging import (
+    MM_PER_INCH,
+    BinaryImage,
+    GrayImage,
+    _check_size,
+    boundary_ring,
+    load_bmp,
+    save_bmp,
+)
 from .pipeline import extract
 
 REFERENCE_DPI = 100.0
+DEFAULT_INTRA_SIGMA = 0.03
+DEFAULT_PERSONS = 22
+DEFAULT_SAMPLES = 10
+DEFAULT_NOISE_LEVEL = 0.03
 _MARGIN = 10.0
 _PALM_CORNER_RADIUS = 12.0
 _BASE_MARGIN = 3.0  # clearance between outer fingers and the corner arcs
@@ -244,9 +256,9 @@ def _validate_layout(params: HandParams, lay: _Layout, scale: float) -> list[tup
         clearance = sections[f + 1][0] - sections[f][1]
         if clearance < 1.0 * scale:
             raise RenderError(f"fingers {f} and {f + 1} merge at the base")
-    if sections[0][0] < lay.palm_left + lay.corner_radius + 1.0:
+    if sections[0][0] < lay.palm_left + lay.corner_radius + 1.0 * scale:
         raise RenderError("thumb overruns the palm's left corner")
-    if sections[4][1] > lay.palm_right - lay.corner_radius - 1.0:
+    if sections[4][1] > lay.palm_right - lay.corner_radius - 1.0 * scale:
         raise RenderError("little finger overruns the palm's right corner")
     for f in range(5):
         tx = lay.tips[f][0]
@@ -339,8 +351,7 @@ def _ground_truth(
     widths = tuple(dist(a, b) * mm for a, b in bases)
     wrist_length = dist(wrist[0], wrist[1]) * mm
 
-    boundary = mask & ~_erode4(mask)
-    chain = trace_contour(BinaryImage(bits=boundary.astype(np.uint8), dpi=dpi))
+    chain = trace_contour(boundary_ring(BinaryImage(bits=mask.astype(np.uint8), dpi=dpi)))
     return GroundTruth(
         tips=tips,
         valleys=valleys,
@@ -351,15 +362,6 @@ def _ground_truth(
         perimeter_mm=perimeter(chain) * mm,
         surface_mm2=float(mask.sum()) * mm * mm,
     )
-
-
-def _erode4(mask: np.ndarray) -> np.ndarray:
-    out = mask.copy()
-    out[1:, :] &= mask[:-1, :]
-    out[:-1, :] &= mask[1:, :]
-    out[:, 1:] &= mask[:, :-1]
-    out[:, :-1] &= mask[:, 1:]
-    return out
 
 
 def render(
@@ -441,11 +443,11 @@ def _jitter(proto: HandParams, sigma: float, rng: np.random.Generator) -> HandPa
 
 def make_corpus(
     master_seed: int,
-    intra_sigma: float = 0.03,
+    intra_sigma: float = DEFAULT_INTRA_SIGMA,
     *,
-    persons: int = 22,
-    samples: int = 10,
-    noise_level: float = 0.03,
+    persons: int = DEFAULT_PERSONS,
+    samples: int = DEFAULT_SAMPLES,
+    noise_level: float = DEFAULT_NOISE_LEVEL,
     dpi: float = REFERENCE_DPI,
 ) -> Corpus:
     """Draw person prototypes and render jittered samples for each.

@@ -36,7 +36,7 @@ from handgeo.evaluation import (
     extract_features,
     sweep_rbf_features,
 )
-from handgeo.imaging import BinaryImage, GrayImage, binarize
+from handgeo.imaging import BinaryImage, GrayImage, binarize, boundary_ring
 from handgeo.pipeline import ExtractionSettings, extract
 from handgeo.synthgen import make_corpus
 
@@ -58,20 +58,6 @@ def criterion(n: int, label: str, budget: float | None = None, offset: float = 0
         print(f"criterion {n:02d} FAIL  {label} ({elapsed:.1f}s over the {budget:.0f}s budget)")
         raise AssertionError(f"criterion {n} took {elapsed:.1f}s, budget {budget:.0f}s")
     print(f"criterion {n:02d} PASS  {label} ({elapsed:.1f}s)")
-
-
-def boundary_ring(mask: np.ndarray) -> np.ndarray:
-    """Pixels of a filled shape that touch the background 4-connectedly."""
-    m = mask.astype(bool)
-    padded = np.pad(m, 1)
-    core = (
-        padded[1:-1, 1:-1]
-        & padded[:-2, 1:-1]
-        & padded[2:, 1:-1]
-        & padded[1:-1, :-2]
-        & padded[1:-1, 2:]
-    )
-    return (m & ~core).astype(np.uint8)
 
 
 def four_point_set() -> list[tuple[int, np.ndarray]]:
@@ -132,10 +118,10 @@ def test_criterion_02_perimeter_rule_on_rectangles_and_staircases():
             w = int(rng.integers(2, 40))
             canvas = np.zeros((h + 8, w + 8), dtype=np.uint8)
             canvas[4 : 4 + h, 4 : 4 + w] = 1
-            ring = boundary_ring(canvas)
+            ring = boundary_ring(BinaryImage(bits=canvas, dpi=100))
             steps = 2 * (h + w) - 4  # walking the ring, one step per pixel
-            assert int(ring.sum()) == steps
-            chain = trace_contour(BinaryImage(bits=ring, dpi=100))
+            assert int(ring.bits.sum()) == steps
+            chain = trace_contour(ring)
             assert perimeter(chain) == float(steps)
         for k in (1, 2, 3, 5, 17, 100):
             staircase = ChainCode(start=(0, 0), codes=(1,) * k)

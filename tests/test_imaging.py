@@ -1,5 +1,6 @@
-"""Image ingestion, filtering, binarization, and edge detection."""
+"""Image ingestion, filtering, binarization, and the boundary ring."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -9,19 +10,21 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
 
-from handgeo.errors import FormatError, SizeError
+from handgeo.contour import find_landmarks, trace_contour
+from handgeo.errors import ConfigError, ContourError, FormatError, LandmarkError, SizeError
 from handgeo.imaging import (
     MAX_KERNEL_RADIUS,
     BinaryImage,
     GrayImage,
     _window_varies,
     binarize,
-    detect_edges_log,
+    boundary_ring,
     load_bmp,
     lowpass_filter,
     save_bmp,
 )
-from handgeo.synthgen import make_corpus
+from handgeo.pipeline import ExtractionSettings, extract
+from handgeo.synthgen import _draw_prototype, render
 
 
 def bmp_bytes(rows, bit_depth=8, ppm=0, compression=0):
@@ -151,6 +154,11 @@ class TestLowpassFilter:
         with pytest.raises(ValueError, match="radius"):
             lowpass_filter(gray(np.zeros((2, 2))), MAX_KERNEL_RADIUS + 1)
 
+    @pytest.mark.parametrize("radius", [1.5, 1.0, "1"])
+    def test_non_integer_radius_is_a_config_error(self, radius):
+        with pytest.raises(ConfigError, match="kernel_radius must be an integer"):
+            ExtractionSettings(kernel_radius=radius)
+
     @given(
         hnp.arrays(
             np.float64,
@@ -250,44 +258,134 @@ class TestBinarize:
         np.testing.assert_array_equal(once.bits, again.bits)
 
 
-def boundary_of(mask):
-    """Foreground pixels with at least one 4-connected background neighbour."""
-    return mask & ~ndimage.binary_erosion(
-        mask, structure=ndimage.generate_binary_structure(2, 1), border_value=0
+# -- reference edge detector: the Laplacian-of-Gaussian stage boundary_ring replaced --
+
+
+def reference_detect_edges_log(img: BinaryImage, sigma: float = 1.0) -> BinaryImage:
+    """Laplacian-of-Gaussian zero-crossing edge map of a binary image.
+
+    A pixel is an edge when its LoG response is negative (the bright side
+    of the transition) and a 4-neighbour has positive response with the
+    absolute difference above a small slope floor. Each foreground region
+    yields a closed, one-pixel-wide loop just inside its boundary; an
+    empty or constant image yields an empty map.
+    """
+    if sigma <= 0:
+        raise ValueError(f"sigma must be positive, got {sigma}")
+    response = ndimage.gaussian_laplace(
+        img.bits.astype(np.float64), sigma=sigma, mode="nearest"
     )
+    peak = float(np.abs(response).max())
+    edges = np.zeros(img.bits.shape, dtype=bool)
+    if peak == 0.0:
+        return BinaryImage(bits=edges.astype(np.uint8), dpi=img.dpi)
+    floor = 1e-6 * peak
+
+    neg = response < 0.0
+    pos = response > 0.0
+    steep_v = np.abs(response[1:, :] - response[:-1, :]) > floor
+    edges[1:, :] |= neg[1:, :] & pos[:-1, :] & steep_v
+    edges[:-1, :] |= neg[:-1, :] & pos[1:, :] & steep_v
+    steep_h = np.abs(response[:, 1:] - response[:, :-1]) > floor
+    edges[:, 1:] |= neg[:, 1:] & pos[:, :-1] & steep_h
+    edges[:, :-1] |= neg[:, :-1] & pos[:, 1:] & steep_h
+    return BinaryImage(bits=edges.astype(np.uint8), dpi=img.dpi)
+
+
+@st.composite
+def opened_blobs(draw):
+    """Thresholded smooth noise, opened and closed by a 5x5 square.
+
+    Opening removes foreground features narrower than 5 px and closing
+    fills background gaps narrower than 5 px, the two kinds of 1-px
+    feature where the ring and the LoG differ. Both count pixels outside
+    the image as foreground, as the ring does, so most blobs touch the
+    border.
+    """
+    height, width = draw(st.integers(8, 64)), draw(st.integers(8, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    smoothing = draw(st.floats(1.0, 4.0))
+    field = ndimage.gaussian_filter(rng.standard_normal((height, width)), smoothing)
+    mask = field > draw(st.floats(-0.5, 0.5)) * field.std()
+    square = np.ones((5, 5), dtype=bool)
+    mask = ndimage.binary_opening(mask, square, border_value=1)
+    mask = ndimage.binary_closing(mask, square, border_value=1)
+    return BinaryImage(bits=mask.astype(np.uint8))
 
 
 class TestDetectEdgesLog:
+    """The edge stage, `boundary_ring` (perfbench still names its span
+    `imaging.detect_edges_log`), against the LoG it replaced."""
+
     def test_constant_images_yield_empty_edge_maps(self):
         for value in (0, 1):
-            edges = detect_edges_log(BinaryImage(bits=np.full((10, 10), value)))
+            edges = boundary_ring(BinaryImage(bits=np.full((10, 10), value)))
             assert edges.bits.sum() == 0
 
     def test_square_edge_matches_the_inner_boundary(self):
         mask = np.zeros((40, 40), dtype=bool)
         mask[10:30, 10:30] = True
-        edges = detect_edges_log(BinaryImage(bits=mask.astype(np.uint8)), sigma=1.0)
-        expected = boundary_of(mask)
+        expected = mask.copy()
+        expected[11:29, 11:29] = False
+        edges = boundary_ring(BinaryImage(bits=mask.astype(np.uint8)))
         np.testing.assert_array_equal(edges.bits.astype(bool), expected)
 
+    def test_a_mask_touching_the_border_gets_no_edge_along_it(self):
+        # Pixels outside the image count as foreground (edge replication).
+        bits = np.zeros((10, 12), dtype=np.uint8)
+        bits[:, :6] = 1
+        bits[:4, 6:] = 1
+        expected = np.zeros_like(bits)
+        expected[3, 6:] = 1
+        expected[4:, 5] = 1
+        img = BinaryImage(bits=bits)
+        np.testing.assert_array_equal(boundary_ring(img).bits, expected)
+        np.testing.assert_array_equal(reference_detect_edges_log(img).bits, expected)
+
     @pytest.mark.parametrize("sigma", [0.5, 1.0])
-    def test_default_chain_edges_are_the_silhouette_boundary_ring(self, sigma):
-        corpus = make_corpus(0, persons=2, samples=2)
-        for img in (img for row in corpus.images for img in row):
-            silhouette = binarize(lowpass_filter(img))
-            edges = detect_edges_log(silhouette, sigma)
-            np.testing.assert_array_equal(
-                edges.bits.astype(bool), boundary_of(silhouette.bits.astype(bool))
-            )
+    @settings(deadline=None, max_examples=15)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dpi=st.floats(60.0, 150.0),
+        noise=st.floats(0.0, 0.05),
+        radius=st.integers(0, 1),
+    )
+    def test_equals_the_log_on_noisy_renders(self, sigma, seed, dpi, noise, radius):
+        params = dataclasses.replace(_draw_prototype(np.random.default_rng(seed)), seed=seed)
+        img, _ = render(params, dpi, noise)
+        silhouette = binarize(lowpass_filter(img, radius))
+        expected = reference_detect_edges_log(silhouette, sigma)
+        np.testing.assert_array_equal(boundary_ring(silhouette).bits, expected.bits)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0])
+    @settings(deadline=None, max_examples=100)
+    @given(opened_blobs())
+    def test_equals_the_log_on_opened_blobs(self, sigma, blob):
+        expected = reference_detect_edges_log(blob, sigma)
+        np.testing.assert_array_equal(boundary_ring(blob).bits, expected.bits)
+
+    def test_a_lone_pixel_leaves_no_loop_where_the_log_drew_a_diamond(self):
+        pixels = np.zeros((9, 9))
+        pixels[4, 4] = 1.0
+        silhouette = binarize(GrayImage(pixels))
+        np.testing.assert_array_equal(boundary_ring(silhouette).bits, silhouette.bits)
+        with pytest.raises(ContourError, match="no closed contour loop"):
+            extract(GrayImage(pixels), ExtractionSettings(kernel_radius=0))
+        with pytest.raises(LandmarkError, match="contour of 4 pixels is too short"):
+            find_landmarks(trace_contour(reference_detect_edges_log(silhouette)))
+
+    def test_the_chain_runs_along_a_one_pixel_spur_not_around_it(self):
+        bits = np.zeros((36, 36), dtype=np.uint8)
+        bits[9:31, 9:31] = 1
+        bits[5:9, 20] = 1
+        img = BinaryImage(bits=bits)
+        assert len(trace_contour(boundary_ring(img))) == 90
+        assert len(trace_contour(reference_detect_edges_log(img))) == 92
 
     def test_two_blobs_yield_two_closed_loops(self):
         bits = np.zeros((30, 60), dtype=np.uint8)
         bits[8:22, 8:22] = 1
         bits[8:22, 38:52] = 1
-        edges = detect_edges_log(BinaryImage(bits=bits), sigma=1.0)
+        edges = boundary_ring(BinaryImage(bits=bits))
         _, count = ndimage.label(edges.bits, structure=np.ones((3, 3)))
         assert count == 2
-
-    def test_non_positive_sigma_is_rejected(self):
-        with pytest.raises(ValueError, match="sigma"):
-            detect_edges_log(BinaryImage(bits=np.ones((3, 3))), sigma=0.0)

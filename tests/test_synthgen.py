@@ -109,6 +109,12 @@ class TestRender:
         with pytest.raises(RenderError, match="tilt"):
             render(dataclasses.replace(canonical_params(), tilt_deg=11.0))
 
+    def test_canonical_hand_renders_and_extracts_at_30_dpi(self):
+        # The corner clearance scales with dpi, like every other margin.
+        img, _ = render(canonical_params(), dpi=30.0)
+        marks = extract(img).landmarks
+        assert len(marks.tips) == 5 and len(marks.valleys) == 4
+
     def test_tilted_hand_still_yields_all_landmarks(self):
         img, _ = render(
             dataclasses.replace(canonical_params(), tilt_deg=7.0), noise_level=0.0

@@ -2,12 +2,23 @@
 
 All classifiers operate on 9-dimensional feature vectors scaled to [-1, 1]
 and decide closed-set identity by argmax (or minimum distance). Training is
-deterministic given the seed; ties always break toward the lowest person id
-so repeated runs agree bit for bit.
+deterministic given the seed, and ties always break toward the lowest person
+id. A single mlp_train call also depends on the BLAS thread count, which
+follows the core count; multi-start populations train in single-threaded
+worker processes (PopulationTraining), so their weights equal a serial run
+with one BLAS thread on any number of cores.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import pickle
+import selectors
+import signal
+import subprocess
+import sys
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -235,7 +246,7 @@ class _NormalBlocks(NamedTuple):
     out: np.ndarray  # (hidden + 1) x (hidden + 1)
     cross: np.ndarray  # P_h x (hidden + 1)
     w2: np.ndarray  # n_out x hidden
-    w2_gram: np.ndarray  # hidden x hidden: w2^T w2
+    unit_gram: np.ndarray  # P_h x P_h: (w2^T w2)[h, h'] for every parameter of units h, h'
     g_hid: np.ndarray  # hidden x (n_in + 1)
     g_out: np.ndarray  # n_out x (hidden + 1)
     reg: float  # reg_scale**2, the regularizer's share of the diagonal
@@ -269,14 +280,15 @@ def _normal_blocks(theta, x, t, hidden, gamma, reg_scale) -> _NormalBlocks:
     err = t - out
     n_hid = u.shape[1]
     gram = s2 * (ua.T @ ua)
-    w2_gram = w2.T @ w2
-    hid = gram[:n_hid, :n_hid].reshape(hidden, n_in + 1, hidden, n_in + 1)
+    unit_gram = np.repeat(np.repeat(w2.T @ w2, n_in + 1, axis=0), n_in + 1, axis=1)
+    hid = gram[:n_hid, :n_hid]
+    np.multiply(hid, unit_gram, out=hid)
     return _NormalBlocks(
-        hid=(hid * w2_gram[:, None, :, None]).reshape(n_hid, n_hid),
+        hid=hid,
         out=gram[n_hid:, n_hid:],
         cross=gram[:n_hid, n_hid:],
         w2=w2,
-        w2_gram=w2_gram,
+        unit_gram=unit_gram,
         g_hid=-s2 * ((d1 * (err @ w2)).T @ xb) + reg * _by_unit(theta[:n_hid], hidden * n_in),
         g_out=-s2 * (err.T @ ua[:, n_hid:]) + reg * _by_unit(theta[n_hid:], n_out * hidden),
         reg=reg,
@@ -308,8 +320,9 @@ def _lm_step(blocks: _NormalBlocks, lam: float) -> np.ndarray:
     l_inv = np.linalg.inv(np.linalg.cholesky(b.out + mu * np.eye(len(b.out))))
     cross_l = b.cross @ l_inv.T  # P_h x (hidden + 1)
     grad_l = l_inv @ b.g_out.T  # (hidden + 1) x n_out
-    eliminated = (cross_l @ cross_l.T).reshape(hidden, width, hidden, width)
-    schur = b.hid - (eliminated * b.w2_gram[:, None, :, None]).reshape(b.hid.shape)
+    schur = cross_l @ cross_l.T  # the eliminated term, before weighting by unit_gram
+    np.multiply(schur, b.unit_gram, out=schur)
+    np.subtract(b.hid, schur, out=schur)
     schur.flat[:: len(schur) + 1] += mu
     rhs = ((cross_l @ grad_l).reshape(hidden, width, -1) * b.w2.T[:, None, :]).sum(axis=2)
     rhs -= b.g_hid
@@ -394,15 +407,176 @@ def _identification_rate(model: MlpModel, data: list[tuple[int, np.ndarray]]) ->
     return correct / len(data)
 
 
+#: Thread-count variables of the BLAS builds NumPy and SciPy may load; each
+#: training worker gets 1, so n workers keep n cores busy. A second BLAS thread
+#: gains nothing at these matrix sizes.
+_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+_WORKER = "from handgeo.classifiers import _worker_main; _worker_main()"
+
+
+def _cores() -> int:
+    """Cores this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _worker_main() -> None:
+    """A training worker: unpickle (train, cfg, hidden) jobs from stdin and
+    pickle each trained model, or the exception its training raised, to
+    stdout, until stdin ends."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent kills its workers
+    jobs, results = sys.stdin.buffer, sys.stdout.buffer
+    while True:
+        try:
+            job = pickle.load(jobs)
+        except EOFError:  # the parent closed the stream, or died
+            return
+        try:
+            result = mlp_train(*job)
+        except Exception as exc:
+            result = exc
+        pickle.dump(result, results, pickle.HIGHEST_PROTOCOL)
+        results.flush()
+
+
+class PopulationTraining:
+    """The multi-start population of each config, one model per seed
+    cfg.seed + 0..K-1, trained in worker processes when there are cores.
+
+    Construction checks the inputs. With more than one core it starts
+    min(cores, members) worker processes with single-threaded BLAS and gives
+    each its first job, so the caller can work while they start up; jobs go
+    out one at a time, the longest (most epochs) first. On one core,
+    members() trains in this process. Use it as a context manager: leaving
+    the block waits for every worker, and kills any still running first when
+    the block raised.
+    """
+
+    def __init__(
+        self,
+        train: list[tuple[int, np.ndarray]],
+        cfgs: list[TrainConfig],
+        hidden: int = DEFAULT_HIDDEN,
+    ):
+        if not train:
+            raise ConfigError("empty training set")
+        if hidden < 1:
+            raise ConfigError(f"hidden units must be >= 1, got {hidden}")
+        self._sizes = [cfg.multistart for cfg in cfgs]
+        self._jobs = [
+            (train, replace(cfg, seed=cfg.seed + k), hidden)
+            for cfg in cfgs
+            for k in range(cfg.multistart)
+        ]
+        # sorted() keeps seed order among jobs of equal length.
+        self._queue = sorted(
+            range(len(self._jobs)), key=lambda i: self._jobs[i][1].epochs, reverse=True
+        )
+        self._busy: dict[subprocess.Popen, int] = {}  # worker -> index of its job
+        self._workers: list[subprocess.Popen] = []
+        cores = _cores()
+        if cores < 2:
+            return
+        root = str(Path(__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": path}
+        try:
+            for _ in range(min(cores, len(self._jobs))):
+                self._workers.append(
+                    subprocess.Popen(
+                        [sys.executable, "-c", _WORKER],
+                        stdin=subprocess.PIPE,
+                        stdout=subprocess.PIPE,
+                        env=env,
+                    )
+                )
+            for worker in self._workers:
+                self._feed(worker)
+        except BaseException:
+            self._close(kill=True)
+            raise
+
+    def __enter__(self) -> PopulationTraining:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._close(kill=exc_type is not None)
+
+    def _lost(self, worker: subprocess.Popen) -> TrainingError:
+        return TrainingError(
+            f"a training worker exited with code {worker.wait()} before returning a model"
+        )
+
+    def _feed(self, worker: subprocess.Popen) -> bool:
+        """Send the worker the next job; without one, end its job stream."""
+        if not self._queue:
+            worker.stdin.close()
+            return False
+        index = self._queue.pop(0)
+        try:
+            pickle.dump(self._jobs[index], worker.stdin, pickle.HIGHEST_PROTOCOL)
+            worker.stdin.flush()
+        except BrokenPipeError:
+            raise self._lost(worker) from None
+        self._busy[worker] = index
+        return True
+
+    def _receive(self, worker: subprocess.Popen) -> MlpModel:
+        try:
+            result = pickle.load(worker.stdout)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._lost(worker) from None
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    def members(self) -> list[list[MlpModel]]:
+        """One population per config, each in seed order."""
+        if not self._workers:
+            models = [mlp_train(*job) for job in self._jobs]
+        else:
+            models = [None] * len(self._jobs)
+            with selectors.DefaultSelector() as selector:
+                for worker in self._busy:
+                    selector.register(worker.stdout, selectors.EVENT_READ, worker)
+                while self._busy:
+                    for key, _ in selector.select():
+                        worker = key.data
+                        model = self._receive(worker)
+                        models[self._busy.pop(worker)] = model
+                        if not self._feed(worker):
+                            selector.unregister(worker.stdout)
+        it = iter(models)
+        return [[next(it) for _ in range(size)] for size in self._sizes]
+
+    def _close(self, kill: bool = False) -> None:
+        """Wait for every worker; with kill, kill those still running first."""
+        for worker in self._workers:
+            if kill and worker.poll() is None:
+                worker.kill()
+        for worker in self._workers:
+            with suppress(OSError):  # unsent bytes of a job to a dead worker
+                worker.stdin.close()  # a worker exits when its job stream ends
+            worker.wait()
+            worker.stdout.close()
+
+
+def train_populations(
+    train: list[tuple[int, np.ndarray]],
+    cfgs: list[TrainConfig],
+    hidden: int = DEFAULT_HIDDEN,
+) -> list[list[MlpModel]]:
+    """The multi-start population of each config (see PopulationTraining)."""
+    with PopulationTraining(train, cfgs, hidden) as training:
+        return training.members()
+
+
 def train_members(
     train: list[tuple[int, np.ndarray]],
     cfg: TrainConfig,
     hidden: int = DEFAULT_HIDDEN,
 ) -> list[MlpModel]:
     """The multi-start population: one model per seed cfg.seed + 0..K-1."""
-    return [
-        mlp_train(train, replace(cfg, seed=cfg.seed + k), hidden) for k in range(cfg.multistart)
-    ]
+    return train_populations(train, [cfg], hidden)[0]
 
 
 def multistart_select(
@@ -578,12 +752,20 @@ def save_model(model: MlpModel | RbfModel | TemplateDb, path: str | Path) -> Non
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not a finite number")
+    return value
+
+
 def _floats(text: str) -> np.ndarray:
-    return np.array([float(v) for v in text.split()])
+    return np.array([_float(v) for v in text.split()])
 
 
 def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
-    """Inverse of save_model; a missing or malformed field is a ConfigError.
+    """Inverse of save_model; a missing or malformed field, or a number that
+    is not finite, is a ConfigError naming the field.
     Fields it does not read, such as older files' damping lines, are ignored."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("handgeo-model"):
@@ -626,7 +808,7 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
         cfg = TrainConfig(
             loss=read("loss"),
             epochs=read("epochs", int),
-            gamma=read("gamma", float),
+            gamma=read("gamma", _float),
             multistart=read("multistart", int),
             seed=read("seed", int),
         )
@@ -645,7 +827,7 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
         return RbfModel(
             person_ids=person_ids,
             centres=read("centre_rows", lambda t: _floats(t).reshape(k, n_in)),
-            spread=read("spread", float),
+            spread=read("spread", _float),
             weights=read("weights", lambda t: _floats(t).reshape(len(person_ids), k)),
             requested_centres=read("requested", int),
             scaler=scaler,

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ContourError, LandmarkError
 from .imaging import BinaryImage
@@ -122,6 +121,8 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
     Traversal is counter-clockwise from the loop's topmost-then-leftmost
     pixel. Equal-length loops tie-break on the smaller (y, x) start.
     """
+    from scipy import ndimage  # imported here for the reason given in imaging.lowpass_filter
+
     labels, _ = ndimage.label(edges.bits, structure=np.ones((3, 3), dtype=int))
     # A one-pixel zero border lets every neighbour lookup index the flat map.
     flat = np.pad(labels, 1).ravel()

@@ -18,7 +18,7 @@ from .classifiers import (
     DEFAULT_GAMMA,
     DEFAULT_HIDDEN,
     DEFAULT_MULTISTART,
-    MlpModel,
+    PopulationTraining,
     TemplateDb,
     TrainConfig,
     committee_identify,
@@ -27,7 +27,6 @@ from .classifiers import (
     nn_identify,
     rbf_identify,
     rbf_train,
-    train_members,
 )
 from .errors import ConfigError, HandGeoError
 from .features import apply_scaler, fit_scaler
@@ -171,26 +170,26 @@ def evaluate_features(
     """The classifier protocol on already-extracted feature entries."""
     train_pairs, test_s = scaled_halves(entries)
     base = TrainConfig(seed=train_seed, gamma=gamma, multistart=multistart)
+    losses = ("mse", "msereg")
+    # epochs=None re-resolves the per-loss default instead of inheriting base's.
+    cfgs = [replace(base, loss=loss, epochs=None) for loss in losses]
 
-    db = TemplateDb(entries=train_pairs)
-    rates: dict[str, float] = {}
-    rates["nn_mad"] = run_identification(lambda v: nn_identify(v, db, "mad"), test_s)
-    rates["nn_mse"] = run_identification(lambda v: nn_identify(v, db, "mse"), test_s)
+    # The training workers start up while this process runs NN and RBF.
+    with PopulationTraining(train_pairs, cfgs, hidden) as training:
+        db = TemplateDb(entries=train_pairs)
+        rates: dict[str, float] = {}
+        rates["nn_mad"] = run_identification(lambda v: nn_identify(v, db, "mad"), test_s)
+        rates["nn_mse"] = run_identification(lambda v: nn_identify(v, db, "mse"), test_s)
+        rbf = rbf_train(train_pairs, min(rbf_centres, len(train_pairs)), rbf_spread)
+        members = dict(zip(losses, training.members()))
 
-    members: dict[str, list[MlpModel]] = {}
-    for loss in ("mse", "msereg"):
-        # epochs=None re-resolves the per-loss default instead of inheriting base's.
-        cfg = replace(base, loss=loss, epochs=None)
-        members[loss] = train_members(train_pairs, cfg, hidden)
+    for loss in losses:
         best = multistart_select(members[loss], train_pairs)
         rates[f"mlp_{loss}"] = run_identification(lambda v, m=best: mlp_identify(m, v), test_s)
         committee = members[loss][:COMMITTEE_SIZE]
         rates[f"committee_{loss}"] = run_identification(
             lambda v, c=committee: committee_identify(c, v), test_s
         )
-
-    n_centres = min(rbf_centres, len(train_pairs))
-    rbf = rbf_train(train_pairs, n_centres, rbf_spread)
     rates["rbf"] = run_identification(lambda v: rbf_identify(rbf, v), test_s)
 
     split = Split()

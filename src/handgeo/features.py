@@ -145,7 +145,8 @@ def save_features(path: str | Path, entries: list[tuple[int, int, np.ndarray]]) 
 
 
 def load_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
-    """Inverse of save_features; a short or non-numeric row is a FormatError."""
+    """Inverse of save_features; a short row or a cell that is not a finite
+    number is a FormatError."""
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
     entries = []
@@ -153,7 +154,11 @@ def load_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
         try:
             if len(row) != len(header) or len(row) < 3:
                 raise ValueError(f"{len(row)} cells, the header has {len(header)}")
-            entries.append((int(row[0]), int(row[1]), np.array([float(v) for v in row[2:]])))
+            values = [float(v) for v in row[2:]]
+            if not all(map(math.isfinite, values)):
+                k = next(k for k, v in enumerate(values) if not math.isfinite(v))
+                raise ValueError(f"{header[k + 2]} is {values[k]}, not a finite number")
+            entries.append((int(row[0]), int(row[1]), np.array(values)))
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: {exc}") from None
     return entries

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import FormatError, SizeError
 
@@ -185,6 +184,11 @@ def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -
         raise ValueError(f"kernel_radius must be in [0, {MAX_KERNEL_RADIUS}], got {kernel_radius}")
     if kernel_radius == 0:
         return GrayImage(pixels=img.pixels.copy(), dpi=img.dpi)
+    # Imported here: scipy.ndimage takes about 0.16 s to import, which the
+    # processes that never filter an image (training workers, eval of a
+    # features CSV) need not pay.
+    from scipy import ndimage
+
     size = 2 * kernel_radius + 1
     out = ndimage.uniform_filter(img.pixels, size=size, mode="nearest")
     flat = ~_window_varies(img.pixels, kernel_radius)

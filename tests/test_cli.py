@@ -277,6 +277,23 @@ class TestTrain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"format_error: {path}:4: ")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", [["train", "--kind", "mlp"], ["eval"]])
+    def test_non_finite_cell_is_a_format_error_with_its_line(
+        self, tmp_path, features_csv, capsys, command, cell
+    ):
+        lines = features_csv.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = cell
+        lines[3] = ",".join(cells)
+        features_csv.write_text("\n".join(lines) + "\n")
+        code = main(command + ["--features", str(features_csv), "--out", str(tmp_path / "m")])
+        assert code == 1
+        column = lines[0].split(",")[4]
+        assert capsys.readouterr().err.splitlines() == [
+            f"format_error: {features_csv}:4: {column} is {float(cell)}, not a finite number"
+        ]
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("hidden", ["0", "-3"])
     def test_non_positive_hidden_count_fails_cleanly(
@@ -348,6 +365,26 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"config_error: {model}: ")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind,field", [("mlp", "w1"), ("rbf", "spread"), ("nn", "template")])
+    def test_non_finite_model_number_is_a_config_error_naming_its_field(
+        self, tmp_path, features_csv, capsys, kind, field, cell
+    ):
+        model = tmp_path / f"{kind}.model"
+        main(["train", "--features", str(features_csv), "--out", str(model), "--kind", kind,
+              "--multistart", "1", "--hidden", "4", "--centres", "5"])
+        lines = model.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith(f"{field} "))
+        lines[row] = lines[row].rsplit(" ", 1)[0] + f" {cell}"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
+                     "--models", str(model)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config_error: {model}: field {field!r}: {float(cell)} is not a finite number"
+        ]
 
     def test_model_of_another_feature_width_fails_cleanly(
         self, tmp_path, features_csv, capsys

@@ -1,0 +1,159 @@
+"""Multi-start populations trained in worker processes."""
+
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from handgeo import classifiers
+from handgeo.classifiers import PopulationTraining, TrainConfig, mlp_train, train_populations
+from handgeo.cli import main
+from handgeo.errors import ConfigError, TrainingError
+from handgeo.features import save_features
+
+CFGS = [TrainConfig(loss="mse", multistart=2, seed=3), TrainConfig(loss="msereg", multistart=3)]
+HIDDEN = 4
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+KILLED = "a training worker exited with code -9 before returning a model"
+
+#: Trains the pickled (train, cfgs, hidden) one member after another and
+#: pickles the populations to stdout.
+SERIAL = """
+import pickle, sys
+from dataclasses import replace
+from handgeo.classifiers import mlp_train
+train, cfgs, hidden = pickle.load(sys.stdin.buffer)
+pickle.dump(
+    [[mlp_train(train, replace(c, seed=c.seed + k), hidden) for k in range(c.multistart)]
+     for c in cfgs],
+    sys.stdout.buffer,
+)
+"""
+
+
+def toy_set():
+    """Three persons, four 9-D samples each."""
+    rng = np.random.default_rng(5)
+    centres = rng.uniform(-1, 1, size=(3, 9))
+    return [(p, centres[p] + rng.normal(0, 0.1, 9)) for p in range(3) for _ in range(4)]
+
+
+def weights(populations):
+    return [
+        [(m.config.seed, m.loss_history, [a.tobytes() for a in (m.w1, m.b1, m.w2, m.b2)])
+         for m in members]
+        for members in populations
+    ]
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """Every process started while the test runs, on a machine of 2 cores."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.env = kwargs.get("env")
+            started.append(self)
+
+    monkeypatch.setattr(classifiers, "_cores", lambda: 2)
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def all_waited(started):
+    return all(w.returncode is not None and w.stdin.closed and w.stdout.closed for w in started)
+
+
+def test_members_equal_a_single_threaded_serial_run(workers):
+    populations = train_populations(toy_set(), CFGS, HIDDEN)
+    assert len(workers) == 2 and all_waited(workers)
+    assert [[m.config.seed for m in members] for members in populations] == [[3, 4], [0, 1, 2]]
+
+    env = dict(os.environ, **ONE_THREAD, PYTHONPATH=str(Path(classifiers.__file__).parents[1]))
+    serial = subprocess.run(
+        [sys.executable, "-c", SERIAL],
+        input=pickle.dumps((toy_set(), CFGS, HIDDEN)),
+        capture_output=True,
+        env=env,
+        check=True,
+    )
+    assert weights(populations) == weights(pickle.loads(serial.stdout))
+
+
+def test_one_core_trains_in_this_process(workers, monkeypatch):
+    monkeypatch.setattr(classifiers, "_cores", lambda: 1)
+    in_process = train_populations(toy_set(), CFGS, HIDDEN)
+    assert workers == []
+    monkeypatch.setattr(classifiers, "_cores", lambda: 2)
+    assert weights(in_process) == weights(train_populations(toy_set(), CFGS, HIDDEN))
+
+
+def test_only_the_workers_get_one_blas_thread(workers, monkeypatch):
+    for name in ONE_THREAD:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    train_populations(toy_set(), CFGS, HIDDEN)
+    assert len(workers) == 2
+    assert all(w.env.items() >= ONE_THREAD.items() for w in workers)
+    assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize(
+    "train,hidden,message",
+    [([], HIDDEN, "empty training set"), (toy_set(), 0, "hidden units must be >= 1, got 0")],
+)
+def test_bad_inputs_fail_before_any_worker_starts(workers, train, hidden, message):
+    with pytest.raises(ConfigError, match=message):
+        train_populations(train, CFGS, hidden)
+    assert workers == []
+
+
+def test_a_job_that_raises_is_re_raised_after_every_worker_is_waited_for(workers):
+    ragged = toy_set() + [(0, np.zeros(8))]
+    with pytest.raises(ValueError) as serial:
+        mlp_train(ragged, CFGS[0], HIDDEN)
+    with pytest.raises(ValueError) as parallel:
+        train_populations(ragged, CFGS, HIDDEN)
+    assert str(parallel.value) == str(serial.value)
+    assert len(workers) == 2 and all_waited(workers)
+
+
+def test_a_killed_worker_ends_the_call_with_a_training_error(workers):
+    with pytest.raises(TrainingError, match=KILLED):
+        with PopulationTraining(toy_set(), CFGS, HIDDEN) as training:
+            workers[0].kill()
+            training.members()
+    assert len(workers) == 2 and all_waited(workers)
+
+
+def test_an_interrupt_in_the_block_kills_the_workers(workers):
+    with pytest.raises(KeyboardInterrupt):
+        with PopulationTraining(toy_set(), CFGS, HIDDEN):
+            raise KeyboardInterrupt
+    assert [w.returncode for w in workers] == [-9, -9] and all_waited(workers)
+
+
+@pytest.mark.parametrize("command", [["train", "--kind", "mlp"], ["eval"]])
+def test_a_killed_worker_is_one_training_error_line(
+    workers, monkeypatch, tmp_path, capsys, command
+):
+    features = tmp_path / "features.csv"
+    rng = np.random.default_rng(1)
+    save_features(features, [(p, j, rng.normal(p, 0.1, 9)) for p in range(3) for j in range(10)])
+    members = PopulationTraining.members
+
+    def kill_first_worker(self):
+        workers[0].kill()
+        return members(self)
+
+    monkeypatch.setattr(PopulationTraining, "members", kill_first_worker)
+    argv = command + ["--features", str(features), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--hidden", "4", "--multistart", "2"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"training_error: {KILLED}"]
+    assert len(workers) == 2 and all_waited(workers)

@@ -402,11 +402,6 @@ def mlp_identify(model: MlpModel, x: np.ndarray) -> int:
     return model.person_ids[int(np.argmax(model.outputs(x)))]
 
 
-def _identification_rate(model: MlpModel, data: list[tuple[int, np.ndarray]]) -> float:
-    correct = sum(mlp_identify(model, v) == p for p, v in data)
-    return correct / len(data)
-
-
 #: Thread-count variables of the BLAS builds NumPy and SciPy may load; each
 #: training worker gets 1, so n workers keep n cores busy. A second BLAS thread
 #: gains nothing at these matrix sizes.
@@ -583,8 +578,8 @@ def multistart_select(
     members: list[MlpModel], train: list[tuple[int, np.ndarray]]
 ) -> MlpModel:
     """Member with the highest training-set rate; ties keep the lowest seed."""
-    rates = [_identification_rate(m, train) for m in members]
-    return members[int(np.argmax(rates))]
+    correct = [sum(mlp_identify(m, v) == p for p, v in train) for m in members]
+    return members[int(np.argmax(correct))]
 
 
 def committee_identify(models: list[MlpModel], x: np.ndarray) -> int:

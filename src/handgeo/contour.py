@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -24,10 +23,19 @@ from .imaging import BinaryImage
 
 #: (dx, dy) step of each direction code.
 DELTAS = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
-_DX = tuple(dx for dx, _ in DELTAS)
-_DY = tuple(dy for _, dy in DELTAS)
+_DX = np.array([dx for dx, _ in DELTAS])
+_DY = np.array([dy for _, dy in DELTAS])
+_CODES = frozenset(range(8))
 
 _SQRT2 = math.sqrt(2.0)
+
+#: y prominence, in pixels, that separates a fingertip from a valley.
+_HYSTERESIS = 3
+
+
+def _as_array(codes: tuple[int, ...] | list[int]) -> np.ndarray:
+    """Direction codes as a uint8 array (bytes() converts ints in C)."""
+    return np.frombuffer(bytes(codes), dtype=np.uint8)
 
 
 @dataclass
@@ -39,19 +47,25 @@ class ChainCode:
 
     def __post_init__(self) -> None:
         self.start = (int(self.start[0]), int(self.start[1]))
-        self.codes = tuple(map(int, self.codes))
-        if self.codes and not (0 <= min(self.codes) and max(self.codes) <= 7):
+        self.codes = tuple(self.codes)
+        if not _CODES.issuperset(self.codes):
             raise ValueError("chain codes must be in 0..7")
 
     def __len__(self) -> int:
         return len(self.codes)
 
+    def _replay(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y arrays of the pixels before each code is applied."""
+        x0, y0 = self.start
+        steps = _as_array(self.codes[:-1])
+        xs = np.cumsum(np.concatenate(([x0], _DX[steps])))
+        ys = np.cumsum(np.concatenate(([y0], _DY[steps])))
+        return xs, ys
+
     def pixels(self) -> list[tuple[int, int]]:
         """Replay the codes; entry i is the pixel before codes[i] is applied."""
-        x0, y0 = self.start
-        xs = accumulate((_DX[c] for c in self.codes[:-1]), initial=x0)
-        ys = accumulate((_DY[c] for c in self.codes[:-1]), initial=y0)
-        return list(zip(xs, ys))
+        xs, ys = self._replay()
+        return list(zip(xs.tolist(), ys.tolist()))
 
 
 @dataclass
@@ -67,7 +81,7 @@ def perimeter(chain: ChainCode) -> float:
     """Chain length in pixel units: +1 per even code, +sqrt(2) per odd."""
     if not chain.codes:
         raise ValueError("perimeter of an empty chain is undefined")
-    odd = sum(c & 1 for c in chain.codes)
+    odd = int(np.count_nonzero(_as_array(chain.codes) & 1))
     return (len(chain.codes) - odd) + _SQRT2 * odd
 
 
@@ -83,13 +97,14 @@ _NEXT = tuple(
 
 def _trace_loop(
     occ: dict[int, int], offsets: tuple[int, ...], start: int, size: int
-) -> list[int] | None:
+) -> tuple[list[int], int] | None:
     """Moore walk from flat index `start` over a padded, flattened edge map.
 
     `occ` maps each foreground index to 8 times its neighbour occupancy (a
     row offset into _NEXT), `offsets` gives the flat step of each direction
-    code and `size` is the pixel count of the start's component. Returns the
-    codes, or None when the component holds no cycle.
+    code and `size` bounds the pixel count of the start's component. Returns
+    the codes and the number of distinct pixels walked, or None when the
+    component holds no cycle.
     """
     first = _NEXT[occ[start] + 4]
     if first is None:
@@ -107,12 +122,21 @@ def _trace_loop(
         raise ContourError("contour walk failed to close")
     if len(codes) < 4:
         return None
-    # A walk that covers every pixel-pair twice retraced an open arc.
-    walked = np.concatenate(([start], start + np.cumsum(np.take(offsets, codes))))
-    a, b = walked[:-1], walked[1:]
-    pairs = np.minimum(a, b) * (int(walked.max()) + 1) + np.maximum(a, b)
-    _, counts = np.unique(pairs, return_counts=True)
-    return codes if (counts == 1).any() else None
+    walked = start + np.cumsum(np.take(offsets, _as_array(codes)))  # ends back at start
+    span = int(walked.max()) + 1
+    seen = np.zeros(span, dtype=bool)
+    seen[walked] = True
+    pixels = int(np.count_nonzero(seen))
+    # A walk that covers every pixel-pair twice retraced an open arc. It
+    # joins its pixels by at least pixels - 1 pairs, so it takes at least
+    # twice that many codes.
+    if len(codes) >= 2 * (pixels - 1):
+        a, b = np.concatenate(([start], walked[:-1])), walked
+        pairs = np.minimum(a, b) * span + np.maximum(a, b)
+        _, counts = np.unique(pairs, return_counts=True)
+        if not (counts == 1).any():
+            return None
+    return codes, pixels
 
 
 def trace_contour(edges: BinaryImage) -> ChainCode:
@@ -121,30 +145,42 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
     Traversal is counter-clockwise from the loop's topmost-then-leftmost
     pixel. Equal-length loops tie-break on the smaller (y, x) start.
     """
+    # A one-pixel zero border lets every neighbour lookup index the flat map.
+    width = edges.width + 2
+    padded = np.zeros((edges.height + 2, width), dtype=bool)
+    padded[1:-1, 1:-1] = edges.bits
+    flat = padded.ravel()
+    offsets = tuple(dy * width + dx for dx, dy in DELTAS)
+    idx = np.flatnonzero(flat)
+    nbits = np.zeros(idx.size, dtype=np.int64)
+    for c, off in enumerate(offsets):
+        nbits |= flat[idx + off].astype(np.int64) << c
+    occ = dict(zip(idx.tolist(), (nbits * 8).tolist()))
+
+    # idx is in raster order, so idx[0] is the topmost-then-leftmost pixel of
+    # its component. A loop from it that visits every edge pixel is the only
+    # loop, and labelling the components would find nothing else.
+    if idx.size:
+        start = int(idx[0])
+        walk = _trace_loop(occ, offsets, start, idx.size)
+        if walk is not None and walk[1] == idx.size:
+            y, x = divmod(start, width)  # padded coordinates
+            return ChainCode(start=(x - 1, y - 1), codes=tuple(walk[0]))
+
     from scipy import ndimage  # imported here for the reason given in imaging.lowpass_filter
 
     labels, _ = ndimage.label(edges.bits, structure=np.ones((3, 3), dtype=int))
-    # A one-pixel zero border lets every neighbour lookup index the flat map.
-    flat = np.pad(labels, 1).ravel()
-    width = edges.width + 2
-    offsets = tuple(dy * width + dx for dx, dy in DELTAS)
-    idx = np.flatnonzero(flat != 0)
-    nbits = np.zeros(idx.size, dtype=np.int64)
-    for c, off in enumerate(offsets):
-        nbits |= (flat[idx + off] != 0).astype(np.int64) << c
-    occ = dict(zip(idx.tolist(), (nbits * 8).tolist()))
-    # idx is in raster order, so each label's first entry is the topmost-
-    # then-leftmost pixel of its component.
-    comp = flat[idx]
+    comp = np.pad(labels, 1).ravel()[idx]
+    # Each label's first entry in raster order is its component's start.
     labs, first = np.unique(comp, return_index=True)
     sizes = np.bincount(comp)[labs]
     best: ChainCode | None = None
     for start, size in zip(idx[first].tolist(), sizes.tolist()):
-        codes = _trace_loop(occ, offsets, start, size)
-        if codes is None:
+        walk = _trace_loop(occ, offsets, start, size)
+        if walk is None:
             continue
         y, x = divmod(start, width)  # padded coordinates
-        chain = ChainCode(start=(x - 1, y - 1), codes=tuple(codes))
+        chain = ChainCode(start=(x - 1, y - 1), codes=tuple(walk[0]))
         if (
             best is None
             or len(chain) > len(best)
@@ -157,29 +193,26 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
 
 
 def _alternating_extrema(
-    ys: list[int], anchor: int, hysteresis: int
+    levels: list[int],
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Cyclic minima/maxima plateaus of ys with the given prominence.
+    """Cyclic minima/maxima plateaus of a y profile with _HYSTERESIS prominence.
 
-    Walks one full cycle from `anchor` (an index attaining the global
-    maximum). Returns (minima, maxima) as (first, last) attainment index
-    pairs in walk order; the anchor extremum itself is not reported.
+    `levels` holds the y of each run of equal y, walking one full cycle from
+    just after the anchor (an index attaining the global maximum, whose run
+    ends the walk and is not itself reported). Returns (minima, maxima) as
+    (first, last) attainment pairs of indices into `levels`, in walk order.
     """
-    n = len(ys)
     minima: list[tuple[int, int]] = []
     maxima: list[tuple[int, int]] = []
     seeking_min = True
-    best = ys[anchor]
-    first = last = anchor
-    for k in range(1, n + 1):
-        i = (anchor + k) % n
-        y = ys[i]
+    best, first, last = levels[-1], 0, 0  # the anchor's y; no span is reported yet
+    for i, y in enumerate(levels):
         if seeking_min:
             if y < best:
                 best, first, last = y, i, i
             elif y == best:
                 last = i
-            if y >= best + hysteresis:
+            elif y >= best + _HYSTERESIS:
                 minima.append((first, last))
                 seeking_min, best, first, last = False, y, i, i
         else:
@@ -187,37 +220,45 @@ def _alternating_extrema(
                 best, first, last = y, i, i
             elif y == best:
                 last = i
-            if y <= best - hysteresis:
+            elif y <= best - _HYSTERESIS:
                 maxima.append((first, last))
                 seeking_min, best, first, last = True, y, i, i
     return minima, maxima
 
 
-def _cyclic_midpoint(span: tuple[int, int], n: int) -> int:
-    first, last = span
-    return (first + ((last - first) % n) // 2) % n
-
-
-def find_landmarks(chain: ChainCode, hysteresis: int = 3) -> Landmarks:
+def find_landmarks(chain: ChainCode) -> Landmarks:
     """Locate fingertips, inter-finger valleys, and wrist endpoints.
 
     Requires a fingers-up hand traversed counter-clockwise. Fingertips are
     the contour's local y-minima (the midpoints of ascending-band to
     descending-band transitions), valleys the local y-maxima between
     fingers; the wrist crossing at the contour's bottommost row anchors the
-    walk and is excluded from the valleys. The hysteresis (pixels of y
-    prominence) absorbs staircase jitter on tilted runs.
+    walk and is excluded from the valleys. The _HYSTERESIS pixels of y
+    prominence absorb staircase jitter on tilted runs.
     """
-    pts = chain.pixels()
-    ys = [p[1] for p in pts]
-    n = len(pts)
+    xs, ys = chain._replay()
+    n = ys.size
     if n < 8:
         raise LandmarkError(f"contour of {n} pixels is too short for a hand")
-    bottom_y = max(ys)
-    anchor = ys.index(bottom_y)
-    minima, maxima = _alternating_extrema(ys, anchor, hysteresis)
-    tips = [pts[_cyclic_midpoint(span, n)] for span in minima]
-    valleys = [pts[_cyclic_midpoint(span, n)] for span in maxima]
+    bottom_y = int(ys.max())
+    bottom = np.flatnonzero(ys == bottom_y)
+    anchor = int(bottom[0])
+    # The walk visits the y profile from just after the anchor round to it.
+    # Each run of equal y moves the extrema walker as one entry would: the
+    # entries after the first only extend its span. So the walker steps over
+    # the runs, and run spans map back to first and last pixel positions.
+    walk = np.roll(ys, -(anchor + 1))
+    starts = np.flatnonzero(np.diff(walk, prepend=walk[-1] + 1))
+    ends = np.append(starts[1:], n) - 1
+    minima, maxima = _alternating_extrema(walk[starts].tolist())
+
+    def point(span: tuple[int, int]) -> tuple[int, int]:
+        first, last = int(starts[span[0]]), int(ends[span[1]])
+        i = (anchor + 1 + first + (last - first) // 2) % n
+        return int(xs[i]), int(ys[i])
+
+    tips = [point(span) for span in minima]
+    valleys = [point(span) for span in maxima]
     if len(tips) != 5 or len(valleys) != 4:
         raise LandmarkError(
             f"expected 5 fingertips and 4 valleys, found {len(tips)} and {len(valleys)}"
@@ -228,6 +269,5 @@ def find_landmarks(chain: ChainCode, hysteresis: int = 3) -> Landmarks:
         if not (tips[j][1] < valley[1] and tips[j + 1][1] < valley[1]):
             raise LandmarkError("fingertips do not rise above their valleys")
 
-    bottom = [i for i, y in enumerate(ys) if y == bottom_y]
-    wrist = (pts[bottom[0]], pts[bottom[-1]])
+    wrist = ((int(xs[bottom[0]]), bottom_y), (int(xs[bottom[-1]]), bottom_y))
     return Landmarks(tips=tips, valleys=valleys, wrist=wrist)

@@ -103,6 +103,11 @@ def split_entries(entries: list[Entry], split: Split) -> tuple[list[Entry], list
 def scaled_halves(entries: list[Entry]) -> tuple[list[tuple[int, np.ndarray]], list[Entry]]:
     """Scaled (person, vector) training pairs and scaled test entries of the
     default split; the scaler is fitted on the training half."""
+    for p, j, v in entries:
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            k = int(bad[0])
+            raise ConfigError(f"person {p} sample {j}: feature {k} is {v[k]}, not a finite number")
     train_e, test_e = split_entries(entries, Split())
     if not train_e or not test_e:
         raise ConfigError("the split left one half of the corpus empty")

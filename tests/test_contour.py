@@ -1,22 +1,24 @@
 """Chain-code tracing, perimeter arithmetic, and landmark location."""
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
 from handgeo.contour import (
     DELTAS,
     ChainCode,
+    Landmarks,
     find_landmarks,
     perimeter,
     trace_contour,
 )
-from handgeo.errors import ContourError, LandmarkError
-from handgeo.imaging import BinaryImage, binarize, boundary_ring
+from handgeo.errors import ContourError, HandGeoError, LandmarkError
+from handgeo.imaging import BinaryImage, binarize, boundary_ring, lowpass_filter
 from handgeo.synthgen import canonical_params, render
 
 
@@ -89,6 +91,93 @@ def reference_trace_contour(edges: BinaryImage) -> ChainCode:
     return best
 
 
+# -- reference landmarks: the per-pixel walk the run-length one replaced --
+
+
+def reference_pixels(chain: ChainCode) -> list[tuple[int, int]]:
+    """Replay the codes; entry i is the pixel before codes[i] is applied."""
+    x0, y0 = chain.start
+    xs = accumulate((DELTAS[c][0] for c in chain.codes[:-1]), initial=x0)
+    ys = accumulate((DELTAS[c][1] for c in chain.codes[:-1]), initial=y0)
+    return list(zip(xs, ys))
+
+
+def reference_perimeter(chain: ChainCode) -> float:
+    if not chain.codes:
+        raise ValueError("perimeter of an empty chain is undefined")
+    odd = sum(c & 1 for c in chain.codes)
+    return (len(chain.codes) - odd) + math.sqrt(2.0) * odd
+
+
+def _alternating_extrema(
+    ys: list[int], anchor: int, hysteresis: int
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """Cyclic minima/maxima plateaus of ys with the given prominence.
+
+    Walks one full cycle from `anchor` (an index attaining the global
+    maximum). Returns (minima, maxima) as (first, last) attainment index
+    pairs in walk order; the anchor extremum itself is not reported.
+    """
+    n = len(ys)
+    minima: list[tuple[int, int]] = []
+    maxima: list[tuple[int, int]] = []
+    seeking_min = True
+    best = ys[anchor]
+    first = last = anchor
+    for k in range(1, n + 1):
+        i = (anchor + k) % n
+        y = ys[i]
+        if seeking_min:
+            if y < best:
+                best, first, last = y, i, i
+            elif y == best:
+                last = i
+            if y >= best + hysteresis:
+                minima.append((first, last))
+                seeking_min, best, first, last = False, y, i, i
+        else:
+            if y > best:
+                best, first, last = y, i, i
+            elif y == best:
+                last = i
+            if y <= best - hysteresis:
+                maxima.append((first, last))
+                seeking_min, best, first, last = True, y, i, i
+    return minima, maxima
+
+
+def _cyclic_midpoint(span: tuple[int, int], n: int) -> int:
+    first, last = span
+    return (first + ((last - first) % n) // 2) % n
+
+
+def reference_find_landmarks(chain: ChainCode, hysteresis: int = 3) -> Landmarks:
+    """Locate fingertips, inter-finger valleys, and wrist endpoints."""
+    pts = reference_pixels(chain)
+    ys = [p[1] for p in pts]
+    n = len(pts)
+    if n < 8:
+        raise LandmarkError(f"contour of {n} pixels is too short for a hand")
+    bottom_y = max(ys)
+    anchor = ys.index(bottom_y)
+    minima, maxima = _alternating_extrema(ys, anchor, hysteresis)
+    tips = [pts[_cyclic_midpoint(span, n)] for span in minima]
+    valleys = [pts[_cyclic_midpoint(span, n)] for span in maxima]
+    if len(tips) != 5 or len(valleys) != 4:
+        raise LandmarkError(
+            f"expected 5 fingertips and 4 valleys, found {len(tips)} and {len(valleys)}"
+        )
+    tips.sort()
+    valleys.sort()
+    for j, valley in enumerate(valleys):
+        if not (tips[j][1] < valley[1] and tips[j + 1][1] < valley[1]):
+            raise LandmarkError("fingertips do not rise above their valleys")
+
+    bottom = [i for i, y in enumerate(ys) if y == bottom_y]
+    wrist = (pts[bottom[0]], pts[bottom[-1]])
+    return Landmarks(tips=tips, valleys=valleys, wrist=wrist)
+
+
 def ring_of(mask):
     """Edge map of a boolean mask."""
     return boundary_ring(BinaryImage(bits=mask.astype(np.uint8)))
@@ -147,6 +236,40 @@ class TestPerimeter:
             ring = ring_of(rect_mask(h, w))
             chain = trace_contour(ring)
             assert perimeter(chain) == float(ring.bits.sum())
+
+
+def _perimeter_outcome(measure, chain):
+    try:
+        return measure(chain)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+codes_lists = st.lists(st.integers(0, 7), max_size=300)
+starts = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
+
+
+class TestChainArithmetic:
+    """NumPy replay and odd-code count against the per-element forms."""
+
+    @given(starts, codes_lists)
+    @example((3, -2), [])
+    @example((0, 0), [5])
+    def test_pixels_replay_like_accumulate(self, start, codes):
+        chain = ChainCode(start=start, codes=tuple(codes))
+        assert chain.pixels() == reference_pixels(chain)
+
+    @given(codes_lists)
+    @example([])
+    @example([3])
+    def test_perimeter_counts_odd_codes_like_the_sum(self, codes):
+        chain = ChainCode(start=(0, 0), codes=tuple(codes))
+        assert _perimeter_outcome(perimeter, chain) == _perimeter_outcome(reference_perimeter, chain)
+
+    @pytest.mark.parametrize("codes", [(8,), (0, 1, -1), (2, 9, 2)])
+    def test_codes_outside_0_to_7_are_rejected(self, codes):
+        with pytest.raises(ValueError, match="0..7"):
+            ChainCode(start=(0, 0), codes=codes)
 
 
 class TestTraceContour:
@@ -259,6 +382,57 @@ class TestTableDrivenWalk:
             edges = boundary_ring(binarize(img))
             assert _outcome(trace_contour, edges) == _outcome(reference_trace_contour, edges)
 
+    @staticmethod
+    def _trace_counting_labels(edges, monkeypatch):
+        """trace_contour's outcome and how often it labelled components."""
+        calls = []
+        label = ndimage.label
+        with monkeypatch.context() as m:
+            m.setattr(ndimage, "label", lambda *a, **k: calls.append(a) or label(*a, **k))
+            outcome = _outcome(trace_contour, edges)
+        return outcome, len(calls)
+
+    def test_a_lone_hand_is_traced_without_labelling(self, monkeypatch):
+        img, _ = render(canonical_params(), noise_level=0.0)
+        edges = boundary_ring(binarize(img))
+        assert self._trace_counting_labels(edges, monkeypatch) == (
+            _outcome(reference_trace_contour, edges),
+            0,
+        )
+
+    @pytest.mark.parametrize("speck", ["above", "below"])
+    def test_a_hand_with_a_detached_speck_falls_back_to_labelling(self, speck, monkeypatch):
+        img, _ = render(canonical_params(), noise_level=0.0)
+        bits = np.pad(boundary_ring(binarize(img)).bits, 3)
+        # Above the hand the speck is the first raster component; below it,
+        # the hand's loop comes first but misses the speck.
+        bits[1 if speck == "above" else -2, bits.shape[1] // 2] = 1
+        edges = BinaryImage(bits=bits)
+        assert self._trace_counting_labels(edges, monkeypatch) == (
+            _outcome(reference_trace_contour, edges),
+            1,
+        )
+
+    # Off a corner, the walk steps out to the spur and back over the corner
+    # pixel. Beside an edge, it cuts across the ring pixel under the spur,
+    # misses it and so cannot rule out a second component.
+    @pytest.mark.parametrize("spur, labelled", [((1, 10), 0), ((5, 10), 1), ((1, 6), 1)])
+    def test_a_ring_with_a_one_pixel_spur(self, spur, labelled, monkeypatch):
+        bits = ring_of(rect_mask(6, 8)).bits
+        bits[spur] = 1
+        edges = BinaryImage(bits=bits)
+        outcome = _outcome(reference_trace_contour, edges)
+        assert self._trace_counting_labels(edges, monkeypatch) == (outcome, labelled)
+        assert outcome[0] == "chain"
+
+    def test_an_open_arc_before_a_loop_falls_back_to_the_loop(self, monkeypatch):
+        bits = np.pad(ring_of(rect_mask(5, 7)).bits, ((4, 0), (0, 0)))
+        bits[1, 1:8] = 1  # the first raster component: an open arc
+        edges = BinaryImage(bits=bits)
+        outcome, labelled = self._trace_counting_labels(edges, monkeypatch)
+        assert (outcome, labelled) == (_outcome(reference_trace_contour, edges), 1)
+        assert outcome[:2] == ("chain", (2, 6))
+
 
 @pytest.fixture(scope="module")
 def hand_chain():
@@ -296,3 +470,83 @@ class TestFindLandmarks:
             mask[10 + i, 20 - i : 20 + i + 1] = True
         with pytest.raises(LandmarkError, match="found 1 and 0"):
             find_landmarks(trace_contour(ring_of(mask)))
+
+
+def _landmark_outcome(locate, chain):
+    try:
+        return locate(chain)
+    except LandmarkError as exc:
+        return ("error", str(exc))
+
+
+def assert_landmarks_like_the_reference(chain):
+    assert _landmark_outcome(find_landmarks, chain) == _landmark_outcome(
+        reference_find_landmarks, chain
+    )
+
+
+@st.composite
+def comb_masks(draw):
+    """Fingers-up blobs: a palm block with 0-7 teeth of random width, height
+    and place, minus random notches. Most have the wrong finger count."""
+    width = draw(st.integers(12, 80))
+    mask = np.zeros((60, width + 6), dtype=bool)
+    mask[35:55, 3 : width + 3] = True
+    for _ in range(draw(st.integers(0, 7))):
+        x, w = draw(st.integers(3, width + 2)), draw(st.integers(1, 8))
+        mask[draw(st.integers(2, 34)) : 35, x : x + w] = True
+    for _ in range(draw(st.integers(0, 3))):
+        y, x = draw(st.integers(2, 54)), draw(st.integers(3, width + 2))
+        mask[y : y + draw(st.integers(1, 4)), x : x + draw(st.integers(1, 4))] = False
+    return mask
+
+
+@st.composite
+def finger_chains(draw):
+    """Open westward chains whose y profile rises and falls four to six
+    times by random steps: plateaus broken by one-pixel bumps, levels
+    revisited and wiggles below the hysteresis."""
+    codes = [4] * draw(st.integers(0, 5))
+    for _ in range(draw(st.integers(4, 6))):
+        for mix in ([3, 3, 3, 3, 4, 4, 5], [5, 5, 5, 5, 4, 4, 3]):  # up, then down
+            codes += draw(st.lists(st.sampled_from(mix), min_size=8, max_size=30))
+    return ChainCode(start=(200, 100), codes=tuple(codes))
+
+
+class TestRunLengthLandmarks:
+    """find_landmarks against the per-pixel extrema walk it replaced."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        st.integers(0, 2**16),
+        st.floats(0.0, 0.45),
+        st.floats(60.0, 140.0),
+    )
+    def test_traced_renders(self, seed, noise, dpi):
+        img, _ = render(canonical_params(seed), dpi=dpi, noise_level=noise)
+        try:
+            chain = trace_contour(boundary_ring(binarize(lowpass_filter(img))))
+        except ContourError:
+            assume(False)
+        assert_landmarks_like_the_reference(chain)
+
+    @settings(deadline=None, max_examples=200)
+    @given(comb_masks())
+    @example(rect_mask(10, 20))  # one plateau: found 1 and 0
+    def test_closed_masks(self, mask):
+        try:
+            chain = trace_contour(ring_of(mask))
+        except ContourError:
+            assume(False)
+        assert_landmarks_like_the_reference(chain)
+
+    @settings(deadline=None, max_examples=150)
+    @given(finger_chains())
+    def test_finger_profiles(self, chain):
+        assert_landmarks_like_the_reference(chain)
+
+    @settings(max_examples=300)
+    @given(starts, codes_lists)
+    def test_arbitrary_chains(self, start, codes):
+        chain = ChainCode(start=start, codes=tuple(codes))
+        assert_landmarks_like_the_reference(chain)

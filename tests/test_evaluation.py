@@ -138,6 +138,32 @@ class TestEvaluateFeatures:
             evaluate_features(entries)
 
 
+def with_bad_cell(person=2, sample=7, feature=4, value=np.nan):
+    """Seed-0 entries with one feature of one vector set to `value`."""
+    entries = synthetic_entries(seed=0)
+    for p, j, v in entries:
+        if (p, j) == (person, sample):
+            v[feature] = value
+    return entries
+
+
+class TestNonFiniteFeatures:
+    """Both protocol runners share scaled_halves's check for nan and inf."""
+
+    def test_evaluate_names_the_person_and_sample(self):
+        with pytest.raises(ConfigError, match="^person 2 sample 7: feature 4 is nan, not a finite number$"):
+            evaluate_features(with_bad_cell(), multistart=1, rbf_centres=10)
+
+    def test_sweep_names_the_person_and_sample(self):
+        with pytest.raises(ConfigError, match="^person 2 sample 7: feature 4 is nan, not a finite number$"):
+            sweep_rbf_features(with_bad_cell(), centre_counts=(5,))
+
+    def test_an_infinite_training_vector_is_rejected(self):
+        entries = with_bad_cell(person=0, sample=1, feature=0, value=np.inf)
+        with pytest.raises(ConfigError, match="person 0 sample 1: feature 0 is inf"):
+            sweep_rbf_features(entries, centre_counts=(5,))
+
+
 class TestExtractFeatures:
     def test_failures_are_excluded_and_described(self):
         corpus = make_corpus(3, persons=2, samples=2)

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, text_input
 from .features import ScalerParams
 
 DEFAULT_HIDDEN = 30
@@ -165,13 +165,19 @@ class MlpModel:
         return out[0] if x.ndim == 1 else out
 
 
-def _targets(labels: np.ndarray, person_ids: tuple[int, ...]) -> np.ndarray:
-    """+1 at the true person's component, -1 elsewhere."""
+def _targets(
+    train: list[tuple[int, np.ndarray]],
+) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """Input rows x, the sorted person ids, and targets t: +1 at the true
+    person's component, -1 elsewhere."""
+    labels = np.array([p for p, _ in train])
+    x = np.array([np.asarray(v, dtype=float) for _, v in train])
+    person_ids = tuple(sorted(set(int(p) for p in labels)))
     t = -np.ones((len(labels), len(person_ids)))
     index = {p: i for i, p in enumerate(person_ids)}
     for n, lab in enumerate(labels):
         t[n, index[int(lab)]] = 1.0
-    return t
+    return x, person_ids, t
 
 
 def _unpack(theta: np.ndarray, hidden: int, n_in: int, n_out: int):
@@ -189,48 +195,10 @@ def _forward(theta: np.ndarray, x: np.ndarray, hidden: int, n_out: int):
     return a1 @ w2.T + b2, a1, w2
 
 
-def _residuals(theta, x, t, hidden, gamma, reg_scale):
-    """Stacked residual vector whose squared sum is the training loss."""
-    n_out = t.shape[1]
-    out, a1, _ = _forward(theta, x, hidden, n_out)
-    data_scale = np.sqrt(gamma / t.size)
-    r = data_scale * (t - out).ravel()
-    if reg_scale:
-        r = np.concatenate([r, reg_scale * theta])
-    return r
-
-
-def _jacobian(theta, x, t, hidden, gamma, reg_scale):
-    """Analytic Jacobian of _residuals with respect to theta.
-
-    Training never forms it; tests keep it as the reference for
-    _normal_blocks and _lm_step.
-    """
-    n, n_in = x.shape
-    n_out = t.shape[1]
-    _, a1, w2 = _forward(theta, x, hidden, n_out)
-    d1 = 1.0 - a1**2  # tanh'
-    eye = np.arange(n_out)
-
-    dw1 = np.einsum("ch,nh,ni->nchi", w2, d1, x).reshape(n, n_out, hidden * n_in)
-    db1 = np.einsum("ch,nh->nch", w2, d1)
-    dw2 = np.zeros((n, n_out, n_out, hidden))
-    dw2[:, eye, eye, :] = a1[:, None, :]
-    dw2 = dw2.reshape(n, n_out, n_out * hidden)
-    db2 = np.zeros((n, n_out, n_out))
-    db2[:, eye, eye] = 1.0
-
-    data_scale = np.sqrt(gamma / t.size)
-    j = -data_scale * np.concatenate([dw1, db1, dw2, db2], axis=2).reshape(
-        n * n_out, theta.size
-    )
-    if reg_scale:
-        j = np.vstack([j, reg_scale * np.eye(theta.size)])
-    return j
-
-
 class _NormalBlocks(NamedTuple):
-    """J^T J and J^T r of _residuals in the blocks the network gives them.
+    """J^T J and J^T r in the blocks the network gives them, for the
+    residuals r = [s (t - out), reg_scale theta], whose squared sum r @ r is
+    loss_msereg (s^2 = gamma / t.size, reg_scale^2 = (1 - gamma) / theta.size).
 
     Parameters are grouped by unit: hidden unit h owns [w1[h], b1[h]]
     (P_h = hidden * (n_in + 1) of them in all) and class c owns [w2[c], b2[c]].
@@ -260,7 +228,7 @@ def _by_unit(v: np.ndarray, n_weights: int) -> np.ndarray:
 
 
 def _normal_blocks(theta, x, t, hidden, gamma, reg_scale) -> _NormalBlocks:
-    """_jacobian(...).T @ [_jacobian(...), _residuals(...)] without forming J.
+    """J^T [J, r] of the residuals described in _NormalBlocks, without forming J.
 
     Per sample, d out[c] / d[w1[h], b1[h]] = w2[c, h] * tanh'_h * [x, 1] and
     d out[c] / d[w2[c], b2[c]] = [a1, 1]; the Gram blocks are sums of their
@@ -341,19 +309,18 @@ def mlp_train(
 ) -> MlpModel:
     """Levenberg-Marquardt training from a uniform [-0.5, 0.5] initialization.
 
-    Each epoch makes at most one accepted parameter update: the damped
-    normal equations are solved and the step kept only if the loss drops,
-    otherwise the damping grows and the solve is retried within the epoch.
-    A factorization that fails counts as a rejected retry.
+    Training minimises loss_msereg, with gamma = 1 (plain loss_mse) for the
+    mse loss; loss_history holds its value at the start and after each
+    accepted step. Each epoch makes at most one accepted parameter update:
+    the damped normal equations are solved and the step kept only if the
+    loss drops, otherwise the damping grows and the solve is retried within
+    the epoch. A factorization that fails counts as a rejected retry.
     """
     if not train:
         raise ConfigError("empty training set")
     if hidden < 1:
         raise ConfigError(f"hidden units must be >= 1, got {hidden}")
-    labels = np.array([p for p, _ in train])
-    x = np.array([np.asarray(v, dtype=float) for _, v in train])
-    person_ids = tuple(sorted(set(int(p) for p in labels)))
-    t = _targets(labels, person_ids)
+    x, person_ids, t = _targets(train)
     n_in, n_out = x.shape[1], t.shape[1]
     n_params = hidden * n_in + hidden + n_out * hidden + n_out
 
@@ -364,8 +331,7 @@ def mlp_train(
     theta = rng.uniform(-0.5, 0.5, n_params)
 
     def loss_of(th: np.ndarray) -> float:
-        r = _residuals(th, x, t, hidden, gamma, reg_scale)
-        return float(r @ r)
+        return loss_msereg(t, _forward(th, x, hidden, n_out)[0], th, gamma)
 
     lam = DAMPING_INIT
     history = [loss_of(theta)]
@@ -555,23 +521,15 @@ class PopulationTraining:
             worker.stdout.close()
 
 
-def train_populations(
-    train: list[tuple[int, np.ndarray]],
-    cfgs: list[TrainConfig],
-    hidden: int = DEFAULT_HIDDEN,
-) -> list[list[MlpModel]]:
-    """The multi-start population of each config (see PopulationTraining)."""
-    with PopulationTraining(train, cfgs, hidden) as training:
-        return training.members()
-
-
 def train_members(
     train: list[tuple[int, np.ndarray]],
     cfg: TrainConfig,
     hidden: int = DEFAULT_HIDDEN,
 ) -> list[MlpModel]:
-    """The multi-start population: one model per seed cfg.seed + 0..K-1."""
-    return train_populations(train, [cfg], hidden)[0]
+    """The multi-start population: one model per seed cfg.seed + 0..K-1
+    (see PopulationTraining)."""
+    with PopulationTraining(train, [cfg], hidden) as training:
+        return training.members()[0]
 
 
 def multistart_select(
@@ -639,13 +597,10 @@ def rbf_train(
     """
     if not train:
         raise ConfigError("empty training set")
-    labels = np.array([p for p, _ in train])
-    x = np.array([np.asarray(v, dtype=float) for _, v in train])
+    x, person_ids, t = _targets(train)
     n = len(x)
     if not 1 <= n_centres <= n:
         raise ConfigError(f"n_centres {n_centres} outside [1, {n}]")
-    person_ids = tuple(sorted(set(int(p) for p in labels)))
-    t = _targets(labels, person_ids)
 
     if spread is None:
         spread = median_pairwise_distance(x)
@@ -758,11 +713,20 @@ def _floats(text: str) -> np.ndarray:
     return np.array([_float(v) for v in text.split()])
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{value} is not a positive count")
+    return value
+
+
 def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
-    """Inverse of save_model; a missing or malformed field, or a number that
-    is not finite, is a ConfigError naming the field.
+    """Inverse of save_model; a missing or malformed field, a number that is
+    not finite, or an inputs, hidden or centres count below 1 is a
+    ConfigError naming the field; text that is not UTF-8 is a ConfigError.
     Fields it does not read, such as older files' damping lines, are ignored."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    with text_input(path, ConfigError):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("handgeo-model"):
         raise ConfigError(f"{path} is not a model file")
     fields: dict[str, str] = {}
@@ -797,9 +761,9 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
             raise ConfigError(f"{path}: no templates")
         return TemplateDb(entries=entries, scaler=scaler)
     person_ids = read("person_ids", lambda t: tuple(int(v) for v in t.split()))
-    n_in = read("inputs", int)
+    n_in = read("inputs", _count)
     if kind == "mlp":
-        h = read("hidden", int)
+        h = read("hidden", _count)
         cfg = TrainConfig(
             loss=read("loss"),
             epochs=read("epochs", int),
@@ -818,7 +782,7 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
             scaler=scaler,
         )
     if kind == "rbf":
-        k = read("centres", int)
+        k = read("centres", _count)
         return RbfModel(
             person_ids=person_ids,
             centres=read("centre_rows", lambda t: _floats(t).reshape(k, n_in)),

@@ -40,7 +40,7 @@ from .classifiers import (
     save_model,
     train_members,
 )
-from .errors import ConfigError, HandGeoError
+from .errors import ConfigError, HandGeoError, text_input
 from .evaluation import (
     DEFAULT_RBF_CENTRES,
     DEFAULT_SWEEP_COUNTS,
@@ -65,7 +65,9 @@ DEFAULT_SWEEP_CENTRES = ",".join(str(k) for k in DEFAULT_SWEEP_COUNTS)
 
 def _read_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    with text_input(path, ConfigError):
+        text = Path(path).read_text(encoding="utf-8")
+    for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class HandGeoError(Exception):
     """Base class; `category` is the stable identifier used by the CLI."""
@@ -61,3 +65,16 @@ class CorpusError(HandGeoError):
     """Corpus generation exhausted its regeneration budget."""
 
     category = "corpus_error"
+
+
+@contextmanager
+def text_input(path: object, error: type[HandGeoError]) -> Iterator[None]:
+    """Turn text read in the block that does not decode as UTF-8, or that the
+    csv module cannot split, into one error of the reading loader's category,
+    naming path."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise error(f"{path}: {exc}") from None

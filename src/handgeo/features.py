@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .contour import ChainCode, Landmarks, perimeter
-from .errors import FormatError, ScalerError
+from .errors import FormatError, ScalerError, text_input
 from .imaging import MM_PER_INCH, BinaryImage
 
 @dataclass
@@ -147,7 +147,7 @@ def save_features(path: str | Path, entries: list[tuple[int, int, np.ndarray]]) 
 def load_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
     """Inverse of save_features; a short row or a cell that is not a finite
     number is a FormatError."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with text_input(path, FormatError), open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
     entries = []
     for ln, row in enumerate(rows, 2):

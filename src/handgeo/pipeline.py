@@ -7,14 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import ChainCode, Landmarks, find_landmarks, trace_contour
+from .contour import Landmarks, find_landmarks, trace_contour
 from .errors import ConfigError
 from .features import RawFeatures, measure, select
 from .imaging import (
     DEFAULT_KERNEL_RADIUS,
     DEFAULT_THRESHOLD,
     MAX_KERNEL_RADIUS,
-    BinaryImage,
     GrayImage,
     binarize,
     boundary_ring,
@@ -45,8 +44,6 @@ class Extraction:
     raw: RawFeatures
     vector: np.ndarray  # the 9 selected features, unscaled
     landmarks: Landmarks
-    chain: ChainCode
-    silhouette: BinaryImage
 
 
 def extract(img: GrayImage, settings: ExtractionSettings | None = None) -> Extraction:
@@ -58,10 +55,4 @@ def extract(img: GrayImage, settings: ExtractionSettings | None = None) -> Extra
     chain = trace_contour(edges)
     landmarks = find_landmarks(chain)
     raw = measure(landmarks, chain, silhouette)
-    return Extraction(
-        raw=raw,
-        vector=select(raw),
-        landmarks=landmarks,
-        chain=chain,
-        silhouette=silhouette,
-    )
+    return Extraction(raw=raw, vector=select(raw), landmarks=landmarks)

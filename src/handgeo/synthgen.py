@@ -21,11 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .contour import perimeter, trace_contour
-from .errors import CorpusError, HandGeoError, RenderError
-from .features import base_segments
+from .contour import Landmarks, trace_contour
+from .errors import CorpusError, HandGeoError, RenderError, text_input
+from .features import measure
 from .imaging import (
-    MM_PER_INCH,
     BinaryImage,
     GrayImage,
     _check_size,
@@ -319,8 +318,7 @@ def _valley_columns(cuts: list[tuple[float, float]]) -> list[tuple[int, int]]:
 def _ground_truth(
     lay: _Layout, cuts: list[tuple[float, float]], mask: np.ndarray, dpi: float
 ) -> GroundTruth:
-    mm = MM_PER_INCH / dpi
-
+    """Exact landmarks of the ideal shape and features.measure of them."""
     tips: list[tuple[int, int]] = []
     for f in range(5):
         px, py = lay.tips[f]
@@ -340,27 +338,30 @@ def _ground_truth(
     yb = math.floor(lay.arm_cut)
     wrist = ((math.ceil(lay.arm_left), yb), (math.floor(lay.arm_right), yb))
 
-    def dist(p: tuple[int, int], q: tuple[float, float]) -> float:
-        return math.hypot(p[0] - q[0], p[1] - q[1])
-
-    bases = base_segments(tips, valleys, wrist)
-    lengths = tuple(
-        dist(tips[f], (0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1]))) * mm
-        for f, (a, b) in enumerate(bases)
-    )
-    widths = tuple(dist(a, b) * mm for a, b in bases)
-    wrist_length = dist(wrist[0], wrist[1]) * mm
-
-    chain = trace_contour(boundary_ring(BinaryImage(bits=mask.astype(np.uint8), dpi=dpi)))
+    silhouette = BinaryImage(bits=mask.astype(np.uint8), dpi=dpi)
+    chain = trace_contour(boundary_ring(silhouette))
+    raw = measure(Landmarks(tips, valleys, wrist), chain, silhouette)
     return GroundTruth(
         tips=tips,
         valleys=valleys,
         wrist=wrist,
-        lengths_mm=lengths,
-        widths_mm=widths,
-        wrist_length_mm=wrist_length,
-        perimeter_mm=perimeter(chain) * mm,
-        surface_mm2=float(mask.sum()) * mm * mm,
+        lengths_mm=(
+            raw.thumb_length,
+            raw.first_length,
+            raw.middle_length,
+            raw.ring_length,
+            raw.little_length,
+        ),
+        widths_mm=(
+            raw.thumb_base_width,
+            raw.first_width,
+            raw.middle_width,
+            raw.ring_width,
+            raw.little_width,
+        ),
+        wrist_length_mm=raw.wrist_length,
+        perimeter_mm=raw.perimeter,
+        surface_mm2=raw.surface,
     )
 
 
@@ -575,7 +576,9 @@ def load_corpus(root: str | Path) -> Corpus:
     if not config_path.is_file():
         raise CorpusError(f"{config_path} not found")
     config: dict[str, str] = {}
-    for line in config_path.read_text(encoding="utf-8").splitlines():
+    with text_input(config_path, CorpusError):
+        text = config_path.read_text(encoding="utf-8")
+    for line in text.splitlines():
         if line.strip():
             key, _, value = line.partition("=")
             config[key.strip()] = value.strip()
@@ -611,7 +614,7 @@ def load_corpus(root: str | Path) -> Corpus:
 def _load_truths(path: Path, samples: int) -> list[GroundTruth]:
     """Parse one person's ground-truth CSV; a bad row names its line."""
     truths: list[GroundTruth] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with text_input(path, CorpusError), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)  # header
         for row in reader:

@@ -13,11 +13,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from lm_reference import _jacobian, _residuals
 
 from handgeo.classifiers import (
     TrainConfig,
-    _jacobian,
-    _residuals,
     dist_mad,
     dist_mse,
     loss_mse,

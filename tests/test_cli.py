@@ -1,7 +1,12 @@
 """End-to-end command-line behaviour."""
 
+import re
+import shutil
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from handgeo import pipeline
 from handgeo.cli import main
@@ -386,6 +391,32 @@ class TestEval:
             f"config_error: {model}: field {field!r}: {float(cell)} is not a finite number"
         ]
 
+    @pytest.mark.parametrize(
+        "kind,field,value",
+        [("mlp", "hidden", "-1"), ("mlp", "inputs", "0"), ("rbf", "centres", "-1"),
+         ("rbf", "inputs", "0")],
+    )
+    def test_non_positive_model_count_is_a_config_error_naming_its_field(
+        self, tmp_path, features_csv, capsys, kind, field, value
+    ):
+        model = tmp_path / f"{kind}.model"
+        main(["train", "--features", str(features_csv), "--out", str(model), "--kind", kind,
+              "--multistart", "1", "--hidden", "2", "--centres", "2"])
+        lines = model.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith(f"{field} "))
+        lines[row] = f"{field} {value}"
+        if field == "hidden":  # b1 of another length: reshape(-1) alone would accept it
+            b1 = next(i for i, line in enumerate(lines) if line.startswith("b1 "))
+            lines[b1] += " 0.5"
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
+                     "--models", str(model)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config_error: {model}: field {field!r}: {value} is not a positive count"
+        ]
+
     def test_model_of_another_feature_width_fails_cleanly(
         self, tmp_path, features_csv, capsys
     ):
@@ -405,6 +436,127 @@ class TestEval:
     def test_requiring_exactly_one_input_source(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path / "r")]) == 1
         assert "exactly one" in capsys.readouterr().err
+
+
+def in_dir(root, argv):
+    """argv with each "@name" replaced by the path root / name."""
+    return [str(root / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+
+
+@pytest.fixture(scope="module")
+def tiny_corpus(tmp_path_factory):
+    """A gen tree of one person with one sample."""
+    root = tmp_path_factory.mktemp("tiny") / "corpus"
+    assert main(["gen", "--out", str(root), "--persons", "1", "--samples", "1"]) == 0
+    return root
+
+
+class TestTextInputs:
+    """Text input that is not UTF-8 ends in one line of the loader's category."""
+
+    @pytest.mark.parametrize(
+        "damaged,argv,category",
+        [
+            ("features.csv", ["train", "--features", "@features.csv"], "format_error"),
+            ("features.csv", ["eval", "--features", "@features.csv"], "format_error"),
+            ("nn.model", ["eval", "--features", "@features.csv", "--models", "@nn.model"],
+             "config_error"),
+            ("run.cfg", ["gen", "--config", "@run.cfg"], "config_error"),
+            ("corpus/corpus_config.txt", ["extract", "--input", "@corpus"], "corpus_error"),
+            ("corpus/person_00/ground_truth.csv", ["extract", "--input", "@corpus"],
+             "corpus_error"),
+        ],
+        ids=["train_features", "eval_features", "model", "config", "corpus_config",
+             "ground_truth"],
+    )
+    def test_a_non_utf8_byte_is_one_error_line_naming_the_file(
+        self, tmp_path, features_csv, tiny_corpus, capsys, damaged, argv, category
+    ):
+        # features_csv lives in tmp_path as features.csv.
+        shutil.copytree(tiny_corpus, tmp_path / "corpus")
+        assert main(["train", "--features", str(features_csv), "--kind", "nn",
+                     "--out", str(tmp_path / "nn.model")]) == 0
+        (tmp_path / "run.cfg").write_text("persons=1\nsamples=1\n")
+        path = tmp_path / damaged
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        capsys.readouterr()
+        assert main(in_dir(tmp_path, argv) + ["--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{category}: {path}: not UTF-8 text (invalid start byte)"
+        ]
+
+    def test_an_unclosed_quote_in_a_large_csv_is_one_format_error_line(self, tmp_path, capsys):
+        # The rest of the file becomes one field, longer than the csv module's
+        # field limit of 128 KiB.
+        path = tmp_path / "large.csv"
+        rng = np.random.default_rng(2)
+        save_features(path, [(p, j, rng.normal(size=9)) for p in range(100) for j in range(10)])
+        header, first, *rest = path.read_text().splitlines()
+        path.write_text("\n".join([header, '"' + first, *rest]) + "\n")
+        assert main(["train", "--features", str(path), "--out", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"format_error: {path}: field larger than field limit (131072)"
+        ]
+
+
+#: Commands that read each fuzzed file and neither render nor start a
+#: training worker; "@name" is a path in the work directory (see in_dir).
+_READERS = {
+    "corpus/person_00/sample_00.bmp": [
+        ["extract", "--input", "@corpus/person_00/sample_00.bmp"],
+        ["extract", "--input", "@corpus"],
+    ],
+    "corpus/corpus_config.txt": [["extract", "--input", "@corpus"]],
+    "corpus/person_00/ground_truth.csv": [["extract", "--input", "@corpus"]],
+    "features.csv": [
+        ["train", "--kind", "nn", "--features", "@features.csv"],
+        ["eval", "--features", "@features.csv", "--models", "@nn.model"],
+    ],
+    "nn.model": [["eval", "--features", "@features.csv", "--models", "@nn.model"]],
+}
+
+
+@pytest.fixture(scope="module")
+def clean_inputs(tiny_corpus):
+    """Bytes of every fuzzed file: the tiny corpus, a features CSV of its one
+    vector as a training and a test sample, and an nn model trained on it."""
+    vector = pipeline.extract(load_bmp(tiny_corpus / "person_00" / "sample_00.bmp")).vector
+    work = tiny_corpus.parent
+    save_features(work / "features.csv", [(0, 0, vector), (0, 5, 1.1 * vector)])
+    assert main(["train", "--kind", "nn", "--features", str(work / "features.csv"),
+                 "--out", str(work / "nn.model")]) == 0
+    return {name: (work / name).read_bytes() for name in _READERS}
+
+
+class TestDamagedFiles:
+    """A truncated file, or one with one byte changed, ends in exit 0 or in
+    exit 1 with one error line; never in a traceback."""
+
+    @pytest.mark.parametrize("name", list(_READERS))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_a_damaged_input_is_exit_0_or_one_error_line(
+        self, tmp_path, clean_inputs, capsys, name, data
+    ):
+        blob = clean_inputs[name]
+        at = data.draw(st.integers(0, len(blob) - 1), label="position")
+        if data.draw(st.booleans(), label="truncate"):
+            damaged = blob[:at]
+        else:
+            flip = data.draw(st.integers(1, 255), label="xor")
+            damaged = blob[:at] + bytes([blob[at] ^ flip]) + blob[at + 1 :]
+        for rel, clean in clean_inputs.items():
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_bytes(damaged if rel == name else clean)
+        for argv in _READERS[name]:
+            capsys.readouterr()
+            code = main(in_dir(tmp_path, argv) + ["--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            if code != 0:
+                lines = err.splitlines()
+                assert code == 1 and len(lines) == 1 and re.match(r"[a-z_]+: ", lines[0])
 
 
 class TestOneProtocol:

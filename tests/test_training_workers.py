@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from handgeo import classifiers
-from handgeo.classifiers import PopulationTraining, TrainConfig, mlp_train, train_populations
+from handgeo.classifiers import PopulationTraining, TrainConfig, mlp_train
 from handgeo.cli import main
 from handgeo.errors import ConfigError, TrainingError
 from handgeo.features import save_features
@@ -42,6 +42,12 @@ def toy_set():
     return [(p, centres[p] + rng.normal(0, 0.1, 9)) for p in range(3) for _ in range(4)]
 
 
+def trained_populations(train, cfgs, hidden):
+    """The multi-start population of each config, as evaluate_features trains them."""
+    with PopulationTraining(train, cfgs, hidden) as training:
+        return training.members()
+
+
 def weights(populations):
     return [
         [(m.config.seed, m.loss_history, [a.tobytes() for a in (m.w1, m.b1, m.w2, m.b2)])
@@ -71,7 +77,7 @@ def all_waited(started):
 
 
 def test_members_equal_a_single_threaded_serial_run(workers):
-    populations = train_populations(toy_set(), CFGS, HIDDEN)
+    populations = trained_populations(toy_set(), CFGS, HIDDEN)
     assert len(workers) == 2 and all_waited(workers)
     assert [[m.config.seed for m in members] for members in populations] == [[3, 4], [0, 1, 2]]
 
@@ -88,17 +94,17 @@ def test_members_equal_a_single_threaded_serial_run(workers):
 
 def test_one_core_trains_in_this_process(workers, monkeypatch):
     monkeypatch.setattr(classifiers, "_cores", lambda: 1)
-    in_process = train_populations(toy_set(), CFGS, HIDDEN)
+    in_process = trained_populations(toy_set(), CFGS, HIDDEN)
     assert workers == []
     monkeypatch.setattr(classifiers, "_cores", lambda: 2)
-    assert weights(in_process) == weights(train_populations(toy_set(), CFGS, HIDDEN))
+    assert weights(in_process) == weights(trained_populations(toy_set(), CFGS, HIDDEN))
 
 
 def test_only_the_workers_get_one_blas_thread(workers, monkeypatch):
     for name in ONE_THREAD:
         monkeypatch.delenv(name, raising=False)
     before = dict(os.environ)
-    train_populations(toy_set(), CFGS, HIDDEN)
+    trained_populations(toy_set(), CFGS, HIDDEN)
     assert len(workers) == 2
     assert all(w.env.items() >= ONE_THREAD.items() for w in workers)
     assert dict(os.environ) == before
@@ -110,7 +116,7 @@ def test_only_the_workers_get_one_blas_thread(workers, monkeypatch):
 )
 def test_bad_inputs_fail_before_any_worker_starts(workers, train, hidden, message):
     with pytest.raises(ConfigError, match=message):
-        train_populations(train, CFGS, hidden)
+        trained_populations(train, CFGS, hidden)
     assert workers == []
 
 
@@ -119,7 +125,7 @@ def test_a_job_that_raises_is_re_raised_after_every_worker_is_waited_for(workers
     with pytest.raises(ValueError) as serial:
         mlp_train(ragged, CFGS[0], HIDDEN)
     with pytest.raises(ValueError) as parallel:
-        train_populations(ragged, CFGS, HIDDEN)
+        trained_populations(ragged, CFGS, HIDDEN)
     assert str(parallel.value) == str(serial.value)
     assert len(workers) == 2 and all_waited(workers)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import selectors
 import signal
 import subprocess
 import sys
@@ -381,22 +380,26 @@ def _cores() -> int:
 
 
 def _worker_main() -> None:
-    """A training worker: unpickle (train, cfg, hidden) jobs from stdin and
-    pickle each trained model, or the exception its training raised, to
-    stdout, until stdin ends."""
+    """A training worker: unpickle one share (train, cfgs, hidden) from stdin,
+    train a model per config in order and pickle the list of them to stdout.
+    A member whose training raises ends the list with its exception. Stops
+    before the next member once its parent has died."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent kills its workers
-    jobs, results = sys.stdin.buffer, sys.stdout.buffer
-    while True:
-        try:
-            job = pickle.load(jobs)
-        except EOFError:  # the parent closed the stream, or died
+    parent = os.getppid()
+    try:
+        train, cfgs, hidden = pickle.load(sys.stdin.buffer)
+    except EOFError:  # the parent closed the stream before sending a share
+        return
+    results: list[MlpModel | Exception] = []
+    for cfg in cfgs:
+        if os.getppid() != parent:
             return
         try:
-            result = mlp_train(*job)
+            results.append(mlp_train(train, cfg, hidden))
         except Exception as exc:
-            result = exc
-        pickle.dump(result, results, pickle.HIGHEST_PROTOCOL)
-        results.flush()
+            results.append(exc)
+            break
+    pickle.dump(results, sys.stdout.buffer, pickle.HIGHEST_PROTOCOL)
 
 
 class PopulationTraining:
@@ -404,12 +407,13 @@ class PopulationTraining:
     cfg.seed + 0..K-1, trained in worker processes when there are cores.
 
     Construction checks the inputs. With more than one core it starts
-    min(cores, members) worker processes with single-threaded BLAS and gives
-    each its first job, so the caller can work while they start up; jobs go
-    out one at a time, the longest (most epochs) first. On one core,
-    members() trains in this process. Use it as a context manager: leaving
-    the block waits for every worker, and kills any still running first when
-    the block raised.
+    min(cores, members) worker processes with single-threaded BLAS and splits
+    the members into one share per worker: longest (most epochs) first, each
+    to the worker with the fewest epochs so far. Each worker gets its share as
+    one message, so the caller can work while they train, and answers with one
+    message of models. On one core, members() trains in this process. Use it
+    as a context manager: leaving the block waits for every worker, and kills
+    any still running first when the block raised.
     """
 
     def __init__(
@@ -422,36 +426,42 @@ class PopulationTraining:
             raise ConfigError("empty training set")
         if hidden < 1:
             raise ConfigError(f"hidden units must be >= 1, got {hidden}")
+        self._train, self._hidden = train, hidden
         self._sizes = [cfg.multistart for cfg in cfgs]
-        self._jobs = [
-            (train, replace(cfg, seed=cfg.seed + k), hidden)
-            for cfg in cfgs
-            for k in range(cfg.multistart)
+        self._members = [
+            replace(cfg, seed=cfg.seed + k) for cfg in cfgs for k in range(cfg.multistart)
         ]
-        # sorted() keeps seed order among jobs of equal length.
-        self._queue = sorted(
-            range(len(self._jobs)), key=lambda i: self._jobs[i][1].epochs, reverse=True
-        )
-        self._busy: dict[subprocess.Popen, int] = {}  # worker -> index of its job
+        self._shares: list[list[int]] = []  # member indices, one list per worker
         self._workers: list[subprocess.Popen] = []
         cores = _cores()
         if cores < 2:
             return
+        self._shares = [[] for _ in range(min(cores, len(self._members)))]
+        epochs = [0] * len(self._shares)
+        # sorted() keeps seed order among members of equal length, and min()
+        # takes the first of equally loaded workers.
+        for i in sorted(range(len(self._members)), key=lambda i: -self._members[i].epochs):
+            w = min(range(len(epochs)), key=epochs.__getitem__)
+            self._shares[w].append(i)
+            epochs[w] += self._members[i].epochs
         root = str(Path(__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": path}
         try:
-            for _ in range(min(cores, len(self._jobs))):
-                self._workers.append(
-                    subprocess.Popen(
-                        [sys.executable, "-c", _WORKER],
-                        stdin=subprocess.PIPE,
-                        stdout=subprocess.PIPE,
-                        env=env,
-                    )
+            for share in self._shares:
+                worker = subprocess.Popen(
+                    [sys.executable, "-c", _WORKER],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    env=env,
                 )
-            for worker in self._workers:
-                self._feed(worker)
+                self._workers.append(worker)
+                job = (train, [self._members[i] for i in share], hidden)
+                # A worker that died first is reported by members(), which
+                # finds its reply missing.
+                with suppress(BrokenPipeError):
+                    pickle.dump(job, worker.stdin, pickle.HIGHEST_PROTOCOL)
+                    worker.stdin.close()
         except BaseException:
             self._close(kill=True)
             raise
@@ -462,50 +472,24 @@ class PopulationTraining:
     def __exit__(self, exc_type, exc, tb) -> None:
         self._close(kill=exc_type is not None)
 
-    def _lost(self, worker: subprocess.Popen) -> TrainingError:
-        return TrainingError(
-            f"a training worker exited with code {worker.wait()} before returning a model"
-        )
-
-    def _feed(self, worker: subprocess.Popen) -> bool:
-        """Send the worker the next job; without one, end its job stream."""
-        if not self._queue:
-            worker.stdin.close()
-            return False
-        index = self._queue.pop(0)
-        try:
-            pickle.dump(self._jobs[index], worker.stdin, pickle.HIGHEST_PROTOCOL)
-            worker.stdin.flush()
-        except BrokenPipeError:
-            raise self._lost(worker) from None
-        self._busy[worker] = index
-        return True
-
-    def _receive(self, worker: subprocess.Popen) -> MlpModel:
-        try:
-            result = pickle.load(worker.stdout)
-        except (EOFError, pickle.UnpicklingError):
-            raise self._lost(worker) from None
-        if isinstance(result, BaseException):
-            raise result
-        return result
-
     def members(self) -> list[list[MlpModel]]:
         """One population per config, each in seed order."""
         if not self._workers:
-            models = [mlp_train(*job) for job in self._jobs]
+            models = [mlp_train(self._train, cfg, self._hidden) for cfg in self._members]
         else:
-            models = [None] * len(self._jobs)
-            with selectors.DefaultSelector() as selector:
-                for worker in self._busy:
-                    selector.register(worker.stdout, selectors.EVENT_READ, worker)
-                while self._busy:
-                    for key, _ in selector.select():
-                        worker = key.data
-                        model = self._receive(worker)
-                        models[self._busy.pop(worker)] = model
-                        if not self._feed(worker):
-                            selector.unregister(worker.stdout)
+            models = [None] * len(self._members)
+            for worker, share in zip(self._workers, self._shares):
+                try:
+                    results = pickle.load(worker.stdout)
+                except (EOFError, pickle.UnpicklingError):
+                    raise TrainingError(
+                        f"a training worker exited with code {worker.wait()}"
+                        " before returning a model"
+                    ) from None
+                for i, result in zip(share, results):
+                    if isinstance(result, BaseException):
+                        raise result
+                    models[i] = result
         it = iter(models)
         return [[next(it) for _ in range(size)] for size in self._sizes]
 
@@ -515,8 +499,8 @@ class PopulationTraining:
             if kill and worker.poll() is None:
                 worker.kill()
         for worker in self._workers:
-            with suppress(OSError):  # unsent bytes of a job to a dead worker
-                worker.stdin.close()  # a worker exits when its job stream ends
+            with suppress(OSError):  # unsent bytes of a share to a dead worker
+                worker.stdin.close()
             worker.wait()
             worker.stdout.close()
 
@@ -713,6 +697,13 @@ def _floats(text: str) -> np.ndarray:
     return np.array([_float(v) for v in text.split()])
 
 
+def _positive(text: str) -> float:
+    value = _float(text)
+    if value <= 0:
+        raise ValueError(f"{value} is not positive")
+    return value
+
+
 def _count(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -722,8 +713,10 @@ def _count(text: str) -> int:
 
 def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
     """Inverse of save_model; a missing or malformed field, a number that is
-    not finite, or an inputs, hidden or centres count below 1 is a
-    ConfigError naming the field; text that is not UTF-8 is a ConfigError.
+    not finite, an inputs, hidden or centres count below 1, a training config
+    TrainConfig rejects, a spread that is not positive, or a scaler_max that
+    is not above scaler_min in every dimension is a ConfigError naming the
+    field; text that is not UTF-8 is a ConfigError.
     Fields it does not read, such as older files' damping lines, are ignored."""
     with text_input(path, ConfigError):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -747,12 +740,21 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
             return cast(fields[key] if text is None else text)
         except KeyError:
             raise ConfigError(f"{path}: missing field {key!r}") from None
-        except ValueError as exc:
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}: field {key!r}: {exc}") from None
+
+    def above_mins(text: str) -> np.ndarray:
+        maxs = _floats(text)
+        if maxs.shape != mins.shape:
+            raise ValueError(f"{len(maxs)} values for {len(mins)} in scaler_min")
+        for d in np.flatnonzero(maxs <= mins):
+            raise ValueError(f"dimension {d}: max {maxs[d]} is not above min {mins[d]}")
+        return maxs
 
     scaler = None
     if fields.get("scaler") == "1":
-        scaler = ScalerParams(mins=read("scaler_min", _floats), maxs=read("scaler_max", _floats))
+        mins = read("scaler_min", _floats)
+        scaler = ScalerParams(mins=mins, maxs=read("scaler_max", above_mins))
 
     kind = read("type")
     if kind == "nn":
@@ -764,13 +766,10 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
     n_in = read("inputs", _count)
     if kind == "mlp":
         h = read("hidden", _count)
-        cfg = TrainConfig(
-            loss=read("loss"),
-            epochs=read("epochs", int),
-            gamma=read("gamma", _float),
-            multistart=read("multistart", int),
-            seed=read("seed", int),
-        )
+        cfg = TrainConfig()
+        for key, cast in [("loss", str), ("epochs", int), ("gamma", _float),
+                          ("multistart", int), ("seed", int)]:
+            cfg = read(key, lambda t: replace(cfg, **{key: cast(t)}))
         return MlpModel(
             person_ids=person_ids,
             w1=read("w1", lambda t: _floats(t).reshape(h, n_in)),
@@ -786,7 +785,7 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
         return RbfModel(
             person_ids=person_ids,
             centres=read("centre_rows", lambda t: _floats(t).reshape(k, n_in)),
-            spread=read("spread", _float),
+            spread=read("spread", _positive),
             weights=read("weights", lambda t: _floats(t).reshape(len(person_ids), k)),
             requested_centres=read("requested", int),
             scaler=scaler,

@@ -208,7 +208,7 @@ def evaluate_features(
             "epochs_mse": str(members["mse"][0].config.epochs),
             "epochs_msereg": str(members["msereg"][0].config.epochs),
             "multistart": str(base.multistart),
-            "committee_size": str(COMMITTEE_SIZE),
+            "committee_size": str(len(committee)),
             "hidden": str(hidden),
             "rbf_centres": str(len(rbf.centres)),
             "rbf_spread": f"{rbf.spread:.17g}",

@@ -101,7 +101,11 @@ class GroundTruth:
 
 @dataclass
 class Corpus:
-    """Rendered database: persons x samples images with per-sample truth."""
+    """Rendered database: persons x samples images with per-sample truth.
+
+    truths is empty for a corpus read back by load_corpus, which never reads
+    ground truth; only a rendered corpus can be saved.
+    """
 
     images: list[list[GrayImage]]
     truths: list[list[GroundTruth]]
@@ -526,24 +530,6 @@ def _gt_row(j: int, gt: GroundTruth) -> list[str]:
     return cells
 
 
-def _gt_from_row(row: list[str]) -> GroundTruth:
-    if len(row) != len(_GT_HEADER):
-        raise ValueError(f"expected {len(_GT_HEADER)} cells, got {len(row)}")
-    vals = row[1:]
-    pts = [(int(vals[2 * i]), int(vals[2 * i + 1])) for i in range(11)]
-    nums = [float(v) for v in vals[22:]]
-    return GroundTruth(
-        tips=pts[:5],
-        valleys=pts[5:9],
-        wrist=(pts[9], pts[10]),
-        lengths_mm=tuple(nums[0:5]),
-        widths_mm=tuple(nums[5:10]),
-        wrist_length_mm=nums[10],
-        perimeter_mm=nums[11],
-        surface_mm2=nums[12],
-    )
-
-
 def save_corpus(corpus: Corpus, root: str | Path) -> None:
     """Directory tree: person_<i>/sample_<j>.bmp plus per-person truth CSV."""
     root = Path(root)
@@ -571,6 +557,8 @@ def save_corpus(corpus: Corpus, root: str | Path) -> None:
 
 
 def load_corpus(root: str | Path) -> Corpus:
+    """The images and metadata of a corpus tree; ground_truth.csv files are
+    not read, so trees of real scans, which have none, load too."""
     root = Path(root)
     config_path = root / "corpus_config.txt"
     if not config_path.is_file():
@@ -602,26 +590,8 @@ def load_corpus(root: str | Path) -> Corpus:
         "noise_level": field("noise_level", float),
         "dpi": field("dpi", float),
     }
-    images: list[list[GrayImage]] = []
-    truths: list[list[GroundTruth]] = []
-    for p in range(persons):
-        pdir = root / f"person_{p:02d}"
-        images.append([load_bmp(pdir / f"sample_{j:02d}.bmp") for j in range(samples)])
-        truths.append(_load_truths(pdir / "ground_truth.csv", samples))
-    return Corpus(images=images, truths=truths, **echo)
-
-
-def _load_truths(path: Path, samples: int) -> list[GroundTruth]:
-    """Parse one person's ground-truth CSV; a bad row names its line."""
-    truths: list[GroundTruth] = []
-    with text_input(path, CorpusError), open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)  # header
-        for row in reader:
-            try:
-                truths.append(_gt_from_row(row))
-            except ValueError as exc:
-                raise CorpusError(f"{path}:{reader.line_num}: {exc}") from None
-    if len(truths) < samples:
-        raise CorpusError(f"{path}: {len(truths)} ground-truth rows for {samples} samples")
-    return truths
+    images = [
+        [load_bmp(root / f"person_{p:02d}" / f"sample_{j:02d}.bmp") for j in range(samples)]
+        for p in range(persons)
+    ]
+    return Corpus(images=images, truths=[], **echo)

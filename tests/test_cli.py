@@ -182,24 +182,21 @@ class TestExtract:
         assert len(err) == 1 and err[0].startswith(f"corpus_error: {config}: {message}")
 
     @pytest.mark.parametrize(
-        "edit,message",
-        [
-            (lambda rows: rows[:1] + [",".join(rows[1].split(",")[:5])] + rows[2:], ":2: expected "),
-            (lambda rows: rows[:1] + [rows[1].replace(",", ",x", 1)] + rows[2:], ":2: invalid literal"),
-            (lambda rows: rows[:2], ": 1 ground-truth rows for 3 samples"),
-        ],
-        ids=["truncated_row", "non_numeric_cell", "missing_rows"],
+        "damage",
+        [lambda path: path.unlink(), lambda path: path.write_text("sample\n0,x\n"),
+         lambda path: path.write_bytes(b"\xff\n")],
+        ids=["deleted", "garbled", "not_utf8"],
     )
-    def test_bad_ground_truth_is_one_corpus_error_line(self, tmp_path, capsys, edit, message):
+    def test_ground_truth_is_never_read(self, tmp_path, damage):
         corpus_dir = tmp_path / "corpus"
-        main(["gen", "--out", str(corpus_dir), "--persons", "2", "--samples", "3"])
-        truth = corpus_dir / "person_00" / "ground_truth.csv"
-        truth.write_text("\n".join(edit(truth.read_text().splitlines())) + "\n")
-        capsys.readouterr()
-        code = main(["extract", "--input", str(corpus_dir), "--out", str(tmp_path / "x.csv")])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"corpus_error: {truth}{message}")
+        main(["gen", "--out", str(corpus_dir), "--persons", "2", "--samples", "2"])
+        clean = tmp_path / "clean.csv"
+        assert main(["extract", "--input", str(corpus_dir), "--out", str(clean)]) == 0
+        for truth in corpus_dir.glob("person_*/ground_truth.csv"):
+            damage(truth)
+        scanned = tmp_path / "scanned.csv"
+        assert main(["extract", "--input", str(corpus_dir), "--out", str(scanned)]) == 0
+        assert scanned.read_bytes() == clean.read_bytes()
 
     @pytest.mark.parametrize(
         "command,source", [("extract", "--input"), ("eval", "--corpus"), ("sweep", "--corpus")]
@@ -417,6 +414,44 @@ class TestEval:
             f"config_error: {model}: field {field!r}: {value} is not a positive count"
         ]
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [("epochs", "0", "epochs must be >= 1, got 0"),
+         ("multistart", "0", "multistart count must be >= 1, got 0"),
+         ("gamma", "1.5", "gamma 1.5 outside [0, 1]"),
+         ("loss", "mae", "unknown loss 'mae'; use 'mse' or 'msereg'")],
+    )
+    def test_bad_training_config_is_a_config_error_naming_its_field(
+        self, tmp_path, features_csv, capsys, field, value, message
+    ):
+        model = edited_model(tmp_path, features_csv, "mlp", field, lambda fields: value)
+        assert eval_model(tmp_path, features_csv, capsys, model) == [
+            f"config_error: {model}: field {field!r}: {message}"
+        ]
+
+    @pytest.mark.parametrize(
+        "kind,field,edit,message",
+        [("rbf", "spread", lambda fields: "0", "0.0 is not positive"),
+         ("rbf", "spread", lambda fields: "-2", "-2.0 is not positive"),
+         ("nn", "scaler_max", lambda fields: fields["scaler_max"].rsplit(" ", 1)[0],
+          "8 values for 9 in scaler_min"),
+         ("mlp", "scaler_max", lambda fields: fields["scaler_min"],
+          "dimension 0: max {0} is not above min {0}"),
+         ("nn", "scaler_max", lambda fields: " ".join(["9"] + ["-9"] * 8),
+          "dimension 1: max -9.0 is not above min {1}")],
+        ids=["zero_spread", "negative_spread", "short_scaler", "flat_dimension",
+             "inverted_dimension"],
+    )
+    def test_a_degenerate_spread_or_scaler_is_a_config_error_naming_its_field(
+        self, tmp_path, features_csv, capsys, kind, field, edit, message
+    ):
+        model = edited_model(tmp_path, features_csv, kind, field, edit)
+        fields = dict(line.split(" ", 1) for line in model.read_text().splitlines())
+        mins = [float(v) for v in fields["scaler_min"].split()]
+        assert eval_model(tmp_path, features_csv, capsys, model) == [
+            f"config_error: {model}: field {field!r}: {message.format(*mins)}"
+        ]
+
     def test_model_of_another_feature_width_fails_cleanly(
         self, tmp_path, features_csv, capsys
     ):
@@ -436,6 +471,29 @@ class TestEval:
     def test_requiring_exactly_one_input_source(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path / "r")]) == 1
         assert "exactly one" in capsys.readouterr().err
+
+
+def edited_model(tmp_path, features_csv, kind, field, edit):
+    """A small model file of kind whose field line is replaced by
+    edit(fields), fields being the file's {key: value text}."""
+    model = tmp_path / f"{kind}.model"
+    assert main(["train", "--features", str(features_csv), "--out", str(model), "--kind", kind,
+                 "--multistart", "1", "--hidden", "2", "--centres", "2"]) == 0
+    lines = model.read_text().splitlines()
+    fields = dict(line.split(" ", 1) for line in lines[1:] if not line.startswith("template "))
+    row = next(i for i, line in enumerate(lines) if line.startswith(f"{field} "))
+    lines[row] = f"{field} {edit(fields)}"
+    model.write_text("\n".join(lines) + "\n")
+    return model
+
+
+def eval_model(tmp_path, features_csv, capsys, model):
+    """stderr lines of an eval that scores model, after asserting it exits 1."""
+    capsys.readouterr()
+    code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
+                 "--models", str(model)])
+    assert code == 1
+    return capsys.readouterr().err.splitlines()
 
 
 def in_dir(root, argv):
@@ -463,11 +521,8 @@ class TestTextInputs:
              "config_error"),
             ("run.cfg", ["gen", "--config", "@run.cfg"], "config_error"),
             ("corpus/corpus_config.txt", ["extract", "--input", "@corpus"], "corpus_error"),
-            ("corpus/person_00/ground_truth.csv", ["extract", "--input", "@corpus"],
-             "corpus_error"),
         ],
-        ids=["train_features", "eval_features", "model", "config", "corpus_config",
-             "ground_truth"],
+        ids=["train_features", "eval_features", "model", "config", "corpus_config"],
     )
     def test_a_non_utf8_byte_is_one_error_line_naming_the_file(
         self, tmp_path, features_csv, tiny_corpus, capsys, damaged, argv, category
@@ -507,7 +562,6 @@ _READERS = {
         ["extract", "--input", "@corpus"],
     ],
     "corpus/corpus_config.txt": [["extract", "--input", "@corpus"]],
-    "corpus/person_00/ground_truth.csv": [["extract", "--input", "@corpus"]],
     "features.csv": [
         ["train", "--kind", "nn", "--features", "@features.csv"],
         ["eval", "--features", "@features.csv", "--models", "@nn.model"],

@@ -123,6 +123,13 @@ class TestEvaluateFeatures:
             assert key in report.config
         assert (report.config["epochs_mse"], report.config["epochs_msereg"]) == ("10", "50")
 
+    @pytest.mark.parametrize("multistart", [1, 2])
+    def test_committee_size_echoes_the_members_averaged(self, multistart):
+        report = evaluate_features(
+            synthetic_entries(), multistart=multistart, hidden=4, rbf_centres=10
+        )
+        assert report.config["committee_size"] == str(multistart)
+
     def test_separable_clusters_are_identified_well(self, report):
         assert report.rates["nn_mse"] == 100.0
 

@@ -270,7 +270,7 @@ class TestMakeCorpus:
 
 
 class TestCorpusSerialization:
-    def test_round_trip_preserves_quantized_images_and_truths(self, tmp_path):
+    def test_round_trip_preserves_quantized_images_and_metadata(self, tmp_path):
         corpus = make_corpus(6, persons=2, samples=2)
         root = tmp_path / "corpus"
         save_corpus(corpus, root)
@@ -279,7 +279,6 @@ class TestCorpusSerialization:
         assert back.intra_sigma == corpus.intra_sigma
         assert back.noise_level == corpus.noise_level
         assert back.dpi == corpus.dpi
-        assert back.truths == corpus.truths
         for row_a, row_b in zip(corpus.images, back.images):
             for img_a, img_b in zip(row_a, row_b):
                 np.testing.assert_array_equal(

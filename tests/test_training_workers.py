@@ -1,9 +1,11 @@
 """Multi-start populations trained in worker processes."""
 
+import io
 import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,33 @@ pickle.dump(
     sys.stdout.buffer,
 )
 """
+
+#: Trains one population of 2,000 rows on two workers and on one core, and
+#: pickles the byte sizes of the training set and of one worker's reply, then
+#: both results, to stdout.
+LARGE = """
+import pickle, sys
+import numpy as np
+from handgeo import classifiers
+from handgeo.classifiers import PopulationTraining, TrainConfig
+rng = np.random.default_rng(7)
+centres = rng.uniform(-1, 1, size=(100, 9))
+train = [(p, centres[p] + rng.normal(0, 0.1, 9)) for p in range(100) for _ in range(20)]
+def populations(cores):
+    classifiers._cores = lambda: cores
+    with PopulationTraining(train, [TrainConfig(epochs=2, multistart=6)], 30) as training:
+        return training.members()
+parallel = populations(2)
+share = parallel[0][0::2]  # the first worker's members
+sizes = [len(pickle.dumps(x, pickle.HIGHEST_PROTOCOL)) for x in (train, share)]
+pickle.dump((sizes, parallel, populations(1)), sys.stdout.buffer)
+"""
+PIPE_BUFFER = 64 * 1024
+
+
+def worker_env():
+    """The environment a worker gets: one BLAS thread, handgeo importable."""
+    return dict(os.environ, **ONE_THREAD, PYTHONPATH=str(Path(classifiers.__file__).parents[1]))
 
 
 def toy_set():
@@ -81,12 +110,11 @@ def test_members_equal_a_single_threaded_serial_run(workers):
     assert len(workers) == 2 and all_waited(workers)
     assert [[m.config.seed for m in members] for members in populations] == [[3, 4], [0, 1, 2]]
 
-    env = dict(os.environ, **ONE_THREAD, PYTHONPATH=str(Path(classifiers.__file__).parents[1]))
     serial = subprocess.run(
         [sys.executable, "-c", SERIAL],
         input=pickle.dumps((toy_set(), CFGS, HIDDEN)),
         capture_output=True,
-        env=env,
+        env=worker_env(),
         check=True,
     )
     assert weights(populations) == weights(pickle.loads(serial.stdout))
@@ -163,3 +191,48 @@ def test_a_killed_worker_is_one_training_error_line(
     assert main(argv + ["--hidden", "4", "--multistart", "2"]) == 1
     assert capsys.readouterr().err.splitlines() == [f"training_error: {KILLED}"]
     assert len(workers) == 2 and all_waited(workers)
+
+
+def test_shares_go_longest_first_to_the_least_loaded_worker(workers):
+    # Members 0-4 are the 10-epoch mse starts, 5-9 the 50-epoch msereg ones.
+    cfgs = [TrainConfig(loss="mse"), TrainConfig(loss="msereg")]
+    with PopulationTraining(toy_set(), cfgs, HIDDEN) as training:
+        assert training._shares == [[5, 7, 9], [6, 8, 0, 1, 2, 3, 4]]
+        training.members()
+    assert len(workers) == 2 and all_waited(workers)
+
+
+def test_messages_larger_than_a_pipe_buffer_do_not_block():
+    # In a child process, so that a deadlock fails the test instead of hanging it.
+    done = subprocess.run(
+        [sys.executable, "-c", LARGE], capture_output=True, env=worker_env(), timeout=300
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    sizes, parallel, in_process = pickle.loads(done.stdout)
+    assert min(sizes) > PIPE_BUFFER
+    assert weights(parallel) == weights(in_process)
+
+
+def test_a_worker_whose_stdin_closes_first_exits_quietly():
+    done = subprocess.run(
+        [sys.executable, "-c", classifiers._WORKER],
+        input=b"",
+        capture_output=True,
+        env=worker_env(),
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+
+
+def test_an_orphaned_worker_stops_before_its_next_member(monkeypatch):
+    parents = iter([100, 100, 1])  # the parent dies while the first member trains
+    trained = []
+    monkeypatch.setattr(os, "getppid", lambda: next(parents))
+    monkeypatch.setattr(classifiers, "mlp_train", lambda train, cfg, hidden: trained.append(cfg))
+    monkeypatch.setattr(classifiers.signal, "signal", lambda *args: None)
+    share = (toy_set(), [replace(CFGS[0], seed=k) for k in range(3)], HIDDEN)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(pickle.dumps(share))))
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
+    classifiers._worker_main()
+    assert [cfg.seed for cfg in trained] == [0]
+    assert sys.stdout.buffer.getvalue() == b""

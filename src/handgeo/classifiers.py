@@ -630,6 +630,20 @@ def rbf_identify(model: RbfModel, x: np.ndarray) -> int:
     return model.person_ids[int(np.argmax(model.outputs(x)))]
 
 
+def identify(
+    model: TemplateDb | MlpModel | RbfModel | list[MlpModel], x: np.ndarray, metric: str = "mse"
+) -> int:
+    """Person one trained model names for vector x: a template database by
+    nearest neighbour under metric, a list of MLPs as a committee."""
+    if isinstance(model, TemplateDb):
+        return nn_identify(x, model, metric)
+    if isinstance(model, MlpModel):
+        return mlp_identify(model, x)
+    if isinstance(model, RbfModel):
+        return rbf_identify(model, x)
+    return committee_identify(model, x)
+
+
 # -- plain-text model files ----------------------------------------------------
 
 

@@ -4,7 +4,7 @@ Commands
 --------
 gen      draw a synthetic corpus and write it as a directory tree
 extract  run the measurement pipeline on one BMP or a corpus tree -> CSV
-train    fit one classifier on a features CSV -> model file
+train    fit one classifier on samples 0-4 of a features CSV -> model file
 eval     run the full identification protocol (or pre-trained models) -> report
 sweep    identification rate per RBF centre count -> curve CSV
 
@@ -21,8 +21,6 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-import numpy as np
-
 from .classifiers import (
     DEFAULT_GAMMA,
     DEFAULT_HIDDEN,
@@ -32,50 +30,31 @@ from .classifiers import (
     TemplateDb,
     TrainConfig,
     load_model,
-    mlp_identify,
     multistart_select,
-    nn_identify,
-    rbf_identify,
     rbf_train,
     save_model,
     train_members,
 )
-from .errors import ConfigError, HandGeoError, text_input
+from .errors import ConfigError, HandGeoError, read_config
 from .evaluation import (
     DEFAULT_RBF_CENTRES,
     DEFAULT_SWEEP_COUNTS,
     EvalReport,
-    Split,
     corpus_echo,
     emit_table,
+    enroll,
     evaluate_features,
     extract_features,
-    run_identification,
-    split_entries,
+    score,
     sweep_rbf_features,
 )
-from .features import apply_scaler, fit_scaler, load_features, save_features
+from .features import load_features, save_features
 from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_THRESHOLD, load_bmp
 from .pipeline import ExtractionSettings, extract
 from .synthgen import DEFAULT_INTRA_SIGMA, DEFAULT_NOISE_LEVEL, DEFAULT_PERSONS, DEFAULT_SAMPLES
 from .synthgen import REFERENCE_DPI, Corpus, load_corpus, make_corpus, save_corpus
 
 DEFAULT_SWEEP_CENTRES = ",".join(str(k) for k in DEFAULT_SWEEP_COUNTS)
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    with text_input(path, ConfigError):
-        text = Path(path).read_text(encoding="utf-8")
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ConfigError(f"{path}:{ln}: expected key=value, got {raw!r}")
-        out[key.strip()] = value.strip()
-    return out
 
 
 #: key -> (cast from string, default, help); None default means "required
@@ -142,7 +121,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
 _HELP = {
     "gen": "generate a synthetic hand corpus",
     "extract": "extract features from a BMP image or corpus tree",
-    "train": "train one classifier on extracted features",
+    "train": "train one classifier on samples 0-4 of extracted features",
     "eval": "run the identification protocol and write report files",
     "sweep": "write the RBF centre-count/rate curve",
 }
@@ -170,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
     """Fill every option in args: flag, else config-file value, else default."""
     options = _OPTIONS[args.command]
-    from_file = _read_config_file(args.config) if args.config else {}
+    from_file = read_config(args.config, ConfigError) if args.config else {}
     unknown = set(from_file) - set(options)
     if unknown:
         raise ConfigError(
@@ -258,15 +237,10 @@ def cmd_extract(cfg: argparse.Namespace) -> int:
 def cmd_train(cfg: argparse.Namespace) -> int:
     entries = load_features(str(_require(cfg, "features")))
     out = Path(str(_require(cfg, "out")))
-    if not entries:
-        raise ConfigError("the features file has no rows")
-    scaler = fit_scaler(np.array([v for _, _, v in entries]))
-    train_pairs = [(p, apply_scaler(scaler, v)) for p, _, v in entries]
+    scaler, train_pairs = enroll(entries)
 
     if cfg.kind == "nn":
-        model: TemplateDb | MlpModel | RbfModel = TemplateDb(
-            entries=train_pairs, scaler=scaler
-        )
+        model: TemplateDb | MlpModel | RbfModel = TemplateDb(entries=train_pairs)
     elif cfg.kind == "mlp":
         train_cfg = TrainConfig(
             loss=cfg.loss,
@@ -276,23 +250,14 @@ def cmd_train(cfg: argparse.Namespace) -> int:
             seed=cfg.seed,
         )
         model = multistart_select(train_members(train_pairs, train_cfg, cfg.hidden), train_pairs)
-        model.scaler = scaler
     elif cfg.kind == "rbf":
         model = rbf_train(train_pairs, min(cfg.centres, len(train_pairs)), cfg.spread)
-        model.scaler = scaler
     else:
         raise ConfigError(f"unknown classifier kind {cfg.kind!r}; use nn, mlp or rbf")
+    model.scaler = scaler
     save_model(model, out)
-    print(f"wrote {cfg.kind} model trained on {len(entries)} rows to {out}")
+    print(f"wrote {cfg.kind} model trained on {len(train_pairs)} rows to {out}")
     return 0
-
-
-def _model_decider(model: TemplateDb | MlpModel | RbfModel, metric: str):
-    if isinstance(model, TemplateDb):
-        return lambda v: nn_identify(v, model, metric)
-    if isinstance(model, MlpModel):
-        return lambda v: mlp_identify(model, v)
-    return lambda v: rbf_identify(model, v)
 
 
 def _input_widths(model: TemplateDb | MlpModel | RbfModel) -> set[int]:
@@ -308,33 +273,19 @@ def _input_widths(model: TemplateDb | MlpModel | RbfModel) -> set[int]:
 
 def _eval_models(cfg: argparse.Namespace, entries: list, exclusions: int) -> EvalReport:
     """Score pre-trained model files on the test half of the split."""
-    _, test_e = split_entries(entries, Split())
-    if not test_e:
-        raise ConfigError("the split left no test samples")
     rates: dict[str, float] = {}
     for path_text in str(cfg.models).split(","):
         path = Path(path_text.strip())
         model = load_model(path)
         widths = _input_widths(model)
-        if widths != {len(test_e[0][2])}:
+        if entries and widths != {len(entries[0][2])}:
             raise ConfigError(
                 f"{path}: model takes {'/'.join(map(str, sorted(widths)))} features,"
-                f" the input rows have {len(test_e[0][2])}"
+                f" the input rows have {len(entries[0][2])}"
             )
-        decide = _model_decider(model, cfg.metric)
-        scaler = model.scaler
-        test_s = [
-            (p, j, apply_scaler(scaler, v) if scaler is not None else v)
-            for p, j, v in test_e
-        ]
-        rates[f"model:{path.stem}"] = run_identification(decide, test_s)
-    return EvalReport(
-        rates=rates,
-        persons=len({p for p, _, _ in entries}),
-        probes=len(test_e),
-        exclusions=exclusions,
-        config={"models": str(cfg.models), "metric": cfg.metric},
-    )
+        rates[f"model:{path.stem}"] = score(model, entries, model.scaler, cfg.metric)
+    config = {"models": str(cfg.models), "metric": cfg.metric}
+    return EvalReport.from_entries(entries, rates, exclusions, config)
 
 
 def cmd_eval(cfg: argparse.Namespace) -> int:

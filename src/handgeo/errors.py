@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Iterator
 
 
@@ -78,3 +79,21 @@ def text_input(path: object, error: type[HandGeoError]) -> Iterator[None]:
         raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
         raise error(f"{path}: {exc}") from None
+
+
+def read_config(path: str | Path, error: type[HandGeoError]) -> dict[str, str]:
+    """The key=value lines of a text file; text after '#' and blank lines are
+    skipped, and any other line without '=' is an error of the given category
+    naming path and line number."""
+    out: dict[str, str] = {}
+    with text_input(path, error):
+        text = Path(path).read_text(encoding="utf-8")
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise error(f"{path}:{ln}: expected key=value, got {raw!r}")
+        out[key.strip()] = value.strip()
+    return out

@@ -18,18 +18,17 @@ from .classifiers import (
     DEFAULT_GAMMA,
     DEFAULT_HIDDEN,
     DEFAULT_MULTISTART,
+    MlpModel,
     PopulationTraining,
+    RbfModel,
     TemplateDb,
     TrainConfig,
-    committee_identify,
-    mlp_identify,
+    identify,
     multistart_select,
-    nn_identify,
-    rbf_identify,
     rbf_train,
 )
 from .errors import ConfigError, HandGeoError
-from .features import apply_scaler, fit_scaler
+from .features import ScalerParams, apply_scaler, fit_scaler
 from .pipeline import ExtractionSettings, extract
 from .synthgen import Corpus
 
@@ -100,9 +99,9 @@ def split_entries(entries: list[Entry], split: Split) -> tuple[list[Entry], list
     return train, test
 
 
-def scaled_halves(entries: list[Entry]) -> tuple[list[tuple[int, np.ndarray]], list[Entry]]:
-    """Scaled (person, vector) training pairs and scaled test entries of the
-    default split; the scaler is fitted on the training half."""
+def enroll(entries: list[Entry]) -> tuple[ScalerParams, list[tuple[int, np.ndarray]]]:
+    """The scaler fitted on the default split's training half, and that
+    half's scaled (person, vector) pairs."""
     for p, j, v in entries:
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
@@ -112,9 +111,20 @@ def scaled_halves(entries: list[Entry]) -> tuple[list[tuple[int, np.ndarray]], l
     if not train_e or not test_e:
         raise ConfigError("the split left one half of the corpus empty")
     scaler = fit_scaler(np.array([v for _, _, v in train_e]))
-    train_pairs = [(p, apply_scaler(scaler, v)) for p, _, v in train_e]
-    test_s = [(p, j, apply_scaler(scaler, v)) for p, j, v in test_e]
-    return train_pairs, test_s
+    return scaler, [(p, apply_scaler(scaler, v)) for p, _, v in train_e]
+
+
+def score(
+    model: TemplateDb | MlpModel | RbfModel | list[MlpModel],
+    entries: list[Entry],
+    scaler: ScalerParams | None,
+    metric: str = "mse",
+) -> float:
+    """Rate of one trained model on the default split's test half, scaled by
+    scaler (None: as given)."""
+    _, test_e = split_entries(entries, Split())
+    test = [(p, j, v if scaler is None else apply_scaler(scaler, v)) for p, j, v in test_e]
+    return run_identification(lambda v: identify(model, v, metric), test)
 
 
 def run_identification(decide: Callable[[np.ndarray], int], test: list[Entry]) -> float:
@@ -132,6 +142,15 @@ class EvalReport:
     probes: int  # test vectors identified
     exclusions: int
     config: dict[str, str] = field(default_factory=dict)
+
+    @classmethod
+    def from_entries(
+        cls, entries: list[Entry], rates: dict[str, float], exclusions: int, config: dict[str, str]
+    ) -> EvalReport:
+        """The report of rates scored on the test half of entries."""
+        persons = len({p for p, _, _ in entries})
+        probes = len(split_entries(entries, Split())[1])
+        return cls(rates, persons, probes, exclusions, config)
 
     @property
     def trials(self) -> tuple[int, int, int]:
@@ -173,7 +192,7 @@ def evaluate_features(
     rbf_spread: float | None = None,
 ) -> EvalReport:
     """The classifier protocol on already-extracted feature entries."""
-    train_pairs, test_s = scaled_halves(entries)
+    scaler, train_pairs = enroll(entries)
     base = TrainConfig(seed=train_seed, gamma=gamma, multistart=multistart)
     losses = ("mse", "msereg")
     # epochs=None re-resolves the per-loss default instead of inheriting base's.
@@ -183,19 +202,17 @@ def evaluate_features(
     with PopulationTraining(train_pairs, cfgs, hidden) as training:
         db = TemplateDb(entries=train_pairs)
         rates: dict[str, float] = {}
-        rates["nn_mad"] = run_identification(lambda v: nn_identify(v, db, "mad"), test_s)
-        rates["nn_mse"] = run_identification(lambda v: nn_identify(v, db, "mse"), test_s)
+        rates["nn_mad"] = score(db, entries, scaler, "mad")
+        rates["nn_mse"] = score(db, entries, scaler)
         rbf = rbf_train(train_pairs, min(rbf_centres, len(train_pairs)), rbf_spread)
         members = dict(zip(losses, training.members()))
 
     for loss in losses:
         best = multistart_select(members[loss], train_pairs)
-        rates[f"mlp_{loss}"] = run_identification(lambda v, m=best: mlp_identify(m, v), test_s)
+        rates[f"mlp_{loss}"] = score(best, entries, scaler)
         committee = members[loss][:COMMITTEE_SIZE]
-        rates[f"committee_{loss}"] = run_identification(
-            lambda v, c=committee: committee_identify(c, v), test_s
-        )
-    rates["rbf"] = run_identification(lambda v: rbf_identify(rbf, v), test_s)
+        rates[f"committee_{loss}"] = score(committee, entries, scaler)
+    rates["rbf"] = score(rbf, entries, scaler)
 
     split = Split()
     cfg_echo = dict(extra_config or {})
@@ -214,13 +231,7 @@ def evaluate_features(
             "rbf_spread": f"{rbf.spread:.17g}",
         }
     )
-    return EvalReport(
-        rates=rates,
-        persons=len({p for p, _, _ in entries}),
-        probes=len(test_s),
-        exclusions=exclusions,
-        config=cfg_echo,
-    )
+    return EvalReport.from_entries(entries, rates, exclusions, cfg_echo)
 
 
 def sweep_rbf_features(
@@ -229,13 +240,11 @@ def sweep_rbf_features(
     spread: float | None = None,
 ) -> list[tuple[int, float]]:
     """Identification rate per RBF centre count on extracted features."""
-    train_pairs, test_s = scaled_halves(entries)
-    curve: list[tuple[int, float]] = []
-    for k in centre_counts:
-        model = rbf_train(train_pairs, min(k, len(train_pairs)), spread)
-        rate = run_identification(lambda v: rbf_identify(model, v), test_s)
-        curve.append((k, rate))
-    return curve
+    scaler, train_pairs = enroll(entries)
+    return [
+        (k, score(rbf_train(train_pairs, min(k, len(train_pairs)), spread), entries, scaler))
+        for k in centre_counts
+    ]
 
 
 def emit_table(report: EvalReport) -> tuple[str, str]:

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .contour import Landmarks, trace_contour
-from .errors import CorpusError, HandGeoError, RenderError, text_input
+from .errors import CorpusError, HandGeoError, RenderError, read_config
 from .features import measure
 from .imaging import (
     BinaryImage,
@@ -104,7 +104,7 @@ class Corpus:
     """Rendered database: persons x samples images with per-sample truth.
 
     truths is empty for a corpus read back by load_corpus, which never reads
-    ground truth; only a rendered corpus can be saved.
+    ground truth; save_corpus then writes no ground_truth.csv.
     """
 
     images: list[list[GrayImage]]
@@ -531,7 +531,8 @@ def _gt_row(j: int, gt: GroundTruth) -> list[str]:
 
 
 def save_corpus(corpus: Corpus, root: str | Path) -> None:
-    """Directory tree: person_<i>/sample_<j>.bmp plus per-person truth CSV."""
+    """Directory tree: person_<i>/sample_<j>.bmp plus, when the corpus has
+    ground truth, one person_<i>/ground_truth.csv per person."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     config = "\n".join(
@@ -545,15 +546,16 @@ def save_corpus(corpus: Corpus, root: str | Path) -> None:
         ]
     )
     (root / "corpus_config.txt").write_text(config + "\n", encoding="utf-8")
-    for p, (row_img, row_gt) in enumerate(zip(corpus.images, corpus.truths)):
+    for p, row_img in enumerate(corpus.images):
         pdir = root / f"person_{p:02d}"
         pdir.mkdir(exist_ok=True)
-        with open(pdir / "ground_truth.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_GT_HEADER)
-            for j, (img, gt) in enumerate(zip(row_img, row_gt)):
-                save_bmp(img, pdir / f"sample_{j:02d}.bmp")
-                writer.writerow(_gt_row(j, gt))
+        for j, img in enumerate(row_img):
+            save_bmp(img, pdir / f"sample_{j:02d}.bmp")
+        if corpus.truths:
+            with open(pdir / "ground_truth.csv", "w", newline="", encoding="utf-8") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(_GT_HEADER)
+                writer.writerows(_gt_row(j, gt) for j, gt in enumerate(corpus.truths[p]))
 
 
 def load_corpus(root: str | Path) -> Corpus:
@@ -563,13 +565,7 @@ def load_corpus(root: str | Path) -> Corpus:
     config_path = root / "corpus_config.txt"
     if not config_path.is_file():
         raise CorpusError(f"{config_path} not found")
-    config: dict[str, str] = {}
-    with text_input(config_path, CorpusError):
-        text = config_path.read_text(encoding="utf-8")
-    for line in text.splitlines():
-        if line.strip():
-            key, _, value = line.partition("=")
-            config[key.strip()] = value.strip()
+    config = read_config(config_path, CorpusError)
 
     def field(key: str, cast: type):
         try:

@@ -181,6 +181,19 @@ class TestExtract:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"corpus_error: {config}: {message}")
 
+    def test_a_corpus_config_line_without_equals_is_one_corpus_error_line(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        main(["gen", "--out", str(corpus_dir), "--persons", "1", "--samples", "2"])
+        config = corpus_dir / "corpus_config.txt"
+        lines = config.read_text().splitlines()
+        config.write_text("\n".join(lines + ["garbage line"]) + "\n")
+        capsys.readouterr()
+        code = main(["extract", "--input", str(corpus_dir), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"corpus_error: {config}:{len(lines) + 1}: expected key=value, got 'garbage line'"
+        ]
+
     @pytest.mark.parametrize(
         "damage",
         [lambda path: path.unlink(), lambda path: path.write_text("sample\n0,x\n"),
@@ -573,10 +586,13 @@ _READERS = {
 @pytest.fixture(scope="module")
 def clean_inputs(tiny_corpus):
     """Bytes of every fuzzed file: the tiny corpus, a features CSV of its one
-    vector as a training and a test sample, and an nn model trained on it."""
+    vector and two multiples of it as two training samples and a test sample,
+    and an nn model trained on it."""
     vector = pipeline.extract(load_bmp(tiny_corpus / "person_00" / "sample_00.bmp")).vector
     work = tiny_corpus.parent
-    save_features(work / "features.csv", [(0, 0, vector), (0, 5, 1.1 * vector)])
+    save_features(
+        work / "features.csv", [(0, 0, vector), (0, 1, 1.05 * vector), (0, 5, 1.1 * vector)]
+    )
     assert main(["train", "--kind", "nn", "--features", str(work / "features.csv"),
                  "--out", str(work / "nn.model")]) == 0
     return {name: (work / name).read_bytes() for name in _READERS}
@@ -614,7 +630,37 @@ class TestDamagedFiles:
 
 
 class TestOneProtocol:
-    """eval, sweep and evaluate_all run the same split and trial accounting."""
+    """eval, sweep, evaluate_all, train and eval --models run the same split
+    and trial accounting."""
+
+    def test_train_then_eval_models_reproduces_the_eval_rows(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        centres = rng.uniform(-1, 1, size=(5, 9))
+        features = tmp_path / "features.csv"
+        save_features(features, [
+            (p, j, centres[p] + rng.normal(0, 0.5, 9)) for p in range(5) for j in range(10)
+        ])
+        shared = ["--features", str(features), "--seed", "3", "--multistart", "2",
+                  "--hidden", "8", "--centres", "10"]
+        assert main(["eval", *shared, "--out", str(tmp_path / "eval")]) == 0
+        want = read_report_csv(tmp_path / "eval")
+        kinds = {
+            "nn_mse": (["--kind", "nn"], "mse"),
+            "nn_mad": (["--kind", "nn"], "mad"),
+            "mlp_mse": (["--kind", "mlp", "--loss", "mse"], "mse"),
+            "mlp_msereg": (["--kind", "mlp", "--loss", "msereg"], "mse"),
+            "rbf": (["--kind", "rbf"], "mse"),
+        }
+        # Clusters this wide leave every row short of 100%, where a model
+        # scored on its own training samples would reach it.
+        assert all(float(want[f"rate_{key}"]) < 100 for key in kinds)
+        for key, (kind, metric) in kinds.items():
+            model = tmp_path / f"{key}.model"
+            assert main(["train", *shared, *kind, "--out", str(model)]) == 0
+            out = tmp_path / key
+            assert main(["eval", "--features", str(features), "--models", str(model),
+                         "--metric", metric, "--out", str(out)]) == 0
+            assert read_report_csv(out)[f"rate_model:{key}"] == want[f"rate_{key}"]
 
     def test_eval_corpus_report_equals_evaluate_all(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
@@ -639,6 +685,10 @@ class TestOneProtocol:
         assert errors[0] == errors[1] == [
             "config_error: the split left one half of the corpus empty"
         ]
+
+
+def read_report_csv(out):
+    return dict(line.split(",", 1) for line in (out / "report.csv").read_text().splitlines())
 
 
 class TestSweep:

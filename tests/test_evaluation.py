@@ -155,7 +155,7 @@ def with_bad_cell(person=2, sample=7, feature=4, value=np.nan):
 
 
 class TestNonFiniteFeatures:
-    """Both protocol runners share scaled_halves's check for nan and inf."""
+    """Both protocol runners share enroll's check for nan and inf."""
 
     def test_evaluate_names_the_person_and_sample(self):
         with pytest.raises(ConfigError, match="^person 2 sample 7: feature 4 is nan, not a finite number$"):

@@ -1,7 +1,10 @@
 """Synthetic hand rendering, ground truth, and corpus generation."""
 
 import dataclasses
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,3 +298,31 @@ class TestCorpusSerialization:
             assert (person_dir / "ground_truth.csv").exists()
             samples = sorted(person_dir.glob("sample_*.bmp"))
             assert len(samples) == 3
+
+    def test_a_loaded_tree_saves_again_with_the_same_images_and_config(self, tmp_path):
+        save_corpus(make_corpus(6, persons=1, samples=2), tmp_path / "gen")
+        save_corpus(load_corpus(tmp_path / "gen"), tmp_path / "again")
+        gen, again = tree_files(tmp_path / "gen"), tree_files(tmp_path / "again")
+        assert again == {rel: data for rel, data in gen.items() if "ground_truth" not in rel}
+        assert sorted(again) == [
+            "corpus_config.txt", "person_00/sample_00.bmp", "person_00/sample_01.bmp"
+        ]
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_default_trees_match_the_stored_digests(self, tmp_path, seed):
+        references = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+        want = json.loads(references.read_text())[seed]["gen_tree_sha256"]
+        save_corpus(make_corpus(int(seed)), tmp_path)
+        h = hashlib.sha256()
+        for rel, data in sorted(tree_files(tmp_path).items()):
+            h.update(rel.encode() + b"\0" + data + b"\0")
+        assert h.hexdigest() == want
+
+
+def tree_files(root):
+    """Bytes of every file under root by its relative POSIX path."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in root.rglob("*")
+        if path.is_file()
+    }

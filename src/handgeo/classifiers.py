@@ -4,8 +4,8 @@ All classifiers operate on 9-dimensional feature vectors scaled to [-1, 1]
 and decide closed-set identity by argmax (or minimum distance). Training is
 deterministic given the seed, and ties always break toward the lowest person
 id. A single mlp_train call also depends on the BLAS thread count, which
-follows the core count; multi-start populations train in single-threaded
-worker processes (PopulationTraining), so their weights equal a serial run
+follows the core count; train_populations trains multi-start populations
+in single-threaded worker processes, so their weights equal a serial run
 with one BLAS thread on any number of cores.
 """
 
@@ -402,83 +402,67 @@ def _worker_main() -> None:
     pickle.dump(results, sys.stdout.buffer, pickle.HIGHEST_PROTOCOL)
 
 
-class PopulationTraining:
+def _shares(epochs: list[int], n_workers: int) -> list[list[int]]:
+    """Member indices per worker: longest (most epochs) first, each to the
+    worker with the fewest epochs so far. sorted() keeps index order among
+    members of equal length, and min() takes the first of equally loaded
+    workers."""
+    shares: list[list[int]] = [[] for _ in range(n_workers)]
+    load = [0] * n_workers
+    for i in sorted(range(len(epochs)), key=lambda i: -epochs[i]):
+        w = min(range(n_workers), key=load.__getitem__)
+        shares[w].append(i)
+        load[w] += epochs[i]
+    return shares
+
+
+def train_populations(
+    train: list[tuple[int, np.ndarray]],
+    cfgs: list[TrainConfig],
+    hidden: int = DEFAULT_HIDDEN,
+) -> list[list[MlpModel]]:
     """The multi-start population of each config, one model per seed
-    cfg.seed + 0..K-1, trained in worker processes when there are cores.
+    cfg.seed + 0..K-1 in seed order.
 
-    Construction checks the inputs. With more than one core it starts
-    min(cores, members) worker processes with single-threaded BLAS and splits
-    the members into one share per worker: longest (most epochs) first, each
-    to the worker with the fewest epochs so far. Each worker gets its share as
-    one message, so the caller can work while they train, and answers with one
-    message of models. On one core, members() trains in this process. Use it
-    as a context manager: leaving the block waits for every worker, and kills
-    any still running first when the block raised.
+    The inputs are checked before any worker starts. With more than one core,
+    min(cores, members) worker processes with single-threaded BLAS each get
+    their share of the members (see _shares) as one message and answer with
+    one message of models; on one core the members train in this process.
+    A member's exception, a worker lost before replying (TrainingError) or an
+    interrupt while waiting kills the workers still running; every worker is
+    reaped before the call returns or raises.
     """
-
-    def __init__(
-        self,
-        train: list[tuple[int, np.ndarray]],
-        cfgs: list[TrainConfig],
-        hidden: int = DEFAULT_HIDDEN,
-    ):
-        if not train:
-            raise ConfigError("empty training set")
-        if hidden < 1:
-            raise ConfigError(f"hidden units must be >= 1, got {hidden}")
-        self._train, self._hidden = train, hidden
-        self._sizes = [cfg.multistart for cfg in cfgs]
-        self._members = [
-            replace(cfg, seed=cfg.seed + k) for cfg in cfgs for k in range(cfg.multistart)
-        ]
-        self._shares: list[list[int]] = []  # member indices, one list per worker
-        self._workers: list[subprocess.Popen] = []
-        cores = _cores()
-        if cores < 2:
-            return
-        self._shares = [[] for _ in range(min(cores, len(self._members)))]
-        epochs = [0] * len(self._shares)
-        # sorted() keeps seed order among members of equal length, and min()
-        # takes the first of equally loaded workers.
-        for i in sorted(range(len(self._members)), key=lambda i: -self._members[i].epochs):
-            w = min(range(len(epochs)), key=epochs.__getitem__)
-            self._shares[w].append(i)
-            epochs[w] += self._members[i].epochs
+    if not train:
+        raise ConfigError("empty training set")
+    if hidden < 1:
+        raise ConfigError(f"hidden units must be >= 1, got {hidden}")
+    members = [replace(cfg, seed=cfg.seed + k) for cfg in cfgs for k in range(cfg.multistart)]
+    cores = _cores()
+    if cores < 2:
+        models = [mlp_train(train, cfg, hidden) for cfg in members]
+    else:
+        shares = _shares([cfg.epochs for cfg in members], min(cores, len(members)))
         root = str(Path(__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": path}
+        models = [None] * len(members)
+        workers: list[subprocess.Popen] = []
         try:
-            for share in self._shares:
+            for share in shares:
                 worker = subprocess.Popen(
                     [sys.executable, "-c", _WORKER],
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
                     env=env,
                 )
-                self._workers.append(worker)
-                job = (train, [self._members[i] for i in share], hidden)
-                # A worker that died first is reported by members(), which
-                # finds its reply missing.
+                workers.append(worker)
+                job = (train, [members[i] for i in share], hidden)
+                # A worker that died first is reported below, where its reply
+                # is missing.
                 with suppress(BrokenPipeError):
                     pickle.dump(job, worker.stdin, pickle.HIGHEST_PROTOCOL)
                     worker.stdin.close()
-        except BaseException:
-            self._close(kill=True)
-            raise
-
-    def __enter__(self) -> PopulationTraining:
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._close(kill=exc_type is not None)
-
-    def members(self) -> list[list[MlpModel]]:
-        """One population per config, each in seed order."""
-        if not self._workers:
-            models = [mlp_train(self._train, cfg, self._hidden) for cfg in self._members]
-        else:
-            models = [None] * len(self._members)
-            for worker, share in zip(self._workers, self._shares):
+            for worker, share in zip(workers, shares):
                 try:
                     results = pickle.load(worker.stdout)
                 except (EOFError, pickle.UnpicklingError):
@@ -490,19 +474,19 @@ class PopulationTraining:
                     if isinstance(result, BaseException):
                         raise result
                     models[i] = result
-        it = iter(models)
-        return [[next(it) for _ in range(size)] for size in self._sizes]
-
-    def _close(self, kill: bool = False) -> None:
-        """Wait for every worker; with kill, kill those still running first."""
-        for worker in self._workers:
-            if kill and worker.poll() is None:
-                worker.kill()
-        for worker in self._workers:
-            with suppress(OSError):  # unsent bytes of a share to a dead worker
-                worker.stdin.close()
-            worker.wait()
-            worker.stdout.close()
+        except BaseException:
+            for worker in workers:
+                if worker.poll() is None:
+                    worker.kill()
+            raise
+        finally:
+            for worker in workers:
+                with suppress(OSError):  # unsent bytes of a share to a dead worker
+                    worker.stdin.close()
+                worker.wait()
+                worker.stdout.close()
+    it = iter(models)
+    return [[next(it) for _ in range(cfg.multistart)] for cfg in cfgs]
 
 
 def train_members(
@@ -510,10 +494,8 @@ def train_members(
     cfg: TrainConfig,
     hidden: int = DEFAULT_HIDDEN,
 ) -> list[MlpModel]:
-    """The multi-start population: one model per seed cfg.seed + 0..K-1
-    (see PopulationTraining)."""
-    with PopulationTraining(train, [cfg], hidden) as training:
-        return training.members()[0]
+    """The multi-start population of one config (see train_populations)."""
+    return train_populations(train, [cfg], hidden)[0]
 
 
 def multistart_select(
@@ -556,9 +538,22 @@ class RbfModel:
         return out[0] if x.ndim == 1 else out
 
 
+def _checked_spread(spread: float) -> float:
+    """spread, if it is positive and the kernel's 2 * spread**2 is a finite,
+    nonzero float; a ConfigError otherwise."""
+    if not (0.0 < spread and 0.0 < 2.0 * spread * spread < math.inf):
+        raise ConfigError(
+            f"rbf spread must be positive with 2 * spread**2 finite and nonzero, got {spread}"
+        )
+    return spread
+
+
 def _kernel(x: np.ndarray, centres: np.ndarray, spread: float) -> np.ndarray:
     sq = ((x[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
-    return np.exp(-sq / (2.0 * spread**2))
+    # Under a spread so narrow that the exponent overflows, exp(-inf) = 0 is
+    # the kernel's limit; _checked_spread keeps 2 * spread**2 nonzero.
+    with np.errstate(over="ignore"):
+        return np.exp(-sq / (2.0 * spread**2))
 
 
 def median_pairwise_distance(x: np.ndarray) -> float:
@@ -590,8 +585,8 @@ def rbf_train(
         spread = median_pairwise_distance(x)
         if not spread > 0:
             raise TrainingError("kernel spread must be positive (duplicate training points?)")
-    elif not spread > 0:
-        raise ConfigError(f"rbf spread must be positive, got {spread}")
+    else:
+        _checked_spread(spread)
 
     phi = _kernel(x, x, spread)
     residual = phi.copy()  # candidate columns, orthogonalized against picks
@@ -711,13 +706,6 @@ def _floats(text: str) -> np.ndarray:
     return np.array([_float(v) for v in text.split()])
 
 
-def _positive(text: str) -> float:
-    value = _float(text)
-    if value <= 0:
-        raise ValueError(f"{value} is not positive")
-    return value
-
-
 def _count(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -728,7 +716,7 @@ def _count(text: str) -> int:
 def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
     """Inverse of save_model; a missing or malformed field, a number that is
     not finite, an inputs, hidden or centres count below 1, a training config
-    TrainConfig rejects, a spread that is not positive, or a scaler_max that
+    TrainConfig rejects, a spread rbf_train rejects, or a scaler_max that
     is not above scaler_min in every dimension is a ConfigError naming the
     field; text that is not UTF-8 is a ConfigError.
     Fields it does not read, such as older files' damping lines, are ignored."""
@@ -799,7 +787,7 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
         return RbfModel(
             person_ids=person_ids,
             centres=read("centre_rows", lambda t: _floats(t).reshape(k, n_in)),
-            spread=read("spread", _positive),
+            spread=read("spread", lambda t: _checked_spread(_float(t))),
             weights=read("weights", lambda t: _floats(t).reshape(len(person_ids), k)),
             requested_centres=read("requested", int),
             scaler=scaler,

@@ -64,6 +64,16 @@ _EXTRACTION: dict[str, tuple] = {
     "kernel_radius": (int, DEFAULT_KERNEL_RADIUS, "box-filter radius (0 disables)"),
 }
 
+#: The training settings train and eval share.
+_TRAINING: dict[str, tuple] = {
+    "seed": (int, 0, "first training seed"),
+    "gamma": (float, DEFAULT_GAMMA, "msereg performance ratio"),
+    "multistart": (int, DEFAULT_MULTISTART, "mlp random starts"),
+    "hidden": (int, DEFAULT_HIDDEN, "mlp hidden units"),
+    "centres": (int, DEFAULT_RBF_CENTRES, "rbf centre count"),
+    "spread": (float, None, "rbf kernel width (default: median distance)"),
+}
+
 _OPTIONS: dict[str, dict[str, tuple]] = {
     "gen": {
         "out": (str, None, "corpus output directory"),
@@ -87,12 +97,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "kind": (str, "mlp", "classifier family: nn, mlp or rbf"),
         "loss": (str, "mse", "mlp loss: mse or msereg"),
         "epochs": (int, None, "mlp epochs (defaults per loss)"),
-        "gamma": (float, DEFAULT_GAMMA, "msereg performance ratio"),
-        "multistart": (int, DEFAULT_MULTISTART, "mlp random starts"),
-        "seed": (int, 0, "first initialization seed"),
-        "hidden": (int, DEFAULT_HIDDEN, "mlp hidden units"),
-        "centres": (int, DEFAULT_RBF_CENTRES, "rbf centre count"),
-        "spread": (float, None, "rbf kernel width (default: median distance)"),
+        **_TRAINING,
     },
     "eval": {
         "corpus": (str, None, "corpus directory to evaluate"),
@@ -100,12 +105,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "out": (str, None, "report output directory"),
         "models": (str, None, "comma-separated model files to score instead"),
         "metric": (str, "mse", "distance for nn model files: mse or mad"),
-        "seed": (int, 0, "first training seed"),
-        "gamma": (float, DEFAULT_GAMMA, "msereg performance ratio"),
-        "multistart": (int, DEFAULT_MULTISTART, "mlp random starts"),
-        "hidden": (int, DEFAULT_HIDDEN, "mlp hidden units"),
-        "centres": (int, DEFAULT_RBF_CENTRES, "rbf centre count"),
-        "spread": (float, None, "rbf kernel width"),
+        **_TRAINING,
         **_EXTRACTION,
     },
     "sweep": {
@@ -160,7 +160,7 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
             try:
                 setattr(args, key, cast(from_file[key]) if key in from_file else default)
             except ValueError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from None
+                raise ConfigError(f"{args.config}: key {key!r}: {exc}") from None
     return args
 
 

@@ -19,13 +19,13 @@ from .classifiers import (
     DEFAULT_HIDDEN,
     DEFAULT_MULTISTART,
     MlpModel,
-    PopulationTraining,
     RbfModel,
     TemplateDb,
     TrainConfig,
     identify,
     multistart_select,
     rbf_train,
+    train_populations,
 )
 from .errors import ConfigError, HandGeoError
 from .features import ScalerParams, apply_scaler, fit_scaler
@@ -198,14 +198,12 @@ def evaluate_features(
     # epochs=None re-resolves the per-loss default instead of inheriting base's.
     cfgs = [replace(base, loss=loss, epochs=None) for loss in losses]
 
-    # The training workers start up while this process runs NN and RBF.
-    with PopulationTraining(train_pairs, cfgs, hidden) as training:
-        db = TemplateDb(entries=train_pairs)
-        rates: dict[str, float] = {}
-        rates["nn_mad"] = score(db, entries, scaler, "mad")
-        rates["nn_mse"] = score(db, entries, scaler)
-        rbf = rbf_train(train_pairs, min(rbf_centres, len(train_pairs)), rbf_spread)
-        members = dict(zip(losses, training.members()))
+    db = TemplateDb(entries=train_pairs)
+    rates: dict[str, float] = {}
+    rates["nn_mad"] = score(db, entries, scaler, "mad")
+    rates["nn_mse"] = score(db, entries, scaler)
+    rbf = rbf_train(train_pairs, min(rbf_centres, len(train_pairs)), rbf_spread)
+    members = dict(zip(losses, train_populations(train_pairs, cfgs, hidden)))
 
     for loss in losses:
         best = multistart_select(members[loss], train_pairs)

@@ -446,6 +446,20 @@ def _jitter(proto: HandParams, sigma: float, rng: np.random.Generator) -> HandPa
     )
 
 
+def _check_settings(
+    intra_sigma: float, noise_level: float, dpi: float, persons: int, samples: int
+) -> None:
+    """CorpusError unless the corpus settings are in range."""
+    if not 0.0 <= intra_sigma <= 0.1:
+        raise CorpusError(f"intra_sigma {intra_sigma} outside [0, 0.1]")
+    if not 0.0 <= noise_level <= 1.0:
+        raise CorpusError(f"noise_level {noise_level} outside [0, 1]")
+    if persons < 1 or samples < 1:
+        raise CorpusError(f"need at least 1 person and 1 sample, got {persons} x {samples}")
+    if not 0.0 < dpi < math.inf:
+        raise CorpusError(f"dpi must be positive and finite, got {dpi}")
+
+
 def make_corpus(
     master_seed: int,
     intra_sigma: float = DEFAULT_INTRA_SIGMA,
@@ -461,14 +475,7 @@ def make_corpus(
     default extraction chain is regenerated from the same stream, up to 100
     attempts; giving up names the last attempt's failure.
     """
-    if not 0.0 <= intra_sigma <= 0.1:
-        raise CorpusError(f"intra_sigma {intra_sigma} outside [0, 0.1]")
-    if not 0.0 <= noise_level <= 1.0:
-        raise CorpusError(f"noise_level {noise_level} outside [0, 1]")
-    if persons < 1 or samples < 1:
-        raise CorpusError(f"need at least 1 person and 1 sample, got {persons} x {samples}")
-    if not 0.0 < dpi < math.inf:
-        raise CorpusError(f"dpi must be positive and finite, got {dpi}")
+    _check_settings(intra_sigma, noise_level, dpi, persons, samples)
     images: list[list[GrayImage]] = []
     truths: list[list[GroundTruth]] = []
     for p in range(persons):
@@ -560,7 +567,8 @@ def save_corpus(corpus: Corpus, root: str | Path) -> None:
 
 def load_corpus(root: str | Path) -> Corpus:
     """The images and metadata of a corpus tree; ground_truth.csv files are
-    not read, so trees of real scans, which have none, load too."""
+    not read, so trees of real scans, which have none, load too. Metadata
+    make_corpus would reject is a CorpusError naming corpus_config.txt."""
     root = Path(root)
     config_path = root / "corpus_config.txt"
     if not config_path.is_file():
@@ -576,16 +584,16 @@ def load_corpus(root: str | Path) -> Corpus:
             raise CorpusError(f"{config_path}: key {key!r}: {exc}") from None
 
     persons, samples = field("persons", int), field("samples", int)
-    if persons < 1 or samples < 1:
-        raise CorpusError(
-            f"{config_path}: need at least 1 person and 1 sample, got {persons} x {samples}"
-        )
     echo = {
         "master_seed": field("master_seed", int),
         "intra_sigma": field("intra_sigma", float),
         "noise_level": field("noise_level", float),
         "dpi": field("dpi", float),
     }
+    try:
+        _check_settings(echo["intra_sigma"], echo["noise_level"], echo["dpi"], persons, samples)
+    except CorpusError as exc:
+        raise CorpusError(f"{config_path}: {exc}") from None
     images = [
         [load_bmp(root / f"person_{p:02d}" / f"sample_{j:02d}.bmp") for j in range(samples)]
         for p in range(persons)

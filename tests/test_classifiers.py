@@ -488,6 +488,13 @@ class TestRbf:
         with pytest.raises(ConfigError, match="rbf spread must be positive"):
             rbf_train(self.random_set(n=5), 3, spread=spread)
 
+    @pytest.mark.parametrize("spread", [1e155, 1e300, 1e-200, math.inf, math.nan])
+    def test_a_spread_whose_kernel_scale_is_not_finite_and_nonzero_is_a_config_error(
+        self, spread
+    ):
+        with pytest.raises(ConfigError, match=r"2 \* spread\*\*2 finite and nonzero"):
+            rbf_train(self.random_set(n=5), 3, spread=spread)
+
     def test_centre_count_bounds_are_enforced(self):
         train = self.random_set(n=5)
         with pytest.raises(ConfigError, match="n_centres"):

@@ -17,6 +17,9 @@ from handgeo.imaging import GrayImage, load_bmp, save_bmp
 from handgeo.synthgen import canonical_params, load_corpus, render
 
 
+SPREAD_ERROR = "rbf spread must be positive with 2 * spread**2 finite and nonzero, got "
+
+
 def tree_bytes(root):
     return {
         path.relative_to(root): path.read_bytes()
@@ -116,6 +119,22 @@ class TestCommandLine:
         assert stop.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: handgeo {command}")
 
+    @pytest.mark.parametrize(
+        "command,line,message",
+        [
+            ("train", "epochs=ten", "key 'epochs': invalid literal for int() with base 10: 'ten'"),
+            ("gen", "persons=2.5", "key 'persons': invalid literal for int() with base 10: '2.5'"),
+            ("extract", "threshold=half", "key 'threshold': could not convert string to float: 'half'"),
+        ],
+    )
+    def test_a_bad_config_value_is_one_error_line_naming_the_file(
+        self, tmp_path, capsys, command, line, message
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config_error: {cfg}: {message}"]
+
     @pytest.mark.parametrize("command", ["extract", "eval", "sweep"])
     def test_sigma_in_a_config_file_is_an_unknown_key(self, tmp_path, capsys, command):
         cfg = tmp_path / "run.cfg"
@@ -180,6 +199,30 @@ class TestExtract:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"corpus_error: {config}: {message}")
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("intra_sigma", "nan", "intra_sigma nan outside [0, 0.1]"),
+            ("intra_sigma", "0.2", "intra_sigma 0.2 outside [0, 0.1]"),
+            ("noise_level", "7", "noise_level 7.0 outside [0, 1]"),
+            ("dpi", "-5", "dpi must be positive and finite, got -5.0"),
+            ("dpi", "inf", "dpi must be positive and finite, got inf"),
+            ("samples", "0", "need at least 1 person and 1 sample, got 1 x 0"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["extract", "eval"])
+    def test_metadata_gen_would_reject_is_one_corpus_error_line(
+        self, tmp_path, tiny_corpus, capsys, command, key, value, message
+    ):
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus, corpus_dir)
+        config = corpus_dir / "corpus_config.txt"
+        config.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}={value}", config.read_text()))
+        capsys.readouterr()
+        assert main([command, "--corpus" if command == "eval" else "--input", str(corpus_dir),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"corpus_error: {config}: {message}"]
 
     def test_a_corpus_config_line_without_equals_is_one_corpus_error_line(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
@@ -329,7 +372,7 @@ class TestTrain:
         )
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["config_error: rbf spread must be positive, got -1.0"]
+        assert err == [f"config_error: {SPREAD_ERROR}-1.0"]
 
     def test_unknown_kind_fails_cleanly(self, tmp_path, features_csv, capsys):
         code = main(
@@ -444,8 +487,8 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "kind,field,edit,message",
-        [("rbf", "spread", lambda fields: "0", "0.0 is not positive"),
-         ("rbf", "spread", lambda fields: "-2", "-2.0 is not positive"),
+        [("rbf", "spread", lambda fields: "0", f"{SPREAD_ERROR}0.0"),
+         ("rbf", "spread", lambda fields: "-2", f"{SPREAD_ERROR}-2.0"),
          ("nn", "scaler_max", lambda fields: fields["scaler_max"].rsplit(" ", 1)[0],
           "8 values for 9 in scaler_min"),
          ("mlp", "scaler_max", lambda fields: fields["scaler_min"],
@@ -484,6 +527,39 @@ class TestEval:
     def test_requiring_exactly_one_input_source(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path / "r")]) == 1
         assert "exactly one" in capsys.readouterr().err
+
+
+class TestExtremeSpread:
+    """A finite spread whose 2 * spread**2 overflows or is zero is one
+    config_error line from every entry point; a narrow spread that still
+    scores trains without a warning."""
+
+    @pytest.mark.parametrize("spread", ["1e155", "1e300", "1e-200"])
+    @pytest.mark.parametrize("command", [["train", "--kind", "rbf"], ["eval"], ["sweep"]])
+    def test_a_spread_flag(self, tmp_path, features_csv, capsys, command, spread):
+        argv = command + ["--features", str(features_csv), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--spread", spread]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config_error: {SPREAD_ERROR}{float(spread)}"
+        ]
+
+    @pytest.mark.parametrize("spread", ["1e155", "1e300", "1e-200"])
+    def test_a_model_file_spread(self, tmp_path, features_csv, capsys, spread):
+        model = edited_model(tmp_path, features_csv, "rbf", "spread", lambda fields: spread)
+        assert eval_model(tmp_path, features_csv, capsys, model) == [
+            f"config_error: {model}: field 'spread': {SPREAD_ERROR}{float(spread)}"
+        ]
+
+    @pytest.mark.parametrize("spread", ["2e-155", "1e150"])
+    def test_a_spread_just_inside_the_range_trains_and_scores(
+        self, tmp_path, features_csv, capsys, spread
+    ):
+        # At 2e-155 the kernel's exponent overflows to -inf for most pairs.
+        model = tmp_path / "rbf.model"
+        assert main(["train", "--kind", "rbf", "--features", str(features_csv),
+                     "--out", str(model), "--spread", spread]) == 0
+        assert main(["eval", "--features", str(features_csv), "--models", str(model),
+                     "--out", str(tmp_path / "r")]) == 0
 
 
 def edited_model(tmp_path, features_csv, kind, field, edit):
@@ -580,6 +656,11 @@ _READERS = {
         ["eval", "--features", "@features.csv", "--models", "@nn.model"],
     ],
     "nn.model": [["eval", "--features", "@features.csv", "--models", "@nn.model"]],
+    "mlp.model": [["eval", "--features", "@features.csv", "--models", "@mlp.model"]],
+    "rbf.model": [["eval", "--features", "@features.csv", "--models", "@rbf.model"]],
+    "extract.cfg": [
+        ["extract", "--config", "@extract.cfg", "--input", "@corpus/person_00/sample_00.bmp"]
+    ],
 }
 
 
@@ -587,14 +668,16 @@ _READERS = {
 def clean_inputs(tiny_corpus):
     """Bytes of every fuzzed file: the tiny corpus, a features CSV of its one
     vector and two multiples of it as two training samples and a test sample,
-    and an nn model trained on it."""
+    an nn, an mlp and an rbf model trained on it, and an extract config."""
     vector = pipeline.extract(load_bmp(tiny_corpus / "person_00" / "sample_00.bmp")).vector
     work = tiny_corpus.parent
     save_features(
         work / "features.csv", [(0, 0, vector), (0, 1, 1.05 * vector), (0, 5, 1.1 * vector)]
     )
-    assert main(["train", "--kind", "nn", "--features", str(work / "features.csv"),
-                 "--out", str(work / "nn.model")]) == 0
+    for kind in ("nn", "mlp", "rbf"):
+        assert main(["train", "--kind", kind, "--features", str(work / "features.csv"),
+                     "--multistart", "1", "--epochs", "1", "--out", str(work / f"{kind}.model")]) == 0
+    (work / "extract.cfg").write_text("threshold=0.07\nkernel_radius=1\n")
     return {name: (work / name).read_bytes() for name in _READERS}
 
 

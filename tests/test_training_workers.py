@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from handgeo import classifiers
-from handgeo.classifiers import PopulationTraining, TrainConfig, mlp_train
+from handgeo.classifiers import TrainConfig, mlp_train, train_populations
 from handgeo.cli import main
 from handgeo.errors import ConfigError, TrainingError
 from handgeo.features import save_features
@@ -43,14 +43,13 @@ LARGE = """
 import pickle, sys
 import numpy as np
 from handgeo import classifiers
-from handgeo.classifiers import PopulationTraining, TrainConfig
+from handgeo.classifiers import TrainConfig, train_populations
 rng = np.random.default_rng(7)
 centres = rng.uniform(-1, 1, size=(100, 9))
 train = [(p, centres[p] + rng.normal(0, 0.1, 9)) for p in range(100) for _ in range(20)]
 def populations(cores):
     classifiers._cores = lambda: cores
-    with PopulationTraining(train, [TrainConfig(epochs=2, multistart=6)], 30) as training:
-        return training.members()
+    return train_populations(train, [TrainConfig(epochs=2, multistart=6)], 30)
 parallel = populations(2)
 share = parallel[0][0::2]  # the first worker's members
 sizes = [len(pickle.dumps(x, pickle.HIGHEST_PROTOCOL)) for x in (train, share)]
@@ -69,12 +68,6 @@ def toy_set():
     rng = np.random.default_rng(5)
     centres = rng.uniform(-1, 1, size=(3, 9))
     return [(p, centres[p] + rng.normal(0, 0.1, 9)) for p in range(3) for _ in range(4)]
-
-
-def trained_populations(train, cfgs, hidden):
-    """The multi-start population of each config, as evaluate_features trains them."""
-    with PopulationTraining(train, cfgs, hidden) as training:
-        return training.members()
 
 
 def weights(populations):
@@ -105,8 +98,23 @@ def all_waited(started):
     return all(w.returncode is not None and w.stdin.closed and w.stdout.closed for w in started)
 
 
+@pytest.fixture()
+def waiting(monkeypatch):
+    """Runs a callable each time train_populations starts reading a reply."""
+    load = pickle.load
+
+    def before_reading(action):
+        def reading(stream):
+            action()
+            return load(stream)
+
+        monkeypatch.setattr(pickle, "load", reading)
+
+    return before_reading
+
+
 def test_members_equal_a_single_threaded_serial_run(workers):
-    populations = trained_populations(toy_set(), CFGS, HIDDEN)
+    populations = train_populations(toy_set(), CFGS, HIDDEN)
     assert len(workers) == 2 and all_waited(workers)
     assert [[m.config.seed for m in members] for members in populations] == [[3, 4], [0, 1, 2]]
 
@@ -122,17 +130,17 @@ def test_members_equal_a_single_threaded_serial_run(workers):
 
 def test_one_core_trains_in_this_process(workers, monkeypatch):
     monkeypatch.setattr(classifiers, "_cores", lambda: 1)
-    in_process = trained_populations(toy_set(), CFGS, HIDDEN)
+    in_process = train_populations(toy_set(), CFGS, HIDDEN)
     assert workers == []
     monkeypatch.setattr(classifiers, "_cores", lambda: 2)
-    assert weights(in_process) == weights(trained_populations(toy_set(), CFGS, HIDDEN))
+    assert weights(in_process) == weights(train_populations(toy_set(), CFGS, HIDDEN))
 
 
 def test_only_the_workers_get_one_blas_thread(workers, monkeypatch):
     for name in ONE_THREAD:
         monkeypatch.delenv(name, raising=False)
     before = dict(os.environ)
-    trained_populations(toy_set(), CFGS, HIDDEN)
+    train_populations(toy_set(), CFGS, HIDDEN)
     assert len(workers) == 2
     assert all(w.env.items() >= ONE_THREAD.items() for w in workers)
     assert dict(os.environ) == before
@@ -144,7 +152,7 @@ def test_only_the_workers_get_one_blas_thread(workers, monkeypatch):
 )
 def test_bad_inputs_fail_before_any_worker_starts(workers, train, hidden, message):
     with pytest.raises(ConfigError, match=message):
-        trained_populations(train, CFGS, hidden)
+        train_populations(train, CFGS, hidden)
     assert workers == []
 
 
@@ -153,52 +161,76 @@ def test_a_job_that_raises_is_re_raised_after_every_worker_is_waited_for(workers
     with pytest.raises(ValueError) as serial:
         mlp_train(ragged, CFGS[0], HIDDEN)
     with pytest.raises(ValueError) as parallel:
-        trained_populations(ragged, CFGS, HIDDEN)
+        train_populations(ragged, CFGS, HIDDEN)
     assert str(parallel.value) == str(serial.value)
     assert len(workers) == 2 and all_waited(workers)
 
 
-def test_a_killed_worker_ends_the_call_with_a_training_error(workers):
+def test_a_killed_worker_ends_the_call_with_a_training_error(workers, waiting):
+    waiting(lambda: workers[0].kill())
     with pytest.raises(TrainingError, match=KILLED):
-        with PopulationTraining(toy_set(), CFGS, HIDDEN) as training:
-            workers[0].kill()
-            training.members()
+        train_populations(toy_set(), CFGS, HIDDEN)
     assert len(workers) == 2 and all_waited(workers)
 
 
-def test_an_interrupt_in_the_block_kills_the_workers(workers):
+def test_an_interrupt_while_waiting_kills_every_worker(workers, waiting):
+    def interrupt():
+        raise KeyboardInterrupt
+
+    waiting(interrupt)
     with pytest.raises(KeyboardInterrupt):
-        with PopulationTraining(toy_set(), CFGS, HIDDEN):
-            raise KeyboardInterrupt
+        train_populations(toy_set(), CFGS, HIDDEN)
     assert [w.returncode for w in workers] == [-9, -9] and all_waited(workers)
+
+
+def write_features(tmp_path):
+    features = tmp_path / "features.csv"
+    rng = np.random.default_rng(1)
+    save_features(features, [(p, j, rng.normal(p, 0.1, 9)) for p in range(3) for j in range(10)])
+    return features
 
 
 @pytest.mark.parametrize("command", [["train", "--kind", "mlp"], ["eval"]])
 def test_a_killed_worker_is_one_training_error_line(
-    workers, monkeypatch, tmp_path, capsys, command
+    workers, waiting, tmp_path, capsys, command
 ):
-    features = tmp_path / "features.csv"
-    rng = np.random.default_rng(1)
-    save_features(features, [(p, j, rng.normal(p, 0.1, 9)) for p in range(3) for j in range(10)])
-    members = PopulationTraining.members
-
-    def kill_first_worker(self):
-        workers[0].kill()
-        return members(self)
-
-    monkeypatch.setattr(PopulationTraining, "members", kill_first_worker)
-    argv = command + ["--features", str(features), "--out", str(tmp_path / "out")]
+    waiting(lambda: workers[0].kill())
+    argv = command + ["--features", str(write_features(tmp_path)), "--out", str(tmp_path / "out")]
     assert main(argv + ["--hidden", "4", "--multistart", "2"]) == 1
     assert capsys.readouterr().err.splitlines() == [f"training_error: {KILLED}"]
     assert len(workers) == 2 and all_waited(workers)
 
 
-def test_shares_go_longest_first_to_the_least_loaded_worker(workers):
-    # Members 0-4 are the 10-epoch mse starts, 5-9 the 50-epoch msereg ones.
+def test_a_bad_spread_fails_before_any_worker_starts(workers, tmp_path, capsys):
+    argv = ["eval", "--features", str(write_features(tmp_path)), "--out", str(tmp_path / "out")]
+    assert main(argv + ["--spread", "0"]) == 1
+    assert capsys.readouterr().err.startswith("config_error: rbf spread must be positive")
+    assert workers == []
+
+
+@pytest.mark.parametrize(
+    "epochs,n_workers,shares",
+    [
+        # The 10-epoch mse starts of eval, then its 50-epoch msereg ones.
+        ([10] * 5 + [50] * 5, 2, [[5, 7, 9], [6, 8, 0, 1, 2, 3, 4]]),
+        ([10] * 5 + [50] * 5, 3, [[5, 8], [6, 9], [7, 0, 1, 2, 3, 4]]),
+        ([3, 3, 3], 3, [[0], [1], [2]]),
+        # Member 0 goes to the first of two workers loaded with 4 epochs each.
+        ([1, 4, 2, 2], 2, [[1, 0], [2, 3]]),
+    ],
+)
+def test_shares_go_longest_first_to_the_least_loaded_worker(epochs, n_workers, shares):
+    assert classifiers._shares(epochs, n_workers) == shares
+
+
+def test_each_worker_trains_its_share(workers, monkeypatch):
+    split = []
+    shares = classifiers._shares
+    monkeypatch.setattr(classifiers, "_shares", lambda *args: split.append(args) or shares(*args))
     cfgs = [TrainConfig(loss="mse"), TrainConfig(loss="msereg")]
-    with PopulationTraining(toy_set(), cfgs, HIDDEN) as training:
-        assert training._shares == [[5, 7, 9], [6, 8, 0, 1, 2, 3, 4]]
-        training.members()
+    populations = train_populations(toy_set(), cfgs, HIDDEN)
+    assert split == [([10] * 5 + [50] * 5, 2)]
+    assert [[m.config.seed for m in members] for members in populations] == [[0, 1, 2, 3, 4]] * 2
     assert len(workers) == 2 and all_waited(workers)
 
 

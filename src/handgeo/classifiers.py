@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, TrainingError, text_input
-from .features import ScalerParams
+from .features import ScalerParams, check_span
 
 DEFAULT_HIDDEN = 30
 DEFAULT_GAMMA = 0.8
@@ -138,6 +138,8 @@ class TrainConfig:
             raise ConfigError(f"gamma {self.gamma} outside [0, 1]")
         if self.multistart < 1:
             raise ConfigError(f"multistart count must be >= 1, got {self.multistart}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 # -- multilayer perceptron ----------------------------------------------------
@@ -159,9 +161,14 @@ class MlpModel:
     def outputs(self, x: np.ndarray) -> np.ndarray:
         """Network output vector for one vector, output rows for a batch."""
         x = np.asarray(x, dtype=float)
-        hidden = np.tanh(np.atleast_2d(x) @ self.w1.T + self.b1)
-        out = hidden @ self.w2.T + self.b2
+        out, _ = _network(np.atleast_2d(x), self.w1, self.b1, self.w2, self.b2)
         return out[0] if x.ndim == 1 else out
+
+
+def _network(x: np.ndarray, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """Output rows and tanh hidden activations of the network for input rows x."""
+    a1 = np.tanh(x @ w1.T + b1)
+    return a1 @ w2.T + b2, a1
 
 
 def _targets(
@@ -190,8 +197,7 @@ def _unpack(theta: np.ndarray, hidden: int, n_in: int, n_out: int):
 
 def _forward(theta: np.ndarray, x: np.ndarray, hidden: int, n_out: int):
     w1, b1, w2, b2 = _unpack(theta, hidden, x.shape[1], n_out)
-    a1 = np.tanh(x @ w1.T + b1)
-    return a1 @ w2.T + b2, a1, w2
+    return (*_network(x, w1, b1, w2, b2), w2)
 
 
 class _NormalBlocks(NamedTuple):
@@ -717,8 +723,9 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
     """Inverse of save_model; a missing or malformed field, a number that is
     not finite, an inputs, hidden or centres count below 1, a training config
     TrainConfig rejects, a spread rbf_train rejects, or a scaler_max that
-    is not above scaler_min in every dimension is a ConfigError naming the
-    field; text that is not UTF-8 is a ConfigError.
+    is not above scaler_min, or too far above it to scale, in some
+    dimension is a ConfigError naming the field; text that is not UTF-8 is a
+    ConfigError.
     Fields it does not read, such as older files' damping lines, are ignored."""
     with text_input(path, ConfigError):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -751,6 +758,7 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
             raise ValueError(f"{len(maxs)} values for {len(mins)} in scaler_min")
         for d in np.flatnonzero(maxs <= mins):
             raise ValueError(f"dimension {d}: max {maxs[d]} is not above min {mins[d]}")
+        check_span(mins, maxs, ValueError)
         return maxs
 
     scaler = None

@@ -161,13 +161,14 @@ class EvalReport:
 
 
 def corpus_echo(corpus: Corpus) -> dict[str, str]:
-    """Corpus metadata echoed at the head of a report's configuration."""
+    """Corpus settings echoed at the head of a report's configuration."""
+    s = corpus.settings
     return {
-        "corpus_seed": str(corpus.master_seed),
-        "intra_sigma": f"{corpus.intra_sigma:.17g}",
-        "noise_level": f"{corpus.noise_level:.17g}",
-        "persons": str(len(corpus.images)),
-        "samples_per_person": str(len(corpus.images[0]) if corpus.images else 0),
+        "corpus_seed": str(s.master_seed),
+        "intra_sigma": f"{s.intra_sigma:.17g}",
+        "noise_level": f"{s.noise_level:.17g}",
+        "persons": str(s.persons),
+        "samples_per_person": str(s.samples),
     }
 
 

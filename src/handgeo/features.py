@@ -125,7 +125,18 @@ def fit_scaler(training: np.ndarray) -> ScalerParams:
     for d in np.nonzero(maxs <= mins)[0]:
         name = SELECTED_NAMES[d] if d < len(SELECTED_NAMES) else str(d)
         raise ScalerError(f"degenerate dimension {d} ({name}): max equals min")
+    check_span(mins, maxs, ScalerError)
     return ScalerParams(mins=mins, maxs=maxs)
+
+
+def check_span(mins: np.ndarray, maxs: np.ndarray, error: type[Exception]) -> None:
+    """error naming the first dimension whose range apply_scaler cannot
+    scale: 2 * (max - min) overflows, so its values would turn into nan or
+    clip to +1."""
+    with np.errstate(over="ignore"):
+        spans = 2.0 * (maxs - mins)
+    for d in np.flatnonzero(~np.isfinite(spans)):
+        raise error(f"dimension {d}: range {mins[d]} to {maxs[d]} is too wide to scale")
 
 
 def apply_scaler(params: ScalerParams, v: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .contour import Landmarks, trace_contour
 from .errors import CorpusError, HandGeoError, RenderError, read_config
-from .features import measure
+from .features import FEATURE_NAMES, measure, select
 from .imaging import (
     BinaryImage,
     GrayImage,
@@ -32,7 +33,7 @@ from .imaging import (
     load_bmp,
     save_bmp,
 )
-from .pipeline import extract
+from .pipeline import Extraction, extract
 
 REFERENCE_DPI = 100.0
 DEFAULT_INTRA_SIGMA = 0.03
@@ -85,34 +86,49 @@ class HandParams:
             raise RenderError("a hand needs exactly 5 finger lengths and 5 widths")
 
 
-@dataclass
-class GroundTruth:
-    """Ideal-shape landmarks (px) and measurements (mm) of one render."""
+@dataclass(frozen=True)
+class CorpusSettings:
+    """How a corpus was drawn, in corpus_config.txt's key order; a value
+    make_corpus cannot use is a CorpusError."""
 
-    tips: list[tuple[int, int]]
-    valleys: list[tuple[int, int]]
-    wrist: tuple[tuple[int, int], tuple[int, int]]
-    lengths_mm: tuple[float, ...]
-    widths_mm: tuple[float, ...]
-    wrist_length_mm: float
-    perimeter_mm: float
-    surface_mm2: float
+    master_seed: int
+    intra_sigma: float
+    noise_level: float
+    dpi: float
+    persons: int
+    samples: int
+
+    def __post_init__(self) -> None:
+        if self.master_seed < 0:
+            raise CorpusError(f"master_seed must be >= 0, got {self.master_seed}")
+        if not 0.0 <= self.intra_sigma <= 0.1:
+            raise CorpusError(f"intra_sigma {self.intra_sigma} outside [0, 0.1]")
+        if not 0.0 <= self.noise_level <= 1.0:
+            raise CorpusError(f"noise_level {self.noise_level} outside [0, 1]")
+        if self.persons < 1 or self.samples < 1:
+            raise CorpusError(
+                f"need at least 1 person and 1 sample, got {self.persons} x {self.samples}"
+            )
+        if not 0.0 < self.dpi < math.inf:
+            raise CorpusError(f"dpi must be positive and finite, got {self.dpi}")
+
+
+#: corpus_config.txt's keys in file order, each with the type of its value.
+_SETTING_TYPES = typing.get_type_hints(CorpusSettings)
 
 
 @dataclass
 class Corpus:
-    """Rendered database: persons x samples images with per-sample truth.
+    """Rendered database: its settings, persons x samples images, and each
+    image's truth, the Extraction of its exact geometry.
 
     truths is empty for a corpus read back by load_corpus, which never reads
     ground truth; save_corpus then writes no ground_truth.csv.
     """
 
+    settings: CorpusSettings
     images: list[list[GrayImage]]
-    truths: list[list[GroundTruth]]
-    master_seed: int
-    intra_sigma: float
-    noise_level: float
-    dpi: float
+    truths: list[list[Extraction]]
 
 
 def canonical_params(seed: int = 0) -> HandParams:
@@ -321,7 +337,7 @@ def _valley_columns(cuts: list[tuple[float, float]]) -> list[tuple[int, int]]:
 
 def _ground_truth(
     lay: _Layout, cuts: list[tuple[float, float]], mask: np.ndarray, dpi: float
-) -> GroundTruth:
+) -> Extraction:
     """Exact landmarks of the ideal shape and features.measure of them."""
     tips: list[tuple[int, int]] = []
     for f in range(5):
@@ -342,38 +358,17 @@ def _ground_truth(
     yb = math.floor(lay.arm_cut)
     wrist = ((math.ceil(lay.arm_left), yb), (math.floor(lay.arm_right), yb))
 
+    landmarks = Landmarks(tips, valleys, wrist)
     silhouette = BinaryImage(bits=mask.astype(np.uint8), dpi=dpi)
-    chain = trace_contour(boundary_ring(silhouette))
-    raw = measure(Landmarks(tips, valleys, wrist), chain, silhouette)
-    return GroundTruth(
-        tips=tips,
-        valleys=valleys,
-        wrist=wrist,
-        lengths_mm=(
-            raw.thumb_length,
-            raw.first_length,
-            raw.middle_length,
-            raw.ring_length,
-            raw.little_length,
-        ),
-        widths_mm=(
-            raw.thumb_base_width,
-            raw.first_width,
-            raw.middle_width,
-            raw.ring_width,
-            raw.little_width,
-        ),
-        wrist_length_mm=raw.wrist_length,
-        perimeter_mm=raw.perimeter,
-        surface_mm2=raw.surface,
-    )
+    raw = measure(landmarks, trace_contour(boundary_ring(silhouette)), silhouette)
+    return Extraction(raw=raw, vector=select(raw), landmarks=landmarks)
 
 
 def render(
     params: HandParams,
     dpi: float = REFERENCE_DPI,
     noise_level: float = 0.0,
-) -> tuple[GrayImage, GroundTruth]:
+) -> tuple[GrayImage, Extraction]:
     """Rasterize one hand; returns the image and its exact ground truth.
 
     A canvas larger than imaging.MAX_SIDE raises SizeError before any pixel
@@ -446,20 +441,6 @@ def _jitter(proto: HandParams, sigma: float, rng: np.random.Generator) -> HandPa
     )
 
 
-def _check_settings(
-    intra_sigma: float, noise_level: float, dpi: float, persons: int, samples: int
-) -> None:
-    """CorpusError unless the corpus settings are in range."""
-    if not 0.0 <= intra_sigma <= 0.1:
-        raise CorpusError(f"intra_sigma {intra_sigma} outside [0, 0.1]")
-    if not 0.0 <= noise_level <= 1.0:
-        raise CorpusError(f"noise_level {noise_level} outside [0, 1]")
-    if persons < 1 or samples < 1:
-        raise CorpusError(f"need at least 1 person and 1 sample, got {persons} x {samples}")
-    if not 0.0 < dpi < math.inf:
-        raise CorpusError(f"dpi must be positive and finite, got {dpi}")
-
-
 def make_corpus(
     master_seed: int,
     intra_sigma: float = DEFAULT_INTRA_SIGMA,
@@ -475,13 +456,13 @@ def make_corpus(
     default extraction chain is regenerated from the same stream, up to 100
     attempts; giving up names the last attempt's failure.
     """
-    _check_settings(intra_sigma, noise_level, dpi, persons, samples)
+    settings = CorpusSettings(master_seed, intra_sigma, noise_level, dpi, persons, samples)
     images: list[list[GrayImage]] = []
-    truths: list[list[GroundTruth]] = []
+    truths: list[list[Extraction]] = []
     for p in range(persons):
         proto = _draw_prototype(np.random.default_rng((master_seed, p)))
         row_img: list[GrayImage] = []
-        row_gt: list[GroundTruth] = []
+        row_gt: list[Extraction] = []
         for j in range(samples):
             rng = np.random.default_rng((master_seed, p, j))
             failure: HandGeoError | None = None
@@ -503,14 +484,7 @@ def make_corpus(
             row_gt.append(gt)
         images.append(row_img)
         truths.append(row_gt)
-    return Corpus(
-        images=images,
-        truths=truths,
-        master_seed=master_seed,
-        intra_sigma=intra_sigma,
-        noise_level=noise_level,
-        dpi=dpi,
-    )
+    return Corpus(settings=settings, images=images, truths=truths)
 
 
 _GT_HEADER = (
@@ -522,18 +496,17 @@ _GT_HEADER = (
     + [f"width{f}_mm" for f in range(5)]
     + ["wrist_length_mm", "perimeter_mm", "surface_mm2"]
 )
+#: The RawFeatures fields of _GT_HEADER's mm columns, in its order.
+_GT_MEASURES = (
+    FEATURE_NAMES[:5] + FEATURE_NAMES[6:11] + ("wrist_length", "perimeter", "surface")
+)
 
 
-def _gt_row(j: int, gt: GroundTruth) -> list[str]:
-    cells: list[str] = [str(j)]
-    for x, y in gt.tips:
-        cells += [str(x), str(y)]
-    for x, y in gt.valleys:
-        cells += [str(x), str(y)]
-    for x, y in gt.wrist:
-        cells += [str(x), str(y)]
-    for v in (*gt.lengths_mm, *gt.widths_mm, gt.wrist_length_mm, gt.perimeter_mm, gt.surface_mm2):
-        cells.append(f"{v:.17g}")
+def _gt_row(j: int, gt: Extraction) -> list[str]:
+    marks = gt.landmarks
+    cells = [str(j)]
+    cells += [str(v) for point in (*marks.tips, *marks.valleys, *marks.wrist) for v in point]
+    cells += [f"{getattr(gt.raw, name):.17g}" for name in _GT_MEASURES]
     return cells
 
 
@@ -542,17 +515,11 @@ def save_corpus(corpus: Corpus, root: str | Path) -> None:
     ground truth, one person_<i>/ground_truth.csv per person."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    config = "\n".join(
-        [
-            f"master_seed={corpus.master_seed}",
-            f"intra_sigma={corpus.intra_sigma:.17g}",
-            f"noise_level={corpus.noise_level:.17g}",
-            f"dpi={corpus.dpi:.17g}",
-            f"persons={len(corpus.images)}",
-            f"samples={len(corpus.images[0]) if corpus.images else 0}",
-        ]
+    config = "".join(
+        f"{key}={getattr(corpus.settings, key):{'.17g' if cast is float else ''}}\n"
+        for key, cast in _SETTING_TYPES.items()
     )
-    (root / "corpus_config.txt").write_text(config + "\n", encoding="utf-8")
+    (root / "corpus_config.txt").write_text(config, encoding="utf-8")
     for p, row_img in enumerate(corpus.images):
         pdir = root / f"person_{p:02d}"
         pdir.mkdir(exist_ok=True)
@@ -566,9 +533,10 @@ def save_corpus(corpus: Corpus, root: str | Path) -> None:
 
 
 def load_corpus(root: str | Path) -> Corpus:
-    """The images and metadata of a corpus tree; ground_truth.csv files are
-    not read, so trees of real scans, which have none, load too. Metadata
-    make_corpus would reject is a CorpusError naming corpus_config.txt."""
+    """The images and settings of a corpus tree; ground_truth.csv files are
+    not read, so trees of real scans, which have none, load too. A missing
+    key, a malformed value or settings CorpusSettings rejects is a
+    CorpusError naming corpus_config.txt."""
     root = Path(root)
     config_path = root / "corpus_config.txt"
     if not config_path.is_file():
@@ -583,19 +551,13 @@ def load_corpus(root: str | Path) -> Corpus:
         except ValueError as exc:
             raise CorpusError(f"{config_path}: key {key!r}: {exc}") from None
 
-    persons, samples = field("persons", int), field("samples", int)
-    echo = {
-        "master_seed": field("master_seed", int),
-        "intra_sigma": field("intra_sigma", float),
-        "noise_level": field("noise_level", float),
-        "dpi": field("dpi", float),
-    }
+    values = {key: field(key, cast) for key, cast in _SETTING_TYPES.items()}
     try:
-        _check_settings(echo["intra_sigma"], echo["noise_level"], echo["dpi"], persons, samples)
+        s = CorpusSettings(**values)
     except CorpusError as exc:
         raise CorpusError(f"{config_path}: {exc}") from None
     images = [
-        [load_bmp(root / f"person_{p:02d}" / f"sample_{j:02d}.bmp") for j in range(samples)]
-        for p in range(persons)
+        [load_bmp(root / f"person_{p:02d}" / f"sample_{j:02d}.bmp") for j in range(s.samples)]
+        for p in range(s.persons)
     ]
-    return Corpus(images=images, truths=[], **echo)
+    return Corpus(settings=s, images=images, truths=[])

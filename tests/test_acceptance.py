@@ -35,6 +35,7 @@ from handgeo.evaluation import (
     extract_features,
     sweep_rbf_features,
 )
+from handgeo.features import FEATURE_NAMES
 from handgeo.imaging import BinaryImage, GrayImage, binarize, boundary_ring
 from handgeo.pipeline import ExtractionSettings, extract
 from handgeo.synthgen import make_corpus
@@ -138,9 +139,9 @@ def test_criterion_03_landmarks_on_clean_hands_and_merged_rejection(clean_hands,
         for gt, ext in clean_hands.pairs:
             assert len(ext.landmarks.tips) == 5
             assert len(ext.landmarks.valleys) == 4
-            for got, want in zip(ext.landmarks.tips, gt.tips):
+            for got, want in zip(ext.landmarks.tips, gt.landmarks.tips):
                 assert math.hypot(got[0] - want[0], got[1] - want[1]) <= 2.0
-            for got, want in zip(ext.landmarks.valleys, gt.valleys):
+            for got, want in zip(ext.landmarks.valleys, gt.landmarks.valleys):
                 assert math.hypot(got[0] - want[0], got[1] - want[1]) <= 2.0
 
         for shrink in range(85, 105):
@@ -157,25 +158,10 @@ def test_criterion_04_measurements_track_ground_truth(clean_hands):
     ):
         for gt, ext in clean_hands.pairs:
             raw = ext.raw
-            lengths = (
-                raw.thumb_length,
-                raw.first_length,
-                raw.middle_length,
-                raw.ring_length,
-                raw.little_length,
-            )
-            widths = (
-                raw.thumb_base_width,
-                raw.first_width,
-                raw.middle_width,
-                raw.ring_width,
-                raw.little_width,
-            )
-            for got, want in zip(lengths, gt.lengths_mm):
+            for name in FEATURE_NAMES[:5] + FEATURE_NAMES[6:11]:  # lengths, then widths
+                got, want = getattr(raw, name), getattr(gt.raw, name)
                 assert abs(got - want) / want <= 0.05
-            for got, want in zip(widths, gt.widths_mm):
-                assert abs(got - want) / want <= 0.05
-            assert abs(raw.surface - gt.surface_mm2) / gt.surface_mm2 <= 0.02
+            assert abs(raw.surface - gt.raw.surface) / gt.raw.surface <= 0.02
 
 
 def test_criterion_05_distance_and_loss_formulas():

@@ -90,6 +90,13 @@ class TestGen:
         assert not (tmp_path / "z").exists()
 
 
+    def test_negative_seed_is_one_corpus_error_line(self, tmp_path, capsys):
+        assert main(["gen", "--out", str(tmp_path / "z"), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["corpus_error: master_seed must be >= 0, got -1"]
+        assert not (tmp_path / "z").exists()
+
+
 class TestCommandLine:
     """A bad command line ends like a bad config value: one line, exit 1."""
 
@@ -209,6 +216,7 @@ class TestExtract:
             ("dpi", "-5", "dpi must be positive and finite, got -5.0"),
             ("dpi", "inf", "dpi must be positive and finite, got inf"),
             ("samples", "0", "need at least 1 person and 1 sample, got 1 x 0"),
+            ("master_seed", "-3", "master_seed must be >= 0, got -3"),
         ],
     )
     @pytest.mark.parametrize("command", ["extract", "eval"])
@@ -383,7 +391,47 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("config_error:")
 
 
+    def test_negative_seed_is_one_config_error_line(self, tmp_path, features_csv, capsys):
+        out = tmp_path / "mlp.model"
+        assert main(["train", "--features", str(features_csv), "--out", str(out),
+                     "--kind", "mlp", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["config_error: seed must be >= 0, got -1"]
+        assert not out.exists()
+
+
+def overflowing_features(features_csv):
+    """features_csv with feature 3 of two training rows set to +-1e308, so
+    that dimension's max - min overflows."""
+    lines = features_csv.read_text().splitlines()
+    for row, value in ((1, "1e308"), (2, "-1e308")):
+        cells = lines[row].split(",")
+        cells[2 + 3] = value
+        lines[row] = ",".join(cells)
+    features_csv.write_text("\n".join(lines) + "\n")
+    return features_csv
+
+
+@pytest.mark.parametrize(
+    "argv", [["train", "--kind", "nn", "--out", "@nn.model"], ["eval", "--out", "@report"]]
+)
+def test_an_overflowing_feature_range_is_one_scaler_error_line(
+    tmp_path, features_csv, capsys, argv
+):
+    csv_path = overflowing_features(features_csv)
+    assert main(in_dir(tmp_path, argv) + ["--features", str(csv_path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "scaler_error: dimension 3: range -1e+308 to 1e+308 is too wide to scale"
+    ]
+    assert not (tmp_path / argv[-1][1:]).exists()
+
+
 class TestEval:
+    def test_negative_seed_is_one_config_error_line(self, tmp_path, features_csv, capsys):
+        assert main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
+                     "--seed", "-5"]) == 1
+        assert capsys.readouterr().err.splitlines() == ["config_error: seed must be >= 0, got -5"]
+        assert not (tmp_path / "r").exists()
+
     def test_protocol_report_contains_every_classifier_row(
         self, tmp_path, features_csv, capsys
     ):
@@ -475,7 +523,8 @@ class TestEval:
         [("epochs", "0", "epochs must be >= 1, got 0"),
          ("multistart", "0", "multistart count must be >= 1, got 0"),
          ("gamma", "1.5", "gamma 1.5 outside [0, 1]"),
-         ("loss", "mae", "unknown loss 'mae'; use 'mse' or 'msereg'")],
+         ("loss", "mae", "unknown loss 'mae'; use 'mse' or 'msereg'"),
+         ("seed", "-1", "seed must be >= 0, got -1")],
     )
     def test_bad_training_config_is_a_config_error_naming_its_field(
         self, tmp_path, features_csv, capsys, field, value, message
@@ -494,9 +543,11 @@ class TestEval:
          ("mlp", "scaler_max", lambda fields: fields["scaler_min"],
           "dimension 0: max {0} is not above min {0}"),
          ("nn", "scaler_max", lambda fields: " ".join(["9"] + ["-9"] * 8),
-          "dimension 1: max -9.0 is not above min {1}")],
+          "dimension 1: max -9.0 is not above min {1}"),
+         ("nn", "scaler_max", lambda fields: " ".join(["1e308"] * 9),
+          "dimension 0: range {0} to 1e+308 is too wide to scale")],
         ids=["zero_spread", "negative_spread", "short_scaler", "flat_dimension",
-             "inverted_dimension"],
+             "inverted_dimension", "too_wide_dimension"],
     )
     def test_a_degenerate_spread_or_scaler_is_a_config_error_naming_its_field(
         self, tmp_path, features_csv, capsys, kind, field, edit, message

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -174,6 +175,14 @@ class TestScaler:
     def test_degenerate_dimension_is_named(self):
         rows = np.array([[1.0, 5.0], [2.0, 5.0]])
         with pytest.raises(ScalerError, match="dimension 1"):
+            fit_scaler(rows)
+
+    @pytest.mark.parametrize("low,high", [(-1e308, 1e308), (0.0, 1.5e308)])
+    def test_a_range_too_wide_to_scale_is_named(self, low, high):
+        # 2 * (max - min) overflows: in the first case max - min itself.
+        rows = np.array([[1.0, high], [2.0, low]])
+        message = f"dimension 1: range {low} to {high} is too wide to scale"
+        with pytest.raises(ScalerError, match=re.escape(message)):
             fit_scaler(rows)
 
     def test_single_row_is_rejected(self):

@@ -4,6 +4,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +15,11 @@ from hypothesis import strategies as st
 
 import handgeo.synthgen as synthgen
 from handgeo.errors import CorpusError, LandmarkError, RenderError, SizeError
-from handgeo.imaging import binarize
+from handgeo.features import FEATURE_NAMES
+from handgeo.imaging import GrayImage, binarize
 from handgeo.pipeline import ExtractionSettings, extract
 from handgeo.synthgen import (
+    CorpusSettings,
     HandParams,
     canonical_params,
     load_corpus,
@@ -53,28 +57,21 @@ class TestRender:
     def test_noiseless_binarization_recovers_the_exact_support(self):
         img, gt = render(canonical_params(), noise_level=0.0)
         pixel_area = (25.4 / img.dpi) ** 2
-        assert binarize(img).bits.sum() == round(gt.surface_mm2 / pixel_area)
+        assert binarize(img).bits.sum() == round(gt.raw.surface / pixel_area)
 
     def test_measured_lengths_match_ground_truth_within_two_pixels(self):
         img, gt = render(canonical_params(), noise_level=0.0)
         raw = extract(img).raw
-        measured = (
-            raw.thumb_length,
-            raw.first_length,
-            raw.middle_length,
-            raw.ring_length,
-            raw.little_length,
-        )
         mm_per_px = 25.4 / img.dpi
-        for got, want in zip(measured, gt.lengths_mm):
-            assert abs(got - want) <= 2 * mm_per_px
+        for name in FEATURE_NAMES[:5]:  # thumb..little lengths
+            assert abs(getattr(raw, name) - getattr(gt.raw, name)) <= 2 * mm_per_px
 
     def test_landmarks_of_an_ideal_render_are_pixel_exact(self):
         corpus = make_corpus(2, persons=5, samples=2, noise_level=0.0)
         for person, row in enumerate(corpus.images):
             for j, img in enumerate(row):
                 got = extract(img, EXACT).landmarks
-                want = corpus.truths[person][j]
+                want = corpus.truths[person][j].landmarks
                 assert got.tips == want.tips
                 assert got.valleys == want.valleys
                 assert got.wrist == want.wrist
@@ -216,7 +213,11 @@ class TestMakeCorpus:
         for row_a, row_b in zip(a.images, b.images):
             for img_a, img_b in zip(row_a, row_b):
                 np.testing.assert_array_equal(img_a.pixels, img_b.pixels)
-        assert a.truths == b.truths
+
+        def truths(corpus):
+            return [(t.landmarks, t.raw) for row in corpus.truths for t in row]
+
+        assert truths(a) == truths(b)
 
     def test_every_sample_passes_landmark_detection(self):
         corpus = make_corpus(4, persons=4, samples=3)
@@ -278,10 +279,7 @@ class TestCorpusSerialization:
         root = tmp_path / "corpus"
         save_corpus(corpus, root)
         back = load_corpus(root)
-        assert back.master_seed == corpus.master_seed
-        assert back.intra_sigma == corpus.intra_sigma
-        assert back.noise_level == corpus.noise_level
-        assert back.dpi == corpus.dpi
+        assert back.settings == corpus.settings
         for row_a, row_b in zip(corpus.images, back.images):
             for img_a, img_b in zip(row_a, row_b):
                 np.testing.assert_array_equal(
@@ -317,6 +315,62 @@ class TestCorpusSerialization:
         for rel, data in sorted(tree_files(tmp_path).items()):
             h.update(rel.encode() + b"\0" + data + b"\0")
         assert h.hexdigest() == want
+
+
+#: Each corpus_config.txt key with values CorpusSettings accepts and rejects.
+SETTING_VALUES = {
+    "master_seed": (
+        st.integers(0, 2**70) | st.sampled_from([2**64, 2**64 + 1]),
+        st.integers(max_value=-1),
+    ),
+    "intra_sigma": (
+        st.floats(0.0, 0.1) | st.sampled_from([0.1, 0.1 / 3]),
+        st.floats(0.1, exclude_min=True) | st.floats(max_value=0.0, exclude_max=True),
+    ),
+    "noise_level": (
+        st.floats(0.0, 1.0) | st.sampled_from([0.1, 1 / 3]),
+        st.floats(1.0, exclude_min=True) | st.floats(max_value=0.0, exclude_max=True),
+    ),
+    "dpi": (
+        st.floats(0.0, exclude_min=True, allow_infinity=False) | st.sampled_from([0.1, 1 / 3]),
+        st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan]),
+    ),
+    "persons": (st.integers(1, 3), st.integers(max_value=0)),
+    "samples": (st.integers(1, 3), st.integers(max_value=0)),
+}
+VALID_SETTINGS = st.builds(CorpusSettings, **{k: ok for k, (ok, _) in SETTING_VALUES.items()})
+
+
+def saved_tiny_corpus(settings, root):
+    """Save a corpus of 1x1 images under settings to root."""
+    img = GrayImage(np.zeros((1, 1)))
+    images = [[img] * settings.samples for _ in range(settings.persons)]
+    save_corpus(synthgen.Corpus(settings, images, truths=[]), root)
+
+
+class TestCorpusConfig:
+    @settings(deadline=None, max_examples=60)
+    @given(VALID_SETTINGS)
+    def test_settings_round_trip_through_the_file(self, corpus_settings):
+        with tempfile.TemporaryDirectory() as root:
+            saved_tiny_corpus(corpus_settings, root)
+            assert load_corpus(root).settings == corpus_settings
+
+    @settings(deadline=None, max_examples=60)
+    @given(VALID_SETTINGS, st.data())
+    def test_an_out_of_range_value_is_one_corpus_error_naming_the_file(
+        self, corpus_settings, data
+    ):
+        key = data.draw(st.sampled_from(sorted(SETTING_VALUES)))
+        bad = data.draw(SETTING_VALUES[key][1])
+        with tempfile.TemporaryDirectory() as root:
+            saved_tiny_corpus(corpus_settings, root)
+            config = Path(root) / "corpus_config.txt"
+            text = config.read_text()
+            config.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}={bad!r}", text))
+            with pytest.raises(CorpusError) as caught:
+                load_corpus(root)
+            assert str(caught.value).startswith(f"{config}: ")
 
 
 def tree_files(root):

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError, text_input
+from .errors import ConfigError, TrainingError, text_input, typed_field
 from .features import ScalerParams, check_span
 
 DEFAULT_HIDDEN = 30
@@ -720,12 +720,11 @@ def _count(text: str) -> int:
 
 
 def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
-    """Inverse of save_model; a missing or malformed field, a number that is
+    """Inverse of save_model; a missing or malformed key, a number that is
     not finite, an inputs, hidden or centres count below 1, a training config
-    TrainConfig rejects, a spread rbf_train rejects, or a scaler_max that
-    is not above scaler_min, or too far above it to scale, in some
-    dimension is a ConfigError naming the field; text that is not UTF-8 is a
-    ConfigError.
+    TrainConfig rejects, a spread rbf_train rejects, or a scaler range
+    check_span rejects is a ConfigError naming the key; text that is not
+    UTF-8 is a ConfigError.
     Fields it does not read, such as older files' damping lines, are ignored."""
     with text_input(path, ConfigError):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -745,19 +744,12 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
 
     def read(key: str, cast: Callable = str, text: str | None = None):
         """cast(text), by default of the field named key."""
-        try:
-            return cast(fields[key] if text is None else text)
-        except KeyError:
-            raise ConfigError(f"{path}: missing field {key!r}") from None
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}: field {key!r}: {exc}") from None
+        return typed_field(path, fields if text is None else {key: text}, key, cast, ConfigError)
 
     def above_mins(text: str) -> np.ndarray:
         maxs = _floats(text)
         if maxs.shape != mins.shape:
             raise ValueError(f"{len(maxs)} values for {len(mins)} in scaler_min")
-        for d in np.flatnonzero(maxs <= mins):
-            raise ValueError(f"dimension {d}: max {maxs[d]} is not above min {mins[d]}")
         check_span(mins, maxs, ValueError)
         return maxs
 

@@ -35,12 +35,13 @@ from .classifiers import (
     save_model,
     train_members,
 )
-from .errors import ConfigError, HandGeoError, read_config
+from .errors import ConfigError, HandGeoError, read_config, typed_field
 from .evaluation import (
     DEFAULT_RBF_CENTRES,
     DEFAULT_SWEEP_COUNTS,
     EvalReport,
     corpus_echo,
+    echo_head,
     emit_table,
     enroll,
     evaluate_features,
@@ -157,10 +158,8 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         )
     for key, (cast, default, _help) in options.items():
         if getattr(args, key) is None:
-            try:
-                setattr(args, key, cast(from_file[key]) if key in from_file else default)
-            except ValueError as exc:
-                raise ConfigError(f"{args.config}: key {key!r}: {exc}") from None
+            setattr(args, key, typed_field(args.config, from_file, key, cast, ConfigError)
+                    if key in from_file else default)
     return args
 
 
@@ -271,7 +270,9 @@ def _input_widths(model: TemplateDb | MlpModel | RbfModel) -> set[int]:
     return widths
 
 
-def _eval_models(cfg: argparse.Namespace, entries: list, exclusions: int) -> EvalReport:
+def _eval_models(
+    cfg: argparse.Namespace, entries: list, exclusions: int, corpus_info: dict[str, str]
+) -> EvalReport:
     """Score pre-trained model files on the test half of the split."""
     rates: dict[str, float] = {}
     for path_text in str(cfg.models).split(","):
@@ -284,7 +285,7 @@ def _eval_models(cfg: argparse.Namespace, entries: list, exclusions: int) -> Eva
                 f" the input rows have {len(entries[0][2])}"
             )
         rates[f"model:{path.stem}"] = score(model, entries, model.scaler, cfg.metric)
-    config = {"models": str(cfg.models), "metric": cfg.metric}
+    config = {**echo_head(corpus_info), "models": str(cfg.models), "metric": cfg.metric}
     return EvalReport.from_entries(entries, rates, exclusions, config)
 
 
@@ -292,7 +293,7 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
     out = Path(str(_require(cfg, "out")))
     entries, exclusions, corpus_info = _load_entries(cfg)
     if cfg.models is not None:
-        report = _eval_models(cfg, entries, exclusions)
+        report = _eval_models(cfg, entries, exclusions, corpus_info)
     else:
         report = evaluate_features(
             entries,

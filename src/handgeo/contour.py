@@ -146,8 +146,8 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
     pixel. Equal-length loops tie-break on the smaller (y, x) start.
     """
     # A one-pixel zero border lets every neighbour lookup index the flat map.
-    width = edges.width + 2
-    padded = np.zeros((edges.height + 2, width), dtype=bool)
+    height, width = (n + 2 for n in edges.bits.shape)
+    padded = np.zeros((height, width), dtype=bool)
     padded[1:-1, 1:-1] = edges.bits
     flat = padded.ravel()
     offsets = tuple(dy * width + dx for dx, dy in DELTAS)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import csv
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator, Mapping, TypeVar
+
+T = TypeVar("T")
 
 
 class HandGeoError(Exception):
@@ -97,3 +99,21 @@ def read_config(path: str | Path, error: type[HandGeoError]) -> dict[str, str]:
             raise error(f"{path}:{ln}: expected key=value, got {raw!r}")
         out[key.strip()] = value.strip()
     return out
+
+
+def typed_field(
+    path: object,
+    fields: Mapping[str, str],
+    key: str,
+    cast: Callable[[str], T],
+    error: type[HandGeoError],
+) -> T:
+    """cast of the value of key in fields, the key=value text read from
+    path; a missing key, or a value cast rejects with ValueError or a
+    HandGeoError, is one error of the given category naming path and key."""
+    if key not in fields:
+        raise error(f"{path}: missing key {key!r}")
+    try:
+        return cast(fields[key])
+    except (ValueError, HandGeoError) as exc:
+        raise error(f"{path}: key {key!r}: {exc}") from None

@@ -172,6 +172,17 @@ def corpus_echo(corpus: Corpus) -> dict[str, str]:
     }
 
 
+def echo_head(corpus_info: dict[str, str]) -> dict[str, str]:
+    """The head of every report's configuration echo: the corpus echo (empty
+    for a features CSV), then the split's sample indices."""
+    split = Split()
+    return {
+        **corpus_info,
+        "train_indices": " ".join(str(i) for i in split.train_indices),
+        "test_indices": " ".join(str(i) for i in split.test_indices),
+    }
+
+
 def evaluate_all(corpus: Corpus) -> EvalReport:
     """The default protocol on one corpus extracted with default settings."""
     entries, failures = extract_features(corpus)
@@ -213,12 +224,9 @@ def evaluate_features(
         rates[f"committee_{loss}"] = score(committee, entries, scaler)
     rates["rbf"] = score(rbf, entries, scaler)
 
-    split = Split()
-    cfg_echo = dict(extra_config or {})
+    cfg_echo = echo_head(extra_config or {})
     cfg_echo.update(
         {
-            "train_indices": " ".join(str(i) for i in split.train_indices),
-            "test_indices": " ".join(str(i) for i in split.test_indices),
             "train_seed": str(train_seed),
             "gamma": f"{base.gamma:.17g}",
             "epochs_mse": str(members["mse"][0].config.epochs),

@@ -122,17 +122,16 @@ def fit_scaler(training: np.ndarray) -> ScalerParams:
         raise ScalerError("scaler needs at least 2 training vectors")
     mins = vectors.min(axis=0)
     maxs = vectors.max(axis=0)
-    for d in np.nonzero(maxs <= mins)[0]:
-        name = SELECTED_NAMES[d] if d < len(SELECTED_NAMES) else str(d)
-        raise ScalerError(f"degenerate dimension {d} ({name}): max equals min")
     check_span(mins, maxs, ScalerError)
     return ScalerParams(mins=mins, maxs=maxs)
 
 
 def check_span(mins: np.ndarray, maxs: np.ndarray, error: type[Exception]) -> None:
     """error naming the first dimension whose range apply_scaler cannot
-    scale: 2 * (max - min) overflows, so its values would turn into nan or
-    clip to +1."""
+    scale: max is not above min, or 2 * (max - min) overflows, so its values
+    would turn into nan or clip to +1."""
+    for d in np.flatnonzero(~(maxs > mins)):
+        raise error(f"dimension {d}: max {maxs[d]} is not above min {mins[d]}")
     with np.errstate(over="ignore"):
         spans = 2.0 * (maxs - mins)
     for d in np.flatnonzero(~np.isfinite(spans)):
@@ -140,9 +139,11 @@ def check_span(mins: np.ndarray, maxs: np.ndarray, error: type[Exception]) -> No
 
 
 def apply_scaler(params: ScalerParams, v: np.ndarray) -> np.ndarray:
-    """Map to [-1, 1]: training min to -1, max to +1, out-of-range clipped."""
+    """Map to [-1, 1]: training min to -1, max to +1, out-of-range clipped.
+    A value so far out that the formula overflows clips like any other."""
     x = np.asarray(v, dtype=float)
-    scaled = 2.0 * (x - params.mins) / (params.maxs - params.mins) - 1.0
+    with np.errstate(over="ignore"):
+        scaled = 2.0 * (x - params.mins) / (params.maxs - params.mins) - 1.0
     return np.clip(scaled, -1.0, 1.0)
 
 

@@ -51,14 +51,6 @@ class GrayImage:
         if self.dpi <= 0:
             raise ValueError(f"dpi must be positive, got {self.dpi}")
 
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
 
 @dataclass
 class BinaryImage:
@@ -75,14 +67,6 @@ class BinaryImage:
             raise ValueError("bits must contain only 0 and 1")
         if self.dpi <= 0:
             raise ValueError(f"dpi must be positive, got {self.dpi}")
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
 
 
 def _check_size(width: int, height: int) -> None:

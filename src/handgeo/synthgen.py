@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .contour import Landmarks, trace_contour
-from .errors import CorpusError, HandGeoError, RenderError, read_config
+from .errors import CorpusError, HandGeoError, RenderError, read_config, typed_field
 from .features import FEATURE_NAMES, measure, select
 from .imaging import (
     BinaryImage,
@@ -388,15 +388,6 @@ def render(
     return GrayImage(pixels=np.clip(pixels, 0.0, 1.0), dpi=dpi), truth
 
 
-def _extraction_error(img: GrayImage) -> HandGeoError | None:
-    """Why the default extraction chain fails on img; None when it succeeds."""
-    try:
-        extract(img)
-    except HandGeoError as exc:
-        return exc
-    return None
-
-
 def _draw_prototype(rng: np.random.Generator) -> HandParams:
     size = rng.uniform(*HAND_SIZE_RANGE)
     lengths = np.clip(
@@ -472,9 +463,11 @@ def make_corpus(
                 except RenderError as exc:
                     failure = exc
                     continue
-                failure = _extraction_error(img)
-                if failure is None:
+                try:
+                    extract(img)
                     break
+                except HandGeoError as exc:
+                    failure = exc
             else:
                 raise CorpusError(
                     f"person {p} sample {j}: no valid sample in 100 attempts;"
@@ -542,16 +535,10 @@ def load_corpus(root: str | Path) -> Corpus:
     if not config_path.is_file():
         raise CorpusError(f"{config_path} not found")
     config = read_config(config_path, CorpusError)
-
-    def field(key: str, cast: type):
-        try:
-            return cast(config[key])
-        except KeyError:
-            raise CorpusError(f"{config_path}: missing key {key!r}") from None
-        except ValueError as exc:
-            raise CorpusError(f"{config_path}: key {key!r}: {exc}") from None
-
-    values = {key: field(key, cast) for key, cast in _SETTING_TYPES.items()}
+    values = {
+        key: typed_field(config_path, config, key, cast, CorpusError)
+        for key, cast in _SETTING_TYPES.items()
+    }
     try:
         s = CorpusSettings(**values)
     except CorpusError as exc:

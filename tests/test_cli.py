@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from handgeo import pipeline
-from handgeo.cli import main
+from handgeo.cli import _OPTIONS, main
 from handgeo.classifiers import MlpModel, RbfModel, TemplateDb, load_model
 from handgeo.evaluation import emit_table, evaluate_all
 from handgeo.features import load_features, save_features
@@ -141,6 +141,23 @@ class TestCommandLine:
         cfg.write_text(line + "\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines() == [f"config_error: {cfg}: {message}"]
+
+    @pytest.mark.parametrize(
+        "command,key,cast",
+        [(command, key, cast) for command, options in _OPTIONS.items()
+         for key, (cast, _, _) in options.items() if cast in (int, float)],
+    )
+    def test_every_typed_config_key_names_the_file_and_key(
+        self, tmp_path, capsys, command, key, cast
+    ):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}=ten\n")
+        with pytest.raises(ValueError) as rejected:
+            cast("ten")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config_error: {cfg}: key {key!r}: {rejected.value}"
+        ]
 
     @pytest.mark.parametrize("command", ["extract", "eval", "sweep"])
     def test_sigma_in_a_config_file_is_an_unknown_key(self, tmp_path, capsys, command):
@@ -425,6 +442,19 @@ def test_an_overflowing_feature_range_is_one_scaler_error_line(
     assert not (tmp_path / argv[-1][1:]).exists()
 
 
+def test_a_probe_far_outside_the_training_range_is_scored_without_a_warning(
+    tmp_path, features_csv, capsys
+):
+    lines = features_csv.read_text().splitlines()
+    cells = lines[6].split(",")  # person 0, sample 5: a test-half row
+    cells[2 + 3] = "1e308"
+    lines[6] = ",".join(cells)
+    features_csv.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
+                 "--multistart", "1", "--hidden", "4", "--centres", "5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 class TestEval:
     def test_negative_seed_is_one_config_error_line(self, tmp_path, features_csv, capsys):
         assert main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
@@ -489,7 +519,7 @@ class TestEval:
                      "--models", str(model)])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"config_error: {model}: field {field!r}: {float(cell)} is not a finite number"
+            f"config_error: {model}: key {field!r}: {float(cell)} is not a finite number"
         ]
 
     @pytest.mark.parametrize(
@@ -515,7 +545,7 @@ class TestEval:
                      "--models", str(model)])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"config_error: {model}: field {field!r}: {value} is not a positive count"
+            f"config_error: {model}: key {field!r}: {value} is not a positive count"
         ]
 
     @pytest.mark.parametrize(
@@ -531,7 +561,7 @@ class TestEval:
     ):
         model = edited_model(tmp_path, features_csv, "mlp", field, lambda fields: value)
         assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: field {field!r}: {message}"
+            f"config_error: {model}: key {field!r}: {message}"
         ]
 
     @pytest.mark.parametrize(
@@ -556,7 +586,7 @@ class TestEval:
         fields = dict(line.split(" ", 1) for line in model.read_text().splitlines())
         mins = [float(v) for v in fields["scaler_min"].split()]
         assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: field {field!r}: {message.format(*mins)}"
+            f"config_error: {model}: key {field!r}: {message.format(*mins)}"
         ]
 
     def test_model_of_another_feature_width_fails_cleanly(
@@ -598,7 +628,7 @@ class TestExtremeSpread:
     def test_a_model_file_spread(self, tmp_path, features_csv, capsys, spread):
         model = edited_model(tmp_path, features_csv, "rbf", "spread", lambda fields: spread)
         assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: field 'spread': {SPREAD_ERROR}{float(spread)}"
+            f"config_error: {model}: key 'spread': {SPREAD_ERROR}{float(spread)}"
         ]
 
     @pytest.mark.parametrize("spread", ["2e-155", "1e150"])
@@ -807,6 +837,33 @@ class TestOneProtocol:
         want = emit_table(evaluate_all(load_corpus(corpus_dir)))[1]
         assert (out / "report.csv").read_text() == want
         assert "\nclients,10\nimpostors,10\ntotal,20\nexclusions,10\n" in want
+
+    def test_eval_models_echoes_the_corpus_and_split_like_eval(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        features = tmp_path / "features.csv"
+        model = tmp_path / "nn.model"
+        assert main(["gen", "--out", str(corpus), "--persons", "3"]) == 0
+        assert main(["extract", "--input", str(corpus), "--out", str(features)]) == 0
+        assert main(["train", "--features", str(features), "--kind", "nn",
+                     "--out", str(model)]) == 0
+        assert main(["eval", "--corpus", str(corpus), "--out", str(tmp_path / "eval"),
+                     "--multistart", "1", "--hidden", "4", "--centres", "5"]) == 0
+        for flag, source in (("--corpus", corpus), ("--features", features)):
+            assert main(["eval", flag, str(source), "--models", str(model),
+                         "--out", str(tmp_path / f"{source.stem}_models")]) == 0
+
+        def config(out):
+            rows = list(read_report_csv(out).items())
+            return rows[[key for key, _ in rows].index("exclusions") + 1:]
+
+        head = config(tmp_path / "eval")[:7]
+        assert [key for key, _ in head] == [
+            "corpus_seed", "intra_sigma", "noise_level", "persons", "samples_per_person",
+            "train_indices", "test_indices",
+        ]
+        tail = [("models", str(model)), ("metric", "mse")]
+        assert config(tmp_path / "corpus_models") == head + tail
+        assert config(tmp_path / "features_models") == head[5:] + tail
 
     def test_eval_and_sweep_report_the_same_empty_half(self, tmp_path, features_csv, capsys):
         test_only = tmp_path / "test_only.csv"

@@ -177,6 +177,19 @@ class TestScaler:
         with pytest.raises(ScalerError, match="dimension 1"):
             fit_scaler(rows)
 
+    def test_a_probe_far_outside_the_range_clips_without_a_warning(self):
+        # 2 * (x - min) overflows; pytest turns the RuntimeWarning into an error.
+        params = self.fit_three_rows()
+        probe = np.array([1e308, -1e308] + [2.0] * 7)
+        assert apply_scaler(params, probe).tolist() == [1.0, -1.0] + [0.0] * 7
+
+    @given(st.lists(st.floats(-10, 10), min_size=9, max_size=9))
+    def test_scaled_values_are_the_formula_bit_for_bit(self, values):
+        params = self.fit_three_rows()
+        x = np.array(values)
+        want = np.clip(2.0 * (x - params.mins) / (params.maxs - params.mins) - 1.0, -1.0, 1.0)
+        assert apply_scaler(params, x).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("low,high", [(-1e308, 1e308), (0.0, 1.5e308)])
     def test_a_range_too_wide_to_scale_is_named(self, low, high):
         # 2 * (max - min) overflows: in the first case max - min itself.

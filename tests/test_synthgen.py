@@ -257,7 +257,11 @@ class TestMakeCorpus:
 
     def test_regeneration_gives_up_after_bounded_attempts(self, monkeypatch):
         failure = LandmarkError("expected 5 fingertips and 4 valleys, found 4 and 3")
-        monkeypatch.setattr(synthgen, "_extraction_error", lambda img: failure)
+
+        def extract(img):
+            raise failure
+
+        monkeypatch.setattr(synthgen, "extract", extract)
         with pytest.raises(CorpusError, match="100 attempts; last landmark_error: expected 5"):
             make_corpus(0, persons=1, samples=1)
 

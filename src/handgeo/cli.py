@@ -53,7 +53,14 @@ from .features import load_features, save_features
 from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_THRESHOLD, load_bmp
 from .pipeline import ExtractionSettings, extract
 from .synthgen import DEFAULT_INTRA_SIGMA, DEFAULT_NOISE_LEVEL, DEFAULT_PERSONS, DEFAULT_SAMPLES
-from .synthgen import REFERENCE_DPI, Corpus, load_corpus, make_corpus, save_corpus
+from .synthgen import (
+    REFERENCE_DPI,
+    CorpusSettings,
+    load_person,
+    load_settings,
+    render_person,
+    write_corpus,
+)
 
 DEFAULT_SWEEP_CENTRES = ",".join(str(k) for k in DEFAULT_SWEEP_COUNTS)
 
@@ -184,14 +191,19 @@ def _parse_centre_list(text: str) -> tuple[int, ...]:
     return counts
 
 
-def _extract_corpus(cfg: argparse.Namespace, root: str | Path) -> tuple[list, int, Corpus]:
+def _extract_corpus(
+    cfg: argparse.Namespace, root: str | Path
+) -> tuple[list, int, CorpusSettings]:
     """Entries of every extractable corpus image, the failure count, and the
-    corpus; each failure is reported as one warning line on stderr."""
-    corpus = load_corpus(root)
-    entries, failures = extract_features(corpus, _settings(cfg))
+    corpus settings; each failure is reported as one warning line on stderr.
+    Each person's images are read, extracted and dropped before the next
+    person's are read."""
+    settings = load_settings(root)
+    rows = (load_person(root, settings, p) for p in range(settings.persons))
+    entries, failures = extract_features(rows, _settings(cfg))
     for person, sample, message in failures:
         print(f"warning: person {person} sample {sample}: {message}", file=sys.stderr)
-    return entries, len(failures), corpus
+    return entries, len(failures), settings
 
 
 def _load_entries(cfg: argparse.Namespace) -> tuple[list, int, dict[str, str]]:
@@ -200,22 +212,24 @@ def _load_entries(cfg: argparse.Namespace) -> tuple[list, int, dict[str, str]]:
     if (cfg.corpus is None) == (cfg.features is None):
         raise ConfigError(f"{cfg.command} needs exactly one of --corpus or --features")
     if cfg.corpus is not None:
-        entries, failures, corpus = _extract_corpus(cfg, cfg.corpus)
-        return entries, failures, corpus_echo(corpus)
+        entries, failures, settings = _extract_corpus(cfg, cfg.corpus)
+        return entries, failures, corpus_echo(settings)
     return load_features(cfg.features), 0, {}
 
 
 def cmd_gen(cfg: argparse.Namespace) -> int:
+    """Render and write one person at a time, so memory does not grow with
+    --persons; the settings are checked before the first render."""
     out = Path(str(_require(cfg, "out")))
-    corpus = make_corpus(
-        cfg.seed,
-        cfg.intra_sigma,
-        persons=cfg.persons,
-        samples=cfg.samples,
+    settings = CorpusSettings(
+        master_seed=cfg.seed,
+        intra_sigma=cfg.intra_sigma,
         noise_level=cfg.noise_level,
         dpi=cfg.dpi,
+        persons=cfg.persons,
+        samples=cfg.samples,
     )
-    save_corpus(corpus, out)
+    write_corpus(out, settings, (render_person(settings, p) for p in range(settings.persons)))
     print(f"wrote {cfg.persons} persons x {cfg.samples} samples to {out}")
     return 0
 

@@ -10,7 +10,7 @@ configuration echo, and is stable byte for byte for fixed seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,8 +29,9 @@ from .classifiers import (
 )
 from .errors import ConfigError, HandGeoError
 from .features import ScalerParams, apply_scaler, fit_scaler
+from .imaging import GrayImage
 from .pipeline import ExtractionSettings, extract
-from .synthgen import Corpus
+from .synthgen import Corpus, CorpusSettings
 
 COMMITTEE_SIZE = 3
 DEFAULT_RBF_CENTRES = 50
@@ -74,9 +75,10 @@ Entry = tuple[int, int, np.ndarray]  # person, sample, feature vector
 
 
 def extract_features(
-    corpus: Corpus, settings: ExtractionSettings | None = None
+    rows: Iterable[Iterable[GrayImage]], settings: ExtractionSettings | None = None
 ) -> tuple[list[Entry], list[tuple[int, int, str]]]:
-    """Run the pipeline over every corpus image.
+    """Run the pipeline over every image of each person's row in turn, such
+    as a Corpus's images or rows read one person at a time.
 
     Returns extracted entries and the failures as (person, sample,
     "category: message") records; failed images are simply absent from the
@@ -84,12 +86,15 @@ def extract_features(
     """
     entries: list[Entry] = []
     failures: list[tuple[int, int, str]] = []
-    for p, row in enumerate(corpus.images):
+    p = 0  # not enumerate(rows): its result tuple would hold a row until the next arrives
+    for row in rows:
         for j, img in enumerate(row):
             try:
                 entries.append((p, j, extract(img, settings).vector))
             except HandGeoError as exc:
                 failures.append((p, j, f"{exc.category}: {exc}"))
+        del row
+        p += 1
     return entries, failures
 
 
@@ -160,9 +165,8 @@ class EvalReport:
         return self.probes, impostors, self.probes + impostors
 
 
-def corpus_echo(corpus: Corpus) -> dict[str, str]:
+def corpus_echo(s: CorpusSettings) -> dict[str, str]:
     """Corpus settings echoed at the head of a report's configuration."""
-    s = corpus.settings
     return {
         "corpus_seed": str(s.master_seed),
         "intra_sigma": f"{s.intra_sigma:.17g}",
@@ -185,9 +189,9 @@ def echo_head(corpus_info: dict[str, str]) -> dict[str, str]:
 
 def evaluate_all(corpus: Corpus) -> EvalReport:
     """The default protocol on one corpus extracted with default settings."""
-    entries, failures = extract_features(corpus)
+    entries, failures = extract_features(corpus.images)
     return evaluate_features(
-        entries, exclusions=len(failures), extra_config=corpus_echo(corpus)
+        entries, exclusions=len(failures), extra_config=corpus_echo(corpus.settings)
     )
 
 

@@ -119,11 +119,14 @@ _SETTING_TYPES = typing.get_type_hints(CorpusSettings)
 
 @dataclass
 class Corpus:
-    """Rendered database: its settings, persons x samples images, and each
-    image's truth, the Extraction of its exact geometry.
+    """Rendered database held in memory: its settings, persons x samples
+    images, and each image's truth, the Extraction of its exact geometry.
 
-    truths is empty for a corpus read back by load_corpus, which never reads
-    ground truth; save_corpus then writes no ground_truth.csv.
+    make_corpus and load_corpus collect one for Python callers; gen, extract
+    and eval --corpus stream the same per-person rows instead and never hold
+    more than one person's images. truths is empty for a corpus read back by
+    load_corpus, which never reads ground truth; save_corpus then writes no
+    ground_truth.csv.
     """
 
     settings: CorpusSettings
@@ -432,6 +435,42 @@ def _jitter(proto: HandParams, sigma: float, rng: np.random.Generator) -> HandPa
     )
 
 
+def render_person(settings: CorpusSettings, p: int) -> tuple[list[GrayImage], list[Extraction]]:
+    """Person p's samples and their truths: the prototype is drawn from the
+    stream (master_seed, p) and sample j is posed from (master_seed, p, j).
+
+    A sample whose render fails or whose landmarks are not detected by the
+    default extraction chain is regenerated from the same stream, up to 100
+    attempts; giving up names the last attempt's failure.
+    """
+    s = settings
+    proto = _draw_prototype(np.random.default_rng((s.master_seed, p)))
+    images: list[GrayImage] = []
+    truths: list[Extraction] = []
+    for j in range(s.samples):
+        rng = np.random.default_rng((s.master_seed, p, j))
+        failure: HandGeoError | None = None
+        for _ in range(100):
+            try:
+                img, gt = render(_jitter(proto, s.intra_sigma, rng), s.dpi, s.noise_level)
+            except RenderError as exc:
+                failure = exc
+                continue
+            try:
+                extract(img)
+                break
+            except HandGeoError as exc:
+                failure = exc
+        else:
+            raise CorpusError(
+                f"person {p} sample {j}: no valid sample in 100 attempts;"
+                f" last {failure.category}: {failure}"
+            )
+        images.append(img)
+        truths.append(gt)
+    return images, truths
+
+
 def make_corpus(
     master_seed: int,
     intra_sigma: float = DEFAULT_INTRA_SIGMA,
@@ -441,43 +480,11 @@ def make_corpus(
     noise_level: float = DEFAULT_NOISE_LEVEL,
     dpi: float = REFERENCE_DPI,
 ) -> Corpus:
-    """Draw person prototypes and render jittered samples for each.
-
-    A sample whose render fails or whose landmarks are not detected by the
-    default extraction chain is regenerated from the same stream, up to 100
-    attempts; giving up names the last attempt's failure.
-    """
+    """Every person's render_person row, held in memory at once; gen writes
+    the same rows one at a time through write_corpus instead."""
     settings = CorpusSettings(master_seed, intra_sigma, noise_level, dpi, persons, samples)
-    images: list[list[GrayImage]] = []
-    truths: list[list[Extraction]] = []
-    for p in range(persons):
-        proto = _draw_prototype(np.random.default_rng((master_seed, p)))
-        row_img: list[GrayImage] = []
-        row_gt: list[Extraction] = []
-        for j in range(samples):
-            rng = np.random.default_rng((master_seed, p, j))
-            failure: HandGeoError | None = None
-            for _ in range(100):
-                try:
-                    img, gt = render(_jitter(proto, intra_sigma, rng), dpi, noise_level)
-                except RenderError as exc:
-                    failure = exc
-                    continue
-                try:
-                    extract(img)
-                    break
-                except HandGeoError as exc:
-                    failure = exc
-            else:
-                raise CorpusError(
-                    f"person {p} sample {j}: no valid sample in 100 attempts;"
-                    f" last {failure.category}: {failure}"
-                )
-            row_img.append(img)
-            row_gt.append(gt)
-        images.append(row_img)
-        truths.append(row_gt)
-    return Corpus(settings=settings, images=images, truths=truths)
+    rows = [render_person(settings, p) for p in range(persons)]
+    return Corpus(settings, [images for images, _ in rows], [truths for _, truths in rows])
 
 
 _GT_HEADER = (
@@ -503,35 +510,69 @@ def _gt_row(j: int, gt: Extraction) -> list[str]:
     return cells
 
 
-def save_corpus(corpus: Corpus, root: str | Path) -> None:
-    """Directory tree: person_<i>/sample_<j>.bmp plus, when the corpus has
-    ground truth, one person_<i>/ground_truth.csv per person."""
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    config = "".join(
-        f"{key}={getattr(corpus.settings, key):{'.17g' if cast is float else ''}}\n"
-        for key, cast in _SETTING_TYPES.items()
+def _person_dir(root: str | Path, p: int) -> Path:
+    return Path(root) / f"person_{p:02d}"
+
+
+def _write_person(
+    root: str | Path, p: int, images: list[GrayImage], truths: list[Extraction]
+) -> None:
+    """person_<p>/sample_<j>.bmp for every image plus, when truths is not
+    empty, person_<p>/ground_truth.csv."""
+    pdir = _person_dir(root, p)
+    pdir.mkdir(parents=True, exist_ok=True)
+    for j, img in enumerate(images):
+        save_bmp(img, pdir / f"sample_{j:02d}.bmp")
+    if truths:
+        with open(pdir / "ground_truth.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(_GT_HEADER)
+            writer.writerows(_gt_row(j, gt) for j, gt in enumerate(truths))
+
+
+def write_corpus(
+    root: str | Path,
+    settings: CorpusSettings,
+    rows: typing.Iterable[tuple[list[GrayImage], list[Extraction]]],
+) -> None:
+    """Write each (images, truths) row as the next person_<p> directory as
+    soon as it arrives, then corpus_config.txt.
+
+    root is created, and a stale corpus_config.txt in it removed, only once
+    the first row has arrived. The config is written last, so a run that
+    stops at person k leaves person_00 .. person_<k-1> and no config, a tree
+    load_corpus refuses.
+    """
+    config = Path(root) / "corpus_config.txt"
+    p = 0  # not enumerate(rows): its result tuple would hold a row until the next arrives
+    for images, truths in rows:
+        if p == 0:
+            config.unlink(missing_ok=True)
+        _write_person(root, p, images, truths)
+        del images, truths  # free this row before the next one is made
+        p += 1
+    config.write_text(
+        "".join(
+            f"{key}={getattr(settings, key):{'.17g' if cast is float else ''}}\n"
+            for key, cast in _SETTING_TYPES.items()
+        ),
+        encoding="utf-8",
     )
-    (root / "corpus_config.txt").write_text(config, encoding="utf-8")
-    for p, row_img in enumerate(corpus.images):
-        pdir = root / f"person_{p:02d}"
-        pdir.mkdir(exist_ok=True)
-        for j, img in enumerate(row_img):
-            save_bmp(img, pdir / f"sample_{j:02d}.bmp")
-        if corpus.truths:
-            with open(pdir / "ground_truth.csv", "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(_GT_HEADER)
-                writer.writerows(_gt_row(j, gt) for j, gt in enumerate(corpus.truths[p]))
 
 
-def load_corpus(root: str | Path) -> Corpus:
-    """The images and settings of a corpus tree; ground_truth.csv files are
-    not read, so trees of real scans, which have none, load too. A missing
-    key, a malformed value or settings CorpusSettings rejects is a
-    CorpusError naming corpus_config.txt."""
-    root = Path(root)
-    config_path = root / "corpus_config.txt"
+def save_corpus(corpus: Corpus, root: str | Path) -> None:
+    """The corpus as a tree, written by write_corpus: person_<i>/sample_<j>.bmp
+    plus, when the corpus has ground truth, one person_<i>/ground_truth.csv
+    per person, and corpus_config.txt."""
+    truths = corpus.truths or [[] for _ in corpus.images]
+    write_corpus(root, corpus.settings, zip(corpus.images, truths))
+
+
+def load_settings(root: str | Path) -> CorpusSettings:
+    """The settings in a tree's corpus_config.txt. A missing file or key, a
+    malformed value or settings CorpusSettings rejects is a CorpusError
+    naming corpus_config.txt."""
+    config_path = Path(root) / "corpus_config.txt"
     if not config_path.is_file():
         raise CorpusError(f"{config_path} not found")
     config = read_config(config_path, CorpusError)
@@ -540,11 +581,21 @@ def load_corpus(root: str | Path) -> Corpus:
         for key, cast in _SETTING_TYPES.items()
     }
     try:
-        s = CorpusSettings(**values)
+        return CorpusSettings(**values)
     except CorpusError as exc:
         raise CorpusError(f"{config_path}: {exc}") from None
-    images = [
-        [load_bmp(root / f"person_{p:02d}" / f"sample_{j:02d}.bmp") for j in range(s.samples)]
-        for p in range(s.persons)
-    ]
-    return Corpus(settings=s, images=images, truths=[])
+
+
+def load_person(root: str | Path, settings: CorpusSettings, p: int) -> list[GrayImage]:
+    """Person p's sample BMPs from a corpus tree, in sample order."""
+    pdir = _person_dir(root, p)
+    return [load_bmp(pdir / f"sample_{j:02d}.bmp") for j in range(settings.samples)]
+
+
+def load_corpus(root: str | Path) -> Corpus:
+    """The settings and every person's load_person row, held in memory at
+    once; extract and eval read the same rows one at a time instead.
+    ground_truth.csv files are not read, so trees of real scans, which have
+    none, load too."""
+    s = load_settings(root)
+    return Corpus(s, [load_person(root, s, p) for p in range(s.persons)], truths=[])

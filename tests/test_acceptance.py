@@ -252,7 +252,7 @@ def test_criterion_07_rbf_interpolation_and_centre_sweep():
         targets[np.arange(30), labels] = 1.0
         assert np.abs(model.outputs(x) - targets).max() <= 1e-6
 
-        entries, _ = extract_features(make_corpus(0))
+        entries, _ = extract_features(make_corpus(0).images)
         curve = dict(sweep_rbf_features(entries, centre_counts=tuple(range(5, 111, 5))))
         assert max(curve.values()) > curve[5]
 

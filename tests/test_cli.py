@@ -1,20 +1,22 @@
 """End-to-end command-line behaviour."""
 
+import dataclasses
 import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from handgeo import pipeline
+from handgeo import pipeline, synthgen
 from handgeo.cli import _OPTIONS, main
 from handgeo.classifiers import MlpModel, RbfModel, TemplateDb, load_model
 from handgeo.evaluation import emit_table, evaluate_all
 from handgeo.features import load_features, save_features
 from handgeo.imaging import GrayImage, load_bmp, save_bmp
-from handgeo.synthgen import canonical_params, load_corpus, render
+from handgeo.synthgen import canonical_params, load_corpus, make_corpus, render, save_corpus
 
 
 SPREAD_ERROR = "rbf spread must be positive with 2 * spread**2 finite and nonzero, got "
@@ -95,6 +97,80 @@ class TestGen:
         err = capsys.readouterr().err.splitlines()
         assert err == ["corpus_error: master_seed must be >= 0, got -1"]
         assert not (tmp_path / "z").exists()
+
+    def test_a_streamed_tree_is_the_saved_tree_of_make_corpus(self, tmp_path):
+        argv = ["--seed", "5", "--persons", "3", "--samples", "3"]
+        assert main(["gen", "--out", str(tmp_path / "streamed")] + argv) == 0
+        save_corpus(make_corpus(5, persons=3, samples=3), tmp_path / "collected")
+        assert tree_bytes(tmp_path / "streamed") == tree_bytes(tmp_path / "collected")
+
+    def test_a_gen_failing_at_person_2_leaves_persons_0_and_1_and_no_config(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "g"
+        assert main(["gen", "--out", str(out), "--persons", "1", "--samples", "1"]) == 0
+        draw = synthgen._draw_prototype
+        drawn = []
+
+        def third_cannot_render(rng):
+            # A palm 1 px wide merges every finger base, so no pose renders.
+            drawn.append(rng)
+            proto = draw(rng)
+            return dataclasses.replace(proto, palm_width=1.0) if len(drawn) == 3 else proto
+
+        monkeypatch.setattr(synthgen, "_draw_prototype", third_cannot_render)
+        capsys.readouterr()
+        assert main(["gen", "--out", str(out), "--persons", "4", "--samples", "3"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "corpus_error: person 2 sample 0: no valid sample in 100 attempts; last render_error: "
+        )
+        assert sorted(path.name for path in out.iterdir()) == ["person_00", "person_01"]
+        for person in ("person_00", "person_01"):
+            names = sorted(path.name for path in (out / person).iterdir())
+            assert names == ["ground_truth.csv", "sample_00.bmp", "sample_01.bmp", "sample_02.bmp"]
+
+        assert main(["extract", "--input", str(out), "--out", str(tmp_path / "f.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"corpus_error: {out / 'corpus_config.txt'} not found"]
+        assert not (tmp_path / "f.csv").exists()
+
+
+def traced_peak(argv):
+    """tracemalloc's peak, in bytes, over one successful main(argv) call."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOnePersonAtATime:
+    """gen and extract --input hold one person's images at a time, so their
+    peak memory does not grow with --persons. A 10-sample person is about
+    3.3 MiB of float64 pixels; a warm-up run first takes the one-off
+    allocations of the first render, extraction and BMP write."""
+
+    def test_gen_peak_memory_does_not_grow_with_persons(self, tmp_path):
+        main(["gen", "--out", str(tmp_path / "warm"), "--persons", "1", "--samples", "1"])
+        peaks = {
+            n: traced_peak(["gen", "--out", str(tmp_path / f"g{n}"), "--persons", str(n)])
+            for n in (2, 6)
+        }
+        assert peaks[6] - peaks[2] < 2 * 2**20
+
+    def test_extract_peak_memory_does_not_grow_with_persons(self, tmp_path):
+        for n in (1, 2, 6):
+            main(["gen", "--out", str(tmp_path / f"g{n}"), "--persons", str(n)])
+
+        def extract(n):
+            tree, csv = tmp_path / f"g{n}", tmp_path / f"{n}.csv"
+            return ["extract", "--input", str(tree), "--out", str(csv)]
+
+        main(extract(1))
+        assert traced_peak(extract(6)) - traced_peak(extract(2)) < 2 * 2**20
 
 
 class TestCommandLine:

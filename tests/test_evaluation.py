@@ -176,7 +176,7 @@ class TestExtractFeatures:
         corpus = make_corpus(3, persons=2, samples=2)
         blank = corpus.images[0][0].pixels * 0.0
         corpus.images[0][0].pixels = blank
-        entries, failures = extract_features(corpus)
+        entries, failures = extract_features(corpus.images)
         assert len(entries) == 3
         assert len(failures) == 1
         person, sample, message = failures[0]

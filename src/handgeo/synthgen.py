@@ -2,10 +2,11 @@
 
 The hand is a rounded-rectangle palm with five capsule fingers mounted on
 its flat top edge and an arm stump cut off horizontally below. All shapes
-are continuous; a pixel is foreground when its integer centre lies inside
-the union. Ground-truth landmarks are the pixels an ideal boundary walk
-would report, derived from the same continuous geometry, so detector output
-can be compared against them at pixel resolution.
+are continuous, and each canvas row cuts each shape in one closed interval;
+a pixel is foreground when its integer centre lies inside or on the union.
+Ground-truth landmarks are the pixels an ideal boundary walk would report,
+read from the same row cuts, so detector output can be compared against
+them at pixel resolution.
 
 Dimension parameters are in reference pixels at 100 dpi; rendering at
 another dpi scales the whole figure, leaving mm-valued truth unchanged up
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,14 +27,7 @@ import numpy as np
 from .contour import Landmarks, trace_contour
 from .errors import CorpusError, HandGeoError, RenderError, read_config, typed_field
 from .features import FEATURE_NAMES, measure, select
-from .imaging import (
-    BinaryImage,
-    GrayImage,
-    _check_size,
-    boundary_ring,
-    load_bmp,
-    save_bmp,
-)
+from .imaging import BinaryImage, GrayImage, _check_size, boundary_ring, load_bmp, save_bmp
 from .pipeline import Extraction, extract
 
 REFERENCE_DPI = 100.0
@@ -148,10 +143,16 @@ def canonical_params(seed: int = 0) -> HandParams:
     )
 
 
+#: The (x_lo, x_hi) a row that misses a shape reads, as a column for np.where.
+_MISS = ((math.inf,), (-math.inf,))
+
+
 def _capsule_xsection(
-    base: tuple[float, float], tip: tuple[float, float], r: float, y: float
-) -> tuple[float, float] | None:
-    """Continuous [x_lo, x_hi] of a capsule cut by the horizontal line at y.
+    base: tuple[float, float], tip: tuple[float, float], r: float, y: np.ndarray
+) -> np.ndarray:
+    """Closed [x_lo, x_hi] of a capsule cut by the horizontal line at each
+    y, as a (2, len(y)) array; a row that misses it reads _MISS, and a row
+    tangent to an end circle reads that one point.
 
     The cut is the union of the two end-circle chords and the stretch of the
     line closer than r to the axis whose projection lands on the segment
@@ -160,9 +161,8 @@ def _capsule_xsection(
     spans = []
     for cx, cy in (base, tip):
         h2 = (r - (y - cy)) * (r + (y - cy))
-        if h2 > 0:
-            h = math.sqrt(h2)
-            spans.append((cx - h, cx + h))
+        h = np.sqrt(np.maximum(h2, 0.0))
+        spans.append(np.where(h2 >= 0, (cx - h, cx + h), _MISS))
     bx, by = base
     length = math.hypot(tip[0] - bx, tip[1] - by)
     if length > 0:
@@ -173,15 +173,13 @@ def _capsule_xsection(
         lo, hi = -math.inf, math.inf
         for a, b, bound in ((ex, dy * ey - half, half), (ey, -dy * ex, r)):
             if a != 0:
-                ends = sorted(((-b - bound) / a, (-b + bound) / a))
-                lo, hi = max(lo, ends[0]), min(hi, ends[1])
-            elif abs(b) >= bound:
-                lo, hi = math.inf, -math.inf
-        if lo < hi:
-            spans.append((bx + lo, bx + hi))
-    if not spans:
-        return None
-    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+                with np.errstate(over="ignore"):  # a tiny a sends an end to +-inf
+                    ends = (-b - bound) / a, (-b + bound) / a
+                lo, hi = np.maximum(lo, np.minimum(*ends)), np.minimum(hi, np.maximum(*ends))
+            else:
+                lo = np.where(abs(b) < bound, lo, math.inf)
+        spans.append(np.where(lo < hi, (bx + lo, bx + hi), _MISS))
+    return np.array([np.min([lo for lo, _ in spans], 0), np.max([hi for _, hi in spans], 0)])
 
 
 @dataclass
@@ -209,7 +207,6 @@ def _layout(params: HandParams, scale: float) -> _Layout:
     widths = [v * scale for v in params.finger_widths]
     radii = [w / 2.0 for w in widths]
     palm_w = params.palm_width * scale
-    palm_h = params.palm_height * scale
     margin = _MARGIN * scale
     cr = _PALM_CORNER_RADIUS * scale
     base_margin = _BASE_MARGIN * scale
@@ -219,7 +216,7 @@ def _layout(params: HandParams, scale: float) -> _Layout:
     palm_right = palm_left + palm_w
     rise = max(ln + r for ln, r in zip(lengths, radii))
     palm_top = margin + rise + _TIP_HEADROOM * scale
-    palm_bottom = palm_top + palm_h
+    palm_bottom = palm_top + params.palm_height * scale
 
     theta = math.radians(params.tilt_deg)
     ux, uy = math.sin(theta), -math.cos(theta)
@@ -240,26 +237,44 @@ def _layout(params: HandParams, scale: float) -> _Layout:
     width = int(math.ceil(palm_right + margin + 6.0 * scale))
     height = int(math.ceil(arm_cut + margin))
     return _Layout(
-        bases=bases,
-        tips=tips,
-        radii=radii,
-        palm_left=palm_left,
-        palm_right=palm_right,
-        palm_top=palm_top,
-        palm_bottom=palm_bottom,
-        corner_radius=cr,
-        arm_left=arm_cx - arm_w / 2.0,
-        arm_right=arm_cx + arm_w / 2.0,
-        arm_top=arm_top,
-        arm_cut=arm_cut,
-        width=width,
-        height=height,
+        bases=bases, tips=tips, radii=radii, corner_radius=cr,
+        palm_left=palm_left, palm_right=palm_right, palm_top=palm_top, palm_bottom=palm_bottom,
+        arm_left=arm_cx - arm_w / 2.0, arm_right=arm_cx + arm_w / 2.0,
+        arm_top=arm_top, arm_cut=arm_cut, width=width, height=height,
     )
 
 
-def _validate_layout(params: HandParams, lay: _Layout, scale: float) -> list[tuple[float, float]]:
-    """Reject a hand that is no valid scan; return the five finger cuts
-    [x_lo, x_hi] on the last row above the palm."""
+#: Shapes along the first axis of _row_cuts: the palm (0), the arm, the fingers.
+_ARM, _FINGERS = 1, slice(2, 7)
+
+
+def _row_cuts(lay: _Layout) -> np.ndarray:
+    """Closed [x_lo, x_hi] of every shape on every canvas row, as a
+    (7, 2, height) array; a row that misses a shape reads _MISS. The mask,
+    the validity checks and the truth all read these cuts."""
+    y = np.arange(lay.height, dtype=float)
+    cr = lay.corner_radius
+    # A palm row core_dy beyond the core rectangle (the palm shrunk by cr)
+    # reaches sqrt(cr^2 - core_dy^2) past the core's sides.
+    core_dy = np.maximum(np.maximum(lay.palm_top + cr - y, y - (lay.palm_bottom - cr)), 0.0)
+    h2 = cr * cr - core_dy * core_dy
+    h = np.sqrt(np.maximum(h2, 0.0))
+    palm = np.where(h2 >= 0, (lay.palm_left + cr - h, lay.palm_right - cr + h), _MISS)
+    on_arm = (y >= lay.arm_top) & (y <= lay.arm_cut)
+    arm = np.where(on_arm, ((lay.arm_left,), (lay.arm_right,)), _MISS)
+    fingers = [_capsule_xsection(*f, y) for f in zip(lay.bases, lay.tips, lay.radii)]
+    return np.array([palm, arm, *fingers])
+
+
+def _pixel_runs(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last pixel column whose centre lies inside or on each cut."""
+    return np.ceil(cuts[:, 0]), np.floor(cuts[:, 1])
+
+
+def _validate_layout(params: HandParams, lay: _Layout, scale: float) -> np.ndarray:
+    """Reject a hand that is no valid scan; return its _row_cuts. The
+    dimensions are checked before any cut is made, the rest reads the five
+    finger cuts [x_lo, x_hi] on the last row above the palm."""
     if any(v <= 0 for v in params.finger_lengths + params.finger_widths):
         raise RenderError("finger lengths and widths must be positive")
     if not -10.0 <= params.tilt_deg <= 10.0:
@@ -267,64 +282,43 @@ def _validate_layout(params: HandParams, lay: _Layout, scale: float) -> list[tup
     if params.palm_width <= 0 or params.palm_height <= 0:
         raise RenderError("palm dimensions must be positive")
 
-    row = math.ceil(lay.palm_top) - 1  # last row above the palm
-    sections = []
-    for f in range(5):
-        sec = _capsule_xsection(lay.bases[f], lay.tips[f], lay.radii[f], row)
-        if sec is None:
+    cuts = _row_cuts(lay)
+    sections = cuts[_FINGERS, :, math.ceil(lay.palm_top) - 1]
+    for f, (lo, hi) in enumerate(sections):
+        if not lo < hi:
             raise RenderError(f"finger {f} does not reach the palm top edge")
-        sections.append(sec)
     for f in range(4):
-        clearance = sections[f + 1][0] - sections[f][1]
-        if clearance < 1.0 * scale:
+        if sections[f + 1][0] - sections[f][1] < 1.0 * scale:
             raise RenderError(f"fingers {f} and {f + 1} merge at the base")
     if sections[0][0] < lay.palm_left + lay.corner_radius + 1.0 * scale:
         raise RenderError("thumb overruns the palm's left corner")
     if sections[4][1] > lay.palm_right - lay.corner_radius - 1.0 * scale:
         raise RenderError("little finger overruns the palm's right corner")
-    for f in range(5):
-        tx = lay.tips[f][0]
-        if tx - lay.radii[f] < 2.0 or tx + lay.radii[f] > lay.width - 3.0:
+    for f, ((tx, _), r) in enumerate(zip(lay.tips, lay.radii)):
+        if tx - r < 2.0 or tx + r > lay.width - 3.0:
             raise RenderError(f"finger {f} leans outside the canvas")
     # A valley also needs a background column between the rasterized bases.
     # Checked last, so a hand failing an earlier test keeps that message.
     for f, (a, b) in enumerate(_valley_columns(sections)):
         if b < a:
             raise RenderError(f"fingers {f} and {f + 1} merge at the base")
-    return sections
+    return cuts
 
 
-def _rasterize(lay: _Layout) -> np.ndarray:
-    ys, xs = np.mgrid[0 : lay.height, 0 : lay.width]
-    x, y = xs.astype(float), ys.astype(float)
-
-    cr = lay.corner_radius
-    core_dx = np.maximum(np.maximum(lay.palm_left + cr - x, x - (lay.palm_right - cr)), 0.0)
-    core_dy = np.maximum(np.maximum(lay.palm_top + cr - y, y - (lay.palm_bottom - cr)), 0.0)
-    palm = core_dx**2 + core_dy**2 <= cr**2
-
-    arm = (
-        (x >= lay.arm_left)
-        & (x <= lay.arm_right)
-        & (y >= lay.arm_top)
-        & (y <= lay.arm_cut)
-    )
-
-    mask = palm | arm
-    for base, tip, r in zip(lay.bases, lay.tips, lay.radii):
-        bx, by = base
-        px, py = tip
-        vx, vy = px - bx, py - by
-        denom = vx * vx + vy * vy
-        # Only the capsule's bounding box (with a 2 px margin) can be inside.
-        box = (
-            slice(max(0, math.floor(min(by, py) - r - 2)), math.ceil(max(by, py) + r + 2) + 1),
-            slice(max(0, math.floor(min(bx, px) - r - 2)), math.ceil(max(bx, px) + r + 2) + 1),
-        )
-        xb, yb = x[box], y[box]
-        t = np.clip(((xb - bx) * vx + (yb - by) * vy) / denom, 0.0, 1.0)
-        mask[box] |= (xb - (bx + t * vx)) ** 2 + (yb - (by + t * vy)) ** 2 <= r**2
-    return mask
+def _rasterize(cuts: np.ndarray, width: int) -> np.ndarray:
+    """The closed union of the shapes, filled from their _pixel_runs: a run
+    adds 1 at its first column and -1 past its last, and a cumulative sum
+    along each row counts the shapes covering a pixel."""
+    first, last = _pixel_runs(cuts)
+    first = np.clip(first, 0, width).astype(np.intp)
+    # An empty run adds and takes away 1 at the same column.
+    last = np.maximum(np.clip(last, -1, width - 1).astype(np.intp), first - 1)
+    rows = np.arange(cuts.shape[2])
+    cover = np.zeros((len(rows), width + 1), np.int8)
+    for a, b in zip(first, last):
+        cover[rows, a] += 1
+        cover[rows, b + 1] -= 1
+    return np.cumsum(cover[:, :width], axis=1, dtype=np.int8) > 0
 
 
 def _westward_mid(a: int, b: int) -> int:
@@ -332,34 +326,28 @@ def _westward_mid(a: int, b: int) -> int:
     return b - (b - a) // 2
 
 
-def _valley_columns(cuts: list[tuple[float, float]]) -> list[tuple[int, int]]:
+def _valley_columns(cuts: np.ndarray) -> list[tuple[int, int]]:
     """First and last background column [a, b] between each pair of
-    neighbouring finger cuts; the run is empty when a > b."""
+    neighbouring finger cuts on one row; the run is empty when a > b."""
     return [(math.floor(lo[1]) + 1, math.ceil(hi[0]) - 1) for lo, hi in zip(cuts, cuts[1:])]
 
 
-def _ground_truth(
-    lay: _Layout, cuts: list[tuple[float, float]], mask: np.ndarray, dpi: float
-) -> Extraction:
-    """Exact landmarks of the ideal shape and features.measure of them."""
-    tips: list[tuple[int, int]] = []
-    for f in range(5):
-        px, py = lay.tips[f]
-        r = lay.radii[f]
-        yt = math.ceil(py - r)
-        while True:
-            half = math.sqrt(max(r * r - (yt - py) ** 2, 0.0))
-            a, b = math.ceil(px - half), math.floor(px + half)
-            if b >= a:
-                break
-            yt += 1  # sub-pixel cap: the first occupied row is lower
-        tips.append((_westward_mid(a, b), yt))
+def _ground_truth(lay: _Layout, cuts: np.ndarray, mask: np.ndarray, dpi: float) -> Extraction:
+    """Exact landmarks of the ideal shape and features.measure of them: a tip
+    is the middle of the first row where its finger holds a whole pixel, and
+    the wrist ends are the ends of the arm's last row."""
+    first, last = _pixel_runs(cuts)
+    tips = []
+    for a, b in zip(first[_FINGERS], last[_FINGERS]):
+        y = int(np.argmax(a <= b))
+        tips.append((_westward_mid(int(a[y]), int(b[y])), y))
 
     floor_y = math.ceil(lay.palm_top)  # first palm row, below the cuts
-    valleys = [(_westward_mid(a, b), floor_y) for a, b in _valley_columns(cuts)]
+    gaps = _valley_columns(cuts[_FINGERS, :, floor_y - 1])
+    valleys = [(_westward_mid(a, b), floor_y) for a, b in gaps]
 
-    yb = math.floor(lay.arm_cut)
-    wrist = ((math.ceil(lay.arm_left), yb), (math.floor(lay.arm_right), yb))
+    yb = int(np.flatnonzero(first[_ARM] <= last[_ARM])[-1])
+    wrist = ((int(first[_ARM, yb]), yb), (int(last[_ARM, yb]), yb))
 
     landmarks = Landmarks(tips, valleys, wrist)
     silhouette = BinaryImage(bits=mask.astype(np.uint8), dpi=dpi)
@@ -368,27 +356,25 @@ def _ground_truth(
 
 
 def render(
-    params: HandParams,
-    dpi: float = REFERENCE_DPI,
-    noise_level: float = 0.0,
+    params: HandParams, dpi: float = REFERENCE_DPI, noise_level: float = 0.0
 ) -> tuple[GrayImage, Extraction]:
     """Rasterize one hand; returns the image and its exact ground truth.
 
     A canvas larger than imaging.MAX_SIDE raises SizeError before any pixel
-    is allocated.
+    or row cut is allocated.
     """
     scale = dpi / REFERENCE_DPI
     lay = _layout(params, scale)
     _check_size(lay.width, lay.height)
     cuts = _validate_layout(params, lay, scale)
-    mask = _rasterize(lay)
+    mask = _rasterize(cuts, lay.width)
     truth = _ground_truth(lay, cuts, mask, dpi)
 
     pixels = np.where(mask, _FOREGROUND, _BACKGROUND)
     if noise_level > 0:
         rng = np.random.default_rng(params.seed)
-        pixels = pixels + rng.uniform(-noise_level, noise_level, pixels.shape)
-    return GrayImage(pixels=np.clip(pixels, 0.0, 1.0), dpi=dpi), truth
+        pixels += rng.uniform(-noise_level, noise_level, pixels.shape)
+    return GrayImage(pixels=np.clip(pixels, 0.0, 1.0, out=pixels), dpi=dpi), truth
 
 
 def _draw_prototype(rng: np.random.Generator) -> HandParams:
@@ -530,6 +516,12 @@ def _write_person(
             writer.writerows(_gt_row(j, gt) for j, gt in enumerate(truths))
 
 
+def _numbered(folder: Path, pattern: str) -> list[tuple[int, Path]]:
+    """(n, path) of each entry of folder named by pattern, n its one group."""
+    found = ((re.fullmatch(pattern, path.name), path) for path in sorted(folder.glob("*")))
+    return [(int(m[1]), path) for m, path in found if m]
+
+
 def write_corpus(
     root: str | Path,
     settings: CorpusSettings,
@@ -541,8 +533,15 @@ def write_corpus(
     root is created, and a stale corpus_config.txt in it removed, only once
     the first row has arrived. The config is written last, so a run that
     stops at person k leaves person_00 .. person_<k-1> and no config, a tree
-    load_corpus refuses.
+    load_corpus refuses. A tree that would keep a person_<p> directory or
+    sample_<j>.bmp beyond settings is refused first, and left untouched.
     """
+    s = settings
+    for p, pdir in _numbered(Path(root), r"person_(\d+)"):
+        samples = _numbered(pdir, r"sample_(\d+)\.bmp")
+        strays = [pdir] if p >= s.persons else [f for j, f in samples if j >= s.samples]
+        if strays:
+            raise CorpusError(f"{strays[0]} lies outside a {s.persons} x {s.samples} corpus")
     config = Path(root) / "corpus_config.txt"
     p = 0  # not enumerate(rows): its result tuple would hold a row until the next arrives
     for images, truths in rows:

@@ -136,6 +136,21 @@ class TestGen:
         assert err == [f"corpus_error: {out / 'corpus_config.txt'} not found"]
         assert not (tmp_path / "f.csv").exists()
 
+    def test_a_smaller_gen_over_a_larger_tree_is_refused_and_leaves_it(self, tmp_path, capsys):
+        out = tmp_path / "g"
+        assert main(["gen", "--out", str(out), "--persons", "4", "--samples", "2"]) == 0
+        before = tree_bytes(out)
+        capsys.readouterr()
+        assert main(["gen", "--out", str(out), "--persons", "2", "--samples", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        stray = out / "person_00" / "sample_01.bmp"
+        assert err == [f"corpus_error: {stray} lies outside a 2 x 1 corpus"]
+        assert tree_bytes(out) == before
+        assert main(["gen", "--out", str(out), "--persons", "2", "--samples", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"corpus_error: {out / 'person_02'} lies outside a 2 x 2 corpus"]
+        assert tree_bytes(out) == before
+
 
 def traced_peak(argv):
     """tracemalloc's peak, in bytes, over one successful main(argv) call."""

@@ -87,7 +87,7 @@ class TestRender:
         params, scale = merged_params(shrink), dpi / synthgen.REFERENCE_DPI
         lay = synthgen._layout(params, scale)
         row = math.ceil(lay.palm_top) - 1
-        cuts = [synthgen._capsule_xsection(*f, row) for f in zip(lay.bases, lay.tips, lay.radii)]
+        cuts = [one_row_cut(*f, row) for f in zip(lay.bases, lay.tips, lay.radii)]
         assert all(right[0] - left[1] >= scale for left, right in zip(cuts, cuts[1:]))
         with pytest.raises(RenderError, match="merge"):
             render(params, dpi)
@@ -121,6 +121,102 @@ class TestRender:
         )
         marks = extract(img).landmarks
         assert len(marks.tips) == 5 and len(marks.valleys) == 4
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.floats(-10.0, 10.0), st.floats(30.0, 200.0))
+    def test_truth_lies_on_the_mask(self, seed, tilt, dpi):
+        # Tips and valleys are top-edge pixels of the silhouette, wrist ends
+        # bottom-edge pixels, whatever the pose and scale of a valid hand.
+        try:
+            img, gt = render(posed_params(seed, tilt), dpi)
+        except RenderError:
+            assume(False)
+        mask = img.pixels > 0.5
+        marks = gt.landmarks
+        for x, y in marks.tips + marks.valleys:
+            assert mask[y, x] and not mask[y - 1, x]
+        for x, y in marks.wrist:
+            assert mask[y, x] and not mask[y + 1, x]
+
+
+def posed_params(seed: int, tilt: float) -> HandParams:
+    """A jittered corpus prototype drawn from seed, leaning by tilt degrees."""
+    rng = np.random.default_rng(seed)
+    proto = synthgen._draw_prototype(rng)
+    posed = synthgen._jitter(proto, synthgen.DEFAULT_INTRA_SIGMA, rng)
+    return dataclasses.replace(posed, tilt_deg=tilt)
+
+
+def reference_rasterize(lay) -> np.ndarray:
+    """The closed union by a point-to-segment distance test at every pixel,
+    the rasterizer the row-cut fill replaced."""
+    ys, xs = np.mgrid[0 : lay.height, 0 : lay.width]
+    x, y = xs.astype(float), ys.astype(float)
+
+    cr = lay.corner_radius
+    core_dx = np.maximum(np.maximum(lay.palm_left + cr - x, x - (lay.palm_right - cr)), 0.0)
+    core_dy = np.maximum(np.maximum(lay.palm_top + cr - y, y - (lay.palm_bottom - cr)), 0.0)
+    palm = core_dx**2 + core_dy**2 <= cr**2
+
+    arm = (
+        (x >= lay.arm_left)
+        & (x <= lay.arm_right)
+        & (y >= lay.arm_top)
+        & (y <= lay.arm_cut)
+    )
+
+    mask = palm | arm
+    for base, tip, r in zip(lay.bases, lay.tips, lay.radii):
+        bx, by = base
+        px, py = tip
+        vx, vy = px - bx, py - by
+        denom = vx * vx + vy * vy
+        # Only the capsule's bounding box (with a 2 px margin) can be inside.
+        box = (
+            slice(max(0, math.floor(min(by, py) - r - 2)), math.ceil(max(by, py) + r + 2) + 1),
+            slice(max(0, math.floor(min(bx, px) - r - 2)), math.ceil(max(bx, px) + r + 2) + 1),
+        )
+        xb, yb = x[box], y[box]
+        t = np.clip(((xb - bx) * vx + (yb - by) * vy) / denom, 0.0, 1.0)
+        mask[box] |= (xb - (bx + t * vx)) ** 2 + (yb - (by + t * vy)) ** 2 <= r**2
+    return mask
+
+
+def outline_distance(lay, x: float, y: float) -> float:
+    """Distance from (x, y) to the nearest outline of the palm, the arm or a
+    finger, inside or out."""
+    cr = lay.corner_radius
+    core_dx = max(lay.palm_left + cr - x, x - (lay.palm_right - cr), 0.0)
+    core_dy = max(lay.palm_top + cr - y, y - (lay.palm_bottom - cr), 0.0)
+    out_dx = max(lay.arm_left - x, x - lay.arm_right, 0.0)
+    out_dy = max(lay.arm_top - y, y - lay.arm_cut, 0.0)
+    inside = min(x - lay.arm_left, lay.arm_right - x, y - lay.arm_top, lay.arm_cut - y)
+    arm = math.hypot(out_dx, out_dy) if inside < 0 else inside
+    fingers = [
+        abs(_seg_point_dist(x, y, *base, *tip) - r)
+        for base, tip, r in zip(lay.bases, lay.tips, lay.radii)
+    ]
+    return min(abs(math.hypot(core_dx, core_dy) - cr), arm, *fingers)
+
+
+class TestRasterize:
+    """The row-cut fill against the distance test it replaced."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.floats(-10.0, 10.0), st.floats(30.0, 400.0))
+    def test_matches_the_distance_test_off_the_outlines(self, seed, tilt, dpi):
+        # A pixel centre on an outline is a tie the two formulas may round
+        # either way; at tilt 0 a finger's straight side can pass through one.
+        lay = synthgen._layout(posed_params(seed, tilt), dpi / synthgen.REFERENCE_DPI)
+        got = synthgen._rasterize(synthgen._row_cuts(lay), lay.width)
+        for y, x in np.argwhere(got != reference_rasterize(lay)):
+            assert outline_distance(lay, float(x), float(y)) < 1e-9
+
+    @pytest.mark.parametrize("dpi", [30.0, 50.0, 100.0, 150.0, 200.0, 393.7])
+    def test_canonical_hands_match_the_distance_test(self, dpi):
+        lay = synthgen._layout(canonical_params(), dpi / synthgen.REFERENCE_DPI)
+        got = synthgen._rasterize(synthgen._row_cuts(lay), lay.width)
+        np.testing.assert_array_equal(got, reference_rasterize(lay))
 
 
 def _seg_point_dist(x: float, y: float, bx: float, by: float, px: float, py: float) -> float:
@@ -162,6 +258,13 @@ def reference_capsule_xsection(
     return edge(x_in, lo_out), edge(x_in, hi_out)
 
 
+def one_row_cut(base, tip, r, y):
+    """synthgen._capsule_xsection on the single row y; None where the cut
+    has no interior, as the bisection reports a miss or a tangent row."""
+    lo, hi = synthgen._capsule_xsection(base, tip, r, np.array([y]))[:, 0]
+    return None if lo >= hi else (lo, hi)
+
+
 class TestCapsuleCrossSection:
     """The closed-form cut against the bisection it replaced.
 
@@ -184,7 +287,7 @@ class TestCapsuleCrossSection:
         base, tip = (bx, by), (bx + length * math.sin(theta), by - length * math.cos(theta))
         y = tip[1] - r + where * (by - tip[1] + 2 * r)
         want = reference_capsule_xsection(base, tip, r, y)
-        got = synthgen._capsule_xsection(base, tip, r, y)
+        got = one_row_cut(base, tip, r, y)
         assert (got is None) == (want is None)
         if want is None:
             return
@@ -198,11 +301,11 @@ class TestCapsuleCrossSection:
             assert (math.floor(g), math.ceil(g)) == (math.floor(w), math.ceil(w))
 
     def test_row_above_every_reach_is_empty(self):
-        assert synthgen._capsule_xsection((10.0, 50.0), (12.0, 20.0), 3.0, 16.5) is None
-        assert synthgen._capsule_xsection((10.0, 50.0), (12.0, 20.0), 3.0, 53.0) is None
+        assert one_row_cut((10.0, 50.0), (12.0, 20.0), 3.0, 16.5) is None
+        assert one_row_cut((10.0, 50.0), (12.0, 20.0), 3.0, 53.0) is None
 
     def test_axis_row_spans_the_width(self):
-        lo, hi = synthgen._capsule_xsection((10.0, 50.0), (10.0, 20.0), 3.0, 35.0)
+        lo, hi = one_row_cut((10.0, 50.0), (10.0, 20.0), 3.0, 35.0)
         assert (lo, hi) == (7.0, 13.0)
 
 
@@ -271,6 +374,7 @@ class TestMakeCorpus:
 
     def test_oversized_canvas_is_a_size_error_before_rasterizing(self, monkeypatch):
         monkeypatch.setattr(synthgen, "_rasterize", None)  # no canvas may be allocated
+        monkeypatch.setattr(synthgen, "_row_cuts", None)  # nor any row cut
         with pytest.raises(SizeError, match="exceeds"):
             render(canonical_params(), dpi=100000.0)
         with pytest.raises(SizeError, match="exceeds"):

@@ -95,6 +95,10 @@ _NEXT = tuple(
 )
 
 
+#: _DIRECTIONS[occupancy]: the direction codes whose bit is set.
+_DIRECTIONS = tuple(tuple(c for c in range(8) if occ >> c & 1) for occ in range(256))
+
+
 def _trace_loop(
     occ: dict[int, int], offsets: tuple[int, ...], start: int, size: int
 ) -> tuple[list[int], int] | None:
@@ -139,6 +143,33 @@ def _trace_loop(
     return codes, pixels
 
 
+def _components(occ: dict[int, int], offsets: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(start, pixel count) of each 8-connected component of the edge map.
+
+    `occ` and `offsets` are as in _trace_loop. Its keys are in raster order,
+    so the first key each search reaches is its component's topmost-then-
+    leftmost pixel, the start the walk takes.
+    """
+    found: list[tuple[int, int]] = []
+    seen: set[int] = set()
+    for start in occ:
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        size = 0
+        while stack:
+            p = stack.pop()
+            size += 1
+            for c in _DIRECTIONS[occ[p] >> 3]:
+                q = p + offsets[c]
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        found.append((start, size))
+    return found
+
+
 def trace_contour(edges: BinaryImage) -> ChainCode:
     """Chain code of the longest closed loop in an edge map.
 
@@ -167,15 +198,8 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
             y, x = divmod(start, width)  # padded coordinates
             return ChainCode(start=(x - 1, y - 1), codes=tuple(walk[0]))
 
-    from scipy import ndimage  # imported here for the reason given in imaging.lowpass_filter
-
-    labels, _ = ndimage.label(edges.bits, structure=np.ones((3, 3), dtype=int))
-    comp = np.pad(labels, 1).ravel()[idx]
-    # Each label's first entry in raster order is its component's start.
-    labs, first = np.unique(comp, return_index=True)
-    sizes = np.bincount(comp)[labs]
     best: ChainCode | None = None
-    for start, size in zip(idx[first].tolist(), sizes.tolist()):
+    for start, size in _components(occ, offsets):
         walk = _trace_loop(occ, offsets, start, size)
         if walk is None:
             continue

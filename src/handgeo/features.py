@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ class RawFeatures:
     surface: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(astuple(self), dtype=float)
+        return np.array([getattr(self, name) for name in FEATURE_NAMES], dtype=float)
 
 
 FEATURE_NAMES = tuple(f.name for f in fields(RawFeatures))

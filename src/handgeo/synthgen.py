@@ -504,16 +504,20 @@ def _write_person(
     root: str | Path, p: int, images: list[GrayImage], truths: list[Extraction]
 ) -> None:
     """person_<p>/sample_<j>.bmp for every image plus, when truths is not
-    empty, person_<p>/ground_truth.csv."""
+    empty, person_<p>/ground_truth.csv. With no truths, a ground_truth.csv
+    already there is removed, since it describes other images."""
     pdir = _person_dir(root, p)
     pdir.mkdir(parents=True, exist_ok=True)
     for j, img in enumerate(images):
         save_bmp(img, pdir / f"sample_{j:02d}.bmp")
-    if truths:
-        with open(pdir / "ground_truth.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_GT_HEADER)
-            writer.writerows(_gt_row(j, gt) for j, gt in enumerate(truths))
+    gt_path = pdir / "ground_truth.csv"
+    if not truths:
+        gt_path.unlink(missing_ok=True)
+        return
+    with open(gt_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_GT_HEADER)
+        writer.writerows(_gt_row(j, gt) for j, gt in enumerate(truths))
 
 
 def _numbered(folder: Path, pattern: str) -> list[tuple[int, Path]]:

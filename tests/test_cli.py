@@ -1,15 +1,20 @@
 """End-to-end command-line behaviour."""
 
 import dataclasses
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import handgeo
 from handgeo import pipeline, synthgen
 from handgeo.cli import _OPTIONS, main
 from handgeo.classifiers import MlpModel, RbfModel, TemplateDb, load_model
@@ -992,3 +997,36 @@ class TestSweep:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("config_error:")
+
+
+#: Runs gen, extract --input and a tracer fallback, then prints whether
+#: scipy.ndimage was loaded. argv[1] is a scratch folder.
+EXTRACTING_PROCESS = """
+import sys
+import numpy as np
+from handgeo import cli, contour
+from handgeo.imaging import BinaryImage
+
+root = sys.argv[1]
+assert cli.main(["gen", "--out", root + "/tree", "--persons", "1", "--samples", "2"]) == 0
+assert cli.main(["extract", "--input", root + "/tree", "--out", root + "/features.csv"]) == 0
+bits = np.zeros((12, 12), dtype=np.uint8)
+bits[4:10, 4:10] = 1
+bits[5:9, 5:9] = 0
+bits[1, 1] = 1  # a speck before the ring: the tracer labels components
+calls = []
+components = contour._components
+contour._components = lambda *a: calls.append(a) or components(*a)
+assert len(contour.trace_contour(BinaryImage(bits=bits))) == 20 and len(calls) == 1
+print("scipy.ndimage" in sys.modules)
+"""
+
+
+def test_extracting_never_loads_scipy_ndimage(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(handgeo.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", EXTRACTING_PROCESS, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from handgeo import contour
 from handgeo.contour import (
     DELTAS,
     ChainCode,
@@ -386,9 +387,9 @@ class TestTableDrivenWalk:
     def _trace_counting_labels(edges, monkeypatch):
         """trace_contour's outcome and how often it labelled components."""
         calls = []
-        label = ndimage.label
+        label = contour._components
         with monkeypatch.context() as m:
-            m.setattr(ndimage, "label", lambda *a, **k: calls.append(a) or label(*a, **k))
+            m.setattr(contour, "_components", lambda *a: calls.append(a) or label(*a))
             outcome = _outcome(trace_contour, edges)
         return outcome, len(calls)
 

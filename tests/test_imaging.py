@@ -2,10 +2,12 @@
 
 import dataclasses
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import ndimage
@@ -13,6 +15,7 @@ from scipy import ndimage
 from handgeo.contour import find_landmarks, trace_contour
 from handgeo.errors import ConfigError, ContourError, FormatError, LandmarkError, SizeError
 from handgeo.imaging import (
+    DEFAULT_THRESHOLD,
     MAX_KERNEL_RADIUS,
     BinaryImage,
     GrayImage,
@@ -27,18 +30,20 @@ from handgeo.pipeline import ExtractionSettings, extract
 from handgeo.synthgen import _draw_prototype, render
 
 
-def bmp_bytes(rows, bit_depth=8, ppm=0, compression=0):
-    """Hand-rolled bottom-up 8-bit BMP with an identity grayscale palette."""
+def bmp_bytes(rows, bit_depth=8, ppm=0, compression=0, palette=None):
+    """Hand-rolled bottom-up 8-bit BMP; palette is BGRA quads, by default
+    the identity grayscale palette."""
+    if palette is None:
+        palette = bytes(b for i in range(256) for b in (i, i, i, 0))
     height, width = len(rows), len(rows[0])
     stride = (width + 3) & ~3
-    pixel_offset = 14 + 40 + 4 * 256
+    pixel_offset = 14 + 40 + len(palette)
     body = b"".join(bytes(row) + b"\0" * (stride - width) for row in reversed(rows))
     header = struct.pack("<2sIHHI", b"BM", pixel_offset + len(body), 0, 0, pixel_offset)
     dib = struct.pack(
         "<IiiHHIIiiII", 40, width, height, 1, bit_depth, compression,
-        len(body), ppm, ppm, 256, 0,
+        len(body), ppm, ppm, len(palette) // 4, 0,
     )
-    palette = bytes(b for i in range(256) for b in (i, i, i, 0))
     return header + dib + palette + body
 
 
@@ -116,6 +121,23 @@ class TestLoadBmp:
         back = load_bmp(path)
         np.testing.assert_array_equal(np.rint(back.pixels * 255), values)
 
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 256).flatmap(lambda colors: hnp.arrays(np.uint8, (colors, 4))),
+        hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)),
+    )
+    def test_pixels_equal_the_per_pixel_formula_on_any_palette(self, quads, raw):
+        # The former load_bmp: gather each pixel's luminance, then clip and
+        # divide every pixel. Entries past a short palette are black.
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "palette.bmp"
+            path.write_bytes(bmp_bytes(raw.tolist(), palette=quads.tobytes()))
+            img = load_bmp(path)
+        bgr = quads.astype(np.float64)
+        luminance = np.zeros(256)
+        luminance[: len(quads)] = 0.299 * bgr[:, 2] + 0.587 * bgr[:, 1] + 0.114 * bgr[:, 0]
+        np.testing.assert_array_equal(img.pixels, np.clip(luminance[raw], 0.0, 255.0) / 255.0)
+
     def test_oversized_image_is_rejected(self):
         with pytest.raises(SizeError, match="5000"):
             save_bmp(gray(np.zeros((1, 5001))), "/tmp/never-written.bmp")
@@ -184,15 +206,32 @@ def plateau_images(draw):
     return steps / levels
 
 
-class TestFlatWindows:
-    """The slice-based flat mask against the rank filters it replaced."""
+def rank_flat(pixels, radius):
+    """Where the edge-replicated (2r+1)^2 window is constant: min == max."""
+    size = 2 * radius + 1
+    return ndimage.minimum_filter(
+        pixels, size=size, mode="nearest"
+    ) == ndimage.maximum_filter(pixels, size=size, mode="nearest")
 
-    @staticmethod
-    def rank_flat(pixels, radius):
-        size = 2 * radius + 1
-        return ndimage.minimum_filter(
-            pixels, size=size, mode="nearest"
-        ) == ndimage.maximum_filter(pixels, size=size, mode="nearest")
+
+def reference_lowpass_filter(img: GrayImage, radius: int) -> GrayImage:
+    """The SciPy box filter lowpass_filter replaced: a uniform filter with
+    edge replication, flat windows copied through, clipped to [0, 1]."""
+    out = ndimage.uniform_filter(img.pixels, size=2 * radius + 1, mode="nearest")
+    flat = rank_flat(img.pixels, radius)
+    out[flat] = img.pixels[flat]
+    return GrayImage(pixels=np.clip(out, 0.0, 1.0), dpi=img.dpi)
+
+
+def byte_images():
+    """Images of 8-bit intensities, as load_bmp yields from save_bmp's files."""
+    return hnp.arrays(
+        np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12)
+    ).map(lambda raw: raw / 255.0)
+
+
+class TestFlatWindows:
+    """The doubling flat mask against the rank filters it replaced."""
 
     @settings(deadline=None)
     @given(
@@ -209,25 +248,57 @@ class TestFlatWindows:
                 elements=st.floats(0.0, 1.0),
             ),
         ),
-        st.integers(1, 3),
+        st.integers(1, MAX_KERNEL_RADIUS),
         st.booleans(),
     )
     def test_flat_mask_equals_min_equals_max(self, pixels, radius, transpose):
         if transpose:
             pixels = pixels.T.copy()
+        padded = np.pad(pixels, radius, mode="edge")
         np.testing.assert_array_equal(
-            ~_window_varies(pixels, radius), self.rank_flat(pixels, radius)
+            ~_window_varies(padded, radius), rank_flat(pixels, radius)
         )
 
+
+class TestLowpassAgainstUniformFilter:
+    """lowpass_filter against the SciPy filter it replaced. Sums taken in
+    another order differ in the last bits, so only flat windows are exact."""
+
     @settings(deadline=None)
-    @given(plateau_images(), st.integers(1, 3))
-    def test_lowpass_output_matches_the_rank_filter_formula(self, pixels, radius):
-        size = 2 * radius + 1
-        expected = ndimage.uniform_filter(pixels, size=size, mode="nearest")
-        flat = self.rank_flat(pixels, radius)
-        expected[flat] = pixels[flat]
+    @given(
+        st.one_of(
+            plateau_images(),
+            byte_images(),
+            hnp.arrays(
+                np.float64,
+                hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+                elements=st.floats(0.0, 1.0),
+            ),
+        ),
+        st.integers(0, MAX_KERNEL_RADIUS),
+    )
+    def test_flat_windows_are_exact_and_the_rest_within_1e_12(self, pixels, radius):
+        out = lowpass_filter(gray(pixels), radius).pixels
+        expected = reference_lowpass_filter(gray(pixels), radius).pixels
+        flat = rank_flat(pixels, radius)
+        np.testing.assert_array_equal(out[flat], expected[flat])
+        np.testing.assert_allclose(out, expected, rtol=0.0, atol=1e-12)
+
+    @settings(deadline=None)
+    @given(byte_images(), st.integers(0, MAX_KERNEL_RADIUS), st.data())
+    def test_byte_images_binarize_alike(self, pixels, radius, data):
+        # An 8-bit window mean is m / (255 (2r+1)^2) for a whole m, so a
+        # threshold midway between two such means separates them by far more
+        # than the rounding of either sum.
         out = lowpass_filter(gray(pixels), radius)
-        np.testing.assert_array_equal(out.pixels, np.clip(expected, 0.0, 1.0))
+        expected = reference_lowpass_filter(gray(pixels), radius)
+        scale = 255 * (2 * radius + 1) ** 2
+        near = int(np.rint(data.draw(st.sampled_from(expected.pixels.ravel())) * scale))
+        m = data.draw(st.sampled_from([max(near - 1, 0), min(near, scale - 1)]))
+        for threshold in (DEFAULT_THRESHOLD, (m + 0.5) / scale):
+            np.testing.assert_array_equal(
+                binarize(out, threshold).bits, binarize(expected, threshold).bits
+            )
 
 
 class TestBinarize:
@@ -342,6 +413,12 @@ class TestDetectEdgesLog:
         np.testing.assert_array_equal(boundary_ring(img).bits, expected)
         np.testing.assert_array_equal(reference_detect_edges_log(img).bits, expected)
 
+    # Most renders break the opened_blobs condition somewhere: a 5x5
+    # closing fills a few pixels at a valley bottom or a wrist corner. So
+    # the two are compared everywhere but within 1 px of a background gap
+    # that closing fills, where the LoG's blur reaches across the gap. At
+    # the pinned example, sigma 1 and the ring differ in 4 pixels beside a
+    # valley 2 px wide.
     @pytest.mark.parametrize("sigma", [0.5, 1.0])
     @settings(deadline=None, max_examples=15)
     @given(
@@ -350,12 +427,17 @@ class TestDetectEdgesLog:
         noise=st.floats(0.0, 0.05),
         radius=st.integers(0, 1),
     )
+    @example(seed=362880, dpi=60.0, noise=0.0, radius=1)
     def test_equals_the_log_on_noisy_renders(self, sigma, seed, dpi, noise, radius):
         params = dataclasses.replace(_draw_prototype(np.random.default_rng(seed)), seed=seed)
         img, _ = render(params, dpi, noise)
         silhouette = binarize(lowpass_filter(img, radius))
         expected = reference_detect_edges_log(silhouette, sigma)
-        np.testing.assert_array_equal(boundary_ring(silhouette).bits, expected.bits)
+        mask = silhouette.bits.astype(bool)
+        square = np.ones((5, 5), dtype=bool)
+        narrow_gaps = ndimage.binary_closing(mask, square, border_value=1) & ~mask
+        away = ~ndimage.binary_dilation(narrow_gaps, np.ones((3, 3), dtype=bool))
+        np.testing.assert_array_equal(boundary_ring(silhouette).bits[away], expected.bits[away])
 
     @pytest.mark.parametrize("sigma", [0.5, 1.0])
     @settings(deadline=None, max_examples=100)

@@ -414,6 +414,15 @@ class TestCorpusSerialization:
             "corpus_config.txt", "person_00/sample_00.bmp", "person_00/sample_01.bmp"
         ]
 
+    def test_saving_a_loaded_tree_over_another_removes_its_ground_truth(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        save_corpus(make_corpus(1, persons=1, samples=1), a)
+        save_corpus(make_corpus(2, persons=1, samples=1), b)
+        save_corpus(load_corpus(b), a)
+        assert tree_files(a) == {
+            rel: data for rel, data in tree_files(b).items() if "ground_truth" not in rel
+        }
+
     @pytest.mark.parametrize("seed", ["0", "7"])
     def test_default_trees_match_the_stored_digests(self, tmp_path, seed):
         references = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"

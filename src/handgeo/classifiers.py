@@ -273,20 +273,13 @@ def _lm_step(blocks: _NormalBlocks, lam: float) -> np.ndarray:
 
     The per-class output blocks are eliminated onto the hidden block (a Schur
     complement; Hagan & Menhaj, IEEE TNN 5(6), 1994), so the largest
-    factorization is P_h x P_h. Raises LinAlgError when a Cholesky
-    factorization fails.
+    solve is P_h x P_h. Raises LinAlgError when the output block's Cholesky
+    factorization fails or the Schur matrix is singular; mlp_train counts
+    either as a rejected retry.
     """
-    # Imported here: scipy.linalg adds about 6 MB to every process that loads
-    # it, and only training needs it.
-    from scipy.linalg import cho_solve
-
     b = blocks
     hidden, width = b.g_hid.shape
     mu = lam + b.reg
-    # The factorizations use NumPy's LAPACK: scipy.linalg's run in SciPy's own
-    # OpenBLAS, whose threads contend with NumPy's on matrices this small
-    # (training ran about 3x slower on 2 cores). cho_solve with one right-hand
-    # side stays on one thread.
     # (out + mu I)^-1 = l_inv^T l_inv. Eliminating through cross_l = cross l_inv^T
     # keeps the subtracted term cross_l cross_l^T symmetric and is more accurate
     # than forming the inverse itself.
@@ -299,8 +292,11 @@ def _lm_step(blocks: _NormalBlocks, lam: float) -> np.ndarray:
     schur.flat[:: len(schur) + 1] += mu
     rhs = ((cross_l @ grad_l).reshape(hidden, width, -1) * b.w2.T[:, None, :]).sum(axis=2)
     rhs -= b.g_hid
-    schur_l = np.linalg.cholesky(schur)
-    d_hid = cho_solve((schur_l, True), rhs.ravel(), check_finite=False).reshape(hidden, width)
+    # LU rather than Cholesky: on the 300 x 300 Schur matrix of 30 hidden
+    # units it is the cheaper of the two in NumPy's LAPACK, and an indefinite
+    # matrix (rounding can make one at tiny damping) still gives a step, which
+    # the loss check in mlp_train accepts or rejects.
+    d_hid = np.linalg.solve(schur, rhs.ravel()).reshape(hidden, width)
     # Row c is w2[c, h] * d_hid[h, i], so cross_c^T d_hid = cross^T (row c).
     per_class = (b.w2[:, :, None] * d_hid).reshape(len(b.w2), -1)
     d_out = -l_inv.T @ (grad_l + cross_l.T @ per_class.T)  # (hidden + 1) x n_out
@@ -319,7 +315,8 @@ def mlp_train(
     accepted step. Each epoch makes at most one accepted parameter update:
     the damped normal equations are solved and the step kept only if the
     loss drops, otherwise the damping grows and the solve is retried within
-    the epoch. A factorization that fails counts as a rejected retry.
+    the epoch. A step that cannot be solved (LinAlgError from _lm_step)
+    counts as a rejected retry.
     """
     if not train:
         raise ConfigError("empty training set")
@@ -373,7 +370,7 @@ def mlp_identify(model: MlpModel, x: np.ndarray) -> int:
     return model.person_ids[int(np.argmax(model.outputs(x)))]
 
 
-#: Thread-count variables of the BLAS builds NumPy and SciPy may load; each
+#: Thread-count variables of the BLAS builds NumPy may load; each
 #: training worker gets 1, so n workers keep n cores busy. A second BLAS thread
 #: gains nothing at these matrix sizes.
 _ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}

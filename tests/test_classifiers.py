@@ -31,7 +31,7 @@ from handgeo.classifiers import (
     save_model,
     train_members,
 )
-from handgeo.classifiers import _lm_step, _normal_blocks
+from handgeo.classifiers import _lm_step, _normal_blocks, _NormalBlocks
 from handgeo.errors import ConfigError
 
 vectors = st.lists(st.floats(-50, 50), min_size=1, max_size=9)
@@ -366,6 +366,25 @@ class TestMlpTraining:
         history = model.loss_history
         assert len(history) >= 2
         assert all(b < a for a, b in zip(history, history[1:]))
+
+    def test_singular_schur_matrix_is_a_rejected_retry(self):
+        # hid = -lam I and cross = 0 cancel the damping exactly: the Schur
+        # matrix is 0, while the output block I + lam I factorizes. mlp_train
+        # retries on LinAlgError, as the test above shows.
+        hidden, width, n_out, lam = 2, 10, 2, 1e-3
+        p_h = hidden * width
+        blocks = _NormalBlocks(
+            hid=-lam * np.eye(p_h),
+            out=np.eye(hidden + 1),
+            cross=np.zeros((p_h, hidden + 1)),
+            w2=np.ones((n_out, hidden)),
+            unit_gram=np.ones((p_h, p_h)),
+            g_hid=np.ones((hidden, width)),
+            g_out=np.ones((n_out, hidden + 1)),
+            reg=0.0,
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            _lm_step(blocks, lam)
 
     def test_argmax_ties_resolve_to_the_first_person(self):
         model = MlpModel(

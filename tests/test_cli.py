@@ -1030,3 +1030,34 @@ def test_extracting_never_loads_scipy_ndimage(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+#: Runs train --kind mlp --loss msereg and eval --features on one core, so
+#: mlp_train runs in this interpreter, then prints the scipy modules loaded.
+#: argv[1] is a features CSV and argv[2] a scratch folder.
+TRAINING_PROCESS = """
+import sys
+from handgeo import classifiers, cli
+
+classifiers._cores = lambda: 1
+calls = []
+mlp_train = classifiers.mlp_train
+classifiers.mlp_train = lambda *a: calls.append(a) or mlp_train(*a)
+features, root = sys.argv[1], sys.argv[2]
+small = ["--multistart", "2", "--hidden", "8"]
+assert cli.main(["train", "--features", features, "--out", root + "/mlp.model",
+                 "--kind", "mlp", "--loss", "msereg"] + small) == 0
+assert cli.main(["eval", "--features", features, "--out", root + "/report"] + small) == 0
+assert calls
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_training_never_loads_scipy(tmp_path, features_csv):
+    env = dict(os.environ, PYTHONPATH=str(Path(handgeo.__file__).parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", TRAINING_PROCESS, str(features_csv), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

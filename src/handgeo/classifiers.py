@@ -28,6 +28,10 @@ from .errors import ConfigError, TrainingError, text_input, typed_field
 from .features import ScalerParams, check_span
 
 DEFAULT_HIDDEN = 30
+#: Largest accepted hidden-unit count. Each LM epoch forms a Gram of
+#: (11h+1)^2 float64 at 9 inputs, 9.7 MB at this bound, so it also bounds
+#: training memory.
+MAX_HIDDEN = 100
 DEFAULT_GAMMA = 0.8
 DEFAULT_MULTISTART = 5
 DAMPING_INIT = 1e-3
@@ -76,11 +80,16 @@ class TemplateDb:
     scaler: ScalerParams | None = None
 
 
+def check_metric(metric: str) -> None:
+    """Reject a template distance other than those in _ROW_DISTANCES."""
+    if metric not in _ROW_DISTANCES:
+        raise ConfigError(f"unknown metric {metric!r}; use 'mse' or 'mad'")
+
+
 def nn_identify(x: np.ndarray, db: TemplateDb, metric: str = "mse") -> int:
     """Person of the closest template; ties break to the lowest person id,
     then the lowest template index."""
-    if metric not in _ROW_DISTANCES:
-        raise ConfigError(f"unknown metric {metric!r}; use 'mse' or 'mad'")
+    check_metric(metric)
     if not db.entries:
         raise ValueError("empty template database")
     x = np.asarray(x, dtype=float)
@@ -303,6 +312,14 @@ def _lm_step(blocks: _NormalBlocks, lam: float) -> np.ndarray:
     return np.concatenate([d_hid[:, :-1].ravel(), d_hid[:, -1], d_out[:-1].T.ravel(), d_out[-1]])
 
 
+def _check_training(train: list[tuple[int, np.ndarray]], hidden: int) -> None:
+    """The input rule of mlp_train and train_populations."""
+    if not train:
+        raise ConfigError("empty training set")
+    if not 1 <= hidden <= MAX_HIDDEN:
+        raise ConfigError(f"hidden units must be in [1, {MAX_HIDDEN}], got {hidden}")
+
+
 def mlp_train(
     train: list[tuple[int, np.ndarray]],
     cfg: TrainConfig,
@@ -318,10 +335,7 @@ def mlp_train(
     the epoch. A step that cannot be solved (LinAlgError from _lm_step)
     counts as a rejected retry.
     """
-    if not train:
-        raise ConfigError("empty training set")
-    if hidden < 1:
-        raise ConfigError(f"hidden units must be >= 1, got {hidden}")
+    _check_training(train, hidden)
     x, person_ids, t = _targets(train)
     n_in, n_out = x.shape[1], t.shape[1]
     n_params = hidden * n_in + hidden + n_out * hidden + n_out
@@ -435,10 +449,7 @@ def train_populations(
     interrupt while waiting kills the workers still running; every worker is
     reaped before the call returns or raises.
     """
-    if not train:
-        raise ConfigError("empty training set")
-    if hidden < 1:
-        raise ConfigError(f"hidden units must be >= 1, got {hidden}")
+    _check_training(train, hidden)
     members = [replace(cfg, seed=cfg.seed + k) for cfg in cfgs for k in range(cfg.multistart)]
     cores = _cores()
     if cores < 2:

@@ -29,6 +29,7 @@ from .classifiers import (
     RbfModel,
     TemplateDb,
     TrainConfig,
+    check_metric,
     load_model,
     multistart_select,
     rbf_train,
@@ -288,6 +289,7 @@ def _eval_models(
     cfg: argparse.Namespace, entries: list, exclusions: int, corpus_info: dict[str, str]
 ) -> EvalReport:
     """Score pre-trained model files on the test half of the split."""
+    check_metric(cfg.metric)
     rates: dict[str, float] = {}
     for path_text in str(cfg.models).split(","):
         path = Path(path_text.strip())

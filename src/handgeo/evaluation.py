@@ -31,7 +31,7 @@ from .errors import ConfigError, HandGeoError
 from .features import ScalerParams, apply_scaler, fit_scaler
 from .imaging import GrayImage
 from .pipeline import ExtractionSettings, extract
-from .synthgen import Corpus, CorpusSettings
+from .synthgen import CorpusSettings, render_person
 
 COMMITTEE_SIZE = 3
 DEFAULT_RBF_CENTRES = 50
@@ -77,8 +77,8 @@ Entry = tuple[int, int, np.ndarray]  # person, sample, feature vector
 def extract_features(
     rows: Iterable[Iterable[GrayImage]], settings: ExtractionSettings | None = None
 ) -> tuple[list[Entry], list[tuple[int, int, str]]]:
-    """Run the pipeline over every image of each person's row in turn, such
-    as a Corpus's images or rows read one person at a time.
+    """Run the pipeline over every image of each person's row in turn; rows
+    rendered or read one person at a time are dropped after extraction.
 
     Returns extracted entries and the failures as (person, sample,
     "category: message") records; failed images are simply absent from the
@@ -187,12 +187,13 @@ def echo_head(corpus_info: dict[str, str]) -> dict[str, str]:
     }
 
 
-def evaluate_all(corpus: Corpus) -> EvalReport:
-    """The default protocol on one corpus extracted with default settings."""
-    entries, failures = extract_features(corpus.images)
-    return evaluate_features(
-        entries, exclusions=len(failures), extra_config=corpus_echo(corpus.settings)
-    )
+def evaluate_all(settings: CorpusSettings) -> EvalReport:
+    """The default protocol on the corpus settings names, rendered and
+    extracted with the default ExtractionSettings one person at a time, as
+    eval --corpus reads a tree."""
+    rows = (render_person(settings, p)[0] for p in range(settings.persons))
+    entries, failures = extract_features(rows)
+    return evaluate_features(entries, exclusions=len(failures), extra_config=corpus_echo(settings))
 
 
 def evaluate_features(

@@ -83,15 +83,15 @@ class HandParams:
 
 @dataclass(frozen=True)
 class CorpusSettings:
-    """How a corpus was drawn, in corpus_config.txt's key order; a value
-    make_corpus cannot use is a CorpusError."""
+    """How a corpus is drawn, in corpus_config.txt's key order; a value
+    render_person cannot use is a CorpusError."""
 
     master_seed: int
-    intra_sigma: float
-    noise_level: float
-    dpi: float
-    persons: int
-    samples: int
+    intra_sigma: float = DEFAULT_INTRA_SIGMA
+    noise_level: float = DEFAULT_NOISE_LEVEL
+    dpi: float = REFERENCE_DPI
+    persons: int = DEFAULT_PERSONS
+    samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self) -> None:
         if self.master_seed < 0:
@@ -112,16 +112,15 @@ class CorpusSettings:
 _SETTING_TYPES = typing.get_type_hints(CorpusSettings)
 
 
+# perfbench traces make_corpus and save_corpus by name, and both use Corpus.
 @dataclass
 class Corpus:
     """Rendered database held in memory: its settings, persons x samples
     images, and each image's truth, the Extraction of its exact geometry.
 
-    make_corpus and load_corpus collect one for Python callers; gen, extract
-    and eval --corpus stream the same per-person rows instead and never hold
-    more than one person's images. truths is empty for a corpus read back by
-    load_corpus, which never reads ground truth; save_corpus then writes no
-    ground_truth.csv.
+    make_corpus collects one for Python callers; gen and evaluate_all stream
+    the same per-person rows instead and never hold more than one person's
+    images.
     """
 
     settings: CorpusSettings
@@ -457,19 +456,11 @@ def render_person(settings: CorpusSettings, p: int) -> tuple[list[GrayImage], li
     return images, truths
 
 
-def make_corpus(
-    master_seed: int,
-    intra_sigma: float = DEFAULT_INTRA_SIGMA,
-    *,
-    persons: int = DEFAULT_PERSONS,
-    samples: int = DEFAULT_SAMPLES,
-    noise_level: float = DEFAULT_NOISE_LEVEL,
-    dpi: float = REFERENCE_DPI,
-) -> Corpus:
+# perfbench traces make_corpus by name.
+def make_corpus(settings: CorpusSettings) -> Corpus:
     """Every person's render_person row, held in memory at once; gen writes
     the same rows one at a time through write_corpus instead."""
-    settings = CorpusSettings(master_seed, intra_sigma, noise_level, dpi, persons, samples)
-    rows = [render_person(settings, p) for p in range(persons)]
+    rows = [render_person(settings, p) for p in range(settings.persons)]
     return Corpus(settings, [images for images, _ in rows], [truths for _, truths in rows])
 
 
@@ -503,18 +494,12 @@ def _person_dir(root: str | Path, p: int) -> Path:
 def _write_person(
     root: str | Path, p: int, images: list[GrayImage], truths: list[Extraction]
 ) -> None:
-    """person_<p>/sample_<j>.bmp for every image plus, when truths is not
-    empty, person_<p>/ground_truth.csv. With no truths, a ground_truth.csv
-    already there is removed, since it describes other images."""
+    """person_<p>/sample_<j>.bmp for every image and person_<p>/ground_truth.csv."""
     pdir = _person_dir(root, p)
     pdir.mkdir(parents=True, exist_ok=True)
     for j, img in enumerate(images):
         save_bmp(img, pdir / f"sample_{j:02d}.bmp")
-    gt_path = pdir / "ground_truth.csv"
-    if not truths:
-        gt_path.unlink(missing_ok=True)
-        return
-    with open(gt_path, "w", newline="", encoding="utf-8") as fh:
+    with open(pdir / "ground_truth.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_GT_HEADER)
         writer.writerows(_gt_row(j, gt) for j, gt in enumerate(truths))
@@ -537,7 +522,7 @@ def write_corpus(
     root is created, and a stale corpus_config.txt in it removed, only once
     the first row has arrived. The config is written last, so a run that
     stops at person k leaves person_00 .. person_<k-1> and no config, a tree
-    load_corpus refuses. A tree that would keep a person_<p> directory or
+    load_settings refuses. A tree that would keep a person_<p> directory or
     sample_<j>.bmp beyond settings is refused first, and left untouched.
     """
     s = settings
@@ -563,12 +548,10 @@ def write_corpus(
     )
 
 
+# perfbench traces save_corpus by name.
 def save_corpus(corpus: Corpus, root: str | Path) -> None:
-    """The corpus as a tree, written by write_corpus: person_<i>/sample_<j>.bmp
-    plus, when the corpus has ground truth, one person_<i>/ground_truth.csv
-    per person, and corpus_config.txt."""
-    truths = corpus.truths or [[] for _ in corpus.images]
-    write_corpus(root, corpus.settings, zip(corpus.images, truths))
+    """The corpus as a tree, written by write_corpus."""
+    write_corpus(root, corpus.settings, zip(corpus.images, corpus.truths))
 
 
 def load_settings(root: str | Path) -> CorpusSettings:
@@ -590,15 +573,7 @@ def load_settings(root: str | Path) -> CorpusSettings:
 
 
 def load_person(root: str | Path, settings: CorpusSettings, p: int) -> list[GrayImage]:
-    """Person p's sample BMPs from a corpus tree, in sample order."""
+    """Person p's sample BMPs from a corpus tree, in sample order. No
+    ground_truth.csv is read, so trees of real scans, which have none, read too."""
     pdir = _person_dir(root, p)
     return [load_bmp(pdir / f"sample_{j:02d}.bmp") for j in range(settings.samples)]
-
-
-def load_corpus(root: str | Path) -> Corpus:
-    """The settings and every person's load_person row, held in memory at
-    once; extract and eval read the same rows one at a time instead.
-    ground_truth.csv files are not read, so trees of real scans, which have
-    none, load too."""
-    s = load_settings(root)
-    return Corpus(s, [load_person(root, s, p) for p in range(s.persons)], truths=[])

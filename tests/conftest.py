@@ -28,3 +28,14 @@ def merged_scan():
         return GrayImage(pixels=pixels, dpi=synthgen.REFERENCE_DPI)
 
     return draw
+
+
+@pytest.fixture(scope="session")
+def corpus_rows():
+    """A corpus's render_person rows, rendered one person at a time, for
+    tests that need a full-size corpus without holding all of it."""
+
+    def rows(settings: synthgen.CorpusSettings):
+        return (synthgen.render_person(settings, p) for p in range(settings.persons))
+
+    return rows

@@ -38,7 +38,7 @@ from handgeo.evaluation import (
 from handgeo.features import FEATURE_NAMES
 from handgeo.imaging import BinaryImage, GrayImage, binarize, boundary_ring
 from handgeo.pipeline import ExtractionSettings, extract
-from handgeo.synthgen import make_corpus
+from handgeo.synthgen import CorpusSettings
 
 EXACT = ExtractionSettings(kernel_radius=0)
 SEEDS = (0, 1, 2, 3, 4)
@@ -70,13 +70,13 @@ def four_point_set() -> list[tuple[int, np.ndarray]]:
 
 
 @pytest.fixture(scope="module")
-def clean_hands():
+def clean_hands(corpus_rows):
     """100 noise-free renders with their ground truths, fully extracted."""
     t0 = time.perf_counter()
-    corpus = make_corpus(0, persons=20, samples=5, noise_level=0.0)
+    rows = corpus_rows(CorpusSettings(0, noise_level=0.0, persons=20, samples=5))
     pairs = [
         (gt, extract(img, EXACT))
-        for images, truths in zip(corpus.images, corpus.truths)
+        for images, truths in rows
         for img, gt in zip(images, truths)
     ]
     return SimpleNamespace(pairs=pairs, elapsed=time.perf_counter() - t0)
@@ -94,7 +94,7 @@ def five_seed_run(tmp_path_factory):
 def _run_default_protocol(out_dir):
     reports = {}
     for seed in SEEDS:
-        report = evaluate_all(make_corpus(seed))
+        report = evaluate_all(CorpusSettings(seed))
         text, csv_text = emit_table(report)
         (out_dir / f"report_{seed}.txt").write_text(text)
         (out_dir / f"report_{seed}.csv").write_text(csv_text)
@@ -240,7 +240,7 @@ def test_criterion_06_training_algorithm_correctness():
         assert all(mlp_identify(model, v) == p for p, v in toy)
 
 
-def test_criterion_07_rbf_interpolation_and_centre_sweep():
+def test_criterion_07_rbf_interpolation_and_centre_sweep(corpus_rows):
     with criterion(
         7, "full-centre network interpolates; sweep peaks above 5 centres", 180.0
     ):
@@ -252,7 +252,7 @@ def test_criterion_07_rbf_interpolation_and_centre_sweep():
         targets[np.arange(30), labels] = 1.0
         assert np.abs(model.outputs(x) - targets).max() <= 1e-6
 
-        entries, _ = extract_features(make_corpus(0).images)
+        entries, _ = extract_features(images for images, _ in corpus_rows(CorpusSettings(0)))
         curve = dict(sweep_rbf_features(entries, centre_counts=tuple(range(5, 111, 5))))
         assert max(curve.values()) > curve[5]
 

@@ -281,9 +281,9 @@ class TestMlpTraining:
             denom = np.maximum(np.abs(numeric), 1e-8)
             assert (np.abs(analytic[:, k] - numeric) / denom).max() <= 1e-4
 
-    @pytest.mark.parametrize("hidden", [0, -3])
-    def test_non_positive_hidden_count_is_rejected(self, hidden):
-        with pytest.raises(ConfigError, match="hidden units must be >= 1"):
+    @pytest.mark.parametrize("hidden", [0, -3, classifiers.MAX_HIDDEN + 1])
+    def test_out_of_range_hidden_count_is_rejected(self, hidden):
+        with pytest.raises(ConfigError, match=r"hidden units must be in \[1, "):
             mlp_train(toy_two_person_set(), TrainConfig(seed=0), hidden=hidden)
 
     @settings(max_examples=60, deadline=None)

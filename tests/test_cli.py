@@ -17,11 +17,19 @@ from hypothesis import strategies as st
 import handgeo
 from handgeo import pipeline, synthgen
 from handgeo.cli import _OPTIONS, main
-from handgeo.classifiers import MlpModel, RbfModel, TemplateDb, load_model
-from handgeo.evaluation import emit_table, evaluate_all
+from handgeo.classifiers import MAX_HIDDEN, MlpModel, RbfModel, TemplateDb, load_model
+from handgeo.evaluation import corpus_echo, emit_table, evaluate_features, extract_features
 from handgeo.features import load_features, save_features
 from handgeo.imaging import GrayImage, load_bmp, save_bmp
-from handgeo.synthgen import canonical_params, load_corpus, make_corpus, render, save_corpus
+from handgeo.synthgen import (
+    CorpusSettings,
+    canonical_params,
+    load_person,
+    load_settings,
+    make_corpus,
+    render,
+    save_corpus,
+)
 
 
 SPREAD_ERROR = "rbf spread must be positive with 2 * spread**2 finite and nonzero, got "
@@ -106,7 +114,7 @@ class TestGen:
     def test_a_streamed_tree_is_the_saved_tree_of_make_corpus(self, tmp_path):
         argv = ["--seed", "5", "--persons", "3", "--samples", "3"]
         assert main(["gen", "--out", str(tmp_path / "streamed")] + argv) == 0
-        save_corpus(make_corpus(5, persons=3, samples=3), tmp_path / "collected")
+        save_corpus(make_corpus(CorpusSettings(5, persons=3, samples=3)), tmp_path / "collected")
         assert tree_bytes(tmp_path / "streamed") == tree_bytes(tmp_path / "collected")
 
     def test_a_gen_failing_at_person_2_leaves_persons_0_and_1_and_no_config(
@@ -474,17 +482,18 @@ class TestTrain:
         ]
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("hidden", ["0", "-3"])
-    def test_non_positive_hidden_count_fails_cleanly(
+    @pytest.mark.parametrize("hidden", [0, -3, MAX_HIDDEN + 1])
+    def test_out_of_range_hidden_count_fails_cleanly(
         self, tmp_path, features_csv, capsys, command, hidden
     ):
         code = main(
             [command, "--features", str(features_csv), "--out", str(tmp_path / "m"),
-             "--multistart", "1", "--hidden", hidden]
+             "--multistart", "1", "--hidden", str(hidden)]
         )
         assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config_error: hidden units must be >= 1")
+        assert capsys.readouterr().err.splitlines() == [
+            f"config_error: hidden units must be in [1, {MAX_HIDDEN}], got {hidden}"
+        ]
 
     def test_non_positive_spread_fails_cleanly(self, tmp_path, features_csv, capsys):
         code = main(
@@ -588,6 +597,21 @@ class TestEval:
         )
         assert code == 0
         assert "model:nearest" in (out / "report.txt").read_text()
+
+    def test_an_unknown_metric_fails_before_an_mlp_model_is_scored(
+        self, tmp_path, features_csv, capsys
+    ):
+        model = tmp_path / "mlp.model"
+        assert main(["train", "--features", str(features_csv), "--out", str(model),
+                     "--multistart", "1", "--hidden", "4"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
+                     "--models", str(model), "--metric", "bogus"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config_error: unknown metric 'bogus'; use 'mse' or 'mad'"
+        ]
+        assert not (tmp_path / "r").exists()
 
     def test_model_file_missing_fields_fails_cleanly(self, tmp_path, features_csv, capsys):
         model = tmp_path / "stub.model"
@@ -890,7 +914,7 @@ class TestDamagedFiles:
 
 
 class TestOneProtocol:
-    """eval, sweep, evaluate_all, train and eval --models run the same split
+    """eval, sweep, evaluate_features, train and eval --models run the same split
     and trial accounting."""
 
     def test_train_then_eval_models_reproduces_the_eval_rows(self, tmp_path, capsys):
@@ -922,7 +946,7 @@ class TestOneProtocol:
                          "--metric", metric, "--out", str(out)]) == 0
             assert read_report_csv(out)[f"rate_model:{key}"] == want[f"rate_{key}"]
 
-    def test_eval_corpus_report_equals_evaluate_all(self, tmp_path, capsys):
+    def test_eval_corpus_report_equals_evaluate_features(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         main(["gen", "--out", str(corpus_dir), "--persons", "3"])
         for bmp in (corpus_dir / "person_02").glob("*.bmp"):
@@ -930,7 +954,13 @@ class TestOneProtocol:
             save_bmp(GrayImage(pixels=np.zeros_like(img.pixels), dpi=img.dpi), bmp)
         out = tmp_path / "report"
         assert main(["eval", "--corpus", str(corpus_dir), "--out", str(out)]) == 0
-        want = emit_table(evaluate_all(load_corpus(corpus_dir)))[1]
+        settings = load_settings(corpus_dir)
+        rows = (load_person(corpus_dir, settings, p) for p in range(settings.persons))
+        entries, failures = extract_features(rows)
+        report = evaluate_features(
+            entries, exclusions=len(failures), extra_config=corpus_echo(settings)
+        )
+        want = emit_table(report)[1]
         assert (out / "report.csv").read_text() == want
         assert "\nclients,10\nimpostors,10\ntotal,20\nexclusions,10\n" in want
 

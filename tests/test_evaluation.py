@@ -1,10 +1,13 @@
 """Protocol accounting, the fixed split, rate computation, and reports."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from handgeo import classifiers
 from handgeo.classifiers import TemplateDb, nn_identify
 from handgeo.errors import ConfigError, LandmarkError
 from handgeo.evaluation import (
@@ -13,13 +16,14 @@ from handgeo.evaluation import (
     Split,
     count_trials,
     emit_table,
+    evaluate_all,
     evaluate_features,
     extract_features,
     run_identification,
     split_entries,
     sweep_rbf_features,
 )
-from handgeo.synthgen import make_corpus
+from handgeo.synthgen import CorpusSettings, make_corpus
 
 
 def synthetic_entries(persons=4, samples=10, spread=0.05, seed=0):
@@ -173,7 +177,7 @@ class TestNonFiniteFeatures:
 
 class TestExtractFeatures:
     def test_failures_are_excluded_and_described(self):
-        corpus = make_corpus(3, persons=2, samples=2)
+        corpus = make_corpus(CorpusSettings(3, persons=2, samples=2))
         blank = corpus.images[0][0].pixels * 0.0
         corpus.images[0][0].pixels = blank
         entries, failures = extract_features(corpus.images)
@@ -182,6 +186,26 @@ class TestExtractFeatures:
         person, sample, message = failures[0]
         assert (person, sample) == (0, 0)
         assert message.startswith("contour_error")
+
+
+class TestEvaluateAll:
+    def test_peak_memory_does_not_grow_with_persons(self, monkeypatch):
+        """evaluate_all holds one person's images at a time: a 10-sample
+        person is about 3.3 MiB of float64 pixels. Both sides train in two
+        worker processes, whatever the core count, so tracemalloc
+        sees the same work in this process."""
+        monkeypatch.setattr(classifiers, "_cores", lambda: 2)
+
+        def traced_peak(persons):
+            tracemalloc.start()
+            try:
+                evaluate_all(CorpusSettings(0, persons=persons))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        evaluate_all(CorpusSettings(0, persons=2))  # one-off allocations
+        assert traced_peak(6) - traced_peak(2) < 2 * 2**20
 
 
 class TestSweep:

@@ -22,10 +22,12 @@ from handgeo.synthgen import (
     CorpusSettings,
     HandParams,
     canonical_params,
-    load_corpus,
+    load_person,
+    load_settings,
     make_corpus,
     render,
     save_corpus,
+    write_corpus,
 )
 
 EXACT = ExtractionSettings(kernel_radius=0)
@@ -67,7 +69,7 @@ class TestRender:
             assert abs(getattr(raw, name) - getattr(gt.raw, name)) <= 2 * mm_per_px
 
     def test_landmarks_of_an_ideal_render_are_pixel_exact(self):
-        corpus = make_corpus(2, persons=5, samples=2, noise_level=0.0)
+        corpus = make_corpus(CorpusSettings(2, noise_level=0.0, persons=5, samples=2))
         for person, row in enumerate(corpus.images):
             for j, img in enumerate(row):
                 got = extract(img, EXACT).landmarks
@@ -311,8 +313,8 @@ class TestCapsuleCrossSection:
 
 class TestMakeCorpus:
     def test_identical_seeds_build_identical_corpora(self):
-        a = make_corpus(9, persons=3, samples=2)
-        b = make_corpus(9, persons=3, samples=2)
+        a = make_corpus(CorpusSettings(9, persons=3, samples=2))
+        b = make_corpus(CorpusSettings(9, persons=3, samples=2))
         for row_a, row_b in zip(a.images, b.images):
             for img_a, img_b in zip(row_a, row_b):
                 np.testing.assert_array_equal(img_a.pixels, img_b.pixels)
@@ -323,14 +325,14 @@ class TestMakeCorpus:
         assert truths(a) == truths(b)
 
     def test_every_sample_passes_landmark_detection(self):
-        corpus = make_corpus(4, persons=4, samples=3)
+        corpus = make_corpus(CorpusSettings(4, persons=4, samples=3))
         for row in corpus.images:
             for img in row:
                 marks = extract(img).landmarks
                 assert len(marks.tips) == 5 and len(marks.valleys) == 4
 
     def test_zero_jitter_repeats_each_person_exactly(self):
-        corpus = make_corpus(1, 0.0, persons=2, samples=3)
+        corpus = make_corpus(CorpusSettings(1, 0.0, persons=2, samples=3))
         for row in corpus.images:
             vectors = [extract(img).vector for img in row]
             for v in vectors[1:]:
@@ -338,7 +340,7 @@ class TestMakeCorpus:
 
     def test_out_of_range_jitter_is_rejected(self):
         with pytest.raises(CorpusError, match="intra_sigma"):
-            make_corpus(0, 0.2)
+            make_corpus(CorpusSettings(0, 0.2))
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -356,7 +358,7 @@ class TestMakeCorpus:
     def test_empty_or_unrenderable_shapes_are_rejected_up_front(self, monkeypatch, kwargs):
         monkeypatch.setattr(synthgen, "render", None)  # no render may be attempted
         with pytest.raises(CorpusError, match="persons|sample|dpi|noise_level"):
-            make_corpus(0, **kwargs)
+            make_corpus(CorpusSettings(0, **kwargs))
 
     def test_regeneration_gives_up_after_bounded_attempts(self, monkeypatch):
         failure = LandmarkError("expected 5 fingertips and 4 valleys, found 4 and 3")
@@ -366,11 +368,11 @@ class TestMakeCorpus:
 
         monkeypatch.setattr(synthgen, "extract", extract)
         with pytest.raises(CorpusError, match="100 attempts; last landmark_error: expected 5"):
-            make_corpus(0, persons=1, samples=1)
+            make_corpus(CorpusSettings(0, persons=1, samples=1))
 
     def test_giving_up_names_the_last_render_failure(self):
         with pytest.raises(CorpusError, match="100 attempts; last render_error: "):
-            make_corpus(0, persons=1, samples=1, dpi=10.0)
+            make_corpus(CorpusSettings(0, dpi=10.0, persons=1, samples=1))
 
     def test_oversized_canvas_is_a_size_error_before_rasterizing(self, monkeypatch):
         monkeypatch.setattr(synthgen, "_rasterize", None)  # no canvas may be allocated
@@ -378,24 +380,23 @@ class TestMakeCorpus:
         with pytest.raises(SizeError, match="exceeds"):
             render(canonical_params(), dpi=100000.0)
         with pytest.raises(SizeError, match="exceeds"):
-            make_corpus(0, persons=1, samples=1, dpi=100000.0)
+            make_corpus(CorpusSettings(0, dpi=100000.0, persons=1, samples=1))
 
 
 class TestCorpusSerialization:
     def test_round_trip_preserves_quantized_images_and_metadata(self, tmp_path):
-        corpus = make_corpus(6, persons=2, samples=2)
+        corpus = make_corpus(CorpusSettings(6, persons=2, samples=2))
         root = tmp_path / "corpus"
         save_corpus(corpus, root)
-        back = load_corpus(root)
-        assert back.settings == corpus.settings
-        for row_a, row_b in zip(corpus.images, back.images):
-            for img_a, img_b in zip(row_a, row_b):
+        assert load_settings(root) == corpus.settings
+        for p, row_a in enumerate(corpus.images):
+            for img_a, img_b in zip(row_a, load_person(root, corpus.settings, p), strict=True):
                 np.testing.assert_array_equal(
                     np.rint(img_b.pixels * 255), np.rint(img_a.pixels * 255)
                 )
 
     def test_tree_layout_is_one_directory_per_person(self, tmp_path):
-        corpus = make_corpus(6, persons=2, samples=3)
+        corpus = make_corpus(CorpusSettings(6, persons=2, samples=3))
         root = tmp_path / "corpus"
         save_corpus(corpus, root)
         assert (root / "corpus_config.txt").exists()
@@ -405,29 +406,12 @@ class TestCorpusSerialization:
             samples = sorted(person_dir.glob("sample_*.bmp"))
             assert len(samples) == 3
 
-    def test_a_loaded_tree_saves_again_with_the_same_images_and_config(self, tmp_path):
-        save_corpus(make_corpus(6, persons=1, samples=2), tmp_path / "gen")
-        save_corpus(load_corpus(tmp_path / "gen"), tmp_path / "again")
-        gen, again = tree_files(tmp_path / "gen"), tree_files(tmp_path / "again")
-        assert again == {rel: data for rel, data in gen.items() if "ground_truth" not in rel}
-        assert sorted(again) == [
-            "corpus_config.txt", "person_00/sample_00.bmp", "person_00/sample_01.bmp"
-        ]
-
-    def test_saving_a_loaded_tree_over_another_removes_its_ground_truth(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        save_corpus(make_corpus(1, persons=1, samples=1), a)
-        save_corpus(make_corpus(2, persons=1, samples=1), b)
-        save_corpus(load_corpus(b), a)
-        assert tree_files(a) == {
-            rel: data for rel, data in tree_files(b).items() if "ground_truth" not in rel
-        }
-
     @pytest.mark.parametrize("seed", ["0", "7"])
-    def test_default_trees_match_the_stored_digests(self, tmp_path, seed):
+    def test_default_trees_match_the_stored_digests(self, tmp_path, corpus_rows, seed):
         references = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
         want = json.loads(references.read_text())[seed]["gen_tree_sha256"]
-        save_corpus(make_corpus(int(seed)), tmp_path)
+        settings = CorpusSettings(int(seed))
+        write_corpus(tmp_path, settings, corpus_rows(settings))
         h = hashlib.sha256()
         for rel, data in sorted(tree_files(tmp_path).items()):
             h.update(rel.encode() + b"\0" + data + b"\0")
@@ -459,10 +443,9 @@ VALID_SETTINGS = st.builds(CorpusSettings, **{k: ok for k, (ok, _) in SETTING_VA
 
 
 def saved_tiny_corpus(settings, root):
-    """Save a corpus of 1x1 images under settings to root."""
+    """Write a tree of 1x1 images, with no truths, under settings to root."""
     img = GrayImage(np.zeros((1, 1)))
-    images = [[img] * settings.samples for _ in range(settings.persons)]
-    save_corpus(synthgen.Corpus(settings, images, truths=[]), root)
+    write_corpus(root, settings, (([img] * settings.samples, []) for _ in range(settings.persons)))
 
 
 class TestCorpusConfig:
@@ -471,7 +454,7 @@ class TestCorpusConfig:
     def test_settings_round_trip_through_the_file(self, corpus_settings):
         with tempfile.TemporaryDirectory() as root:
             saved_tiny_corpus(corpus_settings, root)
-            assert load_corpus(root).settings == corpus_settings
+            assert load_settings(root) == corpus_settings
 
     @settings(deadline=None, max_examples=60)
     @given(VALID_SETTINGS, st.data())
@@ -486,7 +469,7 @@ class TestCorpusConfig:
             text = config.read_text()
             config.write_text(re.sub(f"(?m)^{key}=.*$", f"{key}={bad!r}", text))
             with pytest.raises(CorpusError) as caught:
-                load_corpus(root)
+                load_settings(root)
             assert str(caught.value).startswith(f"{config}: ")
 
 

@@ -148,7 +148,10 @@ def test_only_the_workers_get_one_blas_thread(workers, monkeypatch):
 
 @pytest.mark.parametrize(
     "train,hidden,message",
-    [([], HIDDEN, "empty training set"), (toy_set(), 0, "hidden units must be >= 1, got 0")],
+    [
+        ([], HIDDEN, "empty training set"),
+        (toy_set(), 0, r"hidden units must be in \[1, 100\], got 0"),
+    ],
 )
 def test_bad_inputs_fail_before_any_worker_starts(workers, train, hidden, message):
     with pytest.raises(ConfigError, match=message):

@@ -312,12 +312,17 @@ def _lm_step(blocks: _NormalBlocks, lam: float) -> np.ndarray:
     return np.concatenate([d_hid[:, :-1].ravel(), d_hid[:, -1], d_out[:-1].T.ravel(), d_out[-1]])
 
 
+def check_hidden(hidden: int) -> None:
+    """Reject a hidden-unit count outside [1, MAX_HIDDEN]."""
+    if not 1 <= hidden <= MAX_HIDDEN:
+        raise ConfigError(f"hidden units must be in [1, {MAX_HIDDEN}], got {hidden}")
+
+
 def _check_training(train: list[tuple[int, np.ndarray]], hidden: int) -> None:
     """The input rule of mlp_train and train_populations."""
     if not train:
         raise ConfigError("empty training set")
-    if not 1 <= hidden <= MAX_HIDDEN:
-        raise ConfigError(f"hidden units must be in [1, {MAX_HIDDEN}], got {hidden}")
+    check_hidden(hidden)
 
 
 def mlp_train(
@@ -552,7 +557,7 @@ class RbfModel:
         return out[0] if x.ndim == 1 else out
 
 
-def _checked_spread(spread: float) -> float:
+def checked_spread(spread: float) -> float:
     """spread, if it is positive and the kernel's 2 * spread**2 is a finite,
     nonzero float; a ConfigError otherwise."""
     if not (0.0 < spread and 0.0 < 2.0 * spread * spread < math.inf):
@@ -565,7 +570,7 @@ def _checked_spread(spread: float) -> float:
 def _kernel(x: np.ndarray, centres: np.ndarray, spread: float) -> np.ndarray:
     sq = ((x[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
     # Under a spread so narrow that the exponent overflows, exp(-inf) = 0 is
-    # the kernel's limit; _checked_spread keeps 2 * spread**2 nonzero.
+    # the kernel's limit; checked_spread keeps 2 * spread**2 nonzero.
     with np.errstate(over="ignore"):
         return np.exp(-sq / (2.0 * spread**2))
 
@@ -600,7 +605,7 @@ def rbf_train(
         if not spread > 0:
             raise TrainingError("kernel spread must be positive (duplicate training points?)")
     else:
-        _checked_spread(spread)
+        checked_spread(spread)
 
     phi = _kernel(x, x, spread)
     residual = phi.copy()  # candidate columns, orthogonalized against picks
@@ -795,7 +800,7 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
         return RbfModel(
             person_ids=person_ids,
             centres=read("centre_rows", lambda t: _floats(t).reshape(k, n_in)),
-            spread=read("spread", lambda t: _checked_spread(_float(t))),
+            spread=read("spread", lambda t: checked_spread(_float(t))),
             weights=read("weights", lambda t: _floats(t).reshape(len(person_ids), k)),
             requested_centres=read("requested", int),
             scaler=scaler,

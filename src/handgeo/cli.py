@@ -10,14 +10,16 @@ sweep    identification rate per RBF centre count -> curve CSV
 
 Every flag mirrors a config-file key of the same name (hyphens become
 underscores); ``--config FILE`` reads plain ``key=value`` lines and explicit
-flags override the file.  On failure each command exits nonzero after printing
-one ``category: message`` line to stderr.
+flags override the file.  Each command builds its settings from its flags, so
+checks every flag, before it reads any input.  On failure each command exits
+nonzero after printing one ``category: message`` line to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import NoReturn
 
@@ -29,7 +31,9 @@ from .classifiers import (
     RbfModel,
     TemplateDb,
     TrainConfig,
+    check_hidden,
     check_metric,
+    checked_spread,
     load_model,
     multistart_select,
     rbf_train,
@@ -62,8 +66,6 @@ from .synthgen import (
     render_person,
     write_corpus,
 )
-
-DEFAULT_SWEEP_CENTRES = ",".join(str(k) for k in DEFAULT_SWEEP_COUNTS)
 
 
 #: key -> (cast from string, default, help); None default means "required
@@ -121,7 +123,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "corpus": (str, None, "corpus directory to evaluate"),
         "features": (str, None, "features CSV to evaluate"),
         "out": (str, None, "curve CSV to write"),
-        "centres": (str, DEFAULT_SWEEP_CENTRES, "comma-separated centre counts"),
+        "centres": (str, ",".join(map(str, DEFAULT_SWEEP_COUNTS)), "comma-separated counts"),
         "spread": (float, None, "rbf kernel width"),
         **_EXTRACTION,
     },
@@ -178,70 +180,101 @@ def _require(cfg: argparse.Namespace, key: str) -> object:
     return value
 
 
+def _fields(cfg: argparse.Namespace, cls: type) -> dict[str, object]:
+    """The command's values of the dataclass fields it has keys for."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in _OPTIONS[cfg.command]}
+
+
 def _settings(cfg: argparse.Namespace) -> ExtractionSettings:
-    return ExtractionSettings(**{key: getattr(cfg, key) for key in _EXTRACTION})
+    return ExtractionSettings(**_fields(cfg, ExtractionSettings))
 
 
-def _parse_centre_list(text: str) -> tuple[int, ...]:
+def _training(cfg: argparse.Namespace) -> TrainConfig:
+    """The TrainConfig of train or eval, after the hidden, spread and centre rules."""
+    check_hidden(cfg.hidden)
+    _centres(cfg)
+    return TrainConfig(**_fields(cfg, TrainConfig))
+
+
+def _centres(cfg: argparse.Namespace) -> tuple[int, ...]:
+    """The positive --centres counts (one, or sweep's list), after the --spread rule."""
+    if cfg.spread is not None:
+        checked_spread(cfg.spread)
+    text = str(cfg.centres)
     try:
-        counts = tuple(int(v) for v in text.split(",") if v.strip())
+        counts = tuple(int(v) for v in _items(text, "--centres"))
     except ValueError:
         raise ConfigError(f"centre list must be comma-separated integers: {text!r}") from None
-    if not counts or any(k < 1 for k in counts):
+    if any(k < 1 for k in counts):
         raise ConfigError(f"centre counts must be positive: {text!r}")
     return counts
 
 
-def _extract_corpus(
-    cfg: argparse.Namespace, root: str | Path
-) -> tuple[list, int, CorpusSettings]:
+def _items(text: str, flag: str) -> list[str]:
+    """The non-blank entries of a comma-separated list; at least one."""
+    items = [v.strip() for v in text.split(",") if v.strip()]
+    if not items:
+        raise ConfigError(f"{flag} needs at least one comma-separated entry, got {text!r}")
+    return items
+
+
+def _model_paths(cfg: argparse.Namespace) -> list[Path]:
+    """The --models files, none without the flag; the stem of each names its
+    report row, so two files with one stem are a ConfigError."""
+    paths = [] if cfg.models is None else [Path(v) for v in _items(cfg.models, "--models")]
+    stems: dict[str, Path] = {}
+    for path in paths:
+        if path.stem in stems:
+            raise ConfigError(
+                f"--models {stems[path.stem]} and {path} share the stem {path.stem!r},"
+                " which names one report row"
+            )
+        stems[path.stem] = path
+    return paths
+
+
+def _extract_corpus(s: ExtractionSettings, root: str | Path) -> tuple[list, int, CorpusSettings]:
     """Entries of every extractable corpus image, the failure count, and the
     corpus settings; each failure is reported as one warning line on stderr.
     Each person's images are read, extracted and dropped before the next
     person's are read."""
-    settings = load_settings(root)
-    rows = (load_person(root, settings, p) for p in range(settings.persons))
-    entries, failures = extract_features(rows, _settings(cfg))
+    corpus = load_settings(root)
+    rows = (load_person(root, corpus, p) for p in range(corpus.persons))
+    entries, failures = extract_features(rows, s)
     for person, sample, message in failures:
         print(f"warning: person {person} sample {sample}: {message}", file=sys.stderr)
-    return entries, len(failures), settings
+    return entries, len(failures), corpus
 
 
-def _load_entries(cfg: argparse.Namespace) -> tuple[list, int, dict[str, str]]:
+def _load_entries(cfg: argparse.Namespace, s: ExtractionSettings) -> tuple[list, int, dict]:
     """Feature entries for eval/sweep from --corpus or --features, plus the
     corpus metadata to echo in reports (empty for CSV input)."""
     if (cfg.corpus is None) == (cfg.features is None):
         raise ConfigError(f"{cfg.command} needs exactly one of --corpus or --features")
     if cfg.corpus is not None:
-        entries, failures, settings = _extract_corpus(cfg, cfg.corpus)
-        return entries, failures, corpus_echo(settings)
+        entries, failures, corpus = _extract_corpus(s, cfg.corpus)
+        return entries, failures, corpus_echo(corpus)
     return load_features(cfg.features), 0, {}
 
 
 def cmd_gen(cfg: argparse.Namespace) -> int:
     """Render and write one person at a time, so memory does not grow with
     --persons; the settings are checked before the first render."""
+    settings = CorpusSettings(cfg.seed, **_fields(cfg, CorpusSettings))
     out = Path(str(_require(cfg, "out")))
-    settings = CorpusSettings(
-        master_seed=cfg.seed,
-        intra_sigma=cfg.intra_sigma,
-        noise_level=cfg.noise_level,
-        dpi=cfg.dpi,
-        persons=cfg.persons,
-        samples=cfg.samples,
-    )
     write_corpus(out, settings, (render_person(settings, p) for p in range(settings.persons)))
     print(f"wrote {cfg.persons} persons x {cfg.samples} samples to {out}")
     return 0
 
 
 def cmd_extract(cfg: argparse.Namespace) -> int:
+    settings = _settings(cfg)
     source = Path(str(_require(cfg, "input")))
     out = Path(str(_require(cfg, "out")))
     if source.is_dir():
-        entries, failures, _ = _extract_corpus(cfg, source)
+        entries, failures, _ = _extract_corpus(settings, source)
     else:
-        vector = extract(load_bmp(source), _settings(cfg)).vector
+        vector = extract(load_bmp(source), settings).vector
         entries, failures = [(cfg.person, cfg.sample, vector)], 0
     save_features(out, entries)
     print(f"wrote {len(entries)} feature rows to {out} ({failures} failed)")
@@ -249,6 +282,9 @@ def cmd_extract(cfg: argparse.Namespace) -> int:
 
 
 def cmd_train(cfg: argparse.Namespace) -> int:
+    train_cfg = _training(cfg)
+    if cfg.kind not in ("nn", "mlp", "rbf"):
+        raise ConfigError(f"unknown classifier kind {cfg.kind!r}; use nn, mlp or rbf")
     entries = load_features(str(_require(cfg, "features")))
     out = Path(str(_require(cfg, "out")))
     scaler, train_pairs = enroll(entries)
@@ -256,18 +292,9 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     if cfg.kind == "nn":
         model: TemplateDb | MlpModel | RbfModel = TemplateDb(entries=train_pairs)
     elif cfg.kind == "mlp":
-        train_cfg = TrainConfig(
-            loss=cfg.loss,
-            epochs=cfg.epochs,
-            gamma=cfg.gamma,
-            multistart=cfg.multistart,
-            seed=cfg.seed,
-        )
         model = multistart_select(train_members(train_pairs, train_cfg, cfg.hidden), train_pairs)
-    elif cfg.kind == "rbf":
-        model = rbf_train(train_pairs, min(cfg.centres, len(train_pairs)), cfg.spread)
     else:
-        raise ConfigError(f"unknown classifier kind {cfg.kind!r}; use nn, mlp or rbf")
+        model = rbf_train(train_pairs, min(cfg.centres, len(train_pairs)), cfg.spread)
     model.scaler = scaler
     save_model(model, out)
     print(f"wrote {cfg.kind} model trained on {len(train_pairs)} rows to {out}")
@@ -286,13 +313,11 @@ def _input_widths(model: TemplateDb | MlpModel | RbfModel) -> set[int]:
 
 
 def _eval_models(
-    cfg: argparse.Namespace, entries: list, exclusions: int, corpus_info: dict[str, str]
+    cfg: argparse.Namespace, paths: list[Path], entries: list, exclusions: int, corpus_info: dict
 ) -> EvalReport:
     """Score pre-trained model files on the test half of the split."""
-    check_metric(cfg.metric)
     rates: dict[str, float] = {}
-    for path_text in str(cfg.models).split(","):
-        path = Path(path_text.strip())
+    for path in paths:
         model = load_model(path)
         widths = _input_widths(model)
         if entries and widths != {len(entries[0][2])}:
@@ -306,18 +331,18 @@ def _eval_models(
 
 
 def cmd_eval(cfg: argparse.Namespace) -> int:
+    settings, train_cfg, paths = _settings(cfg), _training(cfg), _model_paths(cfg)
+    check_metric(cfg.metric)
     out = Path(str(_require(cfg, "out")))
-    entries, exclusions, corpus_info = _load_entries(cfg)
-    if cfg.models is not None:
-        report = _eval_models(cfg, entries, exclusions, corpus_info)
+    entries, exclusions, corpus_info = _load_entries(cfg, settings)
+    if paths:
+        report = _eval_models(cfg, paths, entries, exclusions, corpus_info)
     else:
         report = evaluate_features(
             entries,
+            train_cfg,
             exclusions=exclusions,
             extra_config=corpus_info,
-            train_seed=cfg.seed,
-            gamma=cfg.gamma,
-            multistart=cfg.multistart,
             hidden=cfg.hidden,
             rbf_centres=cfg.centres,
             rbf_spread=cfg.spread,
@@ -331,9 +356,9 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
+    settings, counts = _settings(cfg), _centres(cfg)
     out = Path(str(_require(cfg, "out")))
-    entries, _, _ = _load_entries(cfg)
-    counts = _parse_centre_list(str(cfg.centres))
+    entries, _, _ = _load_entries(cfg, settings)
     curve = sweep_rbf_features(entries, centre_counts=counts, spread=cfg.spread)
     lines = ["centres,rate"] + [f"{k},{r:.17g}" for k, r in curve]
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")

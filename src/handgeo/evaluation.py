@@ -15,9 +15,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .classifiers import (
-    DEFAULT_GAMMA,
     DEFAULT_HIDDEN,
-    DEFAULT_MULTISTART,
     MlpModel,
     RbfModel,
     TemplateDb,
@@ -198,19 +196,18 @@ def evaluate_all(settings: CorpusSettings) -> EvalReport:
 
 def evaluate_features(
     entries: list[Entry],
+    train: TrainConfig | None = None,
     *,
     exclusions: int = 0,
     extra_config: dict[str, str] | None = None,
-    train_seed: int = 0,
-    gamma: float = DEFAULT_GAMMA,
-    multistart: int = DEFAULT_MULTISTART,
     hidden: int = DEFAULT_HIDDEN,
     rbf_centres: int = DEFAULT_RBF_CENTRES,
     rbf_spread: float | None = None,
 ) -> EvalReport:
-    """The classifier protocol on already-extracted feature entries."""
+    """The classifier protocol on already-extracted feature entries; the
+    networks take the seed, gamma and multistart of train (default TrainConfig())."""
     scaler, train_pairs = enroll(entries)
-    base = TrainConfig(seed=train_seed, gamma=gamma, multistart=multistart)
+    base = train or TrainConfig()
     losses = ("mse", "msereg")
     # epochs=None re-resolves the per-loss default instead of inheriting base's.
     cfgs = [replace(base, loss=loss, epochs=None) for loss in losses]
@@ -232,7 +229,7 @@ def evaluate_features(
     cfg_echo = echo_head(extra_config or {})
     cfg_echo.update(
         {
-            "train_seed": str(train_seed),
+            "train_seed": str(base.seed),
             "gamma": f"{base.gamma:.17g}",
             "epochs_mse": str(members["mse"][0].config.epochs),
             "epochs_msereg": str(members["msereg"][0].config.epochs),

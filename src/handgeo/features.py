@@ -157,11 +157,12 @@ def save_features(path: str | Path, entries: list[tuple[int, int, np.ndarray]]) 
 
 
 def load_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
-    """Inverse of save_features; a short row or a cell that is not a finite
-    number is a FormatError."""
+    """Inverse of save_features; a short row, a cell that is not a finite
+    number or a repeated (person, sample) key is a FormatError."""
     with text_input(path, FormatError), open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
     entries = []
+    lines: dict[tuple[int, int], int] = {}  # (person, sample) -> line number
     for ln, row in enumerate(rows, 2):
         try:
             if len(row) != len(header) or len(row) < 3:
@@ -170,7 +171,11 @@ def load_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
             if not all(map(math.isfinite, values)):
                 k = next(k for k, v in enumerate(values) if not math.isfinite(v))
                 raise ValueError(f"{header[k + 2]} is {values[k]}, not a finite number")
-            entries.append((int(row[0]), int(row[1]), np.array(values)))
+            key = (int(row[0]), int(row[1]))
+            if key in lines:
+                raise ValueError(f"person {key[0]} sample {key[1]} repeats line {lines[key]}")
+            lines[key] = ln
+            entries.append((*key, np.array(values)))
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: {exc}") from None
     return entries

@@ -730,6 +730,149 @@ class TestEval:
         assert "exactly one" in capsys.readouterr().err
 
 
+    def test_a_model_list_drops_blanks(self, tmp_path, features_csv, capsys):
+        model = tmp_path / "nearest.model"
+        assert main(["train", "--features", str(features_csv), "--out", str(model),
+                     "--kind", "nn"]) == 0
+        out = tmp_path / "r"
+        assert main(["eval", "--features", str(features_csv), "--out", str(out),
+                     "--models", f"{model}, ,"]) == 0
+        assert "rate_model:nearest," in (out / "report.csv").read_text()
+
+    @pytest.mark.parametrize("models", ["", " , "])
+    def test_a_model_list_without_an_entry_is_one_config_error_line(
+        self, tmp_path, features_csv, capsys, models
+    ):
+        out = tmp_path / "r"
+        assert main(["eval", "--features", str(features_csv), "--out", str(out),
+                     "--models", models]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config_error: --models needs at least one comma-separated entry, got {models!r}"
+        ]
+        assert not out.exists()
+
+    def test_two_model_files_with_one_stem_are_refused_before_any_input(
+        self, tmp_path, features_csv, capsys, monkeypatch
+    ):
+        # Each stem names one report row, so the second rate would replace the first.
+        model = tmp_path / "nearest.model"
+        assert main(["train", "--features", str(features_csv), "--out", str(model),
+                     "--kind", "nn"]) == 0
+        (tmp_path / "d1").mkdir()
+        (tmp_path / "d2").mkdir()
+        first, second = tmp_path / "d1" / "x.model", tmp_path / "d2" / "x.model"
+        shutil.copy(model, first)
+        shutil.copy(model, second)
+        forbid_input(monkeypatch)
+        capsys.readouterr()
+        out = tmp_path / "r"
+        assert main(["eval", "--features", str(features_csv), "--out", str(out),
+                     "--models", f"{first},{second}"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config_error: --models {first} and {second} share the stem 'x',"
+            " which names one report row"
+        ]
+        assert not out.exists()
+
+    def test_a_repeated_row_is_one_format_error_line_naming_both_lines(
+        self, tmp_path, features_csv, capsys
+    ):
+        # Scored twice, the repeat would count as an extra client trial.
+        lines = features_csv.read_text().splitlines()
+        features_csv.write_text("\n".join(lines + [lines[6]]) + "\n")
+        out = tmp_path / "r"
+        assert main(["eval", "--features", str(features_csv), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"format_error: {features_csv}:{len(lines) + 1}: person 0 sample 5 repeats line 7"
+        ]
+        assert not out.exists()
+
+
+#: An out-of-range value of every key that has a range or a set of values.
+OUT_OF_RANGE = {
+    "threshold": "2",
+    "kernel_radius": "26",
+    "seed": "-1",
+    "gamma": "1.5",
+    "multistart": "0",
+    "hidden": "0",
+    "centres": "0",
+    "spread": "-1",
+    "loss": "mae",
+    "epochs": "0",
+    "kind": "svm",
+    "metric": "bogus",
+    "models": ",",
+}
+#: Keys of the commands below that take any value of their type.
+ANY_VALUE = {"input", "features", "corpus", "out", "person", "sample"}
+#: Every input branch and mode of the commands that read input; "@name" is a
+#: path in the work directory. gen reads no input, and its settings are
+#: CorpusSettings, checked in corpus_error (TestGen).
+BRANCHES = {
+    "extract": [["--input", "@hand.bmp"], ["--input", "@corpus"]],
+    "train": [["--features", "@f.csv", "--kind", kind] for kind in ("nn", "mlp", "rbf")],
+    "eval": [
+        [*source, *models]
+        for source in (["--corpus", "@corpus"], ["--features", "@f.csv"])
+        for models in ([], ["--models", "@m.model"])
+    ],
+    "sweep": [["--corpus", "@corpus"], ["--features", "@f.csv"]],
+}
+
+
+def flag_cases():
+    """The argv of each branch of each command with an out-of-range value of
+    one of its keys in _OPTIONS; a flag the branch names already takes the
+    bad value in place, and repeats are dropped."""
+    cases = {}
+    for command, branches in BRANCHES.items():
+        for branch in branches:
+            for key in _OPTIONS[command]:
+                if key not in OUT_OF_RANGE:
+                    continue
+                flag, argv = "--" + key.replace("_", "-"), [command, *branch]
+                if flag in argv:
+                    argv[argv.index(flag) + 1] = OUT_OF_RANGE[key]
+                else:
+                    argv += [flag, OUT_OF_RANGE[key]]
+                cases[" ".join(argv)] = argv
+    return [pytest.param(argv, id=name) for name, argv in cases.items()]
+
+
+def forbid_input(monkeypatch):
+    """Make every reader the commands call fail the test."""
+
+    def read(*args):
+        raise AssertionError(f"an input was read: {args}")
+
+    for name in ("load_features", "load_settings", "load_bmp", "load_model"):
+        monkeypatch.setattr(f"handgeo.cli.{name}", read)
+
+
+class TestFlagMatrix:
+    """Every flag a command takes is checked before it reads any input,
+    whichever input, kind or mode it uses."""
+
+    def test_every_key_of_a_reading_command_has_a_bad_value_or_takes_any(self):
+        keys = {key for command in BRANCHES for key in _OPTIONS[command]}
+        assert keys == set(OUT_OF_RANGE) | ANY_VALUE
+
+    @pytest.mark.parametrize("argv", flag_cases())
+    def test_an_out_of_range_value_is_one_config_error_line_before_any_input(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        (tmp_path / "corpus").mkdir()
+        forbid_input(monkeypatch)
+        out = tmp_path / "out"
+        assert main(in_dir(tmp_path, argv) + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config_error: "), err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestExtremeSpread:
     """A finite spread whose 2 * spread**2 overflows or is zero is one
     config_error line from every entry point; a narrow spread that still

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from handgeo import classifiers
-from handgeo.classifiers import TemplateDb, nn_identify
+from handgeo.classifiers import TemplateDb, TrainConfig, nn_identify
 from handgeo.errors import ConfigError, LandmarkError
 from handgeo.evaluation import (
     ROW_LABELS,
@@ -97,7 +97,7 @@ class TestRunIdentification:
 
 @pytest.fixture(scope="module")
 def report():
-    return evaluate_features(synthetic_entries(), multistart=2, rbf_centres=10)
+    return evaluate_features(synthetic_entries(), TrainConfig(multistart=2), rbf_centres=10)
 
 
 class TestEvaluateFeatures:
@@ -114,7 +114,7 @@ class TestEvaluateFeatures:
     def test_trials_count_the_test_vectors_actually_identified(self):
         # The third person enrolls but has no test samples: 10 probes, 3 persons.
         entries = [e for e in synthetic_entries(persons=3) if e[0] < 2 or e[1] < 5]
-        report = evaluate_features(entries, multistart=1, rbf_centres=10)
+        report = evaluate_features(entries, TrainConfig(multistart=1), rbf_centres=10)
         assert (report.persons, report.probes) == (3, 10)
         assert report.trials == (10, 20, 30)
 
@@ -130,7 +130,7 @@ class TestEvaluateFeatures:
     @pytest.mark.parametrize("multistart", [1, 2])
     def test_committee_size_echoes_the_members_averaged(self, multistart):
         report = evaluate_features(
-            synthetic_entries(), multistart=multistart, hidden=4, rbf_centres=10
+            synthetic_entries(), TrainConfig(multistart=multistart), hidden=4, rbf_centres=10
         )
         assert report.config["committee_size"] == str(multistart)
 
@@ -139,7 +139,7 @@ class TestEvaluateFeatures:
 
     def test_repeat_evaluation_is_byte_identical(self, report):
         again = evaluate_features(
-            synthetic_entries(), multistart=2, rbf_centres=10
+            synthetic_entries(), TrainConfig(multistart=2), rbf_centres=10
         )
         assert emit_table(again) == emit_table(report)
 
@@ -163,7 +163,7 @@ class TestNonFiniteFeatures:
 
     def test_evaluate_names_the_person_and_sample(self):
         with pytest.raises(ConfigError, match="^person 2 sample 7: feature 4 is nan, not a finite number$"):
-            evaluate_features(with_bad_cell(), multistart=1, rbf_centres=10)
+            evaluate_features(with_bad_cell(), TrainConfig(multistart=1), rbf_centres=10)
 
     def test_sweep_names_the_person_and_sample(self):
         with pytest.raises(ConfigError, match="^person 2 sample 7: feature 4 is nan, not a finite number$"):
@@ -222,7 +222,7 @@ class TestSweep:
 
 class TestEmitTable:
     def test_text_report_contains_every_row_label(self):
-        report = evaluate_features(synthetic_entries(), multistart=2, rbf_centres=10)
+        report = evaluate_features(synthetic_entries(), TrainConfig(multistart=2), rbf_centres=10)
         text, csv_text = emit_table(report)
         for _, label in ROW_LABELS:
             assert f"{label} " in text or label in text

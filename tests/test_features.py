@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from handgeo.contour import Landmarks, trace_contour
-from handgeo.errors import ScalerError
+from handgeo.errors import FormatError, ScalerError
 from handgeo.features import (
     FEATURE_NAMES,
     SELECTED_NAMES,
@@ -239,3 +239,12 @@ class TestFeatureCsv:
         save_features(path, [(0, 0, np.arange(9, dtype=float))])
         header = path.read_text().splitlines()[0]
         assert header == "person,sample," + ",".join(SELECTED_NAMES)
+
+    def test_a_repeated_person_and_sample_names_both_lines(self, tmp_path):
+        path = tmp_path / "features.csv"
+        save_features(path, [(p, j, np.full(9, p + j / 10)) for p in range(2) for j in range(3)])
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[2]]) + "\n")  # line 8 repeats (0, 1)
+        with pytest.raises(FormatError) as rejected:
+            load_features(path)
+        assert str(rejected.value) == f"{path}:8: person 0 sample 1 repeats line 3"

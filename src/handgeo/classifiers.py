@@ -590,15 +590,18 @@ def rbf_train(
     """Greedy orthogonal centre selection, then least-squares output weights.
 
     Candidate centres are the training points; each step adds the candidate
-    whose kernel column explains the most remaining target energy. A
-    rank-deficient design stops selection early at the achieved count.
+    whose kernel column explains the most remaining target energy. Selection
+    stops at the achieved count when no candidate is left: every training
+    point is picked (more centres were requested than there are points) or
+    the rest are linearly dependent (a rank-deficient design).
+    requested_centres records n_centres, the count asked for.
     """
     if not train:
         raise ConfigError("empty training set")
+    if n_centres < 1:
+        raise ConfigError(f"n_centres must be >= 1, got {n_centres}")
     x, person_ids, t = _targets(train)
     n = len(x)
-    if not 1 <= n_centres <= n:
-        raise ConfigError(f"n_centres {n_centres} outside [1, {n}]")
 
     if spread is None:
         spread = median_pairwise_distance(x)

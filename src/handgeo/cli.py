@@ -51,10 +51,11 @@ from .evaluation import (
     enroll,
     evaluate_features,
     extract_features,
+    outside_split,
     score,
     sweep_rbf_features,
 )
-from .features import load_features, save_features
+from .features import check_ids, load_features, save_features
 from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_THRESHOLD, load_bmp
 from .pipeline import ExtractionSettings, extract
 from .synthgen import DEFAULT_INTRA_SIGMA, DEFAULT_NOISE_LEVEL, DEFAULT_PERSONS, DEFAULT_SAMPLES
@@ -246,6 +247,15 @@ def _extract_corpus(s: ExtractionSettings, root: str | Path) -> tuple[list, int,
     return entries, len(failures), corpus
 
 
+def _warn_outside_split(entries: list) -> None:
+    """One warning line on stderr if the split leaves rows out."""
+    outside = outside_split(entries)
+    if outside:
+        p, j, _ = outside[0]
+        print(f"warning: {len(outside)} rows fall outside the split and are neither trained on"
+              f" nor tested, the first person {p} sample {j}", file=sys.stderr)
+
+
 def _load_entries(cfg: argparse.Namespace, s: ExtractionSettings) -> tuple[list, int, dict]:
     """Feature entries for eval/sweep from --corpus or --features, plus the
     corpus metadata to echo in reports (empty for CSV input)."""
@@ -253,8 +263,11 @@ def _load_entries(cfg: argparse.Namespace, s: ExtractionSettings) -> tuple[list,
         raise ConfigError(f"{cfg.command} needs exactly one of --corpus or --features")
     if cfg.corpus is not None:
         entries, failures, corpus = _extract_corpus(s, cfg.corpus)
-        return entries, failures, corpus_echo(corpus)
-    return load_features(cfg.features), 0, {}
+        info = corpus_echo(corpus)
+    else:
+        entries, failures, info = load_features(cfg.features), 0, {}
+    _warn_outside_split(entries)
+    return entries, failures, info
 
 
 def cmd_gen(cfg: argparse.Namespace) -> int:
@@ -269,6 +282,7 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
 
 def cmd_extract(cfg: argparse.Namespace) -> int:
     settings = _settings(cfg)
+    check_ids(cfg.person, cfg.sample, ConfigError)
     source = Path(str(_require(cfg, "input")))
     out = Path(str(_require(cfg, "out")))
     if source.is_dir():
@@ -287,6 +301,7 @@ def cmd_train(cfg: argparse.Namespace) -> int:
         raise ConfigError(f"unknown classifier kind {cfg.kind!r}; use nn, mlp or rbf")
     entries = load_features(str(_require(cfg, "features")))
     out = Path(str(_require(cfg, "out")))
+    _warn_outside_split(entries)
     scaler, train_pairs = enroll(entries)
 
     if cfg.kind == "nn":
@@ -294,7 +309,7 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     elif cfg.kind == "mlp":
         model = multistart_select(train_members(train_pairs, train_cfg, cfg.hidden), train_pairs)
     else:
-        model = rbf_train(train_pairs, min(cfg.centres, len(train_pairs)), cfg.spread)
+        model = rbf_train(train_pairs, cfg.centres, cfg.spread)
     model.scaler = scaler
     save_model(model, out)
     print(f"wrote {cfg.kind} model trained on {len(train_pairs)} rows to {out}")

@@ -174,7 +174,8 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
     """Chain code of the longest closed loop in an edge map.
 
     Traversal is counter-clockwise from the loop's topmost-then-leftmost
-    pixel. Equal-length loops tie-break on the smaller (y, x) start.
+    pixel. Of equal-length loops, the one whose start comes first in raster
+    order wins.
     """
     # A one-pixel zero border lets every neighbour lookup index the flat map.
     height, width = (n + 2 for n in edges.bits.shape)
@@ -188,32 +189,24 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
         nbits |= flat[idx + off].astype(np.int64) << c
     occ = dict(zip(idx.tolist(), (nbits * 8).tolist()))
 
+    def chain(start: int, codes: list[int]) -> ChainCode:
+        y, x = divmod(start, width)  # padded coordinates
+        return ChainCode(start=(x - 1, y - 1), codes=tuple(codes))
+
     # idx is in raster order, so idx[0] is the topmost-then-leftmost pixel of
     # its component. A loop from it that visits every edge pixel is the only
     # loop, and labelling the components would find nothing else.
     if idx.size:
-        start = int(idx[0])
-        walk = _trace_loop(occ, offsets, start, idx.size)
+        walk = _trace_loop(occ, offsets, int(idx[0]), idx.size)
         if walk is not None and walk[1] == idx.size:
-            y, x = divmod(start, width)  # padded coordinates
-            return ChainCode(start=(x - 1, y - 1), codes=tuple(walk[0]))
+            return chain(int(idx[0]), walk[0])
 
-    best: ChainCode | None = None
-    for start, size in _components(occ, offsets):
-        walk = _trace_loop(occ, offsets, start, size)
-        if walk is None:
-            continue
-        y, x = divmod(start, width)  # padded coordinates
-        chain = ChainCode(start=(x - 1, y - 1), codes=tuple(walk[0]))
-        if (
-            best is None
-            or len(chain) > len(best)
-            or (len(chain) == len(best) and (chain.start[1], chain.start[0]) < (best.start[1], best.start[0]))
-        ):
-            best = chain
-    if best is None:
+    components = _components(occ, offsets)
+    walks = [(start, _trace_loop(occ, offsets, start, size)) for start, size in components]
+    loops = [chain(start, walk[0]) for start, walk in walks if walk is not None]
+    if not loops:
         raise ContourError("no closed contour loop found in the edge map")
-    return best
+    return max(loops, key=len)  # the first of equal lengths, so the first in raster order
 
 
 def _alternating_extrema(

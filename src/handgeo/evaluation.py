@@ -102,6 +102,13 @@ def split_entries(entries: list[Entry], split: Split) -> tuple[list[Entry], list
     return train, test
 
 
+def outside_split(entries: list[Entry]) -> list[Entry]:
+    """The entries the default split neither trains on nor tests."""
+    split = Split()
+    kept = set(split.train_indices + split.test_indices)
+    return [e for e in entries if e[1] not in kept]
+
+
 def enroll(entries: list[Entry]) -> tuple[ScalerParams, list[tuple[int, np.ndarray]]]:
     """The scaler fitted on the default split's training half, and that
     half's scaled (person, vector) pairs."""
@@ -141,7 +148,7 @@ def run_identification(decide: Callable[[np.ndarray], int], test: list[Entry]) -
 @dataclass
 class EvalReport:
     rates: dict[str, float]
-    persons: int  # persons with at least one extracted sample
+    persons: int  # persons with a row in the split
     probes: int  # test vectors identified
     exclusions: int
     config: dict[str, str] = field(default_factory=dict)
@@ -151,9 +158,9 @@ class EvalReport:
         cls, entries: list[Entry], rates: dict[str, float], exclusions: int, config: dict[str, str]
     ) -> EvalReport:
         """The report of rates scored on the test half of entries."""
-        persons = len({p for p, _, _ in entries})
-        probes = len(split_entries(entries, Split())[1])
-        return cls(rates, persons, probes, exclusions, config)
+        train_e, test_e = split_entries(entries, Split())
+        persons = len({p for p, _, _ in train_e + test_e})
+        return cls(rates, persons, len(test_e), exclusions, config)
 
     @property
     def trials(self) -> tuple[int, int, int]:
@@ -216,7 +223,7 @@ def evaluate_features(
     rates: dict[str, float] = {}
     rates["nn_mad"] = score(db, entries, scaler, "mad")
     rates["nn_mse"] = score(db, entries, scaler)
-    rbf = rbf_train(train_pairs, min(rbf_centres, len(train_pairs)), rbf_spread)
+    rbf = rbf_train(train_pairs, rbf_centres, rbf_spread)
     members = dict(zip(losses, train_populations(train_pairs, cfgs, hidden)))
 
     for loss in losses:
@@ -250,10 +257,7 @@ def sweep_rbf_features(
 ) -> list[tuple[int, float]]:
     """Identification rate per RBF centre count on extracted features."""
     scaler, train_pairs = enroll(entries)
-    return [
-        (k, score(rbf_train(train_pairs, min(k, len(train_pairs)), spread), entries, scaler))
-        for k in centre_counts
-    ]
+    return [(k, score(rbf_train(train_pairs, k, spread), entries, scaler)) for k in centre_counts]
 
 
 def emit_table(report: EvalReport) -> tuple[str, str]:

@@ -138,6 +138,12 @@ def check_span(mins: np.ndarray, maxs: np.ndarray, error: type[Exception]) -> No
         raise error(f"dimension {d}: range {mins[d]} to {maxs[d]} is too wide to scale")
 
 
+def check_ids(person: int, sample: int, error: type[Exception]) -> None:
+    """error unless person and sample are ids a features row can hold."""
+    if person < 0 or sample < 0:
+        raise error(f"person {person} sample {sample}: ids must be non-negative")
+
+
 def apply_scaler(params: ScalerParams, v: np.ndarray) -> np.ndarray:
     """Map to [-1, 1]: training min to -1, max to +1, out-of-range clipped.
     A value so far out that the formula overflows clips like any other."""
@@ -158,7 +164,7 @@ def save_features(path: str | Path, entries: list[tuple[int, int, np.ndarray]]) 
 
 def load_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
     """Inverse of save_features; a short row, a cell that is not a finite
-    number or a repeated (person, sample) key is a FormatError."""
+    number, a negative id or a repeated (person, sample) key is a FormatError."""
     with text_input(path, FormatError), open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
     entries = []
@@ -172,6 +178,7 @@ def load_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
                 k = next(k for k, v in enumerate(values) if not math.isfinite(v))
                 raise ValueError(f"{header[k + 2]} is {values[k]}, not a finite number")
             key = (int(row[0]), int(row[1]))
+            check_ids(*key, ValueError)
             if key in lines:
                 raise ValueError(f"person {key[0]} sample {key[1]} repeats line {lines[key]}")
             lines[key] = ln

@@ -7,6 +7,8 @@ inputs.
 
 from __future__ import annotations
 
+import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +36,26 @@ MM_PER_INCH = 25.4
 _GREY_PALETTE = bytes(b for i in range(256) for b in (i, i, i, 0))
 
 
+def check_dpi(dpi: float, error: type[Exception]) -> None:
+    """error unless dpi is a positive, finite resolution."""
+    if not 0.0 < dpi < math.inf:
+        raise error(f"dpi must be positive and finite, got {dpi}")
+
+
+def check_threshold(threshold: float, error: type[Exception]) -> None:
+    """error unless binarize can threshold at this intensity."""
+    if not 0.0 <= threshold <= 1.0:
+        raise error(f"threshold must be in [0, 1], got {threshold}")
+
+
+def check_kernel_radius(kernel_radius: int, error: type[Exception]) -> None:
+    """error unless lowpass_filter takes this radius: an integer in [0, MAX_KERNEL_RADIUS]."""
+    if not isinstance(kernel_radius, numbers.Integral):
+        raise error(f"kernel_radius must be an integer, got {kernel_radius!r}")
+    if not 0 <= kernel_radius <= MAX_KERNEL_RADIUS:
+        raise error(f"kernel_radius must be in [0, {MAX_KERNEL_RADIUS}], got {kernel_radius}")
+
+
 @dataclass
 class GrayImage:
     """Grayscale raster with intensities in [0, 1] and a physical resolution."""
@@ -48,8 +70,7 @@ class GrayImage:
         lo, hi = float(self.pixels.min()), float(self.pixels.max())
         if not (lo >= 0.0 and hi <= 1.0):  # also rejects NaN
             raise ValueError(f"intensities outside [0, 1]: min={lo}, max={hi}")
-        if self.dpi <= 0:
-            raise ValueError(f"dpi must be positive, got {self.dpi}")
+        check_dpi(self.dpi, ValueError)
 
 
 @dataclass
@@ -65,8 +86,7 @@ class BinaryImage:
             raise ValueError("bits must be a non-empty 2-D array")
         if self.bits.max(initial=0) > 1:
             raise ValueError("bits must contain only 0 and 1")
-        if self.dpi <= 0:
-            raise ValueError(f"dpi must be positive, got {self.dpi}")
+        check_dpi(self.dpi, ValueError)
 
 
 def _check_size(width: int, height: int) -> None:
@@ -83,7 +103,8 @@ def load_bmp(path: str | Path) -> GrayImage:
 
     Palette entries are reduced to luminance, pixel values map to
     intensity = value / 255, and dpi comes from the resolution fields
-    (defaulting to 100 dpi when the file carries none).
+    (defaulting to 100 dpi when the file carries none). A dpi save_bmp wrote
+    on the 0.1-dpi grid reads back exactly.
     """
     data = Path(path).read_bytes()
     if len(data) < 54:
@@ -136,8 +157,16 @@ def load_bmp(path: str | Path) -> GrayImage:
         raw = raw[::-1]
 
     pixels = intensity[raw]
-    dpi = x_ppm * _METERS_PER_INCH if x_ppm > 0 else DEFAULT_DPI
-    return GrayImage(pixels=pixels, dpi=dpi)
+    return GrayImage(pixels=pixels, dpi=_dpi_of(x_ppm) if x_ppm > 0 else DEFAULT_DPI)
+
+
+def _dpi_of(ppm: int) -> float:
+    """The dpi on the 0.1-dpi grid that save_bmp writes as ppm px/m, else
+    ppm converted. A 0.1-dpi step is 3.94 px/m, so at most one grid value
+    rounds to a given ppm, and it is the one nearest ppm converted."""
+    exact = ppm * _METERS_PER_INCH
+    dpi = round(exact, 1)
+    return dpi if round(dpi / _METERS_PER_INCH) == ppm else exact
 
 
 def save_bmp(img: GrayImage, path: str | Path) -> None:
@@ -166,8 +195,7 @@ def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -
     Radius 0 is the identity. Plateaus where the whole window is constant
     come out bit-exact, so constant images are preserved exactly.
     """
-    if not 0 <= kernel_radius <= MAX_KERNEL_RADIUS:
-        raise ValueError(f"kernel_radius must be in [0, {MAX_KERNEL_RADIUS}], got {kernel_radius}")
+    check_kernel_radius(kernel_radius, ValueError)
     if kernel_radius == 0:
         return GrayImage(pixels=img.pixels.copy(), dpi=img.dpi)
     # NumPy alone: importing SciPy's image module would add about 0.3 s and
@@ -264,8 +292,7 @@ def _window_varies(padded: np.ndarray, r: int) -> np.ndarray:
 
 def binarize(img: GrayImage, threshold: float = DEFAULT_THRESHOLD) -> BinaryImage:
     """Threshold to {0, 1}: output is 1 wherever intensity >= threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    check_threshold(threshold, ValueError)
     return BinaryImage(bits=(img.pixels >= threshold).astype(np.uint8), dpi=img.dpi)
 
 

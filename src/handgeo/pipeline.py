@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,15 +9,8 @@ import numpy as np
 from .contour import Landmarks, find_landmarks, trace_contour
 from .errors import ConfigError
 from .features import RawFeatures, measure, select
-from .imaging import (
-    DEFAULT_KERNEL_RADIUS,
-    DEFAULT_THRESHOLD,
-    MAX_KERNEL_RADIUS,
-    GrayImage,
-    binarize,
-    boundary_ring,
-    lowpass_filter,
-)
+from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_THRESHOLD, GrayImage, binarize, boundary_ring
+from .imaging import check_kernel_radius, check_threshold, lowpass_filter
 
 
 @dataclass(frozen=True)
@@ -27,14 +19,8 @@ class ExtractionSettings:
     kernel_radius: int = DEFAULT_KERNEL_RADIUS
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ConfigError(f"threshold must be in [0, 1], got {self.threshold}")
-        if not isinstance(self.kernel_radius, numbers.Integral):
-            raise ConfigError(f"kernel_radius must be an integer, got {self.kernel_radius!r}")
-        if not 0 <= self.kernel_radius <= MAX_KERNEL_RADIUS:
-            raise ConfigError(
-                f"kernel_radius must be in [0, {MAX_KERNEL_RADIUS}], got {self.kernel_radius}"
-            )
+        check_threshold(self.threshold, ConfigError)
+        check_kernel_radius(self.kernel_radius, ConfigError)
 
 
 @dataclass

@@ -27,7 +27,8 @@ import numpy as np
 from .contour import Landmarks, trace_contour
 from .errors import CorpusError, HandGeoError, RenderError, read_config, typed_field
 from .features import FEATURE_NAMES, measure, select
-from .imaging import BinaryImage, GrayImage, _check_size, boundary_ring, load_bmp, save_bmp
+from .imaging import BinaryImage, GrayImage, _check_size, boundary_ring, check_dpi
+from .imaging import load_bmp, save_bmp
 from .pipeline import Extraction, extract
 
 REFERENCE_DPI = 100.0
@@ -104,8 +105,7 @@ class CorpusSettings:
             raise CorpusError(
                 f"need at least 1 person and 1 sample, got {self.persons} x {self.samples}"
             )
-        if not 0.0 < self.dpi < math.inf:
-            raise CorpusError(f"dpi must be positive and finite, got {self.dpi}")
+        check_dpi(self.dpi, CorpusError)
 
 
 #: corpus_config.txt's keys in file order, each with the type of its value.

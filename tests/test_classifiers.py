@@ -1,5 +1,6 @@
 """Distance metrics, losses, MLP training, committees, and RBF networks."""
 
+import dataclasses
 import math
 import re
 
@@ -518,8 +519,14 @@ class TestRbf:
         train = self.random_set(n=5)
         with pytest.raises(ConfigError, match="n_centres"):
             rbf_train(train, 0)
-        with pytest.raises(ConfigError, match="n_centres"):
-            rbf_train(train, 6)
+        # A request above the training size stops where every point is a
+        # centre, as a rank-deficient design stops early.
+        full, over = rbf_train(train, len(train)), rbf_train(train, len(train) + 3)
+        assert over.requested_centres == len(train) + 3
+        for f in dataclasses.fields(RbfModel):
+            if f.name != "requested_centres":
+                a, b = getattr(over, f.name), getattr(full, f.name)
+                assert type(a) is type(b) and np.array_equal(a, b), f.name
 
 
 @pytest.mark.parametrize(

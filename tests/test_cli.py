@@ -18,7 +18,13 @@ import handgeo
 from handgeo import pipeline, synthgen
 from handgeo.cli import _OPTIONS, main
 from handgeo.classifiers import MAX_HIDDEN, MlpModel, RbfModel, TemplateDb, load_model
-from handgeo.evaluation import corpus_echo, emit_table, evaluate_features, extract_features
+from handgeo.evaluation import (
+    corpus_echo,
+    emit_table,
+    evaluate_all,
+    evaluate_features,
+    extract_features,
+)
 from handgeo.features import load_features, save_features
 from handgeo.imaging import GrayImage, load_bmp, save_bmp
 from handgeo.synthgen import (
@@ -451,6 +457,15 @@ class TestTrain:
         assert isinstance(model, model_type)
         assert model.scaler is not None
 
+    def test_an_rbf_model_records_the_centre_count_asked_for(self, tmp_path, features_csv):
+        # 15 training rows: every one becomes a centre, and the file says
+        # what was asked.
+        out = tmp_path / "rbf.model"
+        argv = ["train", "--features", str(features_csv), "--out", str(out), "--kind", "rbf"]
+        assert main(argv + ["--centres", "500"]) == 0
+        lines = out.read_text().splitlines()
+        assert "requested 500" in lines and "centres 15" in lines
+
     def test_non_numeric_cell_is_a_format_error_with_its_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         save_features(path, [(p, j, np.full(9, p + j / 10)) for p in range(2) for j in range(3)])
@@ -803,9 +818,11 @@ OUT_OF_RANGE = {
     "kind": "svm",
     "metric": "bogus",
     "models": ",",
+    "person": "-1",
+    "sample": "-1",
 }
 #: Keys of the commands below that take any value of their type.
-ANY_VALUE = {"input", "features", "corpus", "out", "person", "sample"}
+ANY_VALUE = {"input", "features", "corpus", "out"}
 #: Every input branch and mode of the commands that read input; "@name" is a
 #: path in the work directory. gen reads no input, and its settings are
 #: CorpusSettings, checked in corpus_error (TestGen).
@@ -1106,6 +1123,44 @@ class TestOneProtocol:
         want = emit_table(report)[1]
         assert (out / "report.csv").read_text() == want
         assert "\nclients,10\nimpostors,10\ntotal,20\nexclusions,10\n" in want
+
+    def test_a_gen_tree_reads_back_as_the_corpus_evaluate_all_renders(self, tmp_path, capsys):
+        settings = CorpusSettings(0, persons=3)
+        corpus, features = tmp_path / "corpus", tmp_path / "features.csv"
+        assert main(["gen", "--out", str(corpus), "--persons", "3"]) == 0
+        assert main(["extract", "--input", str(corpus), "--out", str(features)]) == 0
+        rendered, _ = extract_features(synthgen.render_person(settings, p)[0] for p in range(3))
+        for (p, j, a), (q, k, b) in zip(load_features(features), rendered, strict=True):
+            assert (p, j) == (q, k) and a.tobytes() == b.tobytes()
+        out = tmp_path / "report"
+        assert main(["eval", "--corpus", str(corpus), "--out", str(out)]) == 0
+        text, csv_text = emit_table(evaluate_all(settings))
+        assert (out / "report.txt").read_text() == text
+        assert (out / "report.csv").read_text() == csv_text
+
+    @pytest.mark.parametrize(
+        "command", [["train", "--kind", "nn"], ["eval", "--multistart", "1", "--hidden", "4"],
+                    ["sweep", "--centres", "5"]],
+        ids=["train", "eval", "sweep"],
+    )
+    def test_rows_outside_the_split_are_one_warning_line(
+        self, tmp_path, features_csv, capsys, command
+    ):
+        extra = tmp_path / "extra.csv"
+        save_features(extra, load_features(features_csv) + [
+            (3, 12, np.zeros(9)), (0, 10, np.zeros(9)), (1, 11, np.zeros(9))
+        ])
+        written = []
+        (tmp_path / "out").mkdir()
+        for path in (features_csv, extra):
+            out = tmp_path / "out" / path.stem
+            assert main([*command, "--features", str(path), "--out", str(out)]) == 0
+            written.append(tree_bytes(out) if out.is_dir() else out.read_bytes())
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: 3 rows fall outside the split and are neither trained on nor tested,"
+            " the first person 3 sample 12"
+        ]
+        assert written[0] == written[1]  # the rows left out change nothing written
 
     def test_eval_models_echoes_the_corpus_and_split_like_eval(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

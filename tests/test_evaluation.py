@@ -19,6 +19,7 @@ from handgeo.evaluation import (
     evaluate_all,
     evaluate_features,
     extract_features,
+    outside_split,
     run_identification,
     split_entries,
     sweep_rbf_features,
@@ -117,6 +118,14 @@ class TestEvaluateFeatures:
         report = evaluate_features(entries, TrainConfig(multistart=1), rbf_centres=10)
         assert (report.persons, report.probes) == (3, 10)
         assert report.trials == (10, 20, 30)
+
+    def test_rows_outside_the_split_count_no_person_and_no_probe(self):
+        extra = [(3, 12, np.zeros(9)), (0, -1, np.zeros(9))]
+        entries = synthetic_entries(persons=3) + extra
+        assert outside_split(entries) == extra
+        report = EvalReport.from_entries(entries, {}, 0, {})
+        assert (report.persons, report.probes) == (3, 15)
+        assert report.trials == (15, 30, 45)
 
     def test_full_corpus_trials_match_the_paper(self):
         report = EvalReport(rates={}, persons=22, probes=110, exclusions=0)

@@ -240,6 +240,16 @@ class TestFeatureCsv:
         header = path.read_text().splitlines()[0]
         assert header == "person,sample," + ",".join(SELECTED_NAMES)
 
+    @pytest.mark.parametrize("person,sample", [(-1, 0), (0, -1)])
+    def test_a_negative_id_is_a_format_error_naming_its_line(self, tmp_path, person, sample):
+        path = tmp_path / "features.csv"
+        save_features(path, [(0, 0, np.ones(9)), (person, sample, np.ones(9))])
+        with pytest.raises(FormatError) as rejected:
+            load_features(path)
+        assert str(rejected.value) == (
+            f"{path}:3: person {person} sample {sample}: ids must be non-negative"
+        )
+
     def test_a_repeated_person_and_sample_names_both_lines(self, tmp_path):
         path = tmp_path / "features.csv"
         save_features(path, [(p, j, np.full(9, p + j / 10)) for p in range(2) for j in range(3)])

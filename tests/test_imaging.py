@@ -57,6 +57,15 @@ class TestGrayImage:
         with pytest.raises(ValueError, match="outside"):
             GrayImage(pixels=[[bad, 0.5], [0.2, 0.3]])
 
+    @pytest.mark.parametrize("dpi", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize(
+        "make", [lambda dpi: gray([[0.5]], dpi), lambda dpi: BinaryImage([[1]], dpi)],
+        ids=["gray", "binary"],
+    )
+    def test_a_resolution_that_is_not_positive_and_finite_is_rejected(self, make, dpi):
+        with pytest.raises(ValueError, match=f"dpi must be positive and finite, got {dpi}"):
+            make(dpi)
+
 
 class TestLoadBmp:
     def test_endpoint_bytes_map_to_unit_range(self, tmp_path):
@@ -92,6 +101,18 @@ class TestLoadBmp:
         path = tmp_path / "res.bmp"
         path.write_bytes(bmp_bytes([[1]], ppm=3937))
         assert load_bmp(path).dpi == pytest.approx(100.0, abs=1e-3)
+
+    @pytest.mark.parametrize("dpi", [100.0, 393.7, 72.5, 300.0, 600.0])
+    def test_a_dpi_on_the_tenth_grid_reads_back_exactly(self, tmp_path, dpi):
+        path = tmp_path / "res.bmp"
+        save_bmp(gray([[0.5]], dpi), path)
+        assert load_bmp(path).dpi == dpi
+
+    def test_a_header_off_the_tenth_grid_reads_as_converted(self, tmp_path):
+        # 100.1 dpi is written as 3941 px/m, so no grid value writes 3940.
+        path = tmp_path / "res.bmp"
+        path.write_bytes(bmp_bytes([[1]], ppm=3940))
+        assert load_bmp(path).dpi == 3940 * 0.0254
 
     def test_palette_of_more_than_256_colours_is_rejected(self, tmp_path):
         data = bytearray(bmp_bytes([[1, 2], [3, 4]]))
@@ -180,6 +201,11 @@ class TestLowpassFilter:
     def test_non_integer_radius_is_a_config_error(self, radius):
         with pytest.raises(ConfigError, match="kernel_radius must be an integer"):
             ExtractionSettings(kernel_radius=radius)
+
+    @pytest.mark.parametrize("radius", [1.5, 1.0, "1"])
+    def test_non_integer_radius_is_a_value_error_of_the_filter(self, radius):
+        with pytest.raises(ValueError, match="kernel_radius must be an integer"):
+            lowpass_filter(gray(np.zeros((2, 2))), radius)
 
     @given(
         hnp.arrays(

@@ -1,5 +1,8 @@
-"""README's command lines name only flags the CLI accepts."""
+"""README's command lines name only flags the CLI accepts, and its Python
+examples parse and import only names that exist."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -24,3 +27,35 @@ def test_every_readme_flag_is_a_key_of_its_command():
         for flag in re.findall(r"(?<!\S)--[a-z][a-z-]*", line):
             key = flag[2:].replace("-", "_")
             assert key in _OPTIONS[command] or flag in ("--config", "--help"), (line, flag)
+
+
+def python_blocks(text):
+    return re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
+
+
+def missing_imports(text):
+    """(module, name) of every `from handgeo... import name` in text's Python
+    blocks that the module does not have; a block that does not parse raises
+    SyntaxError."""
+    missing = []
+    for block in python_blocks(text):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("handgeo"):
+                module = importlib.import_module(node.module)
+                missing += [(node.module, a.name) for a in node.names
+                            if not hasattr(module, a.name)]
+    return missing
+
+
+def test_every_readme_python_example_imports_only_names_that_exist():
+    text = README.read_text(encoding="utf-8")
+    assert len(python_blocks(text)) >= 4
+    assert missing_imports(text) == []
+
+
+def test_an_example_importing_a_deleted_name_is_caught():
+    text = README.read_text(encoding="utf-8")
+    stale = text.replace("from handgeo.synthgen import CorpusSettings",
+                         "from handgeo.synthgen import CorpusSettings, load_corpus", 1)
+    assert stale != text
+    assert missing_imports(stale) == [("handgeo.synthgen", "load_corpus")]

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, TrainingError, text_input, typed_field
-from .features import ScalerParams, check_span
+from .features import ScalerParams, check_ids, check_span
 
 DEFAULT_HIDDEN = 30
 #: Largest accepted hidden-unit count. Each LM epoch forms a Gram of
@@ -735,17 +735,47 @@ def _count(text: str) -> int:
     return value
 
 
+def _person(text: str) -> int:
+    person = int(text)
+    check_ids(person, None, ValueError)
+    return person
+
+
+def _persons(text: str) -> tuple[int, ...]:
+    persons = tuple(_person(v) for v in text.split())
+    if not persons:
+        raise ValueError("no person ids")
+    return persons
+
+
+def _above(mins: np.ndarray, text: str) -> np.ndarray:
+    """The scaler_max values of text, checked against scaler_min's mins."""
+    maxs = _floats(text)
+    if maxs.shape != mins.shape:
+        raise ValueError(f"{len(maxs)} values for {len(mins)} in scaler_min")
+    check_span(mins, maxs, ValueError)
+    return maxs
+
+
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"{text!r} is not 0 or 1")
+    return text == "1"
+
+
 def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
     """Inverse of save_model; a missing or malformed key, a number that is
-    not finite, an inputs, hidden or centres count below 1, a training config
+    not finite, a scaler flag other than 0 or 1, an inputs, hidden, centres,
+    requested or entries count below 1, an entries count other than the
+    number of templates, no person ids or a negative one, a training config
     TrainConfig rejects, a spread rbf_train rejects, or a scaler range
-    check_span rejects is a ConfigError naming the key; text that is not
-    UTF-8 is a ConfigError.
+    check_span rejects is a ConfigError naming the file and the key; text
+    that is not UTF-8 is a ConfigError.
     Fields it does not read, such as older files' damping lines, are ignored."""
     with text_input(path, ConfigError):
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("handgeo-model"):
-        raise ConfigError(f"{path} is not a model file")
+        raise ConfigError(f"{path}: not a model file")
     fields: dict[str, str] = {}
     templates: list[tuple[str, str]] = []
     for line in lines[1:]:
@@ -762,26 +792,27 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
         """cast(text), by default of the field named key."""
         return typed_field(path, fields if text is None else {key: text}, key, cast, ConfigError)
 
-    def above_mins(text: str) -> np.ndarray:
-        maxs = _floats(text)
-        if maxs.shape != mins.shape:
-            raise ValueError(f"{len(maxs)} values for {len(mins)} in scaler_min")
-        check_span(mins, maxs, ValueError)
-        return maxs
-
-    scaler = None
-    if fields.get("scaler") == "1":
+    def read_scaler() -> ScalerParams | None:
+        if not read("scaler", _flag):
+            return None
         mins = read("scaler_min", _floats)
-        scaler = ScalerParams(mins=mins, maxs=read("scaler_max", above_mins))
+        return ScalerParams(mins=mins, maxs=read("scaler_max", lambda t: _above(mins, t)))
+
+    def template_count(text: str) -> int:
+        n = _count(text)
+        if n != len(templates):
+            raise ValueError(f"{n} entries but {len(templates)} template lines")
+        return n
 
     kind = read("type")
     if kind == "nn":
-        entries = [(read("template", int, p), read("template", _floats, v)) for p, v in templates]
-        if not entries:
-            raise ConfigError(f"{path}: no templates")
-        return TemplateDb(entries=entries, scaler=scaler)
-    person_ids = read("person_ids", lambda t: tuple(int(v) for v in t.split()))
+        read("entries", template_count)
+        scaler = read_scaler()
+        db = [(read("template", _person, p), read("template", _floats, v)) for p, v in templates]
+        return TemplateDb(entries=db, scaler=scaler)
+    person_ids = read("person_ids", _persons)
     n_in = read("inputs", _count)
+    scaler = read_scaler()
     if kind == "mlp":
         h = read("hidden", _count)
         cfg = TrainConfig()
@@ -805,7 +836,7 @@ def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
             centres=read("centre_rows", lambda t: _floats(t).reshape(k, n_in)),
             spread=read("spread", lambda t: checked_spread(_float(t))),
             weights=read("weights", lambda t: _floats(t).reshape(len(person_ids), k)),
-            requested_centres=read("requested", int),
+            requested_centres=read("requested", _count),
             scaler=scaler,
         )
-    raise ConfigError(f"unknown model type {kind!r} in {path}")
+    raise ConfigError(f"{path}: unknown model type {kind!r}")

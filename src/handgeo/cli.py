@@ -10,9 +10,10 @@ sweep    identification rate per RBF centre count -> curve CSV
 
 Every flag mirrors a config-file key of the same name (hyphens become
 underscores); ``--config FILE`` reads plain ``key=value`` lines and explicit
-flags override the file.  Each command builds its settings from its flags, so
-checks every flag, before it reads any input.  On failure each command exits
-nonzero after printing one ``category: message`` line to stderr.
+flags override the file.  A command refuses to run without its required
+flags; it then builds its settings from its flags, so checks every flag,
+before it reads any input.  On failure each command exits nonzero after
+printing one ``category: message`` line to stderr.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ from .synthgen import (
 )
 
 
-#: key -> (cast from string, default, help); None default means "required
-#: unless the command treats absence itself".
+#: key -> (cast from string, default, help); a REQUIRED default makes _merge
+#: refuse a run without the key, and a None default leaves absence to the command.
+REQUIRED = object()
 _EXTRACTION: dict[str, tuple] = {
     "threshold": (float, DEFAULT_THRESHOLD, "binarization threshold"),
     "kernel_radius": (int, DEFAULT_KERNEL_RADIUS, "box-filter radius (0 disables)"),
@@ -88,7 +90,7 @@ _TRAINING: dict[str, tuple] = {
 
 _OPTIONS: dict[str, dict[str, tuple]] = {
     "gen": {
-        "out": (str, None, "corpus output directory"),
+        "out": (Path, REQUIRED, "corpus output directory"),
         "seed": (int, 0, "master seed for the corpus draw"),
         "intra_sigma": (float, DEFAULT_INTRA_SIGMA, "relative within-person jitter"),
         "persons": (int, DEFAULT_PERSONS, "number of persons"),
@@ -97,15 +99,15 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "dpi": (float, REFERENCE_DPI, "render resolution"),
     },
     "extract": {
-        "input": (str, None, "BMP file or corpus directory"),
-        "out": (str, None, "features CSV to write"),
+        "input": (Path, REQUIRED, "BMP file or corpus directory"),
+        "out": (Path, REQUIRED, "features CSV to write"),
         **_EXTRACTION,
         "person": (int, 0, "person id recorded for a single image"),
         "sample": (int, 0, "sample index recorded for a single image"),
     },
     "train": {
-        "features": (str, None, "features CSV with person,sample columns"),
-        "out": (str, None, "model file to write"),
+        "features": (str, REQUIRED, "features CSV with person,sample columns"),
+        "out": (Path, REQUIRED, "model file to write"),
         "kind": (str, "mlp", "classifier family: nn, mlp or rbf"),
         "loss": (str, "mse", "mlp loss: mse or msereg"),
         "epochs": (int, None, "mlp epochs (defaults per loss)"),
@@ -114,7 +116,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
     "eval": {
         "corpus": (str, None, "corpus directory to evaluate"),
         "features": (str, None, "features CSV to evaluate"),
-        "out": (str, None, "report output directory"),
+        "out": (Path, REQUIRED, "report output directory"),
         "models": (str, None, "comma-separated model files to score instead"),
         "metric": (str, "mse", "distance for nn model files: mse or mad"),
         **_TRAINING,
@@ -123,7 +125,7 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
     "sweep": {
         "corpus": (str, None, "corpus directory to evaluate"),
         "features": (str, None, "features CSV to evaluate"),
-        "out": (str, None, "curve CSV to write"),
+        "out": (Path, REQUIRED, "curve CSV to write"),
         "centres": (str, ",".join(map(str, DEFAULT_SWEEP_COUNTS)), "comma-separated counts"),
         "spread": (float, None, "rbf kernel width"),
         **_EXTRACTION,
@@ -159,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill every option in args: flag, else config-file value, else default."""
+    """Fill every option in args: flag, else config-file value, else default;
+    then a REQUIRED key left unset is one ConfigError."""
     options = _OPTIONS[args.command]
     from_file = read_config(args.config, ConfigError) if args.config else {}
     unknown = set(from_file) - set(options)
@@ -171,14 +174,10 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         if getattr(args, key) is None:
             setattr(args, key, typed_field(args.config, from_file, key, cast, ConfigError)
                     if key in from_file else default)
+    for key in options:
+        if getattr(args, key) is REQUIRED:
+            raise ConfigError(f"{args.command} needs --{key.replace('_', '-')}")
     return args
-
-
-def _require(cfg: argparse.Namespace, key: str) -> object:
-    value = getattr(cfg, key)
-    if value is None:
-        raise ConfigError(f"{cfg.command} needs --{key.replace('_', '-')}")
-    return value
 
 
 def _fields(cfg: argparse.Namespace, cls: type) -> dict[str, object]:
@@ -274,24 +273,21 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     """Render and write one person at a time, so memory does not grow with
     --persons; the settings are checked before the first render."""
     settings = CorpusSettings(cfg.seed, **_fields(cfg, CorpusSettings))
-    out = Path(str(_require(cfg, "out")))
-    write_corpus(out, settings, (render_person(settings, p) for p in range(settings.persons)))
-    print(f"wrote {cfg.persons} persons x {cfg.samples} samples to {out}")
+    write_corpus(cfg.out, settings, (render_person(settings, p) for p in range(settings.persons)))
+    print(f"wrote {cfg.persons} persons x {cfg.samples} samples to {cfg.out}")
     return 0
 
 
 def cmd_extract(cfg: argparse.Namespace) -> int:
     settings = _settings(cfg)
     check_ids(cfg.person, cfg.sample, ConfigError)
-    source = Path(str(_require(cfg, "input")))
-    out = Path(str(_require(cfg, "out")))
-    if source.is_dir():
-        entries, failures, _ = _extract_corpus(settings, source)
+    if cfg.input.is_dir():
+        entries, failures, _ = _extract_corpus(settings, cfg.input)
     else:
-        vector = extract(load_bmp(source), settings).vector
+        vector = extract(load_bmp(cfg.input), settings).vector
         entries, failures = [(cfg.person, cfg.sample, vector)], 0
-    save_features(out, entries)
-    print(f"wrote {len(entries)} feature rows to {out} ({failures} failed)")
+    save_features(cfg.out, entries)
+    print(f"wrote {len(entries)} feature rows to {cfg.out} ({failures} failed)")
     return 0
 
 
@@ -299,8 +295,7 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     train_cfg = _training(cfg)
     if cfg.kind not in ("nn", "mlp", "rbf"):
         raise ConfigError(f"unknown classifier kind {cfg.kind!r}; use nn, mlp or rbf")
-    entries = load_features(str(_require(cfg, "features")))
-    out = Path(str(_require(cfg, "out")))
+    entries = load_features(cfg.features)
     _warn_outside_split(entries)
     scaler, train_pairs = enroll(entries)
 
@@ -311,8 +306,8 @@ def cmd_train(cfg: argparse.Namespace) -> int:
     else:
         model = rbf_train(train_pairs, cfg.centres, cfg.spread)
     model.scaler = scaler
-    save_model(model, out)
-    print(f"wrote {cfg.kind} model trained on {len(train_pairs)} rows to {out}")
+    save_model(model, cfg.out)
+    print(f"wrote {cfg.kind} model trained on {len(train_pairs)} rows to {cfg.out}")
     return 0
 
 
@@ -348,7 +343,6 @@ def _eval_models(
 def cmd_eval(cfg: argparse.Namespace) -> int:
     settings, train_cfg, paths = _settings(cfg), _training(cfg), _model_paths(cfg)
     check_metric(cfg.metric)
-    out = Path(str(_require(cfg, "out")))
     entries, exclusions, corpus_info = _load_entries(cfg, settings)
     if paths:
         report = _eval_models(cfg, paths, entries, exclusions, corpus_info)
@@ -363,22 +357,21 @@ def cmd_eval(cfg: argparse.Namespace) -> int:
             rbf_spread=cfg.spread,
         )
     text, csv_text = emit_table(report)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.txt").write_text(text, encoding="utf-8")
-    (out / "report.csv").write_text(csv_text, encoding="utf-8")
+    cfg.out.mkdir(parents=True, exist_ok=True)
+    (cfg.out / "report.txt").write_text(text, encoding="utf-8")
+    (cfg.out / "report.csv").write_text(csv_text, encoding="utf-8")
     print(text, end="")
     return 0
 
 
 def cmd_sweep(cfg: argparse.Namespace) -> int:
     settings, counts = _settings(cfg), _centres(cfg)
-    out = Path(str(_require(cfg, "out")))
     entries, _, _ = _load_entries(cfg, settings)
     curve = sweep_rbf_features(entries, centre_counts=counts, spread=cfg.spread)
     lines = ["centres,rate"] + [f"{k},{r:.17g}" for k, r in curve]
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
     best = max(curve, key=lambda kr: kr[1])
-    print(f"wrote {len(curve)} sweep points to {out}; best {best[1]:.2f}% at {best[0]} centres")
+    print(f"wrote {len(curve)} sweep points to {cfg.out}; best {best[1]:.2f}% at {best[0]} centres")
     return 0
 
 

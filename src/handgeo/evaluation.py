@@ -46,6 +46,14 @@ ROW_LABELS = (
     ("rbf", "RBF"),
 )
 
+#: Trial-count rows in table order: text label, CSV key.
+_COUNT_ROWS = (
+    ("Client trials", "clients"),
+    ("Impostor trials", "impostors"),
+    ("Total trials", "total"),
+    ("Excluded extractions", "exclusions"),
+)
+
 
 @dataclass(frozen=True)
 class Split:
@@ -261,34 +269,25 @@ def sweep_rbf_features(
 
 
 def emit_table(report: EvalReport) -> tuple[str, str]:
-    """(aligned text, CSV) renderings of the report."""
+    """(aligned text, CSV) renderings of the report. Each row is listed once
+    as (text line, CSV key, CSV value): a rate, a trial count or a config
+    entry; headings have no CSV key."""
     labels = dict(ROW_LABELS)
     order = [key for key in labels if key in report.rates]
     order += [key for key in report.rates if key not in labels]
-    clients, impostors, total = report.trials
-
-    lines = ["Identification rate (%)", "-" * 38]
-    lines += [f"{labels.get(key, key):<22}{report.rates[key]:>12.2f}" for key in order]
-    lines += [
-        "-" * 38,
-        f"{'Client trials':<22}{clients:>12}",
-        f"{'Impostor trials':<22}{impostors:>12}",
-        f"{'Total trials':<22}{total:>12}",
-        f"{'Excluded extractions':<22}{report.exclusions:>12}",
-        "",
-        "Configuration:",
+    counts = zip(_COUNT_ROWS, (*report.trials, report.exclusions))
+    rule = ("-" * 38, None, None)
+    rows = [
+        ("Identification rate (%)", None, None),
+        rule,
+        *[(f"{labels.get(key, key):<22}{report.rates[key]:>12.2f}", f"rate_{key}",
+           f"{report.rates[key]:.17g}") for key in order],
+        rule,
+        *[(f"{label:<22}{n:>12}", key, n) for (label, key), n in counts],
+        ("", None, None),
+        ("Configuration:", None, None),
+        *[(f"  {k} = {v}", k, v) for k, v in report.config.items()],
     ]
-    lines += [f"  {k} = {v}" for k, v in report.config.items()]
-    text = "\n".join(lines) + "\n"
-
-    rows = ["key,value"]
-    rows += [f"rate_{key},{report.rates[key]:.17g}" for key in order]
-    rows += [
-        f"clients,{clients}",
-        f"impostors,{impostors}",
-        f"total,{total}",
-        f"exclusions,{report.exclusions}",
-    ]
-    rows += [f"{k},{v}" for k, v in report.config.items()]
-    csv_text = "\n".join(rows) + "\n"
-    return text, csv_text
+    text = "\n".join(line for line, _, _ in rows) + "\n"
+    csv_rows = ["key,value"] + [f"{key},{value}" for _, key, value in rows if key is not None]
+    return text, "\n".join(csv_rows) + "\n"

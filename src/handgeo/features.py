@@ -138,10 +138,12 @@ def check_span(mins: np.ndarray, maxs: np.ndarray, error: type[Exception]) -> No
         raise error(f"dimension {d}: range {mins[d]} to {maxs[d]} is too wide to scale")
 
 
-def check_ids(person: int, sample: int, error: type[Exception]) -> None:
-    """error unless person and sample are ids a features row can hold."""
-    if person < 0 or sample < 0:
-        raise error(f"person {person} sample {sample}: ids must be non-negative")
+def check_ids(person: int, sample: int | None, error: type[Exception]) -> None:
+    """error unless person and sample (None where there is none, as in a
+    model file) are ids a features row can hold."""
+    if person < 0 or (sample is not None and sample < 0):
+        at = f"person {person}" if sample is None else f"person {person} sample {sample}"
+        raise error(f"{at}: ids must be non-negative")
 
 
 def apply_scaler(params: ScalerParams, v: np.ndarray) -> np.ndarray:

@@ -16,8 +16,15 @@ from hypothesis import strategies as st
 
 import handgeo
 from handgeo import pipeline, synthgen
-from handgeo.cli import _OPTIONS, main
-from handgeo.classifiers import MAX_HIDDEN, MlpModel, RbfModel, TemplateDb, load_model
+from handgeo.cli import _OPTIONS, REQUIRED, main
+from handgeo.classifiers import (
+    MAX_HIDDEN,
+    MlpModel,
+    RbfModel,
+    TemplateDb,
+    load_model,
+    save_model,
+)
 from handgeo.evaluation import (
     corpus_echo,
     emit_table,
@@ -49,9 +56,8 @@ def tree_bytes(root):
     }
 
 
-@pytest.fixture()
-def features_csv(tmp_path):
-    """Synthetic, well-separated features: 3 persons, samples 0..9."""
+def write_features(path):
+    """Synthetic, well-separated features at path: 3 persons, samples 0..9."""
     rng = np.random.default_rng(1)
     centres = rng.uniform(-1, 1, size=(3, 9))
     entries = [
@@ -59,9 +65,13 @@ def features_csv(tmp_path):
         for p in range(3)
         for j in range(10)
     ]
-    path = tmp_path / "features.csv"
     save_features(path, entries)
     return path
+
+
+@pytest.fixture()
+def features_csv(tmp_path):
+    return write_features(tmp_path / "features.csv")
 
 
 class TestGen:
@@ -867,6 +877,18 @@ def forbid_input(monkeypatch):
         monkeypatch.setattr(f"handgeo.cli.{name}", read)
 
 
+#: The (command, key) pairs no run of the command goes without.
+REQUIRED_KEYS = {
+    ("gen", "out"),
+    ("extract", "input"),
+    ("extract", "out"),
+    ("train", "features"),
+    ("train", "out"),
+    ("eval", "out"),
+    ("sweep", "out"),
+}
+
+
 class TestFlagMatrix:
     """Every flag a command takes is checked before it reads any input,
     whichever input, kind or mode it uses."""
@@ -888,6 +910,29 @@ class TestFlagMatrix:
         assert len(err) == 1 and err[0].startswith("config_error: "), err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_the_required_keys_are_marked_in_the_option_table(self):
+        marked = {(command, key) for command, options in _OPTIONS.items()
+                  for key, (_, default, _) in options.items() if default is REQUIRED}
+        assert marked == REQUIRED_KEYS
+
+    @pytest.mark.parametrize("bad_value", [False, True], ids=["alone", "with_a_bad_value"])
+    @pytest.mark.parametrize("command,key", sorted(REQUIRED_KEYS))
+    def test_a_missing_required_key_is_one_config_error_line_before_any_input(
+        self, tmp_path, capsys, monkeypatch, command, key, bad_value
+    ):
+        forbid_input(monkeypatch)
+        argv = [command]
+        for other in sorted(k for c, k in REQUIRED_KEYS if c == command and k != key):
+            argv += [f"--{other}", f"@{other}"]
+        if bad_value:  # an out-of-range value of the command's first ranged key
+            ranged = next(k for k in _OPTIONS[command] if k in OUT_OF_RANGE)
+            argv += [f"--{ranged.replace('_', '-')}", OUT_OF_RANGE[ranged]]
+        assert main(in_dir(tmp_path, argv)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"config_error: {command} needs --{key}"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestExtremeSpread:
@@ -929,12 +974,78 @@ def edited_model(tmp_path, features_csv, kind, field, edit):
     model = tmp_path / f"{kind}.model"
     assert main(["train", "--features", str(features_csv), "--out", str(model), "--kind", kind,
                  "--multistart", "1", "--hidden", "2", "--centres", "2"]) == 0
+    return edit_model(model, {field: edit})
+
+
+def edit_model(model, edits):
+    """model with the first line of each field in edits replaced by
+    edit(fields), fields being the file's {key: value text}, or dropped
+    where edit returns None."""
     lines = model.read_text().splitlines()
     fields = dict(line.split(" ", 1) for line in lines[1:] if not line.startswith("template "))
-    row = next(i for i, line in enumerate(lines) if line.startswith(f"{field} "))
-    lines[row] = f"{field} {edit(fields)}"
+    for field, edit in edits.items():
+        row = next(i for i, line in enumerate(lines) if line.split(" ", 1)[0] == field)
+        value = edit(fields)
+        lines[row : row + 1] = [] if value is None else [f"{field} {value}"]
     model.write_text("\n".join(lines) + "\n")
     return model
+
+
+class TestModelFileKeys:
+    """Every key of a model file is read and checked like every other: a
+    value out of its range is one config_error line naming the file and the
+    key, never a traceback or a silently different model."""
+
+    @pytest.mark.parametrize("kind", ["nn", "mlp", "rbf"])
+    @pytest.mark.parametrize(
+        "edit,message",
+        [(lambda fields: None, "missing key 'scaler'"),
+         (lambda fields: "yes", "key 'scaler': 'yes' is not 0 or 1")],
+        ids=["missing", "yes"],
+    )
+    def test_a_scaler_flag_other_than_0_or_1(
+        self, tmp_path, features_csv, capsys, kind, edit, message
+    ):
+        model = edited_model(tmp_path, features_csv, kind, "scaler", edit)
+        assert eval_model(tmp_path, features_csv, capsys, model) == [
+            f"config_error: {model}: {message}"
+        ]
+
+    @pytest.mark.parametrize("kind,weights", [("mlp", ["w2", "b2"]), ("rbf", ["weights"])])
+    def test_no_person_ids(self, tmp_path, features_csv, capsys, kind, weights):
+        model = edited_model(tmp_path, features_csv, kind, "person_ids", lambda fields: "")
+        edit_model(model, {key: lambda fields: "" for key in weights})
+        assert eval_model(tmp_path, features_csv, capsys, model) == [
+            f"config_error: {model}: key 'person_ids': no person ids"
+        ]
+
+    def test_a_non_positive_requested_centre_count(self, tmp_path, features_csv, capsys):
+        model = edited_model(tmp_path, features_csv, "rbf", "requested", lambda fields: "-5")
+        assert eval_model(tmp_path, features_csv, capsys, model) == [
+            f"config_error: {model}: key 'requested': -5 is not a positive count"
+        ]
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [(lambda fields: None, "missing key 'entries'"),
+         (lambda fields: "7", "key 'entries': 7 entries but 15 template lines"),
+         (lambda fields: "0", "key 'entries': 0 is not a positive count")],
+        ids=["missing", "seven", "zero"],
+    )
+    def test_an_nn_entries_count_other_than_the_template_lines(
+        self, tmp_path, features_csv, capsys, edit, message
+    ):
+        model = edited_model(tmp_path, features_csv, "nn", "entries", edit)
+        assert eval_model(tmp_path, features_csv, capsys, model) == [
+            f"config_error: {model}: {message}"
+        ]
+
+    def test_a_negative_template_person(self, tmp_path, features_csv, capsys):
+        model = edited_model(tmp_path, features_csv, "nn", "template",
+                             lambda fields: "-1 " + " ".join(["0.5"] * 9))
+        assert eval_model(tmp_path, features_csv, capsys, model) == [
+            f"config_error: {model}: key 'template': person -1: ids must be non-negative"
+        ]
 
 
 def eval_model(tmp_path, features_csv, capsys, model):
@@ -1071,6 +1182,50 @@ class TestDamagedFiles:
             if code != 0:
                 lines = err.splitlines()
                 assert code == 1 and len(lines) == 1 and re.match(r"[a-z_]+: ", lines[0])
+
+
+@pytest.fixture(scope="module")
+def trained_models(tmp_path_factory):
+    """A work directory holding features.csv and the nn, mlp and rbf model
+    files train writes for it."""
+    work = tmp_path_factory.mktemp("models")
+    write_features(work / "features.csv")
+    for kind in ("nn", "mlp", "rbf"):
+        assert main(["train", "--features", str(work / "features.csv"), "--kind", kind,
+                     "--out", str(work / f"{kind}.model"), "--multistart", "1",
+                     "--hidden", "2", "--centres", "2"]) == 0
+    return work
+
+
+class TestDamagedModelFiles:
+    """Each key line of each kind of model file train writes, dropped or set
+    to a blank, zero, negative or non-numeric value: eval --models exits 0
+    or prints one config_error line naming the file; never a traceback."""
+
+    @pytest.mark.parametrize("kind", ["nn", "mlp", "rbf"])
+    def test_a_trained_model_file_re_saves_byte_for_byte(self, tmp_path, trained_models, kind):
+        model = trained_models / f"{kind}.model"
+        save_model(load_model(model), tmp_path / "again.model")
+        assert (tmp_path / "again.model").read_bytes() == model.read_bytes()
+
+    @pytest.mark.parametrize("value", [None, "", "0", "-1", "ten"],
+                             ids=["dropped", "blank", "zero", "negative", "word"])
+    @pytest.mark.parametrize("kind", ["nn", "mlp", "rbf"])
+    def test_a_damaged_key_line_is_exit_0_or_one_config_error_line(
+        self, tmp_path, trained_models, capsys, kind, value
+    ):
+        clean = (trained_models / f"{kind}.model").read_text()
+        model = tmp_path / f"{kind}.model"
+        for key in dict.fromkeys(line.split(" ", 1)[0] for line in clean.splitlines()):
+            model.write_text(clean)
+            edit_model(model, {key: lambda fields: value})
+            capsys.readouterr()
+            code = main(["eval", "--features", str(trained_models / "features.csv"),
+                         "--models", str(model), "--out", str(tmp_path / "r")])
+            err = capsys.readouterr().err.splitlines()
+            if code != 0:
+                assert code == 1 and len(err) == 1, (key, err)
+                assert err[0].startswith(f"config_error: {model}: "), (key, err)
 
 
 class TestOneProtocol:

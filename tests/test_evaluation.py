@@ -239,3 +239,42 @@ class TestEmitTable:
             assert f"rate_{key}," in csv_text
         for line in ("Client trials", "Impostor trials", "Total trials"):
             assert line in text
+
+    def test_text_and_csv_bytes_of_a_hand_built_report(self):
+        # Labelled rows in table order, an unlabelled one after them.
+        report = EvalReport(
+            rates={"model:x": 12.5, "rbf": 100.0, "nn_mad": 200 / 3},
+            persons=3,
+            probes=15,
+            exclusions=2,
+            config={"persons": "3", "metric": "mse"},
+        )
+        text, csv_text = emit_table(report)
+        assert text == (
+            "Identification rate (%)\n"
+            "--------------------------------------\n"
+            "NN-MAD                       66.67\n"
+            "RBF                         100.00\n"
+            "model:x                      12.50\n"
+            "--------------------------------------\n"
+            "Client trials                   15\n"
+            "Impostor trials                 30\n"
+            "Total trials                    45\n"
+            "Excluded extractions             2\n"
+            "\n"
+            "Configuration:\n"
+            "  persons = 3\n"
+            "  metric = mse\n"
+        )
+        assert csv_text == (
+            "key,value\n"
+            "rate_nn_mad,66.666666666666671\n"
+            "rate_rbf,100\n"
+            "rate_model:x,12.5\n"
+            "clients,15\n"
+            "impostors,30\n"
+            "total,45\n"
+            "exclusions,2\n"
+            "persons,3\n"
+            "metric,mse\n"
+        )

@@ -6,16 +6,41 @@ import importlib
 import re
 from pathlib import Path
 
-from handgeo.cli import _OPTIONS
+from handgeo.cli import _OPTIONS, REQUIRED
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def readme_commands():
-    """The `handgeo <command> ...` lines of README's sh blocks."""
-    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+def readme_commands(text=None):
+    """The `handgeo <command> ...` lines of README's sh blocks (or text's)."""
+    text = README.read_text(encoding="utf-8") if text is None else text
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, re.M | re.S)
     return [line.strip() for block in blocks for line in block.splitlines()
             if line.strip().startswith("handgeo ")]
+
+
+def missing_required(text):
+    """(line, key) of every README command line in text that names neither
+    a required key of its command nor --config."""
+    missing = []
+    for line in readme_commands(text):
+        flags = set(re.findall(r"(?<!\S)--([a-z][a-z-]*)", line))
+        if "config" not in flags:
+            missing += [(line, key) for key, (_, default, _) in _OPTIONS[line.split()[1]].items()
+                        if default is REQUIRED and key.replace("_", "-") not in flags]
+    return missing
+
+
+def test_every_readme_command_names_its_required_flags():
+    assert missing_required(README.read_text(encoding="utf-8")) == []
+
+
+def test_a_command_line_without_a_required_flag_is_caught():
+    text = README.read_text(encoding="utf-8")
+    line = "handgeo train --features features.csv --kind mlp --loss msereg"
+    stale = text.replace(line + " --out mlp.model", line)
+    assert stale != text
+    assert missing_required(stale) == [(line, "out")]
 
 
 def test_every_readme_flag_is_a_key_of_its_command():

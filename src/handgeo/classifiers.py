@@ -20,12 +20,12 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, TrainingError, text_input, typed_field
-from .features import ScalerParams, check_ids, check_span
+from .errors import ConfigError, TrainingError
+from .features import ScalerParams
 
 DEFAULT_HIDDEN = 30
 #: Largest accepted hidden-unit count. Each LM epoch forms a Gram of
@@ -80,16 +80,11 @@ class TemplateDb:
     scaler: ScalerParams | None = None
 
 
-def check_metric(metric: str) -> None:
-    """Reject a template distance other than those in _ROW_DISTANCES."""
+def nn_identify(x: np.ndarray, db: TemplateDb, metric: str = "mse") -> int:
+    """Person of the closest template under a metric of _ROW_DISTANCES; ties
+    break to the lowest person id, then the lowest template index."""
     if metric not in _ROW_DISTANCES:
         raise ConfigError(f"unknown metric {metric!r}; use 'mse' or 'mad'")
-
-
-def nn_identify(x: np.ndarray, db: TemplateDb, metric: str = "mse") -> int:
-    """Person of the closest template; ties break to the lowest person id,
-    then the lowest template index."""
-    check_metric(metric)
     if not db.entries:
         raise ValueError("empty template database")
     x = np.asarray(x, dtype=float)
@@ -165,7 +160,6 @@ class MlpModel:
     b2: np.ndarray  # persons
     config: TrainConfig
     loss_history: tuple[float, ...] = ()
-    scaler: ScalerParams | None = None
 
     def outputs(self, x: np.ndarray) -> np.ndarray:
         """Network output vector for one vector, output rows for a batch."""
@@ -547,8 +541,6 @@ class RbfModel:
     centres: np.ndarray  # k x 9
     spread: float
     weights: np.ndarray  # persons x k
-    requested_centres: int
-    scaler: ScalerParams | None = None
 
     def outputs(self, x: np.ndarray) -> np.ndarray:
         """Output vector for one vector, output rows for a batch."""
@@ -594,7 +586,6 @@ def rbf_train(
     stops at the achieved count when no candidate is left: every training
     point is picked (more centres were requested than there are points) or
     the rest are linearly dependent (a rank-deficient design).
-    requested_centres records n_centres, the count asked for.
     """
     if not train:
         raise ConfigError("empty training set")
@@ -638,7 +629,6 @@ def rbf_train(
         centres=centres.copy(),
         spread=float(spread),
         weights=weights.T.copy(),
-        requested_centres=n_centres,
     )
 
 
@@ -659,184 +649,3 @@ def identify(
     if isinstance(model, RbfModel):
         return rbf_identify(model, x)
     return committee_identify(model, x)
-
-
-# -- plain-text model files ----------------------------------------------------
-
-
-def _fmt(values: np.ndarray) -> str:
-    return " ".join(f"{v:.17g}" for v in np.asarray(values, dtype=float).ravel())
-
-
-def _scaler_lines(scaler: ScalerParams | None) -> list[str]:
-    if scaler is None:
-        return ["scaler 0"]
-    return ["scaler 1", f"scaler_min {_fmt(scaler.mins)}", f"scaler_max {_fmt(scaler.maxs)}"]
-
-
-def save_model(model: MlpModel | RbfModel | TemplateDb, path: str | Path) -> None:
-    """Plain-text serialization; floats carry 17 significant digits."""
-    lines = ["handgeo-model 1"]
-    if isinstance(model, MlpModel):
-        cfg = model.config
-        h, n_in = model.w1.shape
-        lines += [
-            "type mlp",
-            f"person_ids {' '.join(str(p) for p in model.person_ids)}",
-            f"inputs {n_in}",
-            f"hidden {h}",
-            f"loss {cfg.loss}",
-            f"epochs {cfg.epochs}",
-            f"gamma {cfg.gamma:.17g}",
-            f"multistart {cfg.multistart}",
-            f"seed {cfg.seed}",
-            f"loss_history {_fmt(np.array(model.loss_history))}",
-        ]
-        lines += _scaler_lines(model.scaler)
-        lines += [f"w1 {_fmt(model.w1)}", f"b1 {_fmt(model.b1)}"]
-        lines += [f"w2 {_fmt(model.w2)}", f"b2 {_fmt(model.b2)}"]
-    elif isinstance(model, RbfModel):
-        k = len(model.centres)
-        lines += [
-            "type rbf",
-            f"person_ids {' '.join(str(p) for p in model.person_ids)}",
-            f"inputs {model.centres.shape[1] if k else 0}",
-            f"centres {k}",
-            f"requested {model.requested_centres}",
-            f"spread {model.spread:.17g}",
-        ]
-        lines += _scaler_lines(model.scaler)
-        lines += [f"centre_rows {_fmt(model.centres)}", f"weights {_fmt(model.weights)}"]
-    elif isinstance(model, TemplateDb):
-        lines += ["type nn", f"entries {len(model.entries)}"]
-        lines += _scaler_lines(model.scaler)
-        for person, vec in model.entries:
-            lines.append(f"template {person} {_fmt(vec)}")
-    else:
-        raise TypeError(f"cannot serialize {type(model).__name__}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{value} is not a finite number")
-    return value
-
-
-def _floats(text: str) -> np.ndarray:
-    return np.array([_float(v) for v in text.split()])
-
-
-def _count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"{value} is not a positive count")
-    return value
-
-
-def _person(text: str) -> int:
-    person = int(text)
-    check_ids(person, None, ValueError)
-    return person
-
-
-def _persons(text: str) -> tuple[int, ...]:
-    persons = tuple(_person(v) for v in text.split())
-    if not persons:
-        raise ValueError("no person ids")
-    return persons
-
-
-def _above(mins: np.ndarray, text: str) -> np.ndarray:
-    """The scaler_max values of text, checked against scaler_min's mins."""
-    maxs = _floats(text)
-    if maxs.shape != mins.shape:
-        raise ValueError(f"{len(maxs)} values for {len(mins)} in scaler_min")
-    check_span(mins, maxs, ValueError)
-    return maxs
-
-
-def _flag(text: str) -> bool:
-    if text not in ("0", "1"):
-        raise ValueError(f"{text!r} is not 0 or 1")
-    return text == "1"
-
-
-def load_model(path: str | Path) -> MlpModel | RbfModel | TemplateDb:
-    """Inverse of save_model; a missing or malformed key, a number that is
-    not finite, a scaler flag other than 0 or 1, an inputs, hidden, centres,
-    requested or entries count below 1, an entries count other than the
-    number of templates, no person ids or a negative one, a training config
-    TrainConfig rejects, a spread rbf_train rejects, or a scaler range
-    check_span rejects is a ConfigError naming the file and the key; text
-    that is not UTF-8 is a ConfigError.
-    Fields it does not read, such as older files' damping lines, are ignored."""
-    with text_input(path, ConfigError):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("handgeo-model"):
-        raise ConfigError(f"{path}: not a model file")
-    fields: dict[str, str] = {}
-    templates: list[tuple[str, str]] = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        key, _, value = line.partition(" ")
-        if key == "template":
-            person, _, rest = value.partition(" ")
-            templates.append((person, rest))
-        else:
-            fields[key] = value
-
-    def read(key: str, cast: Callable = str, text: str | None = None):
-        """cast(text), by default of the field named key."""
-        return typed_field(path, fields if text is None else {key: text}, key, cast, ConfigError)
-
-    def read_scaler() -> ScalerParams | None:
-        if not read("scaler", _flag):
-            return None
-        mins = read("scaler_min", _floats)
-        return ScalerParams(mins=mins, maxs=read("scaler_max", lambda t: _above(mins, t)))
-
-    def template_count(text: str) -> int:
-        n = _count(text)
-        if n != len(templates):
-            raise ValueError(f"{n} entries but {len(templates)} template lines")
-        return n
-
-    kind = read("type")
-    if kind == "nn":
-        read("entries", template_count)
-        scaler = read_scaler()
-        db = [(read("template", _person, p), read("template", _floats, v)) for p, v in templates]
-        return TemplateDb(entries=db, scaler=scaler)
-    person_ids = read("person_ids", _persons)
-    n_in = read("inputs", _count)
-    scaler = read_scaler()
-    if kind == "mlp":
-        h = read("hidden", _count)
-        cfg = TrainConfig()
-        for key, cast in [("loss", str), ("epochs", int), ("gamma", _float),
-                          ("multistart", int), ("seed", int)]:
-            cfg = read(key, lambda t: replace(cfg, **{key: cast(t)}))
-        return MlpModel(
-            person_ids=person_ids,
-            w1=read("w1", lambda t: _floats(t).reshape(h, n_in)),
-            b1=read("b1", lambda t: _floats(t).reshape(h)),
-            w2=read("w2", lambda t: _floats(t).reshape(len(person_ids), h)),
-            b2=read("b2", lambda t: _floats(t).reshape(len(person_ids))),
-            config=cfg,
-            loss_history=tuple(read("loss_history", _floats)),
-            scaler=scaler,
-        )
-    if kind == "rbf":
-        k = read("centres", _count)
-        return RbfModel(
-            person_ids=person_ids,
-            centres=read("centre_rows", lambda t: _floats(t).reshape(k, n_in)),
-            spread=read("spread", lambda t: checked_spread(_float(t))),
-            weights=read("weights", lambda t: _floats(t).reshape(len(person_ids), k)),
-            requested_centres=read("requested", _count),
-            scaler=scaler,
-        )
-    raise ConfigError(f"{path}: unknown model type {kind!r}")

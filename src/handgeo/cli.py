@@ -4,8 +4,7 @@ Commands
 --------
 gen      draw a synthetic corpus and write it as a directory tree
 extract  run the measurement pipeline on one BMP or a corpus tree -> CSV
-train    fit one classifier on samples 0-4 of a features CSV -> model file
-eval     run the full identification protocol (or pre-trained models) -> report
+eval     run the full identification protocol -> report
 sweep    identification rate per RBF centre count -> curve CSV
 
 Every flag mirrors a config-file key of the same name (hyphens become
@@ -28,32 +27,19 @@ from .classifiers import (
     DEFAULT_GAMMA,
     DEFAULT_HIDDEN,
     DEFAULT_MULTISTART,
-    MlpModel,
-    RbfModel,
-    TemplateDb,
     TrainConfig,
     check_hidden,
-    check_metric,
     checked_spread,
-    load_model,
-    multistart_select,
-    rbf_train,
-    save_model,
-    train_members,
 )
 from .errors import ConfigError, HandGeoError, read_config, typed_field
 from .evaluation import (
     DEFAULT_RBF_CENTRES,
     DEFAULT_SWEEP_COUNTS,
-    EvalReport,
     corpus_echo,
-    echo_head,
     emit_table,
-    enroll,
     evaluate_features,
     extract_features,
     outside_split,
-    score,
     sweep_rbf_features,
 )
 from .features import check_ids, load_features, save_features
@@ -78,16 +64,6 @@ _EXTRACTION: dict[str, tuple] = {
     "kernel_radius": (int, DEFAULT_KERNEL_RADIUS, "box-filter radius (0 disables)"),
 }
 
-#: The training settings train and eval share.
-_TRAINING: dict[str, tuple] = {
-    "seed": (int, 0, "first training seed"),
-    "gamma": (float, DEFAULT_GAMMA, "msereg performance ratio"),
-    "multistart": (int, DEFAULT_MULTISTART, "mlp random starts"),
-    "hidden": (int, DEFAULT_HIDDEN, "mlp hidden units"),
-    "centres": (int, DEFAULT_RBF_CENTRES, "rbf centre count"),
-    "spread": (float, None, "rbf kernel width (default: median distance)"),
-}
-
 _OPTIONS: dict[str, dict[str, tuple]] = {
     "gen": {
         "out": (Path, REQUIRED, "corpus output directory"),
@@ -105,21 +81,16 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
         "person": (int, 0, "person id recorded for a single image"),
         "sample": (int, 0, "sample index recorded for a single image"),
     },
-    "train": {
-        "features": (str, REQUIRED, "features CSV with person,sample columns"),
-        "out": (Path, REQUIRED, "model file to write"),
-        "kind": (str, "mlp", "classifier family: nn, mlp or rbf"),
-        "loss": (str, "mse", "mlp loss: mse or msereg"),
-        "epochs": (int, None, "mlp epochs (defaults per loss)"),
-        **_TRAINING,
-    },
     "eval": {
         "corpus": (str, None, "corpus directory to evaluate"),
         "features": (str, None, "features CSV to evaluate"),
         "out": (Path, REQUIRED, "report output directory"),
-        "models": (str, None, "comma-separated model files to score instead"),
-        "metric": (str, "mse", "distance for nn model files: mse or mad"),
-        **_TRAINING,
+        "seed": (int, 0, "first training seed"),
+        "gamma": (float, DEFAULT_GAMMA, "msereg performance ratio"),
+        "multistart": (int, DEFAULT_MULTISTART, "mlp random starts"),
+        "hidden": (int, DEFAULT_HIDDEN, "mlp hidden units"),
+        "centres": (int, DEFAULT_RBF_CENTRES, "rbf centre count"),
+        "spread": (float, None, "rbf kernel width (default: median distance)"),
         **_EXTRACTION,
     },
     "sweep": {
@@ -135,7 +106,6 @@ _OPTIONS: dict[str, dict[str, tuple]] = {
 _HELP = {
     "gen": "generate a synthetic hand corpus",
     "extract": "extract features from a BMP image or corpus tree",
-    "train": "train one classifier on samples 0-4 of extracted features",
     "eval": "run the identification protocol and write report files",
     "sweep": "write the RBF centre-count/rate curve",
 }
@@ -190,7 +160,7 @@ def _settings(cfg: argparse.Namespace) -> ExtractionSettings:
 
 
 def _training(cfg: argparse.Namespace) -> TrainConfig:
-    """The TrainConfig of train or eval, after the hidden, spread and centre rules."""
+    """eval's TrainConfig, after the hidden, spread and centre rules."""
     check_hidden(cfg.hidden)
     _centres(cfg)
     return TrainConfig(**_fields(cfg, TrainConfig))
@@ -201,36 +171,16 @@ def _centres(cfg: argparse.Namespace) -> tuple[int, ...]:
     if cfg.spread is not None:
         checked_spread(cfg.spread)
     text = str(cfg.centres)
+    items = [v.strip() for v in text.split(",") if v.strip()]
+    if not items:
+        raise ConfigError(f"--centres needs at least one comma-separated entry, got {text!r}")
     try:
-        counts = tuple(int(v) for v in _items(text, "--centres"))
+        counts = tuple(int(v) for v in items)
     except ValueError:
         raise ConfigError(f"centre list must be comma-separated integers: {text!r}") from None
     if any(k < 1 for k in counts):
         raise ConfigError(f"centre counts must be positive: {text!r}")
     return counts
-
-
-def _items(text: str, flag: str) -> list[str]:
-    """The non-blank entries of a comma-separated list; at least one."""
-    items = [v.strip() for v in text.split(",") if v.strip()]
-    if not items:
-        raise ConfigError(f"{flag} needs at least one comma-separated entry, got {text!r}")
-    return items
-
-
-def _model_paths(cfg: argparse.Namespace) -> list[Path]:
-    """The --models files, none without the flag; the stem of each names its
-    report row, so two files with one stem are a ConfigError."""
-    paths = [] if cfg.models is None else [Path(v) for v in _items(cfg.models, "--models")]
-    stems: dict[str, Path] = {}
-    for path in paths:
-        if path.stem in stems:
-            raise ConfigError(
-                f"--models {stems[path.stem]} and {path} share the stem {path.stem!r},"
-                " which names one report row"
-            )
-        stems[path.stem] = path
-    return paths
 
 
 def _extract_corpus(s: ExtractionSettings, root: str | Path) -> tuple[list, int, CorpusSettings]:
@@ -246,18 +196,10 @@ def _extract_corpus(s: ExtractionSettings, root: str | Path) -> tuple[list, int,
     return entries, len(failures), corpus
 
 
-def _warn_outside_split(entries: list) -> None:
-    """One warning line on stderr if the split leaves rows out."""
-    outside = outside_split(entries)
-    if outside:
-        p, j, _ = outside[0]
-        print(f"warning: {len(outside)} rows fall outside the split and are neither trained on"
-              f" nor tested, the first person {p} sample {j}", file=sys.stderr)
-
-
 def _load_entries(cfg: argparse.Namespace, s: ExtractionSettings) -> tuple[list, int, dict]:
     """Feature entries for eval/sweep from --corpus or --features, plus the
-    corpus metadata to echo in reports (empty for CSV input)."""
+    corpus metadata to echo in reports (empty for CSV input); rows the split
+    leaves out are one warning line on stderr."""
     if (cfg.corpus is None) == (cfg.features is None):
         raise ConfigError(f"{cfg.command} needs exactly one of --corpus or --features")
     if cfg.corpus is not None:
@@ -265,7 +207,11 @@ def _load_entries(cfg: argparse.Namespace, s: ExtractionSettings) -> tuple[list,
         info = corpus_echo(corpus)
     else:
         entries, failures, info = load_features(cfg.features), 0, {}
-    _warn_outside_split(entries)
+    outside = outside_split(entries)
+    if outside:
+        p, j, _ = outside[0]
+        print(f"warning: {len(outside)} rows fall outside the split and are neither trained on"
+              f" nor tested, the first person {p} sample {j}", file=sys.stderr)
     return entries, failures, info
 
 
@@ -291,71 +237,18 @@ def cmd_extract(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_train(cfg: argparse.Namespace) -> int:
-    train_cfg = _training(cfg)
-    if cfg.kind not in ("nn", "mlp", "rbf"):
-        raise ConfigError(f"unknown classifier kind {cfg.kind!r}; use nn, mlp or rbf")
-    entries = load_features(cfg.features)
-    _warn_outside_split(entries)
-    scaler, train_pairs = enroll(entries)
-
-    if cfg.kind == "nn":
-        model: TemplateDb | MlpModel | RbfModel = TemplateDb(entries=train_pairs)
-    elif cfg.kind == "mlp":
-        model = multistart_select(train_members(train_pairs, train_cfg, cfg.hidden), train_pairs)
-    else:
-        model = rbf_train(train_pairs, cfg.centres, cfg.spread)
-    model.scaler = scaler
-    save_model(model, cfg.out)
-    print(f"wrote {cfg.kind} model trained on {len(train_pairs)} rows to {cfg.out}")
-    return 0
-
-
-def _input_widths(model: TemplateDb | MlpModel | RbfModel) -> set[int]:
-    """Every feature-vector width the model's weights and scaler imply."""
-    if isinstance(model, TemplateDb):
-        widths = {len(v) for _, v in model.entries}
-    else:
-        widths = {(model.w1 if isinstance(model, MlpModel) else model.centres).shape[1]}
-    if model.scaler is not None:
-        widths |= {len(model.scaler.mins), len(model.scaler.maxs)}
-    return widths
-
-
-def _eval_models(
-    cfg: argparse.Namespace, paths: list[Path], entries: list, exclusions: int, corpus_info: dict
-) -> EvalReport:
-    """Score pre-trained model files on the test half of the split."""
-    rates: dict[str, float] = {}
-    for path in paths:
-        model = load_model(path)
-        widths = _input_widths(model)
-        if entries and widths != {len(entries[0][2])}:
-            raise ConfigError(
-                f"{path}: model takes {'/'.join(map(str, sorted(widths)))} features,"
-                f" the input rows have {len(entries[0][2])}"
-            )
-        rates[f"model:{path.stem}"] = score(model, entries, model.scaler, cfg.metric)
-    config = {**echo_head(corpus_info), "models": str(cfg.models), "metric": cfg.metric}
-    return EvalReport.from_entries(entries, rates, exclusions, config)
-
-
 def cmd_eval(cfg: argparse.Namespace) -> int:
-    settings, train_cfg, paths = _settings(cfg), _training(cfg), _model_paths(cfg)
-    check_metric(cfg.metric)
+    settings, train_cfg = _settings(cfg), _training(cfg)
     entries, exclusions, corpus_info = _load_entries(cfg, settings)
-    if paths:
-        report = _eval_models(cfg, paths, entries, exclusions, corpus_info)
-    else:
-        report = evaluate_features(
-            entries,
-            train_cfg,
-            exclusions=exclusions,
-            extra_config=corpus_info,
-            hidden=cfg.hidden,
-            rbf_centres=cfg.centres,
-            rbf_spread=cfg.spread,
-        )
+    report = evaluate_features(
+        entries,
+        train_cfg,
+        exclusions=exclusions,
+        extra_config=corpus_info,
+        hidden=cfg.hidden,
+        rbf_centres=cfg.centres,
+        rbf_spread=cfg.spread,
+    )
     text, csv_text = emit_table(report)
     cfg.out.mkdir(parents=True, exist_ok=True)
     (cfg.out / "report.txt").write_text(text, encoding="utf-8")
@@ -378,7 +271,6 @@ def cmd_sweep(cfg: argparse.Namespace) -> int:
 _COMMANDS = {
     "gen": cmd_gen,
     "extract": cmd_extract,
-    "train": cmd_train,
     "eval": cmd_eval,
     "sweep": cmd_sweep,
 }

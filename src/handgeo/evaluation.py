@@ -135,13 +135,13 @@ def enroll(entries: list[Entry]) -> tuple[ScalerParams, list[tuple[int, np.ndarr
 def score(
     model: TemplateDb | MlpModel | RbfModel | list[MlpModel],
     entries: list[Entry],
-    scaler: ScalerParams | None,
+    scaler: ScalerParams,
     metric: str = "mse",
 ) -> float:
     """Rate of one trained model on the default split's test half, scaled by
-    scaler (None: as given)."""
+    scaler."""
     _, test_e = split_entries(entries, Split())
-    test = [(p, j, v if scaler is None else apply_scaler(scaler, v)) for p, j, v in test_e]
+    test = [(p, j, apply_scaler(scaler, v)) for p, j, v in test_e]
     return run_identification(lambda v: identify(model, v, metric), test)
 
 
@@ -189,17 +189,6 @@ def corpus_echo(s: CorpusSettings) -> dict[str, str]:
     }
 
 
-def echo_head(corpus_info: dict[str, str]) -> dict[str, str]:
-    """The head of every report's configuration echo: the corpus echo (empty
-    for a features CSV), then the split's sample indices."""
-    split = Split()
-    return {
-        **corpus_info,
-        "train_indices": " ".join(str(i) for i in split.train_indices),
-        "test_indices": " ".join(str(i) for i in split.test_indices),
-    }
-
-
 def evaluate_all(settings: CorpusSettings) -> EvalReport:
     """The default protocol on the corpus settings names, rendered and
     extracted with the default ExtractionSettings one person at a time, as
@@ -220,7 +209,9 @@ def evaluate_features(
     rbf_spread: float | None = None,
 ) -> EvalReport:
     """The classifier protocol on already-extracted feature entries; the
-    networks take the seed, gamma and multistart of train (default TrainConfig())."""
+    networks take the seed, gamma and multistart of train (default TrainConfig()).
+    The configuration echo starts with extra_config (the corpus echo, empty
+    for a features CSV), then the split's sample indices."""
     scaler, train_pairs = enroll(entries)
     base = train or TrainConfig()
     losses = ("mse", "msereg")
@@ -241,20 +232,21 @@ def evaluate_features(
         rates[f"committee_{loss}"] = score(committee, entries, scaler)
     rates["rbf"] = score(rbf, entries, scaler)
 
-    cfg_echo = echo_head(extra_config or {})
-    cfg_echo.update(
-        {
-            "train_seed": str(base.seed),
-            "gamma": f"{base.gamma:.17g}",
-            "epochs_mse": str(members["mse"][0].config.epochs),
-            "epochs_msereg": str(members["msereg"][0].config.epochs),
-            "multistart": str(base.multistart),
-            "committee_size": str(len(committee)),
-            "hidden": str(hidden),
-            "rbf_centres": str(len(rbf.centres)),
-            "rbf_spread": f"{rbf.spread:.17g}",
-        }
-    )
+    split = Split()
+    cfg_echo = {
+        **(extra_config or {}),
+        "train_indices": " ".join(str(i) for i in split.train_indices),
+        "test_indices": " ".join(str(i) for i in split.test_indices),
+        "train_seed": str(base.seed),
+        "gamma": f"{base.gamma:.17g}",
+        "epochs_mse": str(members["mse"][0].config.epochs),
+        "epochs_msereg": str(members["msereg"][0].config.epochs),
+        "multistart": str(base.multistart),
+        "committee_size": str(len(committee)),
+        "hidden": str(hidden),
+        "rbf_centres": str(len(rbf.centres)),
+        "rbf_spread": f"{rbf.spread:.17g}",
+    }
     return EvalReport.from_entries(entries, rates, exclusions, cfg_echo)
 
 
@@ -270,18 +262,16 @@ def sweep_rbf_features(
 
 def emit_table(report: EvalReport) -> tuple[str, str]:
     """(aligned text, CSV) renderings of the report. Each row is listed once
-    as (text line, CSV key, CSV value): a rate, a trial count or a config
-    entry; headings have no CSV key."""
-    labels = dict(ROW_LABELS)
-    order = [key for key in labels if key in report.rates]
-    order += [key for key in report.rates if key not in labels]
+    as (text line, CSV key, CSV value): a rate of a ROW_LABELS row, a trial
+    count or a config entry; headings have no CSV key."""
+    rates = [(key, label, report.rates[key]) for key, label in ROW_LABELS if key in report.rates]
     counts = zip(_COUNT_ROWS, (*report.trials, report.exclusions))
     rule = ("-" * 38, None, None)
     rows = [
         ("Identification rate (%)", None, None),
         rule,
-        *[(f"{labels.get(key, key):<22}{report.rates[key]:>12.2f}", f"rate_{key}",
-           f"{report.rates[key]:.17g}") for key in order],
+        *[(f"{label:<22}{rate:>12.2f}", f"rate_{key}", f"{rate:.17g}")
+          for key, label, rate in rates],
         rule,
         *[(f"{label:<22}{n:>12}", key, n) for (label, key), n in counts],
         ("", None, None),

@@ -122,28 +122,26 @@ def fit_scaler(training: np.ndarray) -> ScalerParams:
         raise ScalerError("scaler needs at least 2 training vectors")
     mins = vectors.min(axis=0)
     maxs = vectors.max(axis=0)
-    check_span(mins, maxs, ScalerError)
+    check_span(mins, maxs)
     return ScalerParams(mins=mins, maxs=maxs)
 
 
-def check_span(mins: np.ndarray, maxs: np.ndarray, error: type[Exception]) -> None:
-    """error naming the first dimension whose range apply_scaler cannot
+def check_span(mins: np.ndarray, maxs: np.ndarray) -> None:
+    """ScalerError naming the first dimension whose range apply_scaler cannot
     scale: max is not above min, or 2 * (max - min) overflows, so its values
     would turn into nan or clip to +1."""
     for d in np.flatnonzero(~(maxs > mins)):
-        raise error(f"dimension {d}: max {maxs[d]} is not above min {mins[d]}")
+        raise ScalerError(f"dimension {d}: max {maxs[d]} is not above min {mins[d]}")
     with np.errstate(over="ignore"):
         spans = 2.0 * (maxs - mins)
     for d in np.flatnonzero(~np.isfinite(spans)):
-        raise error(f"dimension {d}: range {mins[d]} to {maxs[d]} is too wide to scale")
+        raise ScalerError(f"dimension {d}: range {mins[d]} to {maxs[d]} is too wide to scale")
 
 
-def check_ids(person: int, sample: int | None, error: type[Exception]) -> None:
-    """error unless person and sample (None where there is none, as in a
-    model file) are ids a features row can hold."""
-    if person < 0 or (sample is not None and sample < 0):
-        at = f"person {person}" if sample is None else f"person {person} sample {sample}"
-        raise error(f"{at}: ids must be non-negative")
+def check_ids(person: int, sample: int, error: type[Exception]) -> None:
+    """error unless person and sample are ids a features row can hold."""
+    if person < 0 or sample < 0:
+        raise error(f"person {person} sample {sample}: ids must be non-negative")
 
 
 def apply_scaler(params: ScalerParams, v: np.ndarray) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -19,7 +18,6 @@ from handgeo.classifiers import (
     committee_identify,
     dist_mad,
     dist_mse,
-    load_model,
     loss_mse,
     loss_msereg,
     median_pairwise_distance,
@@ -29,7 +27,6 @@ from handgeo.classifiers import (
     nn_identify,
     rbf_identify,
     rbf_train,
-    save_model,
     train_members,
 )
 from handgeo.classifiers import _lm_step, _normal_blocks, _NormalBlocks
@@ -223,15 +220,14 @@ class TestMlpTraining:
         model = mlp_train(train, TrainConfig(loss="mse", seed=0))
         assert all(mlp_identify(model, v) == p for p, v in train)
 
-    def test_same_seed_trains_bit_identical_models(self, tmp_path):
+    def test_same_seed_trains_bit_identical_models(self):
         train = toy_two_person_set()
         a = mlp_train(train, TrainConfig(seed=5))
         b = mlp_train(train, TrainConfig(seed=5))
         for left, right in ((a.w1, b.w1), (a.b1, b.b1), (a.w2, b.w2), (a.b2, b.b2)):
-            np.testing.assert_array_equal(left, right)
-        save_model(a, tmp_path / "a.model")
-        save_model(b, tmp_path / "b.model")
-        assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+            assert left.tobytes() == right.tobytes()
+        assert a.loss_history == b.loss_history
+        assert a.config == b.config
 
     def test_accepted_losses_decrease_strictly(self):
         model = mlp_train(toy_two_person_set(), TrainConfig(seed=1))
@@ -500,7 +496,6 @@ class TestRbf:
         point = np.ones(9)
         train = [(0, point), (1, point), (0, point.copy()), (1, point.copy())]
         model = rbf_train(train, n_centres=4, spread=1.0)
-        assert model.requested_centres == 4
         assert len(model.centres) < 4
 
     @pytest.mark.parametrize("spread", [0.0, -1.0])
@@ -522,11 +517,9 @@ class TestRbf:
         # A request above the training size stops where every point is a
         # centre, as a rank-deficient design stops early.
         full, over = rbf_train(train, len(train)), rbf_train(train, len(train) + 3)
-        assert over.requested_centres == len(train) + 3
         for f in dataclasses.fields(RbfModel):
-            if f.name != "requested_centres":
-                a, b = getattr(over, f.name), getattr(full, f.name)
-                assert type(a) is type(b) and np.array_equal(a, b), f.name
+            a, b = getattr(over, f.name), getattr(full, f.name)
+            assert type(a) is type(b) and np.array_equal(a, b), f.name
 
 
 @pytest.mark.parametrize(
@@ -545,73 +538,3 @@ def test_a_batch_of_one_keeps_its_batch_axis(train_model):
     assert model.outputs(x[:1]).shape == (1, 2)
     assert model.outputs(x[0]).shape == (2,)
     np.testing.assert_array_equal(model.outputs(x[:1])[0], model.outputs(x[0]))
-
-
-class TestModelSerialization:
-    def test_mlp_round_trip_is_bit_exact(self, tmp_path):
-        model = mlp_train(toy_two_person_set(), TrainConfig(seed=9))
-        path = tmp_path / "net.model"
-        save_model(model, path)
-        back = load_model(path)
-        assert isinstance(back, MlpModel)
-        np.testing.assert_array_equal(back.w1, model.w1)
-        np.testing.assert_array_equal(back.b2, model.b2)
-        assert back.config == model.config
-        save_model(back, tmp_path / "again.model")
-        assert path.read_bytes() == (tmp_path / "again.model").read_bytes()
-
-    def test_rbf_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(2)
-        train = [(i % 2, rng.normal(size=9)) for i in range(10)]
-        model = rbf_train(train, 4)
-        path = tmp_path / "rbf.model"
-        save_model(model, path)
-        back = load_model(path)
-        assert isinstance(back, RbfModel)
-        np.testing.assert_array_equal(back.centres, model.centres)
-        np.testing.assert_array_equal(back.weights, model.weights)
-        assert back.spread == model.spread
-        save_model(back, tmp_path / "again.model")
-        assert path.read_bytes() == (tmp_path / "again.model").read_bytes()
-
-    def test_template_db_round_trip_is_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        db = TemplateDb(entries=[(p, rng.normal(size=9)) for p in range(4)])
-        path = tmp_path / "nn.model"
-        save_model(db, path)
-        back = load_model(path)
-        assert isinstance(back, TemplateDb)
-        for (pa, va), (pb, vb) in zip(db.entries, back.entries):
-            assert pa == pb
-            np.testing.assert_array_equal(va, vb)
-
-    def test_damping_lines_of_older_files_are_ignored(self, tmp_path):
-        model = mlp_train(toy_two_person_set(), TrainConfig(seed=9), hidden=4)
-        path = tmp_path / "old.model"
-        save_model(model, path)
-        text = path.read_text()
-        assert "damping" not in text
-        path.write_text(text + "damping_init 0.001\ndamping_factor 10\n")
-        assert load_model(path).config == model.config
-
-    @pytest.mark.parametrize(
-        "field,mutate",
-        [
-            ("person_ids", lambda lines: lines[:2]),
-            ("epochs", lambda lines: [ln.replace("epochs ", "epochs ten") for ln in lines]),
-            ("w1", lambda lines: [ln + " 0.5" if ln.startswith("w1 ") else ln for ln in lines]),
-        ],
-        ids=["missing", "non_numeric", "wrong_size"],
-    )
-    def test_missing_or_malformed_fields_name_the_file(self, tmp_path, field, mutate):
-        path = tmp_path / "bad.model"
-        save_model(mlp_train(toy_two_person_set(), TrainConfig(seed=9), hidden=4), path)
-        path.write_text("\n".join(mutate(path.read_text().splitlines())) + "\n")
-        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: .*{field}"):
-            load_model(path)
-
-    def test_non_model_file_is_rejected(self, tmp_path):
-        path = tmp_path / "junk.model"
-        path.write_text("not a model\n")
-        with pytest.raises(ConfigError, match="model"):
-            load_model(path)

@@ -17,14 +17,7 @@ from hypothesis import strategies as st
 import handgeo
 from handgeo import pipeline, synthgen
 from handgeo.cli import _OPTIONS, REQUIRED, main
-from handgeo.classifiers import (
-    MAX_HIDDEN,
-    MlpModel,
-    RbfModel,
-    TemplateDb,
-    load_model,
-    save_model,
-)
+from handgeo.classifiers import MAX_HIDDEN
 from handgeo.evaluation import (
     corpus_echo,
     emit_table,
@@ -229,8 +222,12 @@ class TestCommandLine:
             ["sweep", "--features", "f.csv", "--out", "c.csv", "--sigma", "1"],
             ["extract", "--input", "x.bmp", "--out", "x.csv", "--threshold", "abc"],
             ["gen", "--out", "g", "--persons", "two"],
+            ["train", "--features", "f.csv", "--out", "m"],
+            ["eval", "--features", "f.csv", "--out", "r", "--models", "m"],
+            ["eval", "--features", "f.csv", "--out", "r", "--metric", "mad"],
         ],
-        ids=["no_command", "extract_sigma", "eval_sigma", "sweep_sigma", "threshold_abc", "persons_two"],
+        ids=["no_command", "extract_sigma", "eval_sigma", "sweep_sigma", "threshold_abc",
+             "persons_two", "train", "eval_models", "eval_metric"],
     )
     def test_bad_flag_is_one_config_error_line(self, capsys, argv):
         assert main(argv) == 1
@@ -239,7 +236,7 @@ class TestCommandLine:
         assert len(err) == 1 and err[0].startswith("config_error: ")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("command", ["gen", "extract", "train", "eval", "sweep"])
+    @pytest.mark.parametrize("command", list(_OPTIONS))
     def test_help_exits_zero(self, capsys, command):
         with pytest.raises(SystemExit) as stop:
             main([command, "--help"])
@@ -249,7 +246,7 @@ class TestCommandLine:
     @pytest.mark.parametrize(
         "command,line,message",
         [
-            ("train", "epochs=ten", "key 'epochs': invalid literal for int() with base 10: 'ten'"),
+            ("eval", "hidden=ten", "key 'hidden': invalid literal for int() with base 10: 'ten'"),
             ("gen", "persons=2.5", "key 'persons': invalid literal for int() with base 10: '2.5'"),
             ("extract", "threshold=half", "key 'threshold': could not convert string to float: 'half'"),
         ],
@@ -279,13 +276,16 @@ class TestCommandLine:
             f"config_error: {cfg}: key {key!r}: {rejected.value}"
         ]
 
+    @pytest.mark.parametrize("key", ["sigma", "models", "metric"])
     @pytest.mark.parametrize("command", ["extract", "eval", "sweep"])
-    def test_sigma_in_a_config_file_is_an_unknown_key(self, tmp_path, capsys, command):
+    def test_a_removed_key_in_a_config_file_is_an_unknown_key(
+        self, tmp_path, capsys, command, key
+    ):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("sigma=1\n")
+        cfg.write_text(f"{key}=1\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"config_error: unknown config key(s) for {command}: sigma"
+            f"config_error: unknown config key(s) for {command}: {key}"
         ]
 
 
@@ -446,106 +446,6 @@ class TestExtract:
         assert not out.exists()
 
 
-class TestTrain:
-    @pytest.mark.parametrize(
-        "kind,model_type",
-        [("nn", TemplateDb), ("mlp", MlpModel), ("rbf", RbfModel)],
-    )
-    def test_each_kind_writes_a_loadable_model(
-        self, tmp_path, features_csv, kind, model_type
-    ):
-        out = tmp_path / f"{kind}.model"
-        code = main(
-            [
-                "train", "--features", str(features_csv), "--out", str(out),
-                "--kind", kind, "--multistart", "2", "--hidden", "8",
-                "--centres", "10",
-            ]
-        )
-        assert code == 0
-        model = load_model(out)
-        assert isinstance(model, model_type)
-        assert model.scaler is not None
-
-    def test_an_rbf_model_records_the_centre_count_asked_for(self, tmp_path, features_csv):
-        # 15 training rows: every one becomes a centre, and the file says
-        # what was asked.
-        out = tmp_path / "rbf.model"
-        argv = ["train", "--features", str(features_csv), "--out", str(out), "--kind", "rbf"]
-        assert main(argv + ["--centres", "500"]) == 0
-        lines = out.read_text().splitlines()
-        assert "requested 500" in lines and "centres 15" in lines
-
-    def test_non_numeric_cell_is_a_format_error_with_its_line(self, tmp_path, capsys):
-        path = tmp_path / "bad.csv"
-        save_features(path, [(p, j, np.full(9, p + j / 10)) for p in range(2) for j in range(3)])
-        lines = path.read_text().splitlines()
-        cells = lines[3].split(",")
-        cells[4] = "abc"
-        lines[3] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
-        code = main(["train", "--features", str(path), "--out", str(tmp_path / "m")])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"format_error: {path}:4: ")
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("command", [["train", "--kind", "mlp"], ["eval"]])
-    def test_non_finite_cell_is_a_format_error_with_its_line(
-        self, tmp_path, features_csv, capsys, command, cell
-    ):
-        lines = features_csv.read_text().splitlines()
-        cells = lines[3].split(",")
-        cells[4] = cell
-        lines[3] = ",".join(cells)
-        features_csv.write_text("\n".join(lines) + "\n")
-        code = main(command + ["--features", str(features_csv), "--out", str(tmp_path / "m")])
-        assert code == 1
-        column = lines[0].split(",")[4]
-        assert capsys.readouterr().err.splitlines() == [
-            f"format_error: {features_csv}:4: {column} is {float(cell)}, not a finite number"
-        ]
-
-    @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("hidden", [0, -3, MAX_HIDDEN + 1])
-    def test_out_of_range_hidden_count_fails_cleanly(
-        self, tmp_path, features_csv, capsys, command, hidden
-    ):
-        code = main(
-            [command, "--features", str(features_csv), "--out", str(tmp_path / "m"),
-             "--multistart", "1", "--hidden", str(hidden)]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"config_error: hidden units must be in [1, {MAX_HIDDEN}], got {hidden}"
-        ]
-
-    def test_non_positive_spread_fails_cleanly(self, tmp_path, features_csv, capsys):
-        code = main(
-            ["train", "--features", str(features_csv), "--out", str(tmp_path / "m"),
-             "--kind", "rbf", "--spread", "-1"]
-        )
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"config_error: {SPREAD_ERROR}-1.0"]
-
-    def test_unknown_kind_fails_cleanly(self, tmp_path, features_csv, capsys):
-        code = main(
-            ["train", "--features", str(features_csv), "--out", str(tmp_path / "m"),
-             "--kind", "svm"]
-        )
-        assert code == 1
-        assert capsys.readouterr().err.startswith("config_error:")
-
-
-    def test_negative_seed_is_one_config_error_line(self, tmp_path, features_csv, capsys):
-        out = tmp_path / "mlp.model"
-        assert main(["train", "--features", str(features_csv), "--out", str(out),
-                     "--kind", "mlp", "--seed", "-1"]) == 1
-        assert capsys.readouterr().err.splitlines() == ["config_error: seed must be >= 0, got -1"]
-        assert not out.exists()
-
-
 def overflowing_features(features_csv):
     """features_csv with feature 3 of two training rows set to +-1e308, so
     that dimension's max - min overflows."""
@@ -558,18 +458,14 @@ def overflowing_features(features_csv):
     return features_csv
 
 
-@pytest.mark.parametrize(
-    "argv", [["train", "--kind", "nn", "--out", "@nn.model"], ["eval", "--out", "@report"]]
-)
-def test_an_overflowing_feature_range_is_one_scaler_error_line(
-    tmp_path, features_csv, capsys, argv
-):
+def test_an_overflowing_feature_range_is_one_scaler_error_line(tmp_path, features_csv, capsys):
     csv_path = overflowing_features(features_csv)
-    assert main(in_dir(tmp_path, argv) + ["--features", str(csv_path)]) == 1
+    out = tmp_path / "report"
+    assert main(["eval", "--out", str(out), "--features", str(csv_path)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "scaler_error: dimension 3: range -1e+308 to 1e+308 is too wide to scale"
     ]
-    assert not (tmp_path / argv[-1][1:]).exists()
+    assert not out.exists()
 
 
 def test_a_probe_far_outside_the_training_range_is_scored_without_a_warning(
@@ -609,195 +505,60 @@ class TestEval:
             assert label in text
         assert (out / "report.csv").read_text().startswith("key,value")
 
-    def test_pretrained_models_are_scored_by_file_stem(
-        self, tmp_path, features_csv, capsys
-    ):
-        model = tmp_path / "nearest.model"
-        main(["train", "--features", str(features_csv), "--out", str(model),
-              "--kind", "nn"])
-        out = tmp_path / "report"
-        code = main(
-            ["eval", "--features", str(features_csv), "--out", str(out),
-             "--models", str(model)]
-        )
-        assert code == 0
-        assert "model:nearest" in (out / "report.txt").read_text()
-
-    def test_an_unknown_metric_fails_before_an_mlp_model_is_scored(
-        self, tmp_path, features_csv, capsys
-    ):
-        model = tmp_path / "mlp.model"
-        assert main(["train", "--features", str(features_csv), "--out", str(model),
-                     "--multistart", "1", "--hidden", "4"]) == 0
-        capsys.readouterr()
-        code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
-                     "--models", str(model), "--metric", "bogus"])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "config_error: unknown metric 'bogus'; use 'mse' or 'mad'"
-        ]
-        assert not (tmp_path / "r").exists()
-
-    def test_model_file_missing_fields_fails_cleanly(self, tmp_path, features_csv, capsys):
-        model = tmp_path / "stub.model"
-        model.write_text("handgeo-model 1\ntype mlp\n")
-        code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
-                     "--models", str(model)])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config_error: {model}: ")
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("kind,field", [("mlp", "w1"), ("rbf", "spread"), ("nn", "template")])
-    def test_non_finite_model_number_is_a_config_error_naming_its_field(
-        self, tmp_path, features_csv, capsys, kind, field, cell
-    ):
-        model = tmp_path / f"{kind}.model"
-        main(["train", "--features", str(features_csv), "--out", str(model), "--kind", kind,
-              "--multistart", "1", "--hidden", "4", "--centres", "5"])
-        lines = model.read_text().splitlines()
-        row = next(i for i, line in enumerate(lines) if line.startswith(f"{field} "))
-        lines[row] = lines[row].rsplit(" ", 1)[0] + f" {cell}"
-        model.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
-                     "--models", str(model)])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"config_error: {model}: key {field!r}: {float(cell)} is not a finite number"
-        ]
-
-    @pytest.mark.parametrize(
-        "kind,field,value",
-        [("mlp", "hidden", "-1"), ("mlp", "inputs", "0"), ("rbf", "centres", "-1"),
-         ("rbf", "inputs", "0")],
-    )
-    def test_non_positive_model_count_is_a_config_error_naming_its_field(
-        self, tmp_path, features_csv, capsys, kind, field, value
-    ):
-        model = tmp_path / f"{kind}.model"
-        main(["train", "--features", str(features_csv), "--out", str(model), "--kind", kind,
-              "--multistart", "1", "--hidden", "2", "--centres", "2"])
-        lines = model.read_text().splitlines()
-        row = next(i for i, line in enumerate(lines) if line.startswith(f"{field} "))
-        lines[row] = f"{field} {value}"
-        if field == "hidden":  # b1 of another length: reshape(-1) alone would accept it
-            b1 = next(i for i, line in enumerate(lines) if line.startswith("b1 "))
-            lines[b1] += " 0.5"
-        model.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
-                     "--models", str(model)])
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"config_error: {model}: key {field!r}: {value} is not a positive count"
-        ]
-
-    @pytest.mark.parametrize(
-        "field,value,message",
-        [("epochs", "0", "epochs must be >= 1, got 0"),
-         ("multistart", "0", "multistart count must be >= 1, got 0"),
-         ("gamma", "1.5", "gamma 1.5 outside [0, 1]"),
-         ("loss", "mae", "unknown loss 'mae'; use 'mse' or 'msereg'"),
-         ("seed", "-1", "seed must be >= 0, got -1")],
-    )
-    def test_bad_training_config_is_a_config_error_naming_its_field(
-        self, tmp_path, features_csv, capsys, field, value, message
-    ):
-        model = edited_model(tmp_path, features_csv, "mlp", field, lambda fields: value)
-        assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: key {field!r}: {message}"
-        ]
-
-    @pytest.mark.parametrize(
-        "kind,field,edit,message",
-        [("rbf", "spread", lambda fields: "0", f"{SPREAD_ERROR}0.0"),
-         ("rbf", "spread", lambda fields: "-2", f"{SPREAD_ERROR}-2.0"),
-         ("nn", "scaler_max", lambda fields: fields["scaler_max"].rsplit(" ", 1)[0],
-          "8 values for 9 in scaler_min"),
-         ("mlp", "scaler_max", lambda fields: fields["scaler_min"],
-          "dimension 0: max {0} is not above min {0}"),
-         ("nn", "scaler_max", lambda fields: " ".join(["9"] + ["-9"] * 8),
-          "dimension 1: max -9.0 is not above min {1}"),
-         ("nn", "scaler_max", lambda fields: " ".join(["1e308"] * 9),
-          "dimension 0: range {0} to 1e+308 is too wide to scale")],
-        ids=["zero_spread", "negative_spread", "short_scaler", "flat_dimension",
-             "inverted_dimension", "too_wide_dimension"],
-    )
-    def test_a_degenerate_spread_or_scaler_is_a_config_error_naming_its_field(
-        self, tmp_path, features_csv, capsys, kind, field, edit, message
-    ):
-        model = edited_model(tmp_path, features_csv, kind, field, edit)
-        fields = dict(line.split(" ", 1) for line in model.read_text().splitlines())
-        mins = [float(v) for v in fields["scaler_min"].split()]
-        assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: key {field!r}: {message.format(*mins)}"
-        ]
-
-    def test_model_of_another_feature_width_fails_cleanly(
-        self, tmp_path, features_csv, capsys
-    ):
-        model = tmp_path / "nine.model"
-        main(["train", "--features", str(features_csv), "--out", str(model), "--kind", "nn"])
-        narrow = tmp_path / "narrow.csv"
-        narrow.write_text("\n".join(
-            ",".join(line.split(",")[:4]) for line in features_csv.read_text().splitlines()
-        ) + "\n")
-        capsys.readouterr()
-        code = main(["eval", "--features", str(narrow), "--out", str(tmp_path / "r"),
-                     "--models", str(model)])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith(f"config_error: {model}: ")
-
     def test_requiring_exactly_one_input_source(self, tmp_path, capsys):
         assert main(["eval", "--out", str(tmp_path / "r")]) == 1
         assert "exactly one" in capsys.readouterr().err
 
+    def test_non_numeric_cell_is_a_format_error_with_its_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        save_features(path, [(p, j, np.full(9, p + j / 10)) for p in range(2) for j in range(3)])
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "abc"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["eval", "--features", str(path), "--out", str(tmp_path / "m")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"format_error: {path}:4: ")
 
-    def test_a_model_list_drops_blanks(self, tmp_path, features_csv, capsys):
-        model = tmp_path / "nearest.model"
-        assert main(["train", "--features", str(features_csv), "--out", str(model),
-                     "--kind", "nn"]) == 0
-        out = tmp_path / "r"
-        assert main(["eval", "--features", str(features_csv), "--out", str(out),
-                     "--models", f"{model}, ,"]) == 0
-        assert "rate_model:nearest," in (out / "report.csv").read_text()
-
-    @pytest.mark.parametrize("models", ["", " , "])
-    def test_a_model_list_without_an_entry_is_one_config_error_line(
-        self, tmp_path, features_csv, capsys, models
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_is_a_format_error_with_its_line(
+        self, tmp_path, features_csv, capsys, cell
     ):
-        out = tmp_path / "r"
-        assert main(["eval", "--features", str(features_csv), "--out", str(out),
-                     "--models", models]) == 1
+        lines = features_csv.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = cell
+        lines[3] = ",".join(cells)
+        features_csv.write_text("\n".join(lines) + "\n")
+        code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "m")])
+        assert code == 1
+        column = lines[0].split(",")[4]
         assert capsys.readouterr().err.splitlines() == [
-            f"config_error: --models needs at least one comma-separated entry, got {models!r}"
+            f"format_error: {features_csv}:4: {column} is {float(cell)}, not a finite number"
         ]
-        assert not out.exists()
 
-    def test_two_model_files_with_one_stem_are_refused_before_any_input(
-        self, tmp_path, features_csv, capsys, monkeypatch
+    @pytest.mark.parametrize("hidden", [0, -3, MAX_HIDDEN + 1])
+    def test_out_of_range_hidden_count_fails_cleanly(
+        self, tmp_path, features_csv, capsys, hidden
     ):
-        # Each stem names one report row, so the second rate would replace the first.
-        model = tmp_path / "nearest.model"
-        assert main(["train", "--features", str(features_csv), "--out", str(model),
-                     "--kind", "nn"]) == 0
-        (tmp_path / "d1").mkdir()
-        (tmp_path / "d2").mkdir()
-        first, second = tmp_path / "d1" / "x.model", tmp_path / "d2" / "x.model"
-        shutil.copy(model, first)
-        shutil.copy(model, second)
-        forbid_input(monkeypatch)
-        capsys.readouterr()
-        out = tmp_path / "r"
-        assert main(["eval", "--features", str(features_csv), "--out", str(out),
-                     "--models", f"{first},{second}"]) == 1
+        code = main(
+            ["eval", "--features", str(features_csv), "--out", str(tmp_path / "m"),
+             "--multistart", "1", "--hidden", str(hidden)]
+        )
+        assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"config_error: --models {first} and {second} share the stem 'x',"
-            " which names one report row"
+            f"config_error: hidden units must be in [1, {MAX_HIDDEN}], got {hidden}"
         ]
-        assert not out.exists()
+
+    def test_non_positive_spread_fails_cleanly(self, tmp_path, features_csv, capsys):
+        code = main(
+            ["eval", "--features", str(features_csv), "--out", str(tmp_path / "m"),
+             "--spread", "-1"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config_error: {SPREAD_ERROR}-1.0"]
 
     def test_a_repeated_row_is_one_format_error_line_naming_both_lines(
         self, tmp_path, features_csv, capsys
@@ -823,11 +584,6 @@ OUT_OF_RANGE = {
     "hidden": "0",
     "centres": "0",
     "spread": "-1",
-    "loss": "mae",
-    "epochs": "0",
-    "kind": "svm",
-    "metric": "bogus",
-    "models": ",",
     "person": "-1",
     "sample": "-1",
 }
@@ -838,12 +594,7 @@ ANY_VALUE = {"input", "features", "corpus", "out"}
 #: CorpusSettings, checked in corpus_error (TestGen).
 BRANCHES = {
     "extract": [["--input", "@hand.bmp"], ["--input", "@corpus"]],
-    "train": [["--features", "@f.csv", "--kind", kind] for kind in ("nn", "mlp", "rbf")],
-    "eval": [
-        [*source, *models]
-        for source in (["--corpus", "@corpus"], ["--features", "@f.csv"])
-        for models in ([], ["--models", "@m.model"])
-    ],
+    "eval": [["--corpus", "@corpus"], ["--features", "@f.csv"]],
     "sweep": [["--corpus", "@corpus"], ["--features", "@f.csv"]],
 }
 
@@ -873,7 +624,7 @@ def forbid_input(monkeypatch):
     def read(*args):
         raise AssertionError(f"an input was read: {args}")
 
-    for name in ("load_features", "load_settings", "load_bmp", "load_model"):
+    for name in ("load_features", "load_settings", "load_bmp"):
         monkeypatch.setattr(f"handgeo.cli.{name}", read)
 
 
@@ -882,8 +633,6 @@ REQUIRED_KEYS = {
     ("gen", "out"),
     ("extract", "input"),
     ("extract", "out"),
-    ("train", "features"),
-    ("train", "out"),
     ("eval", "out"),
     ("sweep", "out"),
 }
@@ -891,7 +640,7 @@ REQUIRED_KEYS = {
 
 class TestFlagMatrix:
     """Every flag a command takes is checked before it reads any input,
-    whichever input, kind or mode it uses."""
+    whichever input or mode it uses."""
 
     def test_every_key_of_a_reading_command_has_a_bad_value_or_takes_any(self):
         keys = {key for command in BRANCHES for key in _OPTIONS[command]}
@@ -941,7 +690,7 @@ class TestExtremeSpread:
     scores trains without a warning."""
 
     @pytest.mark.parametrize("spread", ["1e155", "1e300", "1e-200"])
-    @pytest.mark.parametrize("command", [["train", "--kind", "rbf"], ["eval"], ["sweep"]])
+    @pytest.mark.parametrize("command", [["eval"], ["sweep"]])
     def test_a_spread_flag(self, tmp_path, features_csv, capsys, command, spread):
         argv = command + ["--features", str(features_csv), "--out", str(tmp_path / "o")]
         assert main(argv + ["--spread", spread]) == 1
@@ -949,112 +698,13 @@ class TestExtremeSpread:
             f"config_error: {SPREAD_ERROR}{float(spread)}"
         ]
 
-    @pytest.mark.parametrize("spread", ["1e155", "1e300", "1e-200"])
-    def test_a_model_file_spread(self, tmp_path, features_csv, capsys, spread):
-        model = edited_model(tmp_path, features_csv, "rbf", "spread", lambda fields: spread)
-        assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: key 'spread': {SPREAD_ERROR}{float(spread)}"
-        ]
-
     @pytest.mark.parametrize("spread", ["2e-155", "1e150"])
     def test_a_spread_just_inside_the_range_trains_and_scores(
         self, tmp_path, features_csv, capsys, spread
     ):
         # At 2e-155 the kernel's exponent overflows to -inf for most pairs.
-        model = tmp_path / "rbf.model"
-        assert main(["train", "--kind", "rbf", "--features", str(features_csv),
-                     "--out", str(model), "--spread", spread]) == 0
-        assert main(["eval", "--features", str(features_csv), "--models", str(model),
-                     "--out", str(tmp_path / "r")]) == 0
-
-
-def edited_model(tmp_path, features_csv, kind, field, edit):
-    """A small model file of kind whose field line is replaced by
-    edit(fields), fields being the file's {key: value text}."""
-    model = tmp_path / f"{kind}.model"
-    assert main(["train", "--features", str(features_csv), "--out", str(model), "--kind", kind,
-                 "--multistart", "1", "--hidden", "2", "--centres", "2"]) == 0
-    return edit_model(model, {field: edit})
-
-
-def edit_model(model, edits):
-    """model with the first line of each field in edits replaced by
-    edit(fields), fields being the file's {key: value text}, or dropped
-    where edit returns None."""
-    lines = model.read_text().splitlines()
-    fields = dict(line.split(" ", 1) for line in lines[1:] if not line.startswith("template "))
-    for field, edit in edits.items():
-        row = next(i for i, line in enumerate(lines) if line.split(" ", 1)[0] == field)
-        value = edit(fields)
-        lines[row : row + 1] = [] if value is None else [f"{field} {value}"]
-    model.write_text("\n".join(lines) + "\n")
-    return model
-
-
-class TestModelFileKeys:
-    """Every key of a model file is read and checked like every other: a
-    value out of its range is one config_error line naming the file and the
-    key, never a traceback or a silently different model."""
-
-    @pytest.mark.parametrize("kind", ["nn", "mlp", "rbf"])
-    @pytest.mark.parametrize(
-        "edit,message",
-        [(lambda fields: None, "missing key 'scaler'"),
-         (lambda fields: "yes", "key 'scaler': 'yes' is not 0 or 1")],
-        ids=["missing", "yes"],
-    )
-    def test_a_scaler_flag_other_than_0_or_1(
-        self, tmp_path, features_csv, capsys, kind, edit, message
-    ):
-        model = edited_model(tmp_path, features_csv, kind, "scaler", edit)
-        assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: {message}"
-        ]
-
-    @pytest.mark.parametrize("kind,weights", [("mlp", ["w2", "b2"]), ("rbf", ["weights"])])
-    def test_no_person_ids(self, tmp_path, features_csv, capsys, kind, weights):
-        model = edited_model(tmp_path, features_csv, kind, "person_ids", lambda fields: "")
-        edit_model(model, {key: lambda fields: "" for key in weights})
-        assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: key 'person_ids': no person ids"
-        ]
-
-    def test_a_non_positive_requested_centre_count(self, tmp_path, features_csv, capsys):
-        model = edited_model(tmp_path, features_csv, "rbf", "requested", lambda fields: "-5")
-        assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: key 'requested': -5 is not a positive count"
-        ]
-
-    @pytest.mark.parametrize(
-        "edit,message",
-        [(lambda fields: None, "missing key 'entries'"),
-         (lambda fields: "7", "key 'entries': 7 entries but 15 template lines"),
-         (lambda fields: "0", "key 'entries': 0 is not a positive count")],
-        ids=["missing", "seven", "zero"],
-    )
-    def test_an_nn_entries_count_other_than_the_template_lines(
-        self, tmp_path, features_csv, capsys, edit, message
-    ):
-        model = edited_model(tmp_path, features_csv, "nn", "entries", edit)
-        assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: {message}"
-        ]
-
-    def test_a_negative_template_person(self, tmp_path, features_csv, capsys):
-        model = edited_model(tmp_path, features_csv, "nn", "template",
-                             lambda fields: "-1 " + " ".join(["0.5"] * 9))
-        assert eval_model(tmp_path, features_csv, capsys, model) == [
-            f"config_error: {model}: key 'template': person -1: ids must be non-negative"
-        ]
-
-
-def eval_model(tmp_path, features_csv, capsys, model):
-    """stderr lines of an eval that scores model, after asserting it exits 1."""
-    capsys.readouterr()
-    code = main(["eval", "--features", str(features_csv), "--out", str(tmp_path / "r"),
-                 "--models", str(model)])
-    assert code == 1
-    return capsys.readouterr().err.splitlines()
+        assert main(["sweep", "--features", str(features_csv), "--centres", "5",
+                     "--out", str(tmp_path / "curve.csv"), "--spread", spread]) == 0
 
 
 def in_dir(root, argv):
@@ -1076,22 +726,17 @@ class TestTextInputs:
     @pytest.mark.parametrize(
         "damaged,argv,category",
         [
-            ("features.csv", ["train", "--features", "@features.csv"], "format_error"),
             ("features.csv", ["eval", "--features", "@features.csv"], "format_error"),
-            ("nn.model", ["eval", "--features", "@features.csv", "--models", "@nn.model"],
-             "config_error"),
             ("run.cfg", ["gen", "--config", "@run.cfg"], "config_error"),
             ("corpus/corpus_config.txt", ["extract", "--input", "@corpus"], "corpus_error"),
         ],
-        ids=["train_features", "eval_features", "model", "config", "corpus_config"],
+        ids=["eval_features", "config", "corpus_config"],
     )
     def test_a_non_utf8_byte_is_one_error_line_naming_the_file(
         self, tmp_path, features_csv, tiny_corpus, capsys, damaged, argv, category
     ):
         # features_csv lives in tmp_path as features.csv.
         shutil.copytree(tiny_corpus, tmp_path / "corpus")
-        assert main(["train", "--features", str(features_csv), "--kind", "nn",
-                     "--out", str(tmp_path / "nn.model")]) == 0
         (tmp_path / "run.cfg").write_text("persons=1\nsamples=1\n")
         path = tmp_path / damaged
         path.write_bytes(path.read_bytes() + b"\xff\n")
@@ -1109,7 +754,7 @@ class TestTextInputs:
         save_features(path, [(p, j, rng.normal(size=9)) for p in range(100) for j in range(10)])
         header, first, *rest = path.read_text().splitlines()
         path.write_text("\n".join([header, '"' + first, *rest]) + "\n")
-        assert main(["train", "--features", str(path), "--out", str(tmp_path / "m")]) == 1
+        assert main(["eval", "--features", str(path), "--out", str(tmp_path / "r")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"format_error: {path}: field larger than field limit (131072)"
         ]
@@ -1123,13 +768,7 @@ _READERS = {
         ["extract", "--input", "@corpus"],
     ],
     "corpus/corpus_config.txt": [["extract", "--input", "@corpus"]],
-    "features.csv": [
-        ["train", "--kind", "nn", "--features", "@features.csv"],
-        ["eval", "--features", "@features.csv", "--models", "@nn.model"],
-    ],
-    "nn.model": [["eval", "--features", "@features.csv", "--models", "@nn.model"]],
-    "mlp.model": [["eval", "--features", "@features.csv", "--models", "@mlp.model"]],
-    "rbf.model": [["eval", "--features", "@features.csv", "--models", "@rbf.model"]],
+    "features.csv": [["sweep", "--features", "@features.csv", "--centres", "1"]],
     "extract.cfg": [
         ["extract", "--config", "@extract.cfg", "--input", "@corpus/person_00/sample_00.bmp"]
     ],
@@ -1140,15 +779,12 @@ _READERS = {
 def clean_inputs(tiny_corpus):
     """Bytes of every fuzzed file: the tiny corpus, a features CSV of its one
     vector and two multiples of it as two training samples and a test sample,
-    an nn, an mlp and an rbf model trained on it, and an extract config."""
+    and an extract config."""
     vector = pipeline.extract(load_bmp(tiny_corpus / "person_00" / "sample_00.bmp")).vector
     work = tiny_corpus.parent
     save_features(
         work / "features.csv", [(0, 0, vector), (0, 1, 1.05 * vector), (0, 5, 1.1 * vector)]
     )
-    for kind in ("nn", "mlp", "rbf"):
-        assert main(["train", "--kind", kind, "--features", str(work / "features.csv"),
-                     "--multistart", "1", "--epochs", "1", "--out", str(work / f"{kind}.model")]) == 0
     (work / "extract.cfg").write_text("threshold=0.07\nkernel_radius=1\n")
     return {name: (work / name).read_bytes() for name in _READERS}
 
@@ -1184,82 +820,9 @@ class TestDamagedFiles:
                 assert code == 1 and len(lines) == 1 and re.match(r"[a-z_]+: ", lines[0])
 
 
-@pytest.fixture(scope="module")
-def trained_models(tmp_path_factory):
-    """A work directory holding features.csv and the nn, mlp and rbf model
-    files train writes for it."""
-    work = tmp_path_factory.mktemp("models")
-    write_features(work / "features.csv")
-    for kind in ("nn", "mlp", "rbf"):
-        assert main(["train", "--features", str(work / "features.csv"), "--kind", kind,
-                     "--out", str(work / f"{kind}.model"), "--multistart", "1",
-                     "--hidden", "2", "--centres", "2"]) == 0
-    return work
-
-
-class TestDamagedModelFiles:
-    """Each key line of each kind of model file train writes, dropped or set
-    to a blank, zero, negative or non-numeric value: eval --models exits 0
-    or prints one config_error line naming the file; never a traceback."""
-
-    @pytest.mark.parametrize("kind", ["nn", "mlp", "rbf"])
-    def test_a_trained_model_file_re_saves_byte_for_byte(self, tmp_path, trained_models, kind):
-        model = trained_models / f"{kind}.model"
-        save_model(load_model(model), tmp_path / "again.model")
-        assert (tmp_path / "again.model").read_bytes() == model.read_bytes()
-
-    @pytest.mark.parametrize("value", [None, "", "0", "-1", "ten"],
-                             ids=["dropped", "blank", "zero", "negative", "word"])
-    @pytest.mark.parametrize("kind", ["nn", "mlp", "rbf"])
-    def test_a_damaged_key_line_is_exit_0_or_one_config_error_line(
-        self, tmp_path, trained_models, capsys, kind, value
-    ):
-        clean = (trained_models / f"{kind}.model").read_text()
-        model = tmp_path / f"{kind}.model"
-        for key in dict.fromkeys(line.split(" ", 1)[0] for line in clean.splitlines()):
-            model.write_text(clean)
-            edit_model(model, {key: lambda fields: value})
-            capsys.readouterr()
-            code = main(["eval", "--features", str(trained_models / "features.csv"),
-                         "--models", str(model), "--out", str(tmp_path / "r")])
-            err = capsys.readouterr().err.splitlines()
-            if code != 0:
-                assert code == 1 and len(err) == 1, (key, err)
-                assert err[0].startswith(f"config_error: {model}: "), (key, err)
-
-
 class TestOneProtocol:
-    """eval, sweep, evaluate_features, train and eval --models run the same split
-    and trial accounting."""
-
-    def test_train_then_eval_models_reproduces_the_eval_rows(self, tmp_path, capsys):
-        rng = np.random.default_rng(4)
-        centres = rng.uniform(-1, 1, size=(5, 9))
-        features = tmp_path / "features.csv"
-        save_features(features, [
-            (p, j, centres[p] + rng.normal(0, 0.5, 9)) for p in range(5) for j in range(10)
-        ])
-        shared = ["--features", str(features), "--seed", "3", "--multistart", "2",
-                  "--hidden", "8", "--centres", "10"]
-        assert main(["eval", *shared, "--out", str(tmp_path / "eval")]) == 0
-        want = read_report_csv(tmp_path / "eval")
-        kinds = {
-            "nn_mse": (["--kind", "nn"], "mse"),
-            "nn_mad": (["--kind", "nn"], "mad"),
-            "mlp_mse": (["--kind", "mlp", "--loss", "mse"], "mse"),
-            "mlp_msereg": (["--kind", "mlp", "--loss", "msereg"], "mse"),
-            "rbf": (["--kind", "rbf"], "mse"),
-        }
-        # Clusters this wide leave every row short of 100%, where a model
-        # scored on its own training samples would reach it.
-        assert all(float(want[f"rate_{key}"]) < 100 for key in kinds)
-        for key, (kind, metric) in kinds.items():
-            model = tmp_path / f"{key}.model"
-            assert main(["train", *shared, *kind, "--out", str(model)]) == 0
-            out = tmp_path / key
-            assert main(["eval", "--features", str(features), "--models", str(model),
-                         "--metric", metric, "--out", str(out)]) == 0
-            assert read_report_csv(out)[f"rate_model:{key}"] == want[f"rate_{key}"]
+    """eval, sweep and evaluate_features run the same split and trial
+    accounting."""
 
     def test_eval_corpus_report_equals_evaluate_features(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
@@ -1294,9 +857,8 @@ class TestOneProtocol:
         assert (out / "report.csv").read_text() == csv_text
 
     @pytest.mark.parametrize(
-        "command", [["train", "--kind", "nn"], ["eval", "--multistart", "1", "--hidden", "4"],
-                    ["sweep", "--centres", "5"]],
-        ids=["train", "eval", "sweep"],
+        "command", [["eval", "--multistart", "1", "--hidden", "4"], ["sweep", "--centres", "5"]],
+        ids=["eval", "sweep"],
     )
     def test_rows_outside_the_split_are_one_warning_line(
         self, tmp_path, features_csv, capsys, command
@@ -1317,32 +879,26 @@ class TestOneProtocol:
         ]
         assert written[0] == written[1]  # the rows left out change nothing written
 
-    def test_eval_models_echoes_the_corpus_and_split_like_eval(self, tmp_path, capsys):
+    def test_eval_echoes_the_corpus_and_split_at_the_head_of_its_config(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         features = tmp_path / "features.csv"
-        model = tmp_path / "nn.model"
         assert main(["gen", "--out", str(corpus), "--persons", "3"]) == 0
         assert main(["extract", "--input", str(corpus), "--out", str(features)]) == 0
-        assert main(["train", "--features", str(features), "--kind", "nn",
-                     "--out", str(model)]) == 0
-        assert main(["eval", "--corpus", str(corpus), "--out", str(tmp_path / "eval"),
-                     "--multistart", "1", "--hidden", "4", "--centres", "5"]) == 0
+        small = ["--multistart", "1", "--hidden", "4", "--centres", "5"]
         for flag, source in (("--corpus", corpus), ("--features", features)):
-            assert main(["eval", flag, str(source), "--models", str(model),
-                         "--out", str(tmp_path / f"{source.stem}_models")]) == 0
+            assert main(["eval", flag, str(source), *small,
+                         "--out", str(tmp_path / f"{source.stem}_eval")]) == 0
 
         def config(out):
             rows = list(read_report_csv(out).items())
             return rows[[key for key, _ in rows].index("exclusions") + 1:]
 
-        head = config(tmp_path / "eval")[:7]
+        head = config(tmp_path / "corpus_eval")[:7]
         assert [key for key, _ in head] == [
             "corpus_seed", "intra_sigma", "noise_level", "persons", "samples_per_person",
             "train_indices", "test_indices",
         ]
-        tail = [("models", str(model)), ("metric", "mse")]
-        assert config(tmp_path / "corpus_models") == head + tail
-        assert config(tmp_path / "features_models") == head[5:] + tail
+        assert config(tmp_path / "features_eval")[:2] == head[5:]
 
     def test_eval_and_sweep_report_the_same_empty_half(self, tmp_path, features_csv, capsys):
         test_only = tmp_path / "test_only.csv"
@@ -1362,24 +918,32 @@ def read_report_csv(out):
 
 
 class TestSweep:
-    def test_curve_csv_lists_one_rate_per_count(self, tmp_path, features_csv):
+    @pytest.mark.parametrize("centres", ["2,5,10", "2, ,5,10,"], ids=["plain", "blanks"])
+    def test_curve_csv_lists_one_rate_per_count(self, tmp_path, features_csv, centres):
         out = tmp_path / "curve.csv"
         code = main(
             ["sweep", "--features", str(features_csv), "--out", str(out),
-             "--centres", "2,5,10"]
+             "--centres", centres]
         )
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "centres,rate"
         assert [int(line.split(",")[0]) for line in lines[1:]] == [2, 5, 10]
 
-    def test_bad_centre_list_fails_cleanly(self, tmp_path, features_csv, capsys):
-        code = main(
-            ["sweep", "--features", str(features_csv), "--out", str(tmp_path / "c"),
-             "--centres", "five"]
-        )
+    @pytest.mark.parametrize(
+        "centres,message",
+        [("five", "centre list must be comma-separated integers: 'five'"),
+         ("", "--centres needs at least one comma-separated entry, got ''"),
+         (" , ", "--centres needs at least one comma-separated entry, got ' , '")],
+        ids=["word", "empty", "blanks_only"],
+    )
+    def test_bad_centre_list_fails_cleanly(self, tmp_path, features_csv, capsys, centres, message):
+        out = tmp_path / "c"
+        code = main(["sweep", "--features", str(features_csv), "--out", str(out),
+                     "--centres", centres])
         assert code == 1
-        assert capsys.readouterr().err.startswith("config_error:")
+        assert capsys.readouterr().err.splitlines() == [f"config_error: {message}"]
+        assert not out.exists()
 
 
 #: Runs gen, extract --input and a tracer fallback, then prints whether
@@ -1415,7 +979,7 @@ def test_extracting_never_loads_scipy_ndimage(tmp_path):
     assert done.stdout.splitlines()[-1] == "False"
 
 
-#: Runs train --kind mlp --loss msereg and eval --features on one core, so
+#: Runs eval --features, which trains mse and msereg networks, on one core, so
 #: mlp_train runs in this interpreter, then prints the scipy modules loaded.
 #: argv[1] is a features CSV and argv[2] a scratch folder.
 TRAINING_PROCESS = """
@@ -1428,8 +992,6 @@ mlp_train = classifiers.mlp_train
 classifiers.mlp_train = lambda *a: calls.append(a) or mlp_train(*a)
 features, root = sys.argv[1], sys.argv[2]
 small = ["--multistart", "2", "--hidden", "8"]
-assert cli.main(["train", "--features", features, "--out", root + "/mlp.model",
-                 "--kind", "mlp", "--loss", "msereg"] + small) == 0
 assert cli.main(["eval", "--features", features, "--out", root + "/report"] + small) == 0
 assert calls
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))

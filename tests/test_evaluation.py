@@ -241,13 +241,13 @@ class TestEmitTable:
             assert line in text
 
     def test_text_and_csv_bytes_of_a_hand_built_report(self):
-        # Labelled rows in table order, an unlabelled one after them.
+        # Rows in table order, whatever the order of the rates.
         report = EvalReport(
-            rates={"model:x": 12.5, "rbf": 100.0, "nn_mad": 200 / 3},
+            rates={"rbf": 100.0, "nn_mad": 200 / 3},
             persons=3,
             probes=15,
             exclusions=2,
-            config={"persons": "3", "metric": "mse"},
+            config={"persons": "3"},
         )
         text, csv_text = emit_table(report)
         assert text == (
@@ -255,7 +255,6 @@ class TestEmitTable:
             "--------------------------------------\n"
             "NN-MAD                       66.67\n"
             "RBF                         100.00\n"
-            "model:x                      12.50\n"
             "--------------------------------------\n"
             "Client trials                   15\n"
             "Impostor trials                 30\n"
@@ -264,17 +263,14 @@ class TestEmitTable:
             "\n"
             "Configuration:\n"
             "  persons = 3\n"
-            "  metric = mse\n"
         )
         assert csv_text == (
             "key,value\n"
             "rate_nn_mad,66.666666666666671\n"
             "rate_rbf,100\n"
-            "rate_model:x,12.5\n"
             "clients,15\n"
             "impostors,30\n"
             "total,45\n"
             "exclusions,2\n"
             "persons,3\n"
-            "metric,mse\n"
         )

@@ -37,8 +37,8 @@ def test_every_readme_command_names_its_required_flags():
 
 def test_a_command_line_without_a_required_flag_is_caught():
     text = README.read_text(encoding="utf-8")
-    line = "handgeo train --features features.csv --kind mlp --loss msereg"
-    stale = text.replace(line + " --out mlp.model", line)
+    line = "handgeo eval --features features.csv"
+    stale = text.replace(line + " --out report/", line)
     assert stale != text
     assert missing_required(stale) == [(line, "out")]
 

@@ -193,12 +193,9 @@ def write_features(tmp_path):
     return features
 
 
-@pytest.mark.parametrize("command", [["train", "--kind", "mlp"], ["eval"]])
-def test_a_killed_worker_is_one_training_error_line(
-    workers, waiting, tmp_path, capsys, command
-):
+def test_a_killed_worker_is_one_training_error_line(workers, waiting, tmp_path, capsys):
     waiting(lambda: workers[0].kill())
-    argv = command + ["--features", str(write_features(tmp_path)), "--out", str(tmp_path / "out")]
+    argv = ["eval", "--features", str(write_features(tmp_path)), "--out", str(tmp_path / "out")]
     assert main(argv + ["--hidden", "4", "--multistart", "2"]) == 1
     assert capsys.readouterr().err.splitlines() == [f"training_error: {KILLED}"]
     assert len(workers) == 2 and all_waited(workers)

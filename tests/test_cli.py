@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import handgeo
-from handgeo import pipeline, synthgen
+from handgeo import cli, pipeline, synthgen
 from handgeo.cli import _OPTIONS, REQUIRED, main
 from handgeo.classifiers import MAX_HIDDEN
 from handgeo.evaluation import (
@@ -682,6 +682,83 @@ class TestFlagMatrix:
         assert captured.err.splitlines() == [f"config_error: {command} needs --{key}"]
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", flag_cases())
+    def test_an_out_of_range_config_value_is_the_flags_error_line_before_any_input(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        (tmp_path / "corpus").mkdir()
+        forbid_input(monkeypatch)
+        out = tmp_path / "out"
+        *rest, flag, value = in_dir(tmp_path, argv)
+        assert main(rest + [flag, value, "--out", str(out)]) == 1
+        from_flag = capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:].replace('-', '_')}={value}\n")
+        assert main(rest + ["--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == from_flag and from_flag.startswith("config_error: ")
+        assert len(from_flag.splitlines()) == 1 and captured.out == ""
+        assert not out.exists()
+
+
+#: Two values of each cast, as text, that no key of that cast has as its default.
+SAMPLE_VALUES = {int: ("17", "19"), float: ("0.125", "0.375"), str: ("a", "b"), Path: ("a", "b")}
+
+
+def option_keys(required=(True, False)):
+    """(command, key, cast, default) of every key in _OPTIONS whose
+    REQUIRED-ness is in required."""
+    return [
+        pytest.param(command, key, cast, default, id=f"{command}-{key}")
+        for command, options in _OPTIONS.items()
+        for key, (cast, default, _) in options.items()
+        if (default is REQUIRED) in required
+    ]
+
+
+class TestOptionSources:
+    """Each key of each command takes its flag's value, else its config-file
+    value, else the option table's default."""
+
+    def merged(self, tmp_path, monkeypatch, command, key, argv, config=None):
+        """The settings main hands the command for argv, the command's other
+        required keys given as flags and config, if any, as its config file."""
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda cfg: seen.append(cfg) or 0)
+        argv = [command, *argv]
+        for other in sorted(k for c, k in REQUIRED_KEYS if c == command and k != key):
+            argv += [f"--{other}", str(tmp_path / other)]
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert main(argv) == 0
+        return getattr(seen[0], key)
+
+    @pytest.mark.parametrize("command,key,cast,default", option_keys())
+    def test_a_flag_beats_the_config_file(
+        self, tmp_path, monkeypatch, command, key, cast, default
+    ):
+        in_file, on_flag = SAMPLE_VALUES[cast]
+        flag = "--" + key.replace("_", "-")
+        value = self.merged(tmp_path, monkeypatch, command, key, [flag, on_flag],
+                            f"{key}={in_file}\n")
+        assert value == cast(on_flag)
+
+    @pytest.mark.parametrize("command,key,cast,default", option_keys())
+    def test_a_config_value_beats_the_default(
+        self, tmp_path, monkeypatch, command, key, cast, default
+    ):
+        in_file = SAMPLE_VALUES[cast][0]
+        assert cast(in_file) != default
+        value = self.merged(tmp_path, monkeypatch, command, key, [], f"{key}={in_file}\n")
+        assert value == cast(in_file)
+
+    @pytest.mark.parametrize("command,key,cast,default", option_keys(required=(False,)))
+    def test_an_unset_key_takes_its_default(
+        self, tmp_path, monkeypatch, command, key, cast, default
+    ):
+        assert self.merged(tmp_path, monkeypatch, command, key, []) == default
 
 
 class TestExtremeSpread:

@@ -274,3 +274,11 @@ class TestEmitTable:
             "exclusions,2\n"
             "persons,3\n"
         )
+
+    @pytest.mark.parametrize("key,label", ROW_LABELS)
+    def test_a_report_of_one_rate_renders_that_row_alone(self, key, label):
+        report = EvalReport(rates={key: 12.5}, persons=2, probes=2, exclusions=0, config={})
+        text, csv_text = emit_table(report)
+        assert text.splitlines()[2] == f"{label:<22}{'12.50':>12}"
+        assert text.splitlines()[3] == "-" * 38
+        assert csv_text.splitlines()[:3] == ["key,value", f"rate_{key},12.5", "clients,2"]

@@ -258,3 +258,41 @@ class TestFeatureCsv:
         with pytest.raises(FormatError) as rejected:
             load_features(path)
         assert str(rejected.value) == f"{path}:8: person 0 sample 1 repeats line 3"
+
+    @pytest.mark.parametrize("column", range(9))
+    def test_a_non_finite_cell_is_a_format_error_naming_its_column(self, tmp_path, column):
+        path = tmp_path / "features.csv"
+        vector = np.ones(9)
+        vector[column] = np.nan
+        save_features(path, [(0, 0, np.ones(9)), (0, 1, vector)])
+        with pytest.raises(FormatError) as rejected:
+            load_features(path)
+        assert str(rejected.value) == (
+            f"{path}:3: {SELECTED_NAMES[column]} is nan, not a finite number"
+        )
+
+    @pytest.mark.parametrize("cells", [10, 12, 2], ids=["short", "long", "ids_only"])
+    def test_a_row_of_another_length_is_a_format_error_naming_its_line(self, tmp_path, cells):
+        path = tmp_path / "features.csv"
+        save_features(path, [(0, 0, np.ones(9))])
+        header = path.read_text().splitlines()[0]
+        path.write_text(header + "\n" + ",".join(["1"] * cells) + "\n")
+        with pytest.raises(FormatError) as rejected:
+            load_features(path)
+        assert str(rejected.value) == f"{path}:2: {cells} cells, the header has 11"
+
+    @pytest.mark.parametrize("ids", ["1.5,0", "0,x"], ids=["fractional_person", "word_sample"])
+    def test_an_id_that_is_not_an_integer_is_a_format_error_naming_its_line(self, tmp_path, ids):
+        path = tmp_path / "features.csv"
+        save_features(path, [(0, 0, np.ones(9))])
+        header = path.read_text().splitlines()[0]
+        path.write_text(header + "\n" + ids + "," + ",".join(["1"] * 9) + "\n")
+        with pytest.raises(FormatError) as rejected:
+            load_features(path)
+        assert str(rejected.value).startswith(f"{path}:2: invalid literal for int() with base 10")
+
+    @pytest.mark.parametrize("text", ["", "person,sample\n"], ids=["empty", "header_only"])
+    def test_a_file_without_rows_holds_no_entries(self, tmp_path, text):
+        path = tmp_path / "features.csv"
+        path.write_text(text)
+        assert load_features(path) == []

@@ -549,20 +549,19 @@ class RbfModel:
         return out[0] if x.ndim == 1 else out
 
 
-def checked_spread(spread: float) -> float:
-    """spread, if it is positive and the kernel's 2 * spread**2 is a finite,
-    nonzero float; a ConfigError otherwise."""
+def check_spread(spread: float) -> None:
+    """Reject a spread that is not positive or whose kernel 2 * spread**2 is
+    not a finite, nonzero float."""
     if not (0.0 < spread and 0.0 < 2.0 * spread * spread < math.inf):
         raise ConfigError(
             f"rbf spread must be positive with 2 * spread**2 finite and nonzero, got {spread}"
         )
-    return spread
 
 
 def _kernel(x: np.ndarray, centres: np.ndarray, spread: float) -> np.ndarray:
     sq = ((x[:, None, :] - centres[None, :, :]) ** 2).sum(axis=2)
     # Under a spread so narrow that the exponent overflows, exp(-inf) = 0 is
-    # the kernel's limit; checked_spread keeps 2 * spread**2 nonzero.
+    # the kernel's limit; check_spread keeps 2 * spread**2 nonzero.
     with np.errstate(over="ignore"):
         return np.exp(-sq / (2.0 * spread**2))
 
@@ -599,7 +598,7 @@ def rbf_train(
         if not spread > 0:
             raise TrainingError("kernel spread must be positive (duplicate training points?)")
     else:
-        checked_spread(spread)
+        check_spread(spread)
 
     phi = _kernel(x, x, spread)
     residual = phi.copy()  # candidate columns, orthogonalized against picks
@@ -636,16 +635,3 @@ def rbf_identify(model: RbfModel, x: np.ndarray) -> int:
     """Person with the largest output; ties break to the lowest id."""
     return model.person_ids[int(np.argmax(model.outputs(x)))]
 
-
-def identify(
-    model: TemplateDb | MlpModel | RbfModel | list[MlpModel], x: np.ndarray, metric: str = "mse"
-) -> int:
-    """Person one trained model names for vector x: a template database by
-    nearest neighbour under metric, a list of MLPs as a committee."""
-    if isinstance(model, TemplateDb):
-        return nn_identify(x, model, metric)
-    if isinstance(model, MlpModel):
-        return mlp_identify(model, x)
-    if isinstance(model, RbfModel):
-        return rbf_identify(model, x)
-    return committee_identify(model, x)

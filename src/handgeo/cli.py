@@ -29,7 +29,7 @@ from .classifiers import (
     DEFAULT_MULTISTART,
     TrainConfig,
     check_hidden,
-    checked_spread,
+    check_spread,
 )
 from .errors import ConfigError, HandGeoError, read_config, typed_field
 from .evaluation import (
@@ -169,7 +169,7 @@ def _training(cfg: argparse.Namespace) -> TrainConfig:
 def _centres(cfg: argparse.Namespace) -> tuple[int, ...]:
     """The positive --centres counts (one, or sweep's list), after the --spread rule."""
     if cfg.spread is not None:
-        checked_spread(cfg.spread)
+        check_spread(cfg.spread)
     text = str(cfg.centres)
     items = [v.strip() for v in text.split(",") if v.strip()]
     if not items:

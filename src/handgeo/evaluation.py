@@ -10,23 +10,25 @@ configuration echo, and is stable byte for byte for fixed seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .classifiers import (
     DEFAULT_HIDDEN,
-    MlpModel,
-    RbfModel,
     TemplateDb,
     TrainConfig,
-    identify,
+    committee_identify,
+    mlp_identify,
     multistart_select,
+    nn_identify,
+    rbf_identify,
     rbf_train,
     train_populations,
 )
 from .errors import ConfigError, HandGeoError
-from .features import ScalerParams, apply_scaler, fit_scaler
+from .features import apply_scaler, fit_scaler
 from .imaging import GrayImage
 from .pipeline import ExtractionSettings, extract
 from .synthgen import CorpusSettings, render_person
@@ -117,9 +119,10 @@ def outside_split(entries: list[Entry]) -> list[Entry]:
     return [e for e in entries if e[1] not in kept]
 
 
-def enroll(entries: list[Entry]) -> tuple[ScalerParams, list[tuple[int, np.ndarray]]]:
-    """The scaler fitted on the default split's training half, and that
-    half's scaled (person, vector) pairs."""
+def enroll(entries: list[Entry]) -> tuple[list[tuple[int, np.ndarray]], list[Entry]]:
+    """The default split's two halves, both scaled by the scaler fitted on the
+    training half: the training half as (person, vector) pairs and the test
+    half as entries."""
     for p, j, v in entries:
         bad = np.flatnonzero(~np.isfinite(v))
         if bad.size:
@@ -129,20 +132,8 @@ def enroll(entries: list[Entry]) -> tuple[ScalerParams, list[tuple[int, np.ndarr
     if not train_e or not test_e:
         raise ConfigError("the split left one half of the corpus empty")
     scaler = fit_scaler(np.array([v for _, _, v in train_e]))
-    return scaler, [(p, apply_scaler(scaler, v)) for p, _, v in train_e]
-
-
-def score(
-    model: TemplateDb | MlpModel | RbfModel | list[MlpModel],
-    entries: list[Entry],
-    scaler: ScalerParams,
-    metric: str = "mse",
-) -> float:
-    """Rate of one trained model on the default split's test half, scaled by
-    scaler."""
-    _, test_e = split_entries(entries, Split())
-    test = [(p, j, apply_scaler(scaler, v)) for p, j, v in test_e]
-    return run_identification(lambda v: identify(model, v, metric), test)
+    train = [(p, apply_scaler(scaler, v)) for p, _, v in train_e]
+    return train, [(p, j, apply_scaler(scaler, v)) for p, j, v in test_e]
 
 
 def run_identification(decide: Callable[[np.ndarray], int], test: list[Entry]) -> float:
@@ -160,15 +151,6 @@ class EvalReport:
     probes: int  # test vectors identified
     exclusions: int
     config: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def from_entries(
-        cls, entries: list[Entry], rates: dict[str, float], exclusions: int, config: dict[str, str]
-    ) -> EvalReport:
-        """The report of rates scored on the test half of entries."""
-        train_e, test_e = split_entries(entries, Split())
-        persons = len({p for p, _, _ in train_e + test_e})
-        return cls(rates, persons, len(test_e), exclusions, config)
 
     @property
     def trials(self) -> tuple[int, int, int]:
@@ -212,25 +194,26 @@ def evaluate_features(
     networks take the seed, gamma and multistart of train (default TrainConfig()).
     The configuration echo starts with extra_config (the corpus echo, empty
     for a features CSV), then the split's sample indices."""
-    scaler, train_pairs = enroll(entries)
+    train_pairs, test = enroll(entries)
     base = train or TrainConfig()
     losses = ("mse", "msereg")
     # epochs=None re-resolves the per-loss default instead of inheriting base's.
     cfgs = [replace(base, loss=loss, epochs=None) for loss in losses]
 
     db = TemplateDb(entries=train_pairs)
-    rates: dict[str, float] = {}
-    rates["nn_mad"] = score(db, entries, scaler, "mad")
-    rates["nn_mse"] = score(db, entries, scaler)
+    decisions = {
+        "nn_mad": partial(nn_identify, db=db, metric="mad"),
+        "nn_mse": partial(nn_identify, db=db, metric="mse"),
+    }
     rbf = rbf_train(train_pairs, rbf_centres, rbf_spread)
     members = dict(zip(losses, train_populations(train_pairs, cfgs, hidden)))
-
     for loss in losses:
         best = multistart_select(members[loss], train_pairs)
-        rates[f"mlp_{loss}"] = score(best, entries, scaler)
+        decisions[f"mlp_{loss}"] = partial(mlp_identify, best)
         committee = members[loss][:COMMITTEE_SIZE]
-        rates[f"committee_{loss}"] = score(committee, entries, scaler)
-    rates["rbf"] = score(rbf, entries, scaler)
+        decisions[f"committee_{loss}"] = partial(committee_identify, committee)
+    decisions["rbf"] = partial(rbf_identify, rbf)
+    rates = {key: run_identification(decide, test) for key, decide in decisions.items()}
 
     split = Split()
     cfg_echo = {
@@ -247,7 +230,8 @@ def evaluate_features(
         "rbf_centres": str(len(rbf.centres)),
         "rbf_spread": f"{rbf.spread:.17g}",
     }
-    return EvalReport.from_entries(entries, rates, exclusions, cfg_echo)
+    persons = len({p for p, _ in train_pairs} | {p for p, _, _ in test})
+    return EvalReport(rates, persons, len(test), exclusions, cfg_echo)
 
 
 def sweep_rbf_features(
@@ -256,8 +240,11 @@ def sweep_rbf_features(
     spread: float | None = None,
 ) -> list[tuple[int, float]]:
     """Identification rate per RBF centre count on extracted features."""
-    scaler, train_pairs = enroll(entries)
-    return [(k, score(rbf_train(train_pairs, k, spread), entries, scaler)) for k in centre_counts]
+    train_pairs, test = enroll(entries)
+    return [
+        (k, run_identification(partial(rbf_identify, rbf_train(train_pairs, k, spread)), test))
+        for k in centre_counts
+    ]
 
 
 def emit_table(report: EvalReport) -> tuple[str, str]:

@@ -18,7 +18,7 @@ from handgeo.contour import (
     perimeter,
     trace_contour,
 )
-from handgeo.errors import ContourError, HandGeoError, LandmarkError
+from handgeo.errors import ContourError, LandmarkError
 from handgeo.imaging import BinaryImage, binarize, boundary_ring, lowpass_filter
 from handgeo.synthgen import canonical_params, render
 

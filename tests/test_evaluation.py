@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from handgeo import classifiers
 from handgeo.classifiers import TemplateDb, TrainConfig, nn_identify
-from handgeo.errors import ConfigError, LandmarkError
+from handgeo.errors import ConfigError
 from handgeo.evaluation import (
     ROW_LABELS,
     EvalReport,
@@ -24,6 +24,7 @@ from handgeo.evaluation import (
     split_entries,
     sweep_rbf_features,
 )
+from handgeo.features import apply_scaler, fit_scaler
 from handgeo.synthgen import CorpusSettings, make_corpus
 
 
@@ -123,9 +124,19 @@ class TestEvaluateFeatures:
         extra = [(3, 12, np.zeros(9)), (0, -1, np.zeros(9))]
         entries = synthetic_entries(persons=3) + extra
         assert outside_split(entries) == extra
-        report = EvalReport.from_entries(entries, {}, 0, {})
+        report = evaluate_features(entries, TrainConfig(multistart=1), hidden=4, rbf_centres=10)
         assert (report.persons, report.probes) == (3, 15)
         assert report.trials == (15, 30, 45)
+
+    def test_nn_rows_equal_a_template_scan_of_the_scaled_test_half(self):
+        entries = synthetic_entries(spread=0.8)
+        report = evaluate_features(entries, TrainConfig(multistart=1), hidden=4, rbf_centres=10)
+        scaler = fit_scaler(np.array([v for _, j, v in entries if j < 5]))
+        db = TemplateDb([(p, apply_scaler(scaler, v)) for p, j, v in entries if j < 5])
+        test = [(p, j, apply_scaler(scaler, v)) for p, j, v in entries if j >= 5]
+        mad = run_identification(lambda v: nn_identify(v, db, "mad"), test)
+        mse = run_identification(lambda v: nn_identify(v, db, "mse"), test)
+        assert (report.rates["nn_mad"], report.rates["nn_mse"]) == (mad, mse) == (55.0, 40.0)
 
     def test_full_corpus_trials_match_the_paper(self):
         report = EvalReport(rates={}, persons=22, probes=110, exclusions=0)
@@ -227,6 +238,14 @@ class TestSweep:
         curve = sweep_rbf_features(synthetic_entries(), centre_counts=(200,))
         assert curve[0][0] == 200
         assert 0.0 <= curve[0][1] <= 100.0
+
+    @pytest.mark.parametrize("spread", [None, 0.5])
+    def test_a_sweep_rate_equals_the_eval_rbf_row(self, spread):
+        entries = synthetic_entries(spread=0.8)
+        report = evaluate_features(
+            entries, TrainConfig(multistart=1), hidden=4, rbf_centres=7, rbf_spread=spread
+        )
+        assert sweep_rbf_features(entries, (7,), spread) == [(7, report.rates["rbf"])]
 
 
 class TestEmitTable:

@@ -1,6 +1,5 @@
 """Measurement arithmetic, feature selection, and [-1, 1] scaling."""
 
-import dataclasses
 import math
 import re
 
@@ -16,7 +15,6 @@ from handgeo.features import (
     FEATURE_NAMES,
     SELECTED_NAMES,
     RawFeatures,
-    ScalerParams,
     apply_scaler,
     fit_scaler,
     load_features,

@@ -1,5 +1,6 @@
 """The runtime needs NumPy alone: no module of the package imports SciPy, and
-pyproject.toml installs it only with the test extra."""
+pyproject.toml installs it only with the test extra. No module or test
+imports a name it never uses."""
 
 import ast
 import re
@@ -34,3 +35,26 @@ def test_runtime_dependencies_are_numpy_alone():
 
     assert names(project["dependencies"]) == ["numpy"]
     assert "scipy" in names(project["optional-dependencies"]["test"])
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """'file:line: name' of each name that path imports and never loads;
+    __future__ imports are directives, not names."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in loaded]
+
+
+def test_no_module_or_test_has_an_unused_import():
+    """__init__.py is skipped: its imports are the package's re-exports."""
+    paths = sorted((ROOT / "src" / "handgeo").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    found = [u for path in paths if path.name != "__init__.py" for u in _unused_imports(path)]
+    assert found == []

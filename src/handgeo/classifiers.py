@@ -18,7 +18,7 @@ import signal
 import subprocess
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -74,10 +74,19 @@ def dist_mad(x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class TemplateDb:
-    """One stored template per training image: (person-id, feature vector)."""
+    """One stored template per training image: (person-id, feature vector).
+
+    `templates` and `persons` stack the entries once, in entry order.
+    """
 
     entries: list[tuple[int, np.ndarray]]
     scaler: ScalerParams | None = None
+    templates: np.ndarray = field(init=False, repr=False, compare=False)
+    persons: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.templates = np.array([vec for _, vec in self.entries], dtype=float)
+        self.persons = np.array([person for person, _ in self.entries], dtype=int)
 
 
 def nn_identify(x: np.ndarray, db: TemplateDb, metric: str = "mse") -> int:
@@ -88,13 +97,11 @@ def nn_identify(x: np.ndarray, db: TemplateDb, metric: str = "mse") -> int:
     if not db.entries:
         raise ValueError("empty template database")
     x = np.asarray(x, dtype=float)
-    templates = np.array([vec for _, vec in db.entries], dtype=float)
-    if templates.shape[1:] != x.shape:
-        raise ValueError(f"dimension mismatch: {x.shape} vs {templates.shape[1:]}")
-    dists = _ROW_DISTANCES[metric](x - templates)
-    persons = np.array([person for person, _ in db.entries])
+    if db.templates.shape[1:] != x.shape:
+        raise ValueError(f"dimension mismatch: {x.shape} vs {db.templates.shape[1:]}")
+    dists = _ROW_DISTANCES[metric](x - db.templates)
     # lexsort is stable, so equal (distance, person) keys keep index order.
-    return int(persons[np.lexsort((persons, dists))[0]])
+    return int(db.persons[np.lexsort((db.persons, dists))[0]])
 
 
 # -- training losses ----------------------------------------------------------

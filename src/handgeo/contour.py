@@ -85,88 +85,169 @@ def perimeter(chain: ChainCode) -> float:
     return (len(chain.codes) - odd) + _SQRT2 * odd
 
 
-#: _NEXT[occupancy * 8 + backtrack]: first direction counter-clockwise after
-#: `backtrack` whose bit is set in the 8-bit neighbour occupancy (bit c set
-#: when the neighbour in direction c is foreground); None when no bit is set.
-_NEXT = tuple(
-    next((c % 8 for c in range(b + 1, b + 9) if occ >> (c % 8) & 1), None)
-    for occ in range(256)
-    for b in range(8)
-)
-
-
-#: _DIRECTIONS[occupancy]: the direction codes whose bit is set.
+#: _DIRECTIONS[occupancy]: the direction codes whose bit is set in an 8-bit
+#: neighbour occupancy (bit c set when the neighbour in direction c is
+#: foreground).
 _DIRECTIONS = tuple(tuple(c for c in range(8) if occ >> c & 1) for occ in range(256))
 
 
-def _trace_loop(
-    occ: dict[int, int], offsets: tuple[int, ...], start: int, size: int
-) -> tuple[list[int], int] | None:
-    """Moore walk from flat index `start` over a padded, flattened edge map.
+@dataclass
+class _States:
+    """Moore-walk states of the edge pixels of one map.
 
-    `occ` maps each foreground index to 8 times its neighbour occupancy (a
-    row offset into _NEXT), `offsets` gives the flat step of each direction
-    code and `size` bounds the pixel count of the start's component. Returns
-    the codes and the number of distinct pixels walked, or None when the
-    component holds no cycle.
+    A state is an edge pixel with a backtrack: a direction in which its
+    neighbour is foreground. States are numbered by the pixel's rank (its
+    index among the edge pixels in raster order), then by backtrack. From a
+    state the walk steps in direction `codes`, the pixel's next foreground
+    direction counter-clockwise after the backtrack, into state `succ`,
+    whose backtrack points back. A state's predecessor is unique too: the
+    backtrack names the pixel and the code it came by, and that pixel's
+    backtrack was its foreground direction just before the code. So the
+    states fall into disjoint cycles, and a walk comes back to the state it
+    starts in.
     """
-    first = _NEXT[occ[start] + 4]
-    if first is None:
-        return None
-    codes = [first]
-    p, backtrack = start + offsets[first], (first + 4) & 7
-    for _ in range(4 * size + 8):
-        c = _NEXT[occ[p] + backtrack]
-        if p == start and c == first:
-            break
-        codes.append(c)
-        p += offsets[c]
-        backtrack = (c + 4) & 7
-    else:
+
+    rank: np.ndarray
+    codes: np.ndarray
+    succ: np.ndarray
+    around: np.ndarray  # row i: edge pixel i's 8 neighbours, True if foreground
+
+    @classmethod
+    def of(cls, around: np.ndarray) -> _States:
+        rank = np.flatnonzero(around)  # rank * 8 + backtrack, for now
+        backtrack = (rank & 7).astype(np.uint8)
+        rank >>= 3
+        # A state's code is the backtrack of its pixel's next state, cyclically.
+        firsts = np.flatnonzero(np.diff(rank, prepend=-1))
+        turn = np.arange(1, rank.size + 1)
+        turn[firsts[1:] - 1] = firsts[:-1]
+        turn[-1:] = firsts[-1:]
+        return cls(rank=rank, codes=backtrack[turn], succ=_twins(backtrack)[turn], around=around)
+
+    def closing(self, starts: np.ndarray) -> np.ndarray:
+        """The state each walk from the pixels of rank `starts` closes on:
+        the one whose code is the walk's first.
+
+        A start is its component's topmost-then-leftmost pixel, so its
+        foreground neighbours lie east (code 0) or below (5-7). The walk
+        takes the first of 5, 6, 7, 0 that is foreground, which is the code
+        of the start's first state (backtrack 0) when its east neighbour is
+        foreground, and of its last state otherwise.
+        """
+        first = np.searchsorted(self.rank, starts)
+        last = np.searchsorted(self.rank, starts, side="right") - 1
+        return np.where(self.around[starts, 0], first, last)
+
+
+def _twins(backtrack: np.ndarray) -> np.ndarray:
+    """The state entered by stepping along each state's backtrack.
+
+    Stepping from pixel p in direction d enters (p + d, d + 4 mod 8), and that
+    state's step leads back. Taken in state order, the k-th state of
+    backtrack d pairs with the k-th state of backtrack d + 4, since p + d runs
+    in p's order. So the states of backtracks 0-3, grouped by backtrack, line
+    up with those of 4-7, and the two halves are equally large.
+    """
+    grouped = np.argsort(backtrack, kind="stable")
+    half = grouped.size // 2
+    twins = np.empty_like(grouped)
+    twins[grouped[:half]] = grouped[half:]
+    twins[grouped[half:]] = grouped[:half]
+    return twins
+
+
+def _walk(succ: np.ndarray, closing: np.ndarray) -> list[np.ndarray]:
+    """The states of each walk from a closing state back to it, by pointer
+    doubling: one array per entry of `closing`, the closing state first.
+
+    Each open walk holds its first w states and `jump` is succ applied w
+    times, so jump[walk] holds its next w. A walk leaves in the round that
+    brings its closing state back, then w doubles and jump squares, so the
+    walks share one jump per round. Every walk closes, as the states fall
+    into cycles.
+    """
+    walks = [closing[:0]] * closing.size  # each entry is set as its walk closes
+    rows = np.arange(closing.size)
+    paths = closing[:, None]
+    jump = succ
+    while rows.size:
+        width = paths.shape[1]
+        ahead = jump[paths]
+        back = ahead == paths[:, :1]
+        if back.any():
+            closed, cut = np.divmod(np.flatnonzero(back), width)
+            for row, path, more, end in zip(rows[closed], paths[closed], ahead[closed], cut):
+                walks[row] = np.concatenate((path, more[:end]))
+            still = np.ones(rows.size, dtype=bool)
+            still[closed] = False
+            rows, paths, ahead = rows[still], paths[still], ahead[still]
+            if not rows.size:
+                break
+        paths = np.concatenate((paths, ahead), axis=1)
+        jump = jump[jump]
+    return walks
+
+
+def _closed(walks: list[np.ndarray], sizes: list[int]) -> list[np.ndarray]:
+    """`walks`, unless one took more than 4 codes per pixel of its
+    component, plus 8: that walk failed to close."""
+    if any(walk.size > 4 * size + 8 for walk, size in zip(walks, sizes)):
         raise ContourError("contour walk failed to close")
-    if len(codes) < 4:
+    return walks
+
+
+def _loop(states: _States, walk: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """Codes and distinct pixel count of a closed walk, or None when the walk
+    is no loop: it takes fewer than 4 codes or retraces an open arc."""
+    if walk.size < 4:
         return None
-    walked = start + np.cumsum(np.take(offsets, _as_array(codes)))  # ends back at start
-    span = int(walked.max()) + 1
+    ranks = states.rank[walk]  # the pixel each code leaves, the start first
+    span = int(ranks.max()) + 1
     seen = np.zeros(span, dtype=bool)
-    seen[walked] = True
+    seen[ranks] = True
     pixels = int(np.count_nonzero(seen))
     # A walk that covers every pixel-pair twice retraced an open arc. It
     # joins its pixels by at least pixels - 1 pairs, so it takes at least
     # twice that many codes.
-    if len(codes) >= 2 * (pixels - 1):
-        a, b = np.concatenate(([start], walked[:-1])), walked
+    if walk.size >= 2 * (pixels - 1):
+        a = ranks.astype(np.int64)
+        b = np.roll(a, -1)
         pairs = np.minimum(a, b) * span + np.maximum(a, b)
         _, counts = np.unique(pairs, return_counts=True)
         if not (counts == 1).any():
             return None
-    return codes, pixels
+    return states.codes[walk], pixels
 
 
-def _components(occ: dict[int, int], offsets: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(start, pixel count) of each 8-connected component of the edge map.
+def _components(
+    pixels: list[int], occupancy: bytes, offsets: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """(rank, pixel count) of each 8-connected component of the edge map.
 
-    `occ` and `offsets` are as in _trace_loop. Its keys are in raster order,
-    so the first key each search reaches is its component's topmost-then-
-    leftmost pixel, the start the walk takes.
+    `pixels` lists the edge pixels' indices in the padded, flattened map in
+    raster order, `occupancy` gives each index of that map its neighbour
+    occupancy (0 off the edge) and `offsets` the flat step of each
+    direction code. A search starts at each pixel no earlier search
+    reached, so it starts at its component's topmost-then-leftmost pixel,
+    where the walk starts too; the rank is that pixel's index in `pixels`.
     """
     found: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for start in occ:
-        if start in seen:
+    seen = bytearray(len(occupancy))
+    for rank, start in enumerate(pixels):
+        if seen[start]:
             continue
-        seen.add(start)
+        seen[start] = 1
         stack = [start]
         size = 0
         while stack:
             p = stack.pop()
             size += 1
-            for c in _DIRECTIONS[occ[p] >> 3]:
+            for c in _DIRECTIONS[occupancy[p]]:
                 q = p + offsets[c]
-                if q not in seen:
-                    seen.add(q)
+                if not seen[q]:
+                    seen[q] = 1
                     stack.append(q)
-        found.append((start, size))
+        found.append((rank, size))
     return found
 
 
@@ -182,31 +263,39 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
     padded = np.zeros((height, width), dtype=bool)
     padded[1:-1, 1:-1] = edges.bits
     flat = padded.ravel()
-    offsets = tuple(dy * width + dx for dx, dy in DELTAS)
+    offsets = np.array([dy * width + dx for dx, dy in DELTAS])
     idx = np.flatnonzero(flat)
-    nbits = np.zeros(idx.size, dtype=np.int64)
-    for c, off in enumerate(offsets):
-        nbits |= flat[idx + off].astype(np.int64) << c
-    occ = dict(zip(idx.tolist(), (nbits * 8).tolist()))
+    states = _States.of(flat[idx[:, None] + offsets])
 
-    def chain(start: int, codes: list[int]) -> ChainCode:
-        y, x = divmod(start, width)  # padded coordinates
-        return ChainCode(start=(x - 1, y - 1), codes=tuple(codes))
+    def chain(rank: int, codes: np.ndarray) -> ChainCode:
+        y, x = divmod(int(idx[rank]), width)  # padded coordinates
+        return ChainCode(start=(x - 1, y - 1), codes=tuple(codes.tolist()))
 
     # idx is in raster order, so idx[0] is the topmost-then-leftmost pixel of
     # its component. A loop from it that visits every edge pixel is the only
-    # loop, and labelling the components would find nothing else.
-    if idx.size:
-        walk = _trace_loop(occ, offsets, int(idx[0]), idx.size)
-        if walk is not None and walk[1] == idx.size:
-            return chain(int(idx[0]), walk[0])
+    # loop, and labelling the components would find nothing else. A lone
+    # pixel has no state and starts no walk.
+    known: list[np.ndarray] = []
+    if idx.size and states.around[0].any():
+        known = _closed(_walk(states.succ, states.closing(np.zeros(1, dtype=np.intp))), [idx.size])
+        loop = _loop(states, known[0])
+        if loop is not None and loop[1] == idx.size:
+            return chain(0, loop[0])
 
-    components = _components(occ, offsets)
-    walks = [(start, _trace_loop(occ, offsets, start, size)) for start, size in components]
-    loops = [chain(start, walk[0]) for start, walk in walks if walk is not None]
-    if not loops:
-        raise ContourError("no closed contour loop found in the edge map")
-    return max(loops, key=len)  # the first of equal lengths, so the first in raster order
+    occupancy = np.zeros(flat.size, dtype=np.uint8)
+    occupancy[idx] = np.packbits(states.around, axis=1, bitorder="little")[:, 0]
+    components = _components(idx.tolist(), occupancy.tobytes(), tuple(offsets.tolist()))
+    components = [(rank, size) for rank, size in components if size > 1]  # not a lone pixel
+    ranks = np.array([rank for rank, _ in components], dtype=np.intp)
+    # The first component's walk is known when it starts at idx[0].
+    unknown = _walk(states.succ, states.closing(ranks[len(known) :]))
+    walks = _closed(known + unknown, [size for _, size in components])
+    # Longest first; sorted is stable, so equal lengths stay in raster order.
+    for i in sorted(range(len(walks)), key=lambda i: -walks[i].size):
+        loop = _loop(states, walks[i])
+        if loop is not None:
+            return chain(int(ranks[i]), loop[0])
+    raise ContourError("no closed contour loop found in the edge map")
 
 
 def _alternating_extrema(
@@ -214,10 +303,11 @@ def _alternating_extrema(
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """Cyclic minima/maxima plateaus of a y profile with _HYSTERESIS prominence.
 
-    `levels` holds the y of each run of equal y, walking one full cycle from
-    just after the anchor (an index attaining the global maximum, whose run
-    ends the walk and is not itself reported). Returns (minima, maxima) as
-    (first, last) attainment pairs of indices into `levels`, in walk order.
+    `levels` holds the y of a profile's runs of equal y (or of the turning
+    points among them), walking one full cycle from just after the anchor
+    (an index attaining the global maximum, whose run ends the walk and is
+    not itself reported). Returns (minima, maxima) as (first, last)
+    attainment pairs of indices into `levels`, in walk order.
     """
     minima: list[tuple[int, int]] = []
     maxima: list[tuple[int, int]] = []
@@ -267,7 +357,16 @@ def find_landmarks(chain: ChainCode) -> Landmarks:
     walk = np.roll(ys, -(anchor + 1))
     starts = np.flatnonzero(np.diff(walk, prepend=walk[-1] + 1))
     ends = np.append(starts[1:], n) - 1
-    minima, maxima = _alternating_extrema(walk[starts].tolist())
+    levels = walk[starts]
+    # A run strictly between its neighbours' levels never starts or ends a
+    # span, and an extremum it would commit the next run commits alike. So
+    # the walker steps over the turning points alone, the first and last
+    # (the anchor's) runs kept.
+    rises = np.diff(levels) > 0
+    turns = np.ones(levels.size, dtype=bool)
+    turns[1:-1] = rises[1:] != rises[:-1]
+    starts, ends = starts[turns], ends[turns]
+    minima, maxima = _alternating_extrema(levels[turns].tolist())
 
     def point(span: tuple[int, int]) -> tuple[int, int]:
         first, last = int(starts[span[0]]), int(ends[span[1]])

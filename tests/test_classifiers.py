@@ -97,6 +97,11 @@ class TestNearestNeighbour:
         with pytest.raises(ConfigError, match="metric"):
             nn_identify(np.zeros(2), self.db, "cosine")
 
+    def test_templates_are_stacked_once_in_entry_order(self):
+        db = TemplateDb(entries=[(4, np.array([1.0, 2.0])), (2, np.array([3.0, 4.0]))])
+        assert db.templates.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert db.persons.tolist() == [4, 2]
+
     def test_empty_database_is_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             nn_identify(np.zeros(2), TemplateDb(entries=[]), "mse")

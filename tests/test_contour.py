@@ -383,6 +383,14 @@ class TestTableDrivenWalk:
             edges = boundary_ring(binarize(img))
             assert _outcome(trace_contour, edges) == _outcome(reference_trace_contour, edges)
 
+    @pytest.mark.parametrize("density", [0.3, 0.6])
+    def test_noisy_maps_trace_like_the_moore_walk(self, density):
+        # Hundreds of components at 0.3; at 0.6 one spans the map, and the
+        # walk from its first pixel misses its inner pixels.
+        bits = np.random.default_rng(1).random((90, 110)) < density
+        edges = BinaryImage(bits=bits.astype(np.uint8))
+        assert _outcome(trace_contour, edges) == _outcome(reference_trace_contour, edges)
+
     @staticmethod
     def _trace_counting_labels(edges, monkeypatch):
         """trace_contour's outcome and how often it labelled components."""
@@ -543,11 +551,23 @@ class TestRunLengthLandmarks:
 
     @settings(deadline=None, max_examples=150)
     @given(finger_chains())
+    # Five fingers that rise and fall by exactly _HYSTERESIS: every tip and
+    # valley is committed at a turning point.
+    @example(ChainCode(start=(200, 100), codes=(4, 4) + (3, 3, 3, 5, 5, 5) * 5))
     def test_finger_profiles(self, chain):
         assert_landmarks_like_the_reference(chain)
 
     @settings(max_examples=300)
     @given(starts, codes_lists)
+    # y runs 9 down to 2, up by exactly _HYSTERESIS to a turning point at 5,
+    # down to 1 and up to 9, where the rise to 4 ends in a run it passes.
+    @example((0, 9), [0] + [2] * 7 + [0] + [6] * 3 + [2] * 4 + [6] * 8 + [0])
+    # Level 3 is revisited after a bump of 2, below the hysteresis.
+    @example((0, 9), [0] + [2] * 6 + [6] * 2 + [2] * 2 + [0] + [6] * 6 + [0])
+    @example((0, 0), [0] * 8)  # one run
+    @example((0, 1), [2] + [0] * 8)  # two runs: 0, then the anchor's 1
+    @example((0, 2), [2, 0, 0, 2, 0, 0, 0, 0])  # three runs: 1, 0 (a turn), 2
+    @example((0, 0), [0, 0, 6, 0, 0, 0, 6, 0])  # three runs: 0, 1 (passed), 2
     def test_arbitrary_chains(self, start, codes):
         chain = ChainCode(start=start, codes=tuple(codes))
         assert_landmarks_like_the_reference(chain)

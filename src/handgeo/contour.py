@@ -6,9 +6,9 @@ Direction codes (image y grows downward, so "north" decreases y):
     4 . 0
     5 6 7
 
-Even codes step one pixel unit, odd codes sqrt(2). Contours are traversed
-counter-clockwise as seen on screen, which keeps the silhouette interior on
-the walker's left.
+Even codes step one pixel unit, odd codes sqrt(2). A chain holds its codes
+as a read-only uint8 array. Contours are traversed counter-clockwise as seen
+on screen, which keeps the silhouette interior on the walker's left.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .imaging import BinaryImage
 DELTAS = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
 _DX = np.array([dx for dx, _ in DELTAS])
 _DY = np.array([dy for _, dy in DELTAS])
-_CODES = frozenset(range(8))
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -33,23 +32,27 @@ _SQRT2 = math.sqrt(2.0)
 _HYSTERESIS = 3
 
 
-def _as_array(codes: tuple[int, ...] | list[int]) -> np.ndarray:
-    """Direction codes as a uint8 array (bytes() converts ints in C)."""
-    return np.frombuffer(bytes(codes), dtype=np.uint8)
-
-
 @dataclass
 class ChainCode:
-    """Start pixel plus the sequence of 3-bit direction codes."""
+    """Start pixel plus the sequence of 3-bit direction codes.
+
+    `codes` may be any 1-D sequence of integers in 0..7; the chain holds a
+    read-only uint8 copy, so the caller's sequence may change afterwards.
+    """
 
     start: tuple[int, int]  # (x, y)
-    codes: tuple[int, ...]
+    codes: np.ndarray  # read-only uint8
 
     def __post_init__(self) -> None:
         self.start = (int(self.start[0]), int(self.start[1]))
-        self.codes = tuple(self.codes)
-        if not _CODES.issuperset(self.codes):
-            raise ValueError("chain codes must be in 0..7")
+        codes = np.asarray(self.codes)
+        # An empty sequence makes a float array, and is a chain of no codes.
+        if codes.ndim != 1 or codes.size and (
+            codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() > 7
+        ):
+            raise ValueError("chain codes must be integers in 0..7")
+        self.codes = codes.astype(np.uint8)
+        self.codes.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -57,7 +60,7 @@ class ChainCode:
     def _replay(self) -> tuple[np.ndarray, np.ndarray]:
         """x and y arrays of the pixels before each code is applied."""
         x0, y0 = self.start
-        steps = _as_array(self.codes[:-1])
+        steps = self.codes[:-1]
         xs = np.cumsum(np.concatenate(([x0], _DX[steps])))
         ys = np.cumsum(np.concatenate(([y0], _DY[steps])))
         return xs, ys
@@ -79,9 +82,9 @@ class Landmarks:
 
 def perimeter(chain: ChainCode) -> float:
     """Chain length in pixel units: +1 per even code, +sqrt(2) per odd."""
-    if not chain.codes:
+    if not chain.codes.size:
         raise ValueError("perimeter of an empty chain is undefined")
-    odd = int(np.count_nonzero(_as_array(chain.codes) & 1))
+    odd = int(np.count_nonzero(chain.codes & 1))
     return (len(chain.codes) - odd) + _SQRT2 * odd
 
 
@@ -188,14 +191,6 @@ def _walk(succ: np.ndarray, closing: np.ndarray) -> list[np.ndarray]:
     return walks
 
 
-def _closed(walks: list[np.ndarray], sizes: list[int]) -> list[np.ndarray]:
-    """`walks`, unless one took more than 4 codes per pixel of its
-    component, plus 8: that walk failed to close."""
-    if any(walk.size > 4 * size + 8 for walk, size in zip(walks, sizes)):
-        raise ContourError("contour walk failed to close")
-    return walks
-
-
 def _loop(states: _States, walk: np.ndarray) -> tuple[np.ndarray, int] | None:
     """Codes and distinct pixel count of a closed walk, or None when the walk
     is no loop: it takes fewer than 4 codes or retraces an open arc."""
@@ -219,10 +214,9 @@ def _loop(states: _States, walk: np.ndarray) -> tuple[np.ndarray, int] | None:
     return states.codes[walk], pixels
 
 
-def _components(
-    pixels: list[int], occupancy: bytes, offsets: tuple[int, ...]
-) -> list[tuple[int, int]]:
-    """(rank, pixel count) of each 8-connected component of the edge map.
+def _components(pixels: list[int], occupancy: bytes, offsets: tuple[int, ...]) -> list[int]:
+    """The rank of the first pixel of each 8-connected component of the edge
+    map, lone pixels left out: they have no state and start no walk.
 
     `pixels` lists the edge pixels' indices in the padded, flattened map in
     raster order, `occupancy` gives each index of that map its neighbour
@@ -231,23 +225,21 @@ def _components(
     reached, so it starts at its component's topmost-then-leftmost pixel,
     where the walk starts too; the rank is that pixel's index in `pixels`.
     """
-    found: list[tuple[int, int]] = []
+    found: list[int] = []
     seen = bytearray(len(occupancy))
     for rank, start in enumerate(pixels):
-        if seen[start]:
+        if seen[start] or not occupancy[start]:
             continue
         seen[start] = 1
         stack = [start]
-        size = 0
         while stack:
             p = stack.pop()
-            size += 1
             for c in _DIRECTIONS[occupancy[p]]:
                 q = p + offsets[c]
                 if not seen[q]:
                     seen[q] = 1
                     stack.append(q)
-        found.append((rank, size))
+        found.append(rank)
     return found
 
 
@@ -269,27 +261,23 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
 
     def chain(rank: int, codes: np.ndarray) -> ChainCode:
         y, x = divmod(int(idx[rank]), width)  # padded coordinates
-        return ChainCode(start=(x - 1, y - 1), codes=tuple(codes.tolist()))
+        return ChainCode(start=(x - 1, y - 1), codes=codes)
 
     # idx is in raster order, so idx[0] is the topmost-then-leftmost pixel of
     # its component. A loop from it that visits every edge pixel is the only
     # loop, and labelling the components would find nothing else. A lone
-    # pixel has no state and starts no walk.
-    known: list[np.ndarray] = []
+    # pixel has no foreground neighbour, so no state, and starts no walk.
     if idx.size and states.around[0].any():
-        known = _closed(_walk(states.succ, states.closing(np.zeros(1, dtype=np.intp))), [idx.size])
-        loop = _loop(states, known[0])
+        (walk,) = _walk(states.succ, states.closing(np.zeros(1, dtype=np.intp)))
+        loop = _loop(states, walk)
         if loop is not None and loop[1] == idx.size:
             return chain(0, loop[0])
 
     occupancy = np.zeros(flat.size, dtype=np.uint8)
     occupancy[idx] = np.packbits(states.around, axis=1, bitorder="little")[:, 0]
     components = _components(idx.tolist(), occupancy.tobytes(), tuple(offsets.tolist()))
-    components = [(rank, size) for rank, size in components if size > 1]  # not a lone pixel
-    ranks = np.array([rank for rank, _ in components], dtype=np.intp)
-    # The first component's walk is known when it starts at idx[0].
-    unknown = _walk(states.succ, states.closing(ranks[len(known) :]))
-    walks = _closed(known + unknown, [size for _, size in components])
+    ranks = np.array(components, dtype=np.intp)
+    walks = _walk(states.succ, states.closing(ranks))
     # Longest first; sorted is stable, so equal lengths stay in raster order.
     for i in sorted(range(len(walks)), key=lambda i: -walks[i].size):
         loop = _loop(states, walks[i])

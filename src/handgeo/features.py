@@ -45,6 +45,8 @@ FEATURE_NAMES = tuple(f.name for f in fields(RawFeatures))
 #: Positions kept by select(), 0-based into FEATURE_NAMES.
 SELECTED_INDICES = (1, 2, 3, 4, 7, 8, 9, 10, 11)
 SELECTED_NAMES = tuple(FEATURE_NAMES[i] for i in SELECTED_INDICES)
+#: The features CSV's header row.
+_HEADER = ("person", "sample") + SELECTED_NAMES
 
 
 Point = tuple[int, int]
@@ -98,7 +100,7 @@ def measure(landmarks: Landmarks, chain: ChainCode, silhouette: BinaryImage) -> 
         ring_width=widths[3],
         little_width=widths[4],
         perimeter=perimeter(chain) * mm,
-        surface=float(silhouette.bits.sum()) * mm * mm,
+        surface=np.count_nonzero(silhouette.bits) * mm * mm,
     )
 
 
@@ -157,21 +159,24 @@ def save_features(path: str | Path, entries: list[tuple[int, int, np.ndarray]]) 
     """CSV with person-id and sample-index first, then the 9 features."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("person", "sample") + SELECTED_NAMES)
+        writer.writerow(_HEADER)
         for person, sample, vector in entries:
             writer.writerow([person, sample] + [f"{v:.17g}" for v in vector])
 
 
 def load_features(path: str | Path) -> list[tuple[int, int, np.ndarray]]:
-    """Inverse of save_features; a short row, a cell that is not a finite
-    number, a negative id or a repeated (person, sample) key is a FormatError."""
+    """Inverse of save_features; a file with rows under another header, a
+    short row, a cell that is not a finite number, a negative id or a
+    repeated (person, sample) key is a FormatError."""
     with text_input(path, FormatError), open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh)) or [[]]
+    if rows and tuple(header) != _HEADER:
+        raise FormatError(f"{path}:1: the header is not {','.join(_HEADER)}")
     entries = []
     lines: dict[tuple[int, int], int] = {}  # (person, sample) -> line number
     for ln, row in enumerate(rows, 2):
         try:
-            if len(row) != len(header) or len(row) < 3:
+            if len(row) != len(header):
                 raise ValueError(f"{len(row)} cells, the header has {len(header)}")
             values = [float(v) for v in row[2:]]
             if not all(map(math.isfinite, values)):

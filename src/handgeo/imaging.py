@@ -1,8 +1,8 @@
 """Scan ingestion and silhouette preprocessing.
 
 The chain is: 8-bit BMP -> GrayImage -> low-pass filter -> threshold
-binarization -> boundary ring. All operations are pure functions of their
-inputs.
+binarization -> boundary ring. The last two are BinaryImages, whose bits
+are a bool mask. All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -75,17 +75,19 @@ class GrayImage:
 
 @dataclass
 class BinaryImage:
-    """Monochrome raster with values in {0, 1}; dimensions match its source."""
+    """Monochrome raster as a bool mask, built from any array of 0 and 1;
+    dimensions match its source."""
 
-    bits: np.ndarray  # (height, width) uint8
+    bits: np.ndarray  # (height, width) bool
     dpi: float = DEFAULT_DPI
 
     def __post_init__(self) -> None:
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        if self.bits.ndim != 2 or self.bits.size == 0:
+        bits = np.asarray(self.bits)
+        if bits.ndim != 2 or bits.size == 0:
             raise ValueError("bits must be a non-empty 2-D array")
-        if self.bits.max(initial=0) > 1:
+        if bits.dtype != bool and not ((bits == 0) | (bits == 1)).all():
             raise ValueError("bits must contain only 0 and 1")
+        self.bits = bits.astype(bool, copy=False)
         check_dpi(self.dpi, ValueError)
 
 
@@ -291,9 +293,9 @@ def _window_varies(padded: np.ndarray, r: int) -> np.ndarray:
 
 
 def binarize(img: GrayImage, threshold: float = DEFAULT_THRESHOLD) -> BinaryImage:
-    """Threshold to {0, 1}: output is 1 wherever intensity >= threshold."""
+    """Threshold to a mask: True wherever intensity >= threshold."""
     check_threshold(threshold, ValueError)
-    return BinaryImage(bits=(img.pixels >= threshold).astype(np.uint8), dpi=img.dpi)
+    return BinaryImage(bits=img.pixels >= threshold, dpi=img.dpi)
 
 
 def boundary_ring(img: BinaryImage) -> BinaryImage:
@@ -304,13 +306,13 @@ def boundary_ring(img: BinaryImage) -> BinaryImage:
     region with no 1-px features yields a closed, one-pixel-wide loop just
     inside its boundary; an empty or full image yields an empty map.
     """
-    m = img.bits.astype(bool)
+    m = img.bits
     interior = m.copy()
     interior[1:, :] &= m[:-1, :]
     interior[:-1, :] &= m[1:, :]
     interior[:, 1:] &= m[:, :-1]
     interior[:, :-1] &= m[:, 1:]
-    return BinaryImage(bits=(m & ~interior).astype(np.uint8), dpi=img.dpi)
+    return BinaryImage(bits=m & ~interior, dpi=img.dpi)
 
 
 # perfbench resolves the edge stage by this name and wraps functions by

@@ -349,7 +349,7 @@ def _ground_truth(lay: _Layout, cuts: np.ndarray, mask: np.ndarray, dpi: float) 
     wrist = ((int(first[_ARM, yb]), yb), (int(last[_ARM, yb]), yb))
 
     landmarks = Landmarks(tips, valleys, wrist)
-    silhouette = BinaryImage(bits=mask.astype(np.uint8), dpi=dpi)
+    silhouette = BinaryImage(bits=mask, dpi=dpi)
     raw = measure(landmarks, trace_contour(boundary_ring(silhouette)), silhouette)
     return Extraction(raw=raw, vector=select(raw), landmarks=landmarks)
 

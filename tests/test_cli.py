@@ -25,7 +25,7 @@ from handgeo.evaluation import (
     evaluate_features,
     extract_features,
 )
-from handgeo.features import load_features, save_features
+from handgeo.features import SELECTED_NAMES, load_features, save_features
 from handgeo.imaging import GrayImage, load_bmp, save_bmp
 from handgeo.synthgen import (
     CorpusSettings,
@@ -537,6 +537,19 @@ class TestEval:
         assert capsys.readouterr().err.splitlines() == [
             f"format_error: {features_csv}:4: {column} is {float(cell)}, not a finite number"
         ]
+
+    def test_rows_under_another_header_are_one_format_error_line(self, tmp_path, capsys):
+        # Read by position, these rows would score 100.00% on every row.
+        path = tmp_path / "foo.csv"
+        rows = [f"{p},{j},{p},{j % 2}" for p in range(4) for j in range(10)]
+        path.write_text("\n".join(["person,sample,foo,bar"] + rows) + "\n")
+        out = tmp_path / "r"
+        assert main(["eval", "--features", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"format_error: {path}:1: the header is not person,sample,"
+            + ",".join(SELECTED_NAMES)
+        ]
+        assert not out.exists()
 
     @pytest.mark.parametrize("hidden", [0, -3, MAX_HIDDEN + 1])
     def test_out_of_range_hidden_count_fails_cleanly(

@@ -104,7 +104,7 @@ def reference_pixels(chain: ChainCode) -> list[tuple[int, int]]:
 
 
 def reference_perimeter(chain: ChainCode) -> float:
-    if not chain.codes:
+    if len(chain.codes) == 0:
         raise ValueError("perimeter of an empty chain is undefined")
     odd = sum(c & 1 for c in chain.codes)
     return (len(chain.codes) - odd) + math.sqrt(2.0) * odd
@@ -272,12 +272,29 @@ class TestChainArithmetic:
         with pytest.raises(ValueError, match="0..7"):
             ChainCode(start=(0, 0), codes=codes)
 
+    @pytest.mark.parametrize(
+        "codes",
+        [(0.0, 2.0, 4.0, 6.0), np.array([8]), np.array([-1]), (True, False), ((0, 1), (2, 3))],
+        ids=["float", "eight", "minus_one", "bool", "two_d"],
+    )
+    def test_anything_but_a_sequence_of_integer_codes_is_rejected(self, codes):
+        with pytest.raises(ValueError, match="chain codes must be integers in 0..7"):
+            ChainCode(start=(0, 0), codes=codes)
+
+    def test_the_chain_holds_a_read_only_copy_of_its_codes(self):
+        codes = np.array([0, 2, 4, 6], dtype=np.uint8)  # astype would copy any other type
+        chain = ChainCode(start=(0, 0), codes=codes)
+        codes[0] = 7
+        assert chain.codes.dtype == np.uint8 and chain.codes.tolist() == [0, 2, 4, 6]
+        with pytest.raises(ValueError, match="read-only"):
+            chain.codes[0] = 7
+
 
 class TestTraceContour:
     def test_three_by_three_block_boundary(self):
         chain = trace_contour(ring_of(rect_mask(3, 3)))
         assert chain.start == (2, 2)
-        assert chain.codes == (6, 6, 0, 0, 2, 2, 4, 4)
+        assert chain.codes.tolist() == [6, 6, 0, 0, 2, 2, 4, 4]
 
     def test_replay_returns_to_start(self):
         chain = trace_contour(ring_of(rect_mask(7, 12)))
@@ -285,6 +302,12 @@ class TestTraceContour:
         for c in chain.codes:
             x, y = x + DELTAS[c][0], y + DELTAS[c][1]
         assert (x, y) == chain.start
+
+    def test_traced_codes_are_read_only_uint8(self):
+        chain = trace_contour(ring_of(rect_mask(3, 3)))
+        assert chain.codes.dtype == np.uint8
+        with pytest.raises(ValueError, match="read-only"):
+            chain.codes[0] = 0
 
     def test_empty_edge_map_is_rejected(self):
         with pytest.raises(ContourError, match="closed"):
@@ -312,7 +335,7 @@ class TestTraceContour:
         mapped = [(c + 2) % 8 for c in base.codes]
         doubled = mapped + mapped
         assert any(
-            tuple(doubled[i : i + len(mapped)]) == turned.codes
+            doubled[i : i + len(mapped)] == turned.codes.tolist()
             for i in range(len(mapped))
         )
         assert abs(perimeter(base) - perimeter(turned)) < 1e-9
@@ -356,7 +379,7 @@ def _outcome(trace, edges):
         chain = trace(edges)
     except ContourError as exc:
         return ("error", str(exc))
-    return ("chain", chain.start, chain.codes)
+    return ("chain", chain.start, chain.codes.tolist())
 
 
 class TestTableDrivenWalk:
@@ -376,6 +399,25 @@ class TestTableDrivenWalk:
         chain = trace_contour(edges)
         assert chain.start == (9, 1)
         assert _outcome(trace_contour, edges) == _outcome(reference_trace_contour, edges)
+
+    # The first raster component is a multi-pixel loop or arc, the longest
+    # or not; the fallback walks it in one batch with the others.
+    @pytest.mark.parametrize("first", ["short_ring", "open_arc", "longest_ring"])
+    def test_the_first_component_walks_in_the_batch(self, first, monkeypatch):
+        mask = np.zeros((24, 30), dtype=bool)
+        mask[12:20, 4:14] = True  # ring of 32 codes
+        mask[8:12, 18:24] = True  # ring of 16 codes
+        bits = ring_of(mask).bits
+        if first == "short_ring":
+            bits |= ring_of(rect_mask(3, 3, top=1, left=1, shape=bits.shape)).bits
+        elif first == "open_arc":
+            bits[1, 2:20] = True
+        else:
+            bits |= ring_of(rect_mask(5, 24, top=1, left=2, shape=bits.shape)).bits
+        edges = BinaryImage(bits=bits)
+        outcome, labelled = self._trace_counting_labels(edges, monkeypatch)
+        assert (outcome, labelled) == (_outcome(reference_trace_contour, edges), 1)
+        assert outcome[:2] == ("chain", (2, 1) if first == "longest_ring" else (4, 12))
 
     def test_renders_trace_like_the_moore_walk(self):
         for seed in range(3):

@@ -238,6 +238,26 @@ class TestFeatureCsv:
         header = path.read_text().splitlines()[0]
         assert header == "person,sample," + ",".join(SELECTED_NAMES)
 
+    @pytest.mark.parametrize(
+        "names",
+        [
+            ("person", "sample", "index_length") + SELECTED_NAMES[1:],
+            ("person", "sample", SELECTED_NAMES[1], SELECTED_NAMES[0]) + SELECTED_NAMES[2:],
+            ("sample", "person") + SELECTED_NAMES,
+        ],
+        ids=["renamed", "reordered", "ids_swapped"],
+    )
+    def test_rows_under_another_header_are_a_format_error_naming_line_1(self, tmp_path, names):
+        path = tmp_path / "features.csv"
+        save_features(path, [(0, 0, np.ones(9))])
+        row = path.read_text().splitlines()[1]
+        path.write_text(",".join(names) + "\n" + row + "\n")
+        with pytest.raises(FormatError) as rejected:
+            load_features(path)
+        assert str(rejected.value) == (
+            f"{path}:1: the header is not person,sample," + ",".join(SELECTED_NAMES)
+        )
+
     @pytest.mark.parametrize("person,sample", [(-1, 0), (0, -1)])
     def test_a_negative_id_is_a_format_error_naming_its_line(self, tmp_path, person, sample):
         path = tmp_path / "features.csv"

@@ -67,6 +67,24 @@ class TestGrayImage:
             make(dpi)
 
 
+class TestBinaryImage:
+    @pytest.mark.parametrize("bad", [256, 257, 0.5, -1])
+    def test_a_value_other_than_0_or_1_is_rejected_before_any_cast(self, bad):
+        # A uint8 cast would wrap 256 and 257 to 0 and 1 and truncate 0.5 to 0.
+        with pytest.raises(ValueError, match="bits must contain only 0 and 1"):
+            BinaryImage(bits=np.array([[bad, 1], [0, 1]]))
+
+    @pytest.mark.parametrize("bits", [[[0, 1]], [[0.0, 1.0]], [[False, True]]])
+    def test_zeros_and_ones_of_any_type_are_held_as_a_bool_mask(self, bits):
+        held = BinaryImage(bits=np.array(bits)).bits
+        assert held.dtype == bool and held.tolist() == [[False, True]]
+
+    def test_every_stage_yields_a_bool_mask(self):
+        silhouette = binarize(gray([[0.0, 0.5, 0.5], [0.5, 0.5, 0.5], [0.0, 0.5, 0.5]]))
+        assert silhouette.bits.dtype == bool
+        assert boundary_ring(silhouette).bits.dtype == bool
+
+
 class TestLoadBmp:
     def test_endpoint_bytes_map_to_unit_range(self, tmp_path):
         path = tmp_path / "two.bmp"

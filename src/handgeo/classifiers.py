@@ -601,6 +601,8 @@ def rbf_train(
     n = len(x)
 
     if spread is None:
+        if n < 2:
+            raise TrainingError(f"kernel spread needs 2 or more training rows, got {n}")
         spread = median_pairwise_distance(x)
         if not spread > 0:
             raise TrainingError("kernel spread must be positive (duplicate training points?)")

@@ -88,12 +88,6 @@ def perimeter(chain: ChainCode) -> float:
     return (len(chain.codes) - odd) + _SQRT2 * odd
 
 
-#: _DIRECTIONS[occupancy]: the direction codes whose bit is set in an 8-bit
-#: neighbour occupancy (bit c set when the neighbour in direction c is
-#: foreground).
-_DIRECTIONS = tuple(tuple(c for c in range(8) if occ >> c & 1) for occ in range(256))
-
-
 @dataclass
 class _States:
     """Moore-walk states of the edge pixels of one map.
@@ -108,6 +102,13 @@ class _States:
     backtrack was its foreground direction just before the code. So the
     states fall into disjoint cycles, and a walk comes back to the state it
     starts in.
+
+    A pixel with states starts its component's walk exactly when it is the
+    lowest-ranked pixel on the cycle through its closing state. The
+    component's first pixel is the lowest rank of any cycle through it. A
+    pixel with a neighbour earlier in raster order (codes 1-4) closes on a
+    state whose code steps to one, and the cycle of every other pixel
+    reaches an earlier one too, as the tests check against SciPy's labels.
     """
 
     rank: np.ndarray
@@ -128,14 +129,11 @@ class _States:
         return cls(rank=rank, codes=backtrack[turn], succ=_twins(backtrack)[turn], around=around)
 
     def closing(self, starts: np.ndarray) -> np.ndarray:
-        """The state each walk from the pixels of rank `starts` closes on:
-        the one whose code is the walk's first.
-
-        A start is its component's topmost-then-leftmost pixel, so its
-        foreground neighbours lie east (code 0) or below (5-7). The walk
-        takes the first of 5, 6, 7, 0 that is foreground, which is the code
-        of the start's first state (backtrack 0) when its east neighbour is
-        foreground, and of its last state otherwise.
+        """The closing state of each pixel of rank `starts`: its first state
+        (backtrack 0) when its east neighbour is foreground, else its last.
+        Its code is the first foreground direction after east, east last,
+        which a walk from its component's topmost-then-leftmost pixel takes
+        first: that pixel's neighbours lie east (0) or below (5-7).
         """
         first = np.searchsorted(self.rank, starts)
         last = np.searchsorted(self.rank, starts, side="right") - 1
@@ -214,33 +212,26 @@ def _loop(states: _States, walk: np.ndarray) -> tuple[np.ndarray, int] | None:
     return states.codes[walk], pixels
 
 
-def _components(pixels: list[int], occupancy: bytes, offsets: tuple[int, ...]) -> list[int]:
-    """The rank of the first pixel of each 8-connected component of the edge
-    map, lone pixels left out: they have no state and start no walk.
+def _component_starts(states: _States) -> np.ndarray:
+    """The rank of each component's first pixel: each pixel with states
+    that is the lowest rank on the cycle through its closing state (see
+    _States). Lone pixels have no state and start no walk.
 
-    `pixels` lists the edge pixels' indices in the padded, flattened map in
-    raster order, `occupancy` gives each index of that map its neighbour
-    occupancy (0 off the edge) and `offsets` the flat step of each
-    direction code. A search starts at each pixel no earlier search
-    reached, so it starts at its component's topmost-then-leftmost pixel,
-    where the walk starts too; the rank is that pixel's index in `pixels`.
+    Rounds double w as _walk does: low[i] is the lowest rank on the w states
+    from state i, jump is succ applied w times. A round that lowers no entry
+    leaves low constant on each orbit of jump, and the windows that end at a
+    cycle's lowest state carry its rank into every orbit.
     """
-    found: list[int] = []
-    seen = bytearray(len(occupancy))
-    for rank, start in enumerate(pixels):
-        if seen[start] or not occupancy[start]:
-            continue
-        seen[start] = 1
-        stack = [start]
-        while stack:
-            p = stack.pop()
-            for c in _DIRECTIONS[occupancy[p]]:
-                q = p + offsets[c]
-                if not seen[q]:
-                    seen[q] = 1
-                    stack.append(q)
-        found.append(rank)
-    return found
+    pixels = np.flatnonzero(states.around.any(axis=1))
+    low = states.rank.astype(np.int32)  # half the bytes, for dense maps' millions of states
+    jump = states.succ
+    while True:
+        ahead = low[jump]
+        if (ahead >= low).all():
+            break
+        np.minimum(low, ahead, out=low)
+        jump = jump[jump]
+    return pixels[low[states.closing(pixels)] == pixels]
 
 
 def trace_contour(edges: BinaryImage) -> ChainCode:
@@ -265,18 +256,15 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
 
     # idx is in raster order, so idx[0] is the topmost-then-leftmost pixel of
     # its component. A loop from it that visits every edge pixel is the only
-    # loop, and labelling the components would find nothing else. A lone
-    # pixel has no foreground neighbour, so no state, and starts no walk.
+    # loop, and no other component has a start. A lone pixel has no
+    # foreground neighbour, so no state, and starts no walk.
     if idx.size and states.around[0].any():
         (walk,) = _walk(states.succ, states.closing(np.zeros(1, dtype=np.intp)))
         loop = _loop(states, walk)
         if loop is not None and loop[1] == idx.size:
             return chain(0, loop[0])
 
-    occupancy = np.zeros(flat.size, dtype=np.uint8)
-    occupancy[idx] = np.packbits(states.around, axis=1, bitorder="little")[:, 0]
-    components = _components(idx.tolist(), occupancy.tobytes(), tuple(offsets.tolist()))
-    ranks = np.array(components, dtype=np.intp)
+    ranks = _component_starts(states)
     walks = _walk(states.succ, states.closing(ranks))
     # Longest first; sorted is stable, so equal lengths stay in raster order.
     for i in sorted(range(len(walks)), key=lambda i: -walks[i].size):

@@ -524,6 +524,8 @@ def write_corpus(
     stops at person k leaves person_00 .. person_<k-1> and no config, a tree
     load_settings refuses. A tree that would keep a person_<p> directory or
     sample_<j>.bmp beyond settings is refused first, and left untouched.
+    A row count, or a row's image or truth count, that disagrees with settings
+    is a CorpusError, raised before that row or the config is written.
     """
     s = settings
     for p, pdir in _numbered(Path(root), r"person_(\d+)"):
@@ -534,11 +536,18 @@ def write_corpus(
     config = Path(root) / "corpus_config.txt"
     p = 0  # not enumerate(rows): its result tuple would hold a row until the next arrives
     for images, truths in rows:
+        if p == s.persons or not len(images) == len(truths) == s.samples:
+            raise CorpusError(
+                f"person {p}'s row of {len(images)} images and {len(truths)} truths"
+                f" lies outside a {s.persons} x {s.samples} corpus"
+            )
         if p == 0:
             config.unlink(missing_ok=True)
         _write_person(root, p, images, truths)
         del images, truths  # free this row before the next one is made
         p += 1
+    if p < s.persons:
+        raise CorpusError(f"rows end before person {p} of a {s.persons} x {s.samples} corpus")
     config.write_text(
         "".join(
             f"{key}={getattr(settings, key):{'.17g' if cast is float else ''}}\n"

@@ -30,7 +30,7 @@ from handgeo.classifiers import (
     train_members,
 )
 from handgeo.classifiers import _lm_step, _normal_blocks, _NormalBlocks
-from handgeo.errors import ConfigError
+from handgeo.errors import ConfigError, TrainingError
 
 vectors = st.lists(st.floats(-50, 50), min_size=1, max_size=9)
 
@@ -502,6 +502,10 @@ class TestRbf:
         train = [(0, point), (1, point), (0, point.copy()), (1, point.copy())]
         model = rbf_train(train, n_centres=4, spread=1.0)
         assert len(model.centres) < 4
+
+    def test_one_row_and_no_spread_is_a_training_error_naming_the_row_count(self):
+        with pytest.raises(TrainingError, match="2 or more training rows, got 1"):
+            rbf_train(self.random_set(n=1), 1)
 
     @pytest.mark.parametrize("spread", [0.0, -1.0])
     def test_non_positive_spread_is_a_config_error(self, spread):

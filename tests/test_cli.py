@@ -1050,10 +1050,10 @@ assert cli.main(["extract", "--input", root + "/tree", "--out", root + "/feature
 bits = np.zeros((12, 12), dtype=np.uint8)
 bits[4:10, 4:10] = 1
 bits[5:9, 5:9] = 0
-bits[1, 1] = 1  # a speck before the ring: the tracer labels components
+bits[1, 1] = 1  # a speck before the ring: the tracer finds component starts
 calls = []
-components = contour._components
-contour._components = lambda *a: calls.append(a) or components(*a)
+starts = contour._component_starts
+contour._component_starts = lambda *a: calls.append(a) or starts(*a)
 assert len(contour.trace_contour(BinaryImage(bits=bits))) == 20 and len(calls) == 1
 print("scipy.ndimage" in sys.modules)
 """

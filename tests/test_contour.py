@@ -435,11 +435,12 @@ class TestTableDrivenWalk:
 
     @staticmethod
     def _trace_counting_labels(edges, monkeypatch):
-        """trace_contour's outcome and how often it labelled components."""
+        """trace_contour's outcome and how often it fell back to finding
+        every component's start."""
         calls = []
-        label = contour._components
+        find = contour._component_starts
         with monkeypatch.context() as m:
-            m.setattr(contour, "_components", lambda *a: calls.append(a) or label(*a))
+            m.setattr(contour, "_component_starts", lambda *a: calls.append(a) or find(*a))
             outcome = _outcome(trace_contour, edges)
         return outcome, len(calls)
 
@@ -483,6 +484,61 @@ class TestTableDrivenWalk:
         outcome, labelled = self._trace_counting_labels(edges, monkeypatch)
         assert (outcome, labelled) == (_outcome(reference_trace_contour, edges), 1)
         assert outcome[:2] == ("chain", (2, 6))
+
+
+def _states_of(bits):
+    """The walk states of a map, built as trace_contour builds them."""
+    padded = np.pad(np.asarray(bits, dtype=bool), 1)
+    width = padded.shape[1]
+    flat = padded.ravel()
+    idx = np.flatnonzero(flat)
+    offsets = np.array([dy * width + dx for dx, dy in DELTAS])
+    return contour._States.of(flat[idx[:, None] + offsets])
+
+
+def _start_ranks(bits):
+    return contour._component_starts(_states_of(bits)).tolist()
+
+
+def reference_start_ranks(bits):
+    """The rank among the edge pixels of the raster-first pixel of each
+    8-connected component of 2 or more pixels, by SciPy's labels."""
+    labels, _ = ndimage.label(bits, structure=np.ones((3, 3), dtype=int))
+    pixel_labels = labels[np.asarray(bits, dtype=bool)]  # raster order
+    _, firsts, sizes = np.unique(pixel_labels, return_index=True, return_counts=True)
+    return firsts[sizes >= 2].tolist()
+
+
+class TestComponentStarts:
+    """A walk starts at exactly the raster-first pixel of each component."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(edge_maps())
+    def test_the_starts_are_the_first_pixels_of_the_components(self, edges):
+        assert _start_ranks(edges.bits) == reference_start_ranks(edges.bits)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+    def test_every_small_map(self, shape):
+        # Every map of the shape as one tile of a grid, a blank row and
+        # column apart, so no component spans two tiles.
+        h, w = shape
+        maps = (np.arange(2 ** (h * w))[:, None] >> np.arange(h * w) & 1).astype(bool)
+        tiles = np.zeros((64, h + 1, 64, w + 1), dtype=bool)
+        tiles[:, :h, :, :w] = maps.reshape(64, 64, h, w).transpose(0, 2, 1, 3)
+        bits = tiles.reshape(64 * (h + 1), 64 * (w + 1))
+        assert _start_ranks(bits) == reference_start_ranks(bits)
+
+    def test_a_comb_whose_teeth_tops_are_not_its_start(self):
+        # Teeth of falling then rising height: the tallest sits mid-comb and
+        # each other tooth's top row starts with a pixel that has nothing
+        # above it, on a cycle of about 1,000 states.
+        mask = np.zeros((34, 68), dtype=bool)
+        mask[24:30, 2:66] = True
+        for k in range(10):
+            mask[4 + abs(k - 6) : 24, 4 + 6 * k : 7 + 6 * k] = True
+        bits = ring_of(mask).bits
+        assert 900 <= _states_of(bits).succ.size <= 1100
+        assert _start_ranks(bits) == reference_start_ranks(bits) == [0]
 
 
 @pytest.fixture(scope="module")

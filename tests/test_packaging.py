@@ -58,3 +58,57 @@ def test_no_module_or_test_has_an_unused_import():
     paths = sorted((ROOT / "src" / "handgeo").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     found = [u for path in paths if path.name != "__init__.py" for u in _unused_imports(path)]
     assert found == []
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """(name, line) of each module-level _name a module defines."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [
+                t.id
+                for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                for t in ast.walk(target)
+                if isinstance(t, ast.Name)
+            ]
+        else:
+            continue
+        found += [(name, node.lineno) for name in targets if re.fullmatch(r"_[^_]\w*", name)]
+    return found
+
+
+def _named(tree: ast.Module) -> set[str]:
+    """Every name a module loads, imports, reads as an attribute or spells
+    out as a word of a string constant other than a docstring."""
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+            id(node) not in docstrings
+        ):
+            named.update(re.findall(r"\w+", node.value))
+    return named
+
+
+def test_every_private_module_name_is_used():
+    """A module-level _name that no module of the package loads, imports or
+    names is dead code. String constants count: the training worker's -c
+    source names _worker_main."""
+    paths = sorted((ROOT / "src" / "handgeo").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
+    named = set().union(*map(_named, trees.values()))
+    found = [
+        f"{file}:{line}: {name}"
+        for file, tree in trees.items()
+        for name, line in _private_definitions(tree)
+        if name not in named
+    ]
+    assert found == []

@@ -383,6 +383,15 @@ class TestMakeCorpus:
             make_corpus(CorpusSettings(0, dpi=100000.0, persons=1, samples=1))
 
 
+#: One 1x1 image and a rendered hand's truth: a row entry for tiny trees.
+TINY_IMAGE = GrayImage(np.zeros((1, 1)))
+_, TINY_TRUTH = render(canonical_params())
+
+
+def tiny_rows(persons, samples):
+    return (([TINY_IMAGE] * samples, [TINY_TRUTH] * samples) for _ in range(persons))
+
+
 class TestCorpusSerialization:
     def test_round_trip_preserves_quantized_images_and_metadata(self, tmp_path):
         corpus = make_corpus(CorpusSettings(6, persons=2, samples=2))
@@ -405,6 +414,33 @@ class TestCorpusSerialization:
             assert (person_dir / "ground_truth.csv").exists()
             samples = sorted(person_dir.glob("sample_*.bmp"))
             assert len(samples) == 3
+
+    def test_fewer_rows_than_persons_write_no_config(self, tmp_path):
+        settings = CorpusSettings(0, persons=3, samples=2)
+        with pytest.raises(CorpusError, match="rows end before person 1 of a 3 x 2 corpus"):
+            write_corpus(tmp_path, settings, tiny_rows(1, 2))
+        assert sorted(tree_files(tmp_path)) == [
+            "person_00/ground_truth.csv",
+            "person_00/sample_00.bmp",
+            "person_00/sample_01.bmp",
+        ]
+
+    def test_more_rows_than_persons_are_refused_before_the_extra_row(self, tmp_path):
+        settings = CorpusSettings(0, persons=1, samples=2)
+        message = "person 1's row of 2 images and 2 truths lies outside a 1 x 2 corpus"
+        with pytest.raises(CorpusError, match=message):
+            write_corpus(tmp_path, settings, tiny_rows(2, 2))
+        assert not (tmp_path / "person_01").exists()
+        assert not (tmp_path / "corpus_config.txt").exists()
+
+    @pytest.mark.parametrize("images, truths", [(1, 2), (3, 2), (2, 1), (2, 0)])
+    def test_a_row_of_another_sample_count_is_refused(self, tmp_path, images, truths):
+        settings = CorpusSettings(0, persons=1, samples=2)
+        row = ([TINY_IMAGE] * images, [TINY_TRUTH] * truths)
+        message = f"person 0's row of {images} images and {truths} truths lies outside a 1 x 2"
+        with pytest.raises(CorpusError, match=message):
+            write_corpus(tmp_path, settings, [row])
+        assert tree_files(tmp_path) == {}
 
     @pytest.mark.parametrize("seed", ["0", "7"])
     def test_default_trees_match_the_stored_digests(self, tmp_path, corpus_rows, seed):
@@ -443,9 +479,8 @@ VALID_SETTINGS = st.builds(CorpusSettings, **{k: ok for k, (ok, _) in SETTING_VA
 
 
 def saved_tiny_corpus(settings, root):
-    """Write a tree of 1x1 images, with no truths, under settings to root."""
-    img = GrayImage(np.zeros((1, 1)))
-    write_corpus(root, settings, (([img] * settings.samples, []) for _ in range(settings.persons)))
+    """Write a tree of 1x1 images under settings to root."""
+    write_corpus(root, settings, tiny_rows(settings.persons, settings.samples))
 
 
 class TestCorpusConfig:

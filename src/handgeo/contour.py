@@ -31,6 +31,12 @@ _SQRT2 = math.sqrt(2.0)
 #: y prominence, in pixels, that separates a fingertip from a valley.
 _HYSTERESIS = 3
 
+#: Least ratio of the wrist run to the widest interior finger base, valley to
+#: valley, that find_landmarks accepts. Upright renders of seeds 0-4 and 7
+#: give 2.27-2.74; the same hands turned 180 degrees or flipped upside down,
+#: whose "tips" are the arm cut and palm corners, give 0.05-1.08.
+_MIN_WRIST_TO_FINGER = 1.5
+
 
 @dataclass
 class ChainCode:
@@ -317,7 +323,9 @@ def find_landmarks(chain: ChainCode) -> Landmarks:
     descending-band transitions), valleys the local y-maxima between
     fingers; the wrist crossing at the contour's bottommost row anchors the
     walk and is excluded from the valleys. The _HYSTERESIS pixels of y
-    prominence absorb staircase jitter on tilted runs.
+    prominence absorb staircase jitter on tilted runs. A wrist run under
+    _MIN_WRIST_TO_FINGER times the widest interior finger base, measured
+    valley to valley, marks a turned hand and is refused.
     """
     xs, ys = chain._replay()
     n = ys.size
@@ -362,4 +370,13 @@ def find_landmarks(chain: ChainCode) -> Landmarks:
             raise LandmarkError("fingertips do not rise above their valleys")
 
     wrist = ((int(xs[bottom[0]]), bottom_y), (int(xs[bottom[-1]]), bottom_y))
+    # The forearm is wider than any finger, so a narrow "wrist" is a hand
+    # that entered the glass from the other side.
+    run = abs(wrist[1][0] - wrist[0][0])
+    base = max(math.dist(valleys[j - 1], valleys[j]) for j in (1, 2, 3))
+    if run < _MIN_WRIST_TO_FINGER * base:
+        raise LandmarkError(
+            f"wrist run of {run} px is under {_MIN_WRIST_TO_FINGER} times the widest"
+            f" interior finger base of {base:.1f} px: the hand is not upright"
+        )
     return Landmarks(tips=tips, valleys=valleys, wrist=wrist)

@@ -29,6 +29,10 @@ MAX_KERNEL_RADIUS = 25
 #: Hard ceiling on accepted image dimensions (pixels per side).
 MAX_SIDE = 5000
 
+#: Entries of load_bmp's index block, 64 KiB of intp: at least one row of
+#: MAX_SIDE pixels.
+_BLOCK = 8192
+
 _METERS_PER_INCH = 0.0254
 MM_PER_INCH = 25.4
 
@@ -106,7 +110,8 @@ def load_bmp(path: str | Path) -> GrayImage:
     Palette entries are reduced to luminance, pixel values map to
     intensity = value / 255, and dpi comes from the resolution fields
     (defaulting to 100 dpi when the file carries none). A dpi save_bmp wrote
-    on the 0.1-dpi grid reads back exactly.
+    on the 0.1-dpi grid reads back exactly. The pixel data must start at or
+    after the palette's end, 14 + header size + 4 * colours bytes in.
     """
     data = Path(path).read_bytes()
     if len(data) < 54:
@@ -140,6 +145,11 @@ def load_bmp(path: str | Path) -> GrayImage:
     palette_end = palette_start + 4 * n_colors
     if palette_end > len(data):
         raise FormatError("truncated palette")
+    if pixel_offset < palette_end:
+        raise FormatError(
+            f"pixel data offset {pixel_offset} lies inside the headers and palette,"
+            f" which end at offset {palette_end}"
+        )
     quads = np.frombuffer(data[palette_start:palette_end], dtype=np.uint8)
     quads = quads.reshape(n_colors, 4).astype(np.float64)
     luminance = np.zeros(256, dtype=np.float64)
@@ -158,7 +168,17 @@ def load_bmp(path: str | Path) -> GrayImage:
     if not top_down:
         raw = raw[::-1]
 
-    pixels = intensity[raw]
+    # take over intp indices gathers a 235x177 scan in half the time of
+    # indexing by the bytes. The indices are converted a block of rows at a
+    # time: an index array of the whole raster is too large for the heap, so
+    # its pages were mapped and faulted in afresh for every image.
+    pixels = np.empty((height, width))
+    rows = _BLOCK // width
+    index = np.empty((rows, width), dtype=np.intp)
+    for top in range(0, height, rows):
+        block = raw[top : top + rows]
+        np.copyto(index[: len(block)], block)
+        intensity.take(index[: len(block)], mode="clip", out=pixels[top : top + rows])
     return GrayImage(pixels=pixels, dpi=_dpi_of(x_ppm) if x_ppm > 0 else DEFAULT_DPI)
 
 
@@ -195,7 +215,10 @@ def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -
     """Box-average over the (2r+1)^2 neighbourhood with edge replication.
 
     Radius 0 is the identity. Plateaus where the whole window is constant
-    come out bit-exact, so constant images are preserved exactly.
+    come out bit-exact, so constant images are preserved exactly. No mean
+    needs clipping: each rounded partial sum of k intensities in [0, 1]
+    lies in [0, k], as rounding is monotone and k is exact, so the rounded
+    sum over k = (2r+1)^2 pixels divided by k lies in [0, 1].
     """
     check_kernel_radius(kernel_radius, ValueError)
     if kernel_radius == 0:
@@ -222,34 +245,42 @@ def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -
         out=spare.reshape(-1)[: height * width].reshape(height, width),
     )
     np.copyto(out, img.pixels, where=flat)
-    return GrayImage(pixels=np.clip(out, 0.0, 1.0, out=out), dpi=img.dpi)
+    return GrayImage(pixels=out, dpi=img.dpi)
 
 
-def _runs(op, x: np.ndarray, n: int, step: int, out: np.ndarray) -> None:
-    """Set out[k] to `op` reduced over x[k], x[k + step], ..., x[k + (n-1) step]
-    wherever that run lies inside x; the rest of out is unspecified.
+def _runs(op, x: np.ndarray, n: int, step: int, spare: np.ndarray) -> None:
+    """Set x[k] to `op` reduced over x[k], x[k + step], ..., x[k + (n-1) step]
+    wherever that run lies inside x; the rest of x is unspecified, and
+    spare, of the same length, is scratch.
 
-    `op` is an associative ufunc; x and out are 1-D and of one length. x
-    doubles in place into runs of 1, 2, 4, ... entries and out gathers the
-    runs the binary digits of n select, so the cost is O(log n) passes.
+    `op` is an associative ufunc; x and spare are 1-D. Runs of 1, 2, 4, ...
+    entries double in place until a binary digit of n selects one, which x
+    then keeps as the total. The runs double on in spare, and the total
+    gathers the runs the later digits select, so the cost is O(log n)
+    passes and none of them copies x.
     """
-    done, length = 0, 1  # out[k] covers `done` entries; x[k] covers `length`
+    runs, done, length = x, 0, 1  # x[k] covers `done` entries; runs[k] covers `length`
     while True:
         if n & 1:
             if done:
                 s = done * step
-                op(out[:-s], x[s:], out=out[:-s])
-            else:
-                np.copyto(out, x)
+                op(x[:-s], runs[s:], out=x[:-s])
             done += length
         n >>= 1
         if not n:
             return
-        # In place. NumPy computes overlapping operands as if x[s:] were
-        # copied first, and these contiguous views read ahead of the writes,
-        # so it needs no copy.
         s = length * step
-        op(x[:-s], x[s:], out=x[:-s])
+        if done and runs is x:
+            # The tail copy leaves spare as doubling x in place would leave
+            # x, so no later pass reads uninitialised memory.
+            op(x[:-s], x[s:], out=spare[:-s])
+            spare[-s:] = x[-s:]
+            runs = spare
+        else:
+            # In place. NumPy computes overlapping operands as if runs[s:]
+            # were copied first, and these contiguous views read ahead of
+            # the writes, so it needs no copy.
+            op(runs[:-s], runs[s:], out=runs[:-s])
         length *= 2
 
 
@@ -266,7 +297,7 @@ def _box(
     is scratch.
     """
     _runs(op, raster, cols, 1, spare)
-    _runs(op, spare, rows, width, raster)
+    _runs(op, raster, rows, width, spare)
     return raster
 
 
@@ -274,8 +305,8 @@ def _window_varies(padded: np.ndarray, r: int) -> np.ndarray:
     """True where the (2r+1)^2 window of an image edge-padded by r holds two
     values.
 
-    The window is 4-connected, so it is constant exactly when no pair of
-    adjacent pixels inside it differs.
+    A window is constant exactly when each of its rows is constant and its
+    first column is constant.
     """
     rows, width = padded.shape
     p = padded.ravel()
@@ -284,11 +315,12 @@ def _window_varies(padded: np.ndarray, r: int) -> np.ndarray:
     steps_y = np.zeros(p.size, dtype=bool)  # pair (i, j)-(i+1, j)
     np.not_equal(p[width:], p[:-width], out=steps_y[:-width])
     # Window (i, j) spans padded rows i..i+2r and columns j..j+2r: 2r
-    # horizontal pairs per row and 2r vertical pairs per column.
+    # horizontal pairs in each of its rows, 2r vertical pairs down column j.
     n = 2 * r + 1
     spare = np.empty_like(steps_x)
     varies = _box(np.logical_or, steps_x, spare, n, 2 * r, width)
-    varies |= _box(np.logical_or, steps_y, spare, 2 * r, n, width)
+    _runs(np.logical_or, steps_y, 2 * r, width, spare)
+    varies |= steps_y
     return varies.reshape(rows, width)[: rows - 2 * r, : width - 2 * r]
 
 

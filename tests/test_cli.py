@@ -317,6 +317,45 @@ class TestExtract:
         assert capsys.readouterr().err.startswith("landmark_error:")
         assert not (tmp_path / "x.csv").exists()
 
+    def test_pixel_data_over_the_headers_is_one_format_error_line(self, tmp_path, capsys):
+        img, _ = render(canonical_params(), noise_level=0.0)
+        bmp = tmp_path / "hand.bmp"
+        save_bmp(img, bmp)
+        data = bytearray(bmp.read_bytes())
+        data[10:14] = bytes(4)  # pixel data offset 0
+        bmp.write_bytes(bytes(data))
+        code = main(["extract", "--input", str(bmp), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("format_error: ")
+        assert "pixel data offset 0" in err[0]
+
+    def test_a_turned_hand_is_one_landmark_error_line(self, tmp_path, capsys):
+        img, _ = render(canonical_params(), noise_level=0.03)
+        bmp = tmp_path / "turned.bmp"
+        save_bmp(GrayImage(pixels=img.pixels[::-1, ::-1], dpi=img.dpi), bmp)
+        code = main(["extract", "--input", str(bmp), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("landmark_error: wrist run of ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_an_upside_down_hand_in_a_tree_is_one_warning_and_excluded(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        main(["gen", "--out", str(corpus_dir), "--persons", "2", "--samples", "2"])
+        bmp = corpus_dir / "person_01" / "sample_00.bmp"
+        img = load_bmp(bmp)
+        save_bmp(GrayImage(pixels=img.pixels[::-1], dpi=img.dpi), bmp)
+        capsys.readouterr()
+        out = tmp_path / "x.csv"
+        assert main(["extract", "--input", str(corpus_dir), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("warning: person 1 sample 0: landmark_error: wrist run of ")
+        assert captured.out == f"wrote 3 feature rows to {out} (1 failed)\n"
+        assert [(p, j) for p, j, _ in load_features(out)] == [(0, 0), (0, 1), (1, 1)]
+
     def test_missing_file_reports_an_io_error(self, tmp_path, capsys):
         code = main(
             ["extract", "--input", str(tmp_path / "no.bmp"), "--out", str(tmp_path / "y.csv")]

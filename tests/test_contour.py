@@ -1,5 +1,6 @@
 """Chain-code tracing, perimeter arithmetic, and landmark location."""
 
+import dataclasses
 import math
 from itertools import accumulate
 
@@ -19,8 +20,8 @@ from handgeo.contour import (
     trace_contour,
 )
 from handgeo.errors import ContourError, LandmarkError
-from handgeo.imaging import BinaryImage, binarize, boundary_ring, lowpass_filter
-from handgeo.synthgen import canonical_params, render
+from handgeo.imaging import BinaryImage, GrayImage, binarize, boundary_ring, lowpass_filter
+from handgeo.synthgen import _draw_prototype, canonical_params, render
 
 
 # -- reference tracer: the per-pixel Moore walk the table-driven one replaced --
@@ -152,8 +153,11 @@ def _cyclic_midpoint(span: tuple[int, int], n: int) -> int:
     return (first + ((last - first) % n) // 2) % n
 
 
-def reference_find_landmarks(chain: ChainCode, hysteresis: int = 3) -> Landmarks:
-    """Locate fingertips, inter-finger valleys, and wrist endpoints."""
+def reference_find_landmarks(
+    chain: ChainCode, hysteresis: int = 3, min_wrist_ratio: float = 1.5
+) -> Landmarks:
+    """Locate fingertips, inter-finger valleys, and wrist endpoints; refuse
+    a wrist run under min_wrist_ratio times the widest interior finger base."""
     pts = reference_pixels(chain)
     ys = [p[1] for p in pts]
     n = len(pts)
@@ -176,6 +180,13 @@ def reference_find_landmarks(chain: ChainCode, hysteresis: int = 3) -> Landmarks
 
     bottom = [i for i, y in enumerate(ys) if y == bottom_y]
     wrist = (pts[bottom[0]], pts[bottom[-1]])
+    run = abs(wrist[1][0] - wrist[0][0])
+    bases = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(valleys, valleys[1:])]
+    if run < min_wrist_ratio * max(bases):
+        raise LandmarkError(
+            f"wrist run of {run} px is under {min_wrist_ratio} times the widest"
+            f" interior finger base of {max(bases):.1f} px: the hand is not upright"
+        )
     return Landmarks(tips=tips, valleys=valleys, wrist=wrist)
 
 
@@ -571,6 +582,18 @@ class TestFindLandmarks:
         (lx, ly), (rx, ry) = marks.wrist
         assert ly == bottom and ry == bottom and lx < rx
 
+    @pytest.mark.parametrize(
+        "turn", [lambda a: a[::-1, ::-1], lambda a: a[::-1]], ids=["turned_180", "upside_down"]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_hand_that_is_not_upright_is_refused(self, turn, seed):
+        params = dataclasses.replace(_draw_prototype(np.random.default_rng(seed)), seed=seed)
+        img, _ = render(params, noise_level=0.03)
+        turned = GrayImage(pixels=turn(img.pixels), dpi=img.dpi)
+        chain = trace_contour(boundary_ring(binarize(lowpass_filter(turned))))
+        with pytest.raises(LandmarkError, match="times the widest interior finger base"):
+            find_landmarks(chain)
+
     def test_triangle_blob_reports_its_single_tip(self):
         mask = np.zeros((40, 40), dtype=bool)
         for i in range(20):
@@ -590,6 +613,13 @@ def assert_landmarks_like_the_reference(chain):
     assert _landmark_outcome(find_landmarks, chain) == _landmark_outcome(
         reference_find_landmarks, chain
     )
+    # Again with the upright rule off, so that chains it refuses, such as
+    # finger_chains' one-pixel wrists, still compare their extrema walks.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contour, "_MIN_WRIST_TO_FINGER", 0.0)
+        assert _landmark_outcome(find_landmarks, chain) == _landmark_outcome(
+            lambda c: reference_find_landmarks(c, min_wrist_ratio=0.0), chain
+        )
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Image ingestion, filtering, binarization, and the boundary ring."""
 
 import dataclasses
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -17,6 +18,8 @@ from handgeo.errors import ConfigError, ContourError, FormatError, LandmarkError
 from handgeo.imaging import (
     DEFAULT_THRESHOLD,
     MAX_KERNEL_RADIUS,
+    MAX_SIDE,
+    _BLOCK,
     BinaryImage,
     GrayImage,
     _window_varies,
@@ -49,6 +52,18 @@ def bmp_bytes(rows, bit_depth=8, ppm=0, compression=0, palette=None):
 
 def gray(array, dpi=100.0):
     return GrayImage(pixels=np.asarray(array, dtype=float), dpi=dpi)
+
+
+@st.composite
+def block_rasters(draw):
+    """Random bytes over two or three of load_bmp's index blocks, the last
+    one part-filled wherever a block holds several rows. No accepted row is
+    wider than a block, so the widest rows fill one block each."""
+    width = draw(st.one_of(st.integers(8, MAX_SIDE), st.just(MAX_SIDE)))
+    rows = _BLOCK // width
+    height = draw(st.integers(1, 2)) * rows + (draw(st.integers(1, rows - 1)) if rows > 1 else 1)
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).integers(0, 256, size=(height, width), dtype=np.uint8)
 
 
 class TestGrayImage:
@@ -160,10 +175,25 @@ class TestLoadBmp:
         back = load_bmp(path)
         np.testing.assert_array_equal(np.rint(back.pixels * 255), values)
 
+    @pytest.mark.parametrize("offset", [0, 14 + 40 + 4 * 256 - 1])
+    def test_pixel_data_inside_the_headers_or_palette_is_rejected(self, tmp_path, offset):
+        data = bytearray(bmp_bytes([[1, 2], [3, 4]]))
+        palette_end = 14 + 40 + 4 * 256
+        struct.pack_into("<I", data, 10, offset)
+        path = tmp_path / "overlap.bmp"
+        path.write_bytes(bytes(data))
+        with pytest.raises(
+            FormatError, match=f"pixel data offset {offset} .* end at offset {palette_end}$"
+        ):
+            load_bmp(path)
+
     @settings(deadline=None)
     @given(
         st.integers(1, 256).flatmap(lambda colors: hnp.arrays(np.uint8, (colors, 4))),
-        hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)),
+        st.one_of(
+            hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6)),
+            block_rasters(),
+        ),
     )
     def test_pixels_equal_the_per_pixel_formula_on_any_palette(self, quads, raw):
         # The former load_bmp: gather each pixel's luminance, then clip and
@@ -343,6 +373,55 @@ class TestLowpassAgainstUniformFilter:
             np.testing.assert_array_equal(
                 binarize(out, threshold).bits, binarize(expected, threshold).bits
             )
+
+
+def pinned_scans(folder):
+    """The files TestPinnedBits decodes: save_bmp files of fixed renders,
+    noisy and clean, and one file whose palette is not the grey ramp."""
+    for name, seed, dpi, noise in (
+        ("render_0", 0, 100.0, 0.03), ("render_1", 1, 80.0, 0.05), ("render_2", 2, 100.0, 0.0),
+    ):
+        params = dataclasses.replace(_draw_prototype(np.random.default_rng(seed)), seed=seed)
+        save_bmp(render(params, dpi, noise)[0], folder / f"{name}.bmp")
+        yield name, folder / f"{name}.bmp"
+    rng = np.random.default_rng(3)
+    quads = rng.integers(0, 256, size=(200, 4), dtype=np.uint8)
+    raw = rng.integers(0, 256, size=(41, 67), dtype=np.uint8)
+    path = folder / "palette.bmp"
+    path.write_bytes(bmp_bytes(raw.tolist(), palette=quads.tobytes()))
+    yield "palette", path
+
+
+def pixel_digests(folder):
+    """Per file, the first 16 hex digits of the SHA-256 of the loaded
+    float64 pixels, then of lowpass_filter's at each of TestPinnedBits.RADII."""
+    digests = {}
+    for name, path in pinned_scans(folder):
+        img = load_bmp(path)
+        images = [img] + [lowpass_filter(img, r) for r in TestPinnedBits.RADII]
+        digests[name] = [hashlib.sha256(i.pixels.tobytes()).hexdigest()[:16] for i in images]
+    return digests
+
+
+class TestPinnedBits:
+    """load_bmp and lowpass_filter bit for bit. The SciPy comparisons above
+    allow 1e-12, so a sum taken in another order passes them; these
+    digests, recorded before either stage was last optimised, do not."""
+
+    RADII = (0, 1, 2, 5)
+    DIGESTS = {
+        "render_0": ["9e6009739a1d28f0", "9e6009739a1d28f0", "649752a6bddb5f16",
+                     "a858a12ee434c527", "67f32847125c1afb"],
+        "render_1": ["12e5833fdb52a8b6", "12e5833fdb52a8b6", "406b75e6b76b4709",
+                     "4c0b711cc4767436", "001bf14aef2e8608"],
+        "render_2": ["eddfd200e6b93f16", "eddfd200e6b93f16", "d6f9a93a793e1cc2",
+                     "9b2458b7a05f2e71", "c870bee799b85cf6"],
+        "palette": ["487f6e9b6c6e4f46", "487f6e9b6c6e4f46", "a18839b1c4fba3bc",
+                    "6ea617f62a9b78e8", "38a8d307eab634e2"],
+    }
+
+    def test_loaded_and_filtered_pixels_keep_their_digests(self, tmp_path):
+        assert pixel_digests(tmp_path) == self.DIGESTS
 
 
 class TestBinarize:

@@ -23,8 +23,9 @@ from .imaging import BinaryImage
 
 #: (dx, dy) step of each direction code.
 DELTAS = ((1, 0), (1, -1), (0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1))
-_DX = np.array([dx for dx, _ in DELTAS])
-_DY = np.array([dy for _, dy in DELTAS])
+#: Row 0 holds the dx of each code, row 1 the dy.
+_STEPS = np.array(DELTAS).T.copy()
+_DX, _DY = _STEPS
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -64,12 +65,13 @@ class ChainCode:
         return len(self.codes)
 
     def _replay(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y arrays of the pixels before each code is applied."""
-        x0, y0 = self.start
-        steps = self.codes[:-1]
-        xs = np.cumsum(np.concatenate(([x0], _DX[steps])))
-        ys = np.cumsum(np.concatenate(([y0], _DY[steps])))
-        return xs, ys
+        """x and y arrays of the pixels before each code is applied: one
+        cumulative sum over the start and the steps, in one block."""
+        xy = np.empty((2, max(len(self.codes), 1)), dtype=np.int64)
+        xy[:, 0] = self.start
+        _STEPS.take(self.codes[:-1], axis=1, out=xy[:, 1:])
+        np.cumsum(xy, axis=1, out=xy)
+        return xy[0], xy[1]
 
     def pixels(self) -> list[tuple[int, int]]:
         """Replay the codes; entry i is the pixel before codes[i] is applied."""
@@ -128,10 +130,9 @@ class _States:
         backtrack = (rank & 7).astype(np.uint8)
         rank >>= 3
         # A state's code is the backtrack of its pixel's next state, cyclically.
-        firsts = np.flatnonzero(np.diff(rank, prepend=-1))
+        bounds = _run_bounds(rank)
         turn = np.arange(1, rank.size + 1)
-        turn[firsts[1:] - 1] = firsts[:-1]
-        turn[-1:] = firsts[-1:]
+        turn[bounds[1:] - 1] = bounds[:-1]
         return cls(rank=rank, codes=backtrack[turn], succ=_twins(backtrack)[turn], around=around)
 
     def closing(self, starts: np.ndarray) -> np.ndarray:
@@ -144,6 +145,14 @@ class _States:
         first = np.searchsorted(self.rank, starts)
         last = np.searchsorted(self.rank, starts, side="right") - 1
         return np.where(self.around[starts, 0], first, last)
+
+
+def _run_bounds(values: np.ndarray) -> np.ndarray:
+    """The index of the first entry of each run of equal values, then
+    values.size."""
+    new = np.ones(values.size + 1, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=new[1:-1])
+    return np.flatnonzero(new)
 
 
 def _twins(backtrack: np.ndarray) -> np.ndarray:
@@ -195,6 +204,30 @@ def _walk(succ: np.ndarray, closing: np.ndarray) -> list[np.ndarray]:
     return walks
 
 
+def _cycle(succ: np.ndarray, start: int) -> np.ndarray:
+    """The states of the walk from state `start` back to it, `start` first:
+    _walk's pointer doubling for one walk, which ends in the round that
+    brings `start` back.
+
+    The path fills one buffer in place, its next w states gathered after
+    its first w. A walk holds at most succ.size states, so the entry that
+    brings `start` back lies within succ.size + 1 entries.
+    """
+    path = np.empty(succ.size + 1, dtype=succ.dtype)
+    path[0] = start
+    width = 1
+    jump = succ
+    while True:
+        ahead = path[width : 2 * width]
+        # Every index is a state; "clip" lets take write into `ahead` unbuffered.
+        jump.take(path[: ahead.size], out=ahead, mode="clip")
+        (back,) = (ahead == start).nonzero()
+        if back.size:
+            return path[: width + back[0]]
+        width *= 2
+        jump = jump.take(jump)
+
+
 def _loop(states: _States, walk: np.ndarray) -> tuple[np.ndarray, int] | None:
     """Codes and distinct pixel count of a closed walk, or None when the walk
     is no loop: it takes fewer than 4 codes or retraces an open arc."""
@@ -210,7 +243,7 @@ def _loop(states: _States, walk: np.ndarray) -> tuple[np.ndarray, int] | None:
     # twice that many codes.
     if walk.size >= 2 * (pixels - 1):
         a = ranks.astype(np.int64)
-        b = np.roll(a, -1)
+        b = np.concatenate((a[1:], a[:1]))
         pairs = np.minimum(a, b) * span + np.maximum(a, b)
         _, counts = np.unique(pairs, return_counts=True)
         if not (counts == 1).any():
@@ -252,9 +285,8 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
     padded = np.zeros((height, width), dtype=bool)
     padded[1:-1, 1:-1] = edges.bits
     flat = padded.ravel()
-    offsets = np.array([dy * width + dx for dx, dy in DELTAS])
     idx = np.flatnonzero(flat)
-    states = _States.of(flat[idx[:, None] + offsets])
+    states = _States.of(flat[idx[:, None] + (_DY * width + _DX)])
 
     def chain(rank: int, codes: np.ndarray) -> ChainCode:
         y, x = divmod(int(idx[rank]), width)  # padded coordinates
@@ -264,9 +296,10 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
     # its component. A loop from it that visits every edge pixel is the only
     # loop, and no other component has a start. A lone pixel has no
     # foreground neighbour, so no state, and starts no walk.
-    if idx.size and states.around[0].any():
-        (walk,) = _walk(states.succ, states.closing(np.zeros(1, dtype=np.intp)))
-        loop = _loop(states, walk)
+    first = states.around[:1]
+    if first.any():
+        # Pixel 0's states are 0..k-1, so its closing state needs no search.
+        loop = _loop(states, _cycle(states.succ, 0 if first[0, 0] else int(first.sum()) - 1))
         if loop is not None and loop[1] == idx.size:
             return chain(0, loop[0])
 
@@ -338,15 +371,15 @@ def find_landmarks(chain: ChainCode) -> Landmarks:
     # Each run of equal y moves the extrema walker as one entry would: the
     # entries after the first only extend its span. So the walker steps over
     # the runs, and run spans map back to first and last pixel positions.
-    walk = np.roll(ys, -(anchor + 1))
-    starts = np.flatnonzero(np.diff(walk, prepend=walk[-1] + 1))
-    ends = np.append(starts[1:], n) - 1
+    walk = np.concatenate((ys[anchor + 1 :], ys[: anchor + 1]))
+    bounds = _run_bounds(walk)
+    starts, ends = bounds[:-1], bounds[1:] - 1
     levels = walk[starts]
     # A run strictly between its neighbours' levels never starts or ends a
     # span, and an extremum it would commit the next run commits alike. So
     # the walker steps over the turning points alone, the first and last
     # (the anchor's) runs kept.
-    rises = np.diff(levels) > 0
+    rises = levels[1:] > levels[:-1]
     turns = np.ones(levels.size, dtype=bool)
     turns[1:-1] = rises[1:] != rises[:-1]
     starts, ends = starts[turns], ends[turns]

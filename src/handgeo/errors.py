@@ -85,19 +85,25 @@ def text_input(path: object, error: type[HandGeoError]) -> Iterator[None]:
 
 def read_config(path: str | Path, error: type[HandGeoError]) -> dict[str, str]:
     """The key=value lines of a text file; text after '#' and blank lines are
-    skipped, and any other line without '=' is an error of the given category
-    naming path and line number."""
+    skipped. Any other line without '=', with an empty key or with a key an
+    earlier line set is an error of the given category naming path and line
+    number."""
     out: dict[str, str] = {}
+    lines: dict[str, int] = {}
     with text_input(path, error):
         text = Path(path).read_text(encoding="utf-8")
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, eq, value = line.partition("=")
+        key, eq, value = (part.strip() for part in line.partition("="))
         if not eq:
             raise error(f"{path}:{ln}: expected key=value, got {raw!r}")
-        out[key.strip()] = value.strip()
+        if not key:
+            raise error(f"{path}:{ln}: empty key in {raw!r}")
+        if key in lines:
+            raise error(f"{path}:{ln}: key {key!r} repeats line {lines[key]}")
+        out[key], lines[key] = value, ln
     return out
 
 

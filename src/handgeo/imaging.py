@@ -76,6 +76,15 @@ class GrayImage:
             raise ValueError(f"intensities outside [0, 1]: min={lo}, max={hi}")
         check_dpi(self.dpi, ValueError)
 
+    @classmethod
+    def _in_range(cls, pixels: np.ndarray, dpi: float) -> GrayImage:
+        """A GrayImage of non-empty 2-D float64 pixels that their producer
+        proved to lie in [0, 1], built without scanning them."""
+        check_dpi(dpi, ValueError)
+        img = object.__new__(cls)
+        img.pixels, img.dpi = pixels, dpi
+        return img
+
 
 @dataclass
 class BinaryImage:
@@ -179,7 +188,8 @@ def load_bmp(path: str | Path) -> GrayImage:
         block = raw[top : top + rows]
         np.copyto(index[: len(block)], block)
         intensity.take(index[: len(block)], mode="clip", out=pixels[top : top + rows])
-    return GrayImage(pixels=pixels, dpi=_dpi_of(x_ppm) if x_ppm > 0 else DEFAULT_DPI)
+    # Every value is an entry of the clipped and scaled table.
+    return GrayImage._in_range(pixels, _dpi_of(x_ppm) if x_ppm > 0 else DEFAULT_DPI)
 
 
 def _dpi_of(ppm: int) -> float:
@@ -218,11 +228,12 @@ def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -
     come out bit-exact, so constant images are preserved exactly. No mean
     needs clipping: each rounded partial sum of k intensities in [0, 1]
     lies in [0, k], as rounding is monotone and k is exact, so the rounded
-    sum over k = (2r+1)^2 pixels divided by k lies in [0, 1].
+    sum over k = (2r+1)^2 pixels divided by k lies in [0, 1]. So the result
+    is built without GrayImage's range scan.
     """
     check_kernel_radius(kernel_radius, ValueError)
     if kernel_radius == 0:
-        return GrayImage(pixels=img.pixels.copy(), dpi=img.dpi)
+        return GrayImage._in_range(img.pixels.copy(), img.dpi)
     # NumPy alone: importing SciPy's image module would add about 0.3 s and
     # 20 MB to every process that extracts.
     r, n = kernel_radius, 2 * kernel_radius + 1
@@ -245,7 +256,7 @@ def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -
         out=spare.reshape(-1)[: height * width].reshape(height, width),
     )
     np.copyto(out, img.pixels, where=flat)
-    return GrayImage(pixels=out, dpi=img.dpi)
+    return GrayImage._in_range(out, img.dpi)
 
 
 def _runs(op, x: np.ndarray, n: int, step: int, spare: np.ndarray) -> None:

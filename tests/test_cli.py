@@ -288,6 +288,28 @@ class TestCommandLine:
             f"config_error: unknown config key(s) for {command}: {key}"
         ]
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("threshold=0.07\nthreshold=0.5\n", "2: key 'threshold' repeats line 1"),
+            ("threshold=0.07\n# note\n\n threshold = 0.5 \n", "4: key 'threshold' repeats line 1"),
+            ("=5\n", "1: empty key in '=5'"),
+        ],
+        ids=["repeated", "repeated_after_a_comment", "empty"],
+    )
+    def test_a_repeated_or_empty_config_key_is_one_error_line_naming_its_line(
+        self, tmp_path, capsys, text, message
+    ):
+        img, _ = render(canonical_params(), noise_level=0.0)
+        bmp = tmp_path / "hand.bmp"
+        save_bmp(img, bmp)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "row.csv"
+        assert main(["extract", "--config", str(cfg), "--input", str(bmp), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config_error: {cfg}:{message}"]
+        assert not out.exists()
+
 
 class TestExtract:
     def test_single_image_yields_one_row(self, tmp_path):
@@ -420,6 +442,24 @@ class TestExtract:
         assert capsys.readouterr().err.splitlines() == [
             f"corpus_error: {config}:{len(lines) + 1}: expected key=value, got 'garbage line'"
         ]
+
+    @pytest.mark.parametrize("command", ["extract", "eval"])
+    def test_a_repeated_corpus_config_key_is_one_corpus_error_line(
+        self, tmp_path, tiny_corpus, capsys, command
+    ):
+        corpus_dir = tmp_path / "corpus"
+        shutil.copytree(tiny_corpus, corpus_dir)
+        config = corpus_dir / "corpus_config.txt"
+        lines = config.read_text().splitlines()
+        first = lines.index("master_seed=0") + 1
+        config.write_text("\n".join(lines + ["master_seed=5"]) + "\n")
+        capsys.readouterr()
+        assert main([command, "--corpus" if command == "eval" else "--input", str(corpus_dir),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"corpus_error: {config}:{len(lines) + 1}: key 'master_seed' repeats line {first}"
+        ]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "damage",

@@ -1,6 +1,7 @@
 """Chain-code tracing, perimeter arithmetic, and landmark location."""
 
 import dataclasses
+import hashlib
 import math
 from itertools import accumulate
 
@@ -20,7 +21,15 @@ from handgeo.contour import (
     trace_contour,
 )
 from handgeo.errors import ContourError, LandmarkError
-from handgeo.imaging import BinaryImage, GrayImage, binarize, boundary_ring, lowpass_filter
+from handgeo.imaging import (
+    BinaryImage,
+    GrayImage,
+    binarize,
+    boundary_ring,
+    load_bmp,
+    lowpass_filter,
+    save_bmp,
+)
 from handgeo.synthgen import _draw_prototype, canonical_params, render
 
 
@@ -497,6 +506,54 @@ class TestTableDrivenWalk:
         assert outcome[:2] == ("chain", (2, 6))
 
 
+def pinned_edge_maps(folder):
+    """(name, edge map) of noisy drawn hands read back through save_bmp and
+    load_bmp and run through the pipeline's stages up to the ring. At noise
+    0.1 specks survive the filter and the trace takes the batch fallback;
+    so does the first render with a one-pixel speck added above the hand."""
+    maps = []
+    for seed, noise in [(0, 0.03), (1, 0.03), (2, 0.05), (3, 0.05), (4, 0.1), (5, 0.1)]:
+        params = dataclasses.replace(_draw_prototype(np.random.default_rng(seed)), seed=seed)
+        img, _ = render(params, noise_level=noise)
+        path = folder / f"render_{seed}.bmp"
+        save_bmp(img, path)
+        maps.append((f"render_{seed}", boundary_ring(binarize(lowpass_filter(load_bmp(path))))))
+    bits = np.pad(maps[0][1].bits, 3)
+    bits[1, bits.shape[1] // 2] = True
+    maps.append(("speck", BinaryImage(bits=bits)))
+    return maps
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+class TestPinnedBits:
+    """trace_contour and find_landmarks bit for bit on full-size scans.
+    Per map: whether the trace fell back to the batch walk, then digests of
+    the chain's (start, codes) and of the Landmarks or the LandmarkError,
+    recorded before the contour layer was last optimised."""
+
+    DIGESTS = {
+        "render_0": [0, "109439397b9fa4cf", "0ca84446f31ad7f5"],
+        "render_1": [0, "ec681b8799c6b4d1", "abc69158b8eff073"],
+        "render_2": [0, "9fb9a892b858caa2", "59deac5e038132f5"],
+        "render_3": [0, "2d0d2d36154e2408", "c13e189ecce94371"],
+        "render_4": [1, "9fcc54fbb4bc98bd", "70fad15dcf9404b8"],
+        "render_5": [1, "ea8601ad46828d99", "d217e032e96df38f"],
+        "speck": [1, "d5a88639b6ebcded", "9a2937f71c59f2bc"],
+    }
+
+    def test_chains_and_landmarks_keep_their_digests(self, tmp_path, monkeypatch):
+        digests = {}
+        for name, edges in pinned_edge_maps(tmp_path):
+            outcome, labelled = TestTableDrivenWalk._trace_counting_labels(edges, monkeypatch)
+            chain = ChainCode(start=outcome[1], codes=outcome[2])
+            marks = _landmark_outcome(find_landmarks, chain)
+            digests[name] = [labelled, _digest(outcome[1:]), _digest(marks)]
+        assert digests == self.DIGESTS
+
+
 def _states_of(bits):
     """The walk states of a map, built as trace_contour builds them."""
     padded = np.pad(np.asarray(bits, dtype=bool), 1)
@@ -518,6 +575,39 @@ def reference_start_ranks(bits):
     pixel_labels = labels[np.asarray(bits, dtype=bool)]  # raster order
     _, firsts, sizes = np.unique(pixel_labels, return_index=True, return_counts=True)
     return firsts[sizes >= 2].tolist()
+
+
+def reference_cycle(succ, start):
+    """The states from start back to it, one successor at a time."""
+    walk = [start]
+    while succ[walk[-1]] != start:
+        walk.append(int(succ[walk[-1]]))
+    return walk
+
+
+class TestFirstWalk:
+    """The first pixel's one-walk doubling against the batch walk and a
+    step-by-step walk."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(edge_maps(), st.data())
+    def test_every_state_walks_like_the_batch_and_the_steps(self, edges, data):
+        succ = _states_of(edges.bits).succ
+        assume(succ.size)
+        start = data.draw(st.integers(0, succ.size - 1))
+        walk = contour._cycle(succ, start)
+        (batch,) = contour._walk(succ, np.array([start]))
+        assert walk.tolist() == batch.tolist() == reference_cycle(succ, start)
+
+    # One cycle through all n states puts the closing entry at index n, the
+    # buffer's last; a short cycle among many states closes early.
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1000])
+    def test_a_cycle_of_every_state_and_a_short_cycle_among_many(self, n):
+        every = np.roll(np.arange(n), -1)
+        assert contour._cycle(every, n - 1).tolist() == [n - 1] + list(range(n - 1))
+        short = np.arange(n + 100_000)
+        short[[3, 7, 5]] = [7, 5, 3]
+        assert contour._cycle(short, 5).tolist() == [5, 3, 7]
 
 
 class TestComponentStarts:

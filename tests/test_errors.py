@@ -21,13 +21,12 @@ class TestReadConfig:
             ("  a  =  1  \n", {"a": "1"}),
             ("# a note\n\n   \na=1  # why\n", {"a": "1"}),
             ("a=x=y\n", {"a": "x=y"}),
-            ("a=1\na=2\n", {"a": "2"}),
             ("a=\n", {"a": ""}),
             ("a=1\r\nb=2\r\n", {"a": "1", "b": "2"}),
             ("", {}),
         ],
-        ids=["pairs", "padding", "comments_and_blanks", "equals_in_value", "last_wins",
-             "empty_value", "crlf", "empty_file"],
+        ids=["pairs", "padding", "comments_and_blanks", "equals_in_value", "empty_value",
+             "crlf", "empty_file"],
     )
     def test_key_value_lines(self, tmp_path, text, expected):
         path = tmp_path / "run.cfg"
@@ -43,6 +42,26 @@ class TestReadConfig:
         with pytest.raises(error) as rejected:
             read_config(path, error)
         assert str(rejected.value) == f"{path}:3: expected key=value, got 'not a pair  # why'"
+
+    @pytest.mark.parametrize("error", [ConfigError, CorpusError])
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("a=1\nb=2\na=1\n", "3: key 'a' repeats line 1"),
+            ("a=1\n# a=2\nb=2\n  a = 3  # why\n", "4: key 'a' repeats line 1"),
+            ("a=1\n=5\n", "2: empty key in '=5'"),
+            ("  = 5\n", "1: empty key in '  = 5'"),
+        ],
+        ids=["repeated", "repeated_after_a_comment", "empty", "padded_empty"],
+    )
+    def test_a_repeated_or_empty_key_is_an_error_of_the_given_category_naming_its_line(
+        self, tmp_path, error, text, message
+    ):
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        with pytest.raises(error) as rejected:
+            read_config(path, error)
+        assert str(rejected.value) == f"{path}:{message}"
 
     def test_a_non_utf8_byte_is_an_error_naming_the_file(self, tmp_path):
         path = tmp_path / "run.cfg"

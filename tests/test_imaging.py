@@ -81,6 +81,43 @@ class TestGrayImage:
         with pytest.raises(ValueError, match=f"dpi must be positive and finite, got {dpi}"):
             make(dpi)
 
+    # load_bmp and lowpass_filter build their images without the range scan;
+    # the constructor keeps it, also for a copy of their images.
+    @pytest.mark.parametrize("bad", [np.nan, 1.5])
+    @pytest.mark.parametrize("producer", ["load_bmp", "lowpass_filter"])
+    def test_the_constructor_still_refuses_nan_and_1_5(self, tmp_path, producer, bad):
+        path = tmp_path / "scan.bmp"
+        path.write_bytes(bmp_bytes([[0, 128, 255], [255, 0, 128]]))
+        img = load_bmp(path) if producer == "load_bmp" else lowpass_filter(load_bmp(path), 1)
+        pixels = img.pixels.copy()
+        pixels[1, 1] = bad
+        with pytest.raises(ValueError, match="outside"):
+            GrayImage(pixels=pixels, dpi=img.dpi)
+        with pytest.raises(ValueError, match="outside"):
+            dataclasses.replace(img, pixels=pixels)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 256).flatmap(lambda colors: hnp.arrays(np.uint8, (colors, 4))),
+        hnp.arrays(np.uint8, hnp.array_shapes(min_dims=2, max_dims=2, max_side=8)),
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=8),
+            elements=st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 1.0 - 2**-53, 1.0]),
+        ),
+        st.integers(0, MAX_KERNEL_RADIUS),
+    )
+    def test_both_producers_yield_float64_pixels_in_the_unit_range(
+        self, quads, raw, pixels, radius
+    ):
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder) / "palette.bmp"
+            path.write_bytes(bmp_bytes(raw.tolist(), palette=quads.tobytes()))
+            loaded = load_bmp(path)
+        for img in (loaded, lowpass_filter(loaded, radius), lowpass_filter(gray(pixels), radius)):
+            assert img.pixels.dtype == np.float64 and img.pixels.ndim == 2
+            assert 0.0 <= img.pixels.min() and img.pixels.max() <= 1.0
+
 
 class TestBinaryImage:
     @pytest.mark.parametrize("bad", [256, 257, 0.5, -1])

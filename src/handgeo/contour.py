@@ -117,12 +117,18 @@ class _States:
     pixel with a neighbour earlier in raster order (codes 1-4) closes on a
     state whose code steps to one, and the cycle of every other pixel
     reaches an earlier one too, as the tests check against SciPy's labels.
+
+    `closing` holds the closing state of each pixel with states, in rank
+    order: its first (backtrack 0) when its east neighbour is foreground,
+    else its last. Its code is the first foreground direction after east,
+    east last, which a walk from a topmost-then-leftmost pixel takes first:
+    that pixel's neighbours lie east (0) or below (5-7).
     """
 
     rank: np.ndarray
     codes: np.ndarray
     succ: np.ndarray
-    around: np.ndarray  # row i: edge pixel i's 8 neighbours, True if foreground
+    closing: np.ndarray
 
     @classmethod
     def of(cls, around: np.ndarray) -> _States:
@@ -131,20 +137,11 @@ class _States:
         rank >>= 3
         # A state's code is the backtrack of its pixel's next state, cyclically.
         bounds = _run_bounds(rank)
+        firsts, lasts = bounds[:-1], bounds[1:] - 1
         turn = np.arange(1, rank.size + 1)
-        turn[bounds[1:] - 1] = bounds[:-1]
-        return cls(rank=rank, codes=backtrack[turn], succ=_twins(backtrack)[turn], around=around)
-
-    def closing(self, starts: np.ndarray) -> np.ndarray:
-        """The closing state of each pixel of rank `starts`: its first state
-        (backtrack 0) when its east neighbour is foreground, else its last.
-        Its code is the first foreground direction after east, east last,
-        which a walk from its component's topmost-then-leftmost pixel takes
-        first: that pixel's neighbours lie east (0) or below (5-7).
-        """
-        first = np.searchsorted(self.rank, starts)
-        last = np.searchsorted(self.rank, starts, side="right") - 1
-        return np.where(self.around[starts, 0], first, last)
+        turn[lasts] = firsts
+        closing = np.where(backtrack[firsts] == 0, firsts, lasts)
+        return cls(rank=rank, codes=backtrack[turn], succ=_twins(backtrack)[turn], closing=closing)
 
 
 def _run_bounds(values: np.ndarray) -> np.ndarray:
@@ -173,41 +170,32 @@ def _twins(backtrack: np.ndarray) -> np.ndarray:
 
 
 def _walk(succ: np.ndarray, closing: np.ndarray) -> list[np.ndarray]:
-    """The states of each walk from a closing state back to it, by pointer
-    doubling: one array per entry of `closing`, the closing state first.
+    """The states of each walk from a closing state back to it: one array
+    per entry of `closing`, the closing state first. The entries lie on
+    distinct cycles, in ascending order.
 
-    Each open walk holds its first w states and `jump` is succ applied w
-    times, so jump[walk] holds its next w. A walk leaves in the round that
-    brings its closing state back, then w doubles and jump squares, so the
-    walks share one jump per round. Every walk closes, as the states fall
-    into cycles.
+    A copy of succ sends each cycle's last state on to the next cycle's
+    closing state, and the last cycle's on to the first's. That joins the
+    cycles into one, which one _cycle walks, and the path splits at the
+    closing states.
     """
-    walks = [closing[:0]] * closing.size  # each entry is set as its walk closes
-    rows = np.arange(closing.size)
-    paths = closing[:, None]
-    jump = succ
-    while rows.size:
-        width = paths.shape[1]
-        ahead = jump[paths]
-        back = ahead == paths[:, :1]
-        if back.any():
-            closed, cut = np.divmod(np.flatnonzero(back), width)
-            for row, path, more, end in zip(rows[closed], paths[closed], ahead[closed], cut):
-                walks[row] = np.concatenate((path, more[:end]))
-            still = np.ones(rows.size, dtype=bool)
-            still[closed] = False
-            rows, paths, ahead = rows[still], paths[still], ahead[still]
-            if not rows.size:
-                break
-        paths = np.concatenate((paths, ahead), axis=1)
-        jump = jump[jump]
-    return walks
+    if not closing.size:
+        return []
+    closes = np.zeros(succ.size, dtype=bool)
+    closes[closing] = True
+    # A cycle's last state is the one whose successor closes it.
+    lasts = np.flatnonzero(closes[succ])
+    joined = succ.copy()
+    joined[lasts[np.argsort(succ[lasts])]] = np.concatenate((closing[1:], closing[:1]))
+    path = _cycle(joined, int(closing[0]))
+    return np.split(path, np.flatnonzero(closes[path])[1:])
 
 
 def _cycle(succ: np.ndarray, start: int) -> np.ndarray:
-    """The states of the walk from state `start` back to it, `start` first:
-    _walk's pointer doubling for one walk, which ends in the round that
-    brings `start` back.
+    """The states of the walk from state `start` back to it, `start` first,
+    by pointer doubling: with its first w states and `jump` = succ applied
+    w times, jump[path] holds its next w; then w doubles and jump squares.
+    It ends in the round that brings `start` back, as the states form cycles.
 
     The path fills one buffer in place, its next w states gathered after
     its first w. A walk holds at most succ.size states, so the entry that
@@ -252,16 +240,15 @@ def _loop(states: _States, walk: np.ndarray) -> tuple[np.ndarray, int] | None:
 
 
 def _component_starts(states: _States) -> np.ndarray:
-    """The rank of each component's first pixel: each pixel with states
-    that is the lowest rank on the cycle through its closing state (see
-    _States). Lone pixels have no state and start no walk.
+    """The closing state of each component's first pixel, in rank order:
+    the closing state of each pixel that is the lowest rank on its cycle
+    (see _States). Lone pixels have no state and start no walk.
 
-    Rounds double w as _walk does: low[i] is the lowest rank on the w states
-    from state i, jump is succ applied w times. A round that lowers no entry
-    leaves low constant on each orbit of jump, and the windows that end at a
-    cycle's lowest state carry its rank into every orbit.
+    Rounds double w as _cycle does: low[i] is the lowest rank on the w
+    states from state i, jump is succ applied w times. A round that lowers
+    no entry leaves low constant on each orbit of jump, and the windows that
+    end at a cycle's lowest state carry its rank into every orbit.
     """
-    pixels = np.flatnonzero(states.around.any(axis=1))
     low = states.rank.astype(np.int32)  # half the bytes, for dense maps' millions of states
     jump = states.succ
     while True:
@@ -270,7 +257,7 @@ def _component_starts(states: _States) -> np.ndarray:
             break
         np.minimum(low, ahead, out=low)
         jump = jump[jump]
-    return pixels[low[states.closing(pixels)] == pixels]
+    return states.closing[low[states.closing] == states.rank[states.closing]]
 
 
 def trace_contour(edges: BinaryImage) -> ChainCode:
@@ -295,21 +282,20 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
     # idx is in raster order, so idx[0] is the topmost-then-leftmost pixel of
     # its component. A loop from it that visits every edge pixel is the only
     # loop, and no other component has a start. A lone pixel has no
-    # foreground neighbour, so no state, and starts no walk.
-    first = states.around[:1]
-    if first.any():
-        # Pixel 0's states are 0..k-1, so its closing state needs no search.
-        loop = _loop(states, _cycle(states.succ, 0 if first[0, 0] else int(first.sum()) - 1))
+    # foreground neighbour, so no state, and starts no walk; pixel 0 has
+    # states when state 0 is its.
+    if states.rank.size and states.rank[0] == 0:
+        loop = _loop(states, _cycle(states.succ, int(states.closing[0])))
         if loop is not None and loop[1] == idx.size:
             return chain(0, loop[0])
 
-    ranks = _component_starts(states)
-    walks = _walk(states.succ, states.closing(ranks))
+    starts = _component_starts(states)
+    walks = _walk(states.succ, starts)
     # Longest first; sorted is stable, so equal lengths stay in raster order.
     for i in sorted(range(len(walks)), key=lambda i: -walks[i].size):
         loop = _loop(states, walks[i])
         if loop is not None:
-            return chain(int(ranks[i]), loop[0])
+            return chain(int(states.rank[starts[i]]), loop[0])
     raise ContourError("no closed contour loop found in the edge map")
 
 

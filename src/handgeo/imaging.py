@@ -202,12 +202,15 @@ def _dpi_of(ppm: int) -> float:
 
 
 def save_bmp(img: GrayImage, path: str | Path) -> None:
-    """Write an 8-bit grayscale BMP (identity palette, bottom-up rows)."""
+    """Write an 8-bit grayscale BMP (identity palette, bottom-up rows). A dpi
+    whose px/m is no positive int32 (0 reads back as none) is refused."""
     height, width = img.pixels.shape
     _check_size(width, height)
+    ppm = round(img.dpi / _METERS_PER_INCH)
+    if not 0 < ppm < 2**31:
+        raise ValueError(f"dpi {img.dpi} is {ppm} px/m, outside a BMP's 1..{2**31 - 1}")
     values = np.rint(img.pixels * 255.0).astype(np.uint8)
     row_stride = (width + 3) & ~3
-    ppm = round(img.dpi / _METERS_PER_INCH)
     pixel_offset = 14 + 40 + 4 * 256
     file_size = pixel_offset + row_stride * height
 

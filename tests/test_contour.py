@@ -421,7 +421,7 @@ class TestTableDrivenWalk:
         assert _outcome(trace_contour, edges) == _outcome(reference_trace_contour, edges)
 
     # The first raster component is a multi-pixel loop or arc, the longest
-    # or not; the fallback walks it in one batch with the others.
+    # or not; the fallback walks it on one joined cycle with the others.
     @pytest.mark.parametrize("first", ["short_ring", "open_arc", "longest_ring"])
     def test_the_first_component_walks_in_the_batch(self, first, monkeypatch):
         mask = np.zeros((24, 30), dtype=bool)
@@ -509,7 +509,7 @@ class TestTableDrivenWalk:
 def pinned_edge_maps(folder):
     """(name, edge map) of noisy drawn hands read back through save_bmp and
     load_bmp and run through the pipeline's stages up to the ring. At noise
-    0.1 specks survive the filter and the trace takes the batch fallback;
+    0.1 specks survive the filter and the trace takes the fallback;
     so does the first render with a one-pixel speck added above the hand."""
     maps = []
     for seed, noise in [(0, 0.03), (1, 0.03), (2, 0.05), (3, 0.05), (4, 0.1), (5, 0.1)]:
@@ -530,7 +530,7 @@ def _digest(value) -> str:
 
 class TestPinnedBits:
     """trace_contour and find_landmarks bit for bit on full-size scans.
-    Per map: whether the trace fell back to the batch walk, then digests of
+    Per map: whether the trace took the fallback, then digests of
     the chain's (start, codes) and of the Landmarks or the LandmarkError,
     recorded before the contour layer was last optimised."""
 
@@ -554,18 +554,25 @@ class TestPinnedBits:
         assert digests == self.DIGESTS
 
 
-def _states_of(bits):
-    """The walk states of a map, built as trace_contour builds them."""
+def _around(bits):
+    """Each edge pixel's 8 neighbours, True if foreground, in raster order,
+    built as trace_contour builds them."""
     padded = np.pad(np.asarray(bits, dtype=bool), 1)
     width = padded.shape[1]
     flat = padded.ravel()
     idx = np.flatnonzero(flat)
     offsets = np.array([dy * width + dx for dx, dy in DELTAS])
-    return contour._States.of(flat[idx[:, None] + offsets])
+    return flat[idx[:, None] + offsets]
+
+
+def _states_of(bits):
+    """The walk states of a map, built as trace_contour builds them."""
+    return contour._States.of(_around(bits))
 
 
 def _start_ranks(bits):
-    return contour._component_starts(_states_of(bits)).tolist()
+    states = _states_of(bits)
+    return states.rank[contour._component_starts(states)].tolist()
 
 
 def reference_start_ranks(bits):
@@ -577,6 +584,26 @@ def reference_start_ranks(bits):
     return firsts[sizes >= 2].tolist()
 
 
+def reference_closing(around, rank):
+    """The closing state of each pixel with states, by two searches of the
+    rank table: its first state when its east neighbour is foreground,
+    else its last."""
+    pixels = np.flatnonzero(around.any(axis=1))
+    first = np.searchsorted(rank, pixels)
+    last = np.searchsorted(rank, pixels, side="right") - 1
+    return np.where(around[pixels, 0], first, last)
+
+
+def every_small_map(shape):
+    """Every map of the shape as one tile of a grid, a blank row and column
+    apart, so no component spans two tiles."""
+    h, w = shape
+    maps = (np.arange(2 ** (h * w))[:, None] >> np.arange(h * w) & 1).astype(bool)
+    tiles = np.zeros((64, h + 1, 64, w + 1), dtype=bool)
+    tiles[:, :h, :, :w] = maps.reshape(64, 64, h, w).transpose(0, 2, 1, 3)
+    return tiles.reshape(64 * (h + 1), 64 * (w + 1))
+
+
 def reference_cycle(succ, start):
     """The states from start back to it, one successor at a time."""
     walk = [start]
@@ -585,19 +612,29 @@ def reference_cycle(succ, start):
     return walk
 
 
+def reference_cycles(succ):
+    """Every cycle of a permutation, each from its lowest state."""
+    seen = np.zeros(len(succ), dtype=bool)
+    cycles = []
+    for state in range(len(succ)):
+        if not seen[state]:
+            cycles.append(reference_cycle(succ, state))
+            seen[cycles[-1]] = True
+    return cycles
+
+
 class TestFirstWalk:
-    """The first pixel's one-walk doubling against the batch walk and a
-    step-by-step walk."""
+    """The one pointer-doubling walk, _cycle, and the fallback's walks,
+    split from one _cycle over their joined cycles, against walks taken
+    one successor at a time."""
 
     @settings(deadline=None, max_examples=200)
     @given(edge_maps(), st.data())
-    def test_every_state_walks_like_the_batch_and_the_steps(self, edges, data):
+    def test_every_state_walks_like_the_steps(self, edges, data):
         succ = _states_of(edges.bits).succ
         assume(succ.size)
         start = data.draw(st.integers(0, succ.size - 1))
-        walk = contour._cycle(succ, start)
-        (batch,) = contour._walk(succ, np.array([start]))
-        assert walk.tolist() == batch.tolist() == reference_cycle(succ, start)
+        assert contour._cycle(succ, start).tolist() == reference_cycle(succ, start)
 
     # One cycle through all n states puts the closing entry at index n, the
     # buffer's last; a short cycle among many states closes early.
@@ -608,6 +645,55 @@ class TestFirstWalk:
         short = np.arange(n + 100_000)
         short[[3, 7, 5]] = [7, 5, 3]
         assert contour._cycle(short, 5).tolist() == [5, 3, 7]
+
+    @settings(deadline=None, max_examples=200)
+    @given(edge_maps())
+    def test_each_components_walk_is_its_cycle(self, edges):
+        states = _states_of(edges.bits)
+        starts = contour._component_starts(states).tolist()
+        assume(len(starts) >= 2)
+        walks = contour._walk(states.succ, np.array(starts))
+        assert [w.tolist() for w in walks] == [reference_cycle(states.succ, s) for s in starts]
+
+    # Cycles (0 2 5), (1), (3 4) and (6 7 8 9); a closing state need not be
+    # its cycle's lowest, and a cycle may have none.
+    @pytest.mark.parametrize("closing", [[1, 2, 4, 9], [2, 4, 8], [0, 9], [5], []])
+    def test_closing_states_on_a_few_cycles(self, closing):
+        succ = np.array([2, 1, 5, 4, 3, 0, 7, 8, 9, 6])
+        walks = contour._walk(succ, np.array(closing, dtype=np.intp))
+        assert [w.tolist() for w in walks] == [reference_cycle(succ, s) for s in closing]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_closing_state_on_each_cycle_of_a_permutation(self, seed):
+        rng = np.random.default_rng(seed)
+        succ = rng.permutation(2000)
+        cycles = reference_cycles(succ)
+        assert len(cycles) >= 3
+        closing = sorted(int(rng.choice(cycle)) for cycle in cycles)
+        walks = contour._walk(succ, np.array(closing))
+        assert [w.tolist() for w in walks] == [reference_cycle(succ, s) for s in closing]
+
+
+class TestClosingStates:
+    """The closing states _States.of stores against two searches of the
+    rank table."""
+
+    @staticmethod
+    def _closing_and_reference(bits):
+        around = _around(bits)
+        states = contour._States.of(around)
+        return states.closing.tolist(), reference_closing(around, states.rank).tolist()
+
+    @settings(deadline=None, max_examples=300)
+    @given(edge_maps())
+    def test_drawn_maps(self, edges):
+        closing, reference = self._closing_and_reference(edges.bits)
+        assert closing == reference
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
+    def test_every_small_map(self, shape):
+        closing, reference = self._closing_and_reference(every_small_map(shape))
+        assert closing == reference
 
 
 class TestComponentStarts:
@@ -620,13 +706,7 @@ class TestComponentStarts:
 
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3)])
     def test_every_small_map(self, shape):
-        # Every map of the shape as one tile of a grid, a blank row and
-        # column apart, so no component spans two tiles.
-        h, w = shape
-        maps = (np.arange(2 ** (h * w))[:, None] >> np.arange(h * w) & 1).astype(bool)
-        tiles = np.zeros((64, h + 1, 64, w + 1), dtype=bool)
-        tiles[:, :h, :, :w] = maps.reshape(64, 64, h, w).transpose(0, 2, 1, 3)
-        bits = tiles.reshape(64 * (h + 1), 64 * (w + 1))
+        bits = every_small_map(shape)
         assert _start_ranks(bits) == reference_start_ranks(bits)
 
     def test_a_comb_whose_teeth_tops_are_not_its_start(self):

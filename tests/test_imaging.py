@@ -178,6 +178,22 @@ class TestLoadBmp:
         save_bmp(gray([[0.5]], dpi), path)
         assert load_bmp(path).dpi == dpi
 
+    # The least and the greatest grid dpi whose px/m is a positive int32.
+    @pytest.mark.parametrize("dpi", [0.1, 54546084.6])
+    def test_the_extreme_dpis_read_back_exactly(self, tmp_path, dpi):
+        path = tmp_path / "res.bmp"
+        save_bmp(gray([[0.5]], dpi), path)
+        assert load_bmp(path).dpi == dpi
+
+    # 0.0127 dpi rounds to 0 px/m, which reads back as no resolution, and
+    # 54546084.65 dpi to 2**31 px/m, past the int32 field.
+    @pytest.mark.parametrize("dpi", [1e-9, 0.0127, 54546084.65, 1e8])
+    def test_a_dpi_outside_the_resolution_field_is_refused_unwritten(self, tmp_path, dpi):
+        path = tmp_path / "res.bmp"
+        with pytest.raises(ValueError, match=f"^dpi {dpi} is "):
+            save_bmp(gray([[0.5]], dpi), path)
+        assert not path.exists()
+
     def test_a_header_off_the_tenth_grid_reads_as_converted(self, tmp_path):
         # 100.1 dpi is written as 3941 px/m, so no grid value writes 3940.
         path = tmp_path / "res.bmp"

@@ -61,9 +61,12 @@ def test_no_module_or_test_has_an_unused_import():
 
 
 def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
-    """(name, line) of each module-level _name a module defines."""
+    """(name, line) of each _name a module defines at module level or in a
+    class body: functions and methods, classes, and assigned names such as
+    constants, class attributes and dataclass fields."""
     found = []
-    for node in tree.body:
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for node in (statement for body in bodies for statement in body):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             targets = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -99,9 +102,9 @@ def _named(tree: ast.Module) -> set[str]:
 
 
 def test_every_private_module_name_is_used():
-    """A module-level _name that no module of the package loads, imports or
-    names is dead code. String constants count: the training worker's -c
-    source names _worker_main."""
+    """A module-level or class-level _name that no module of the package
+    loads, imports or names is dead code. String constants count: the
+    training worker's -c source names _worker_main."""
     paths = sorted((ROOT / "src" / "handgeo").glob("*.py"))
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
     named = set().union(*map(_named, trees.values()))

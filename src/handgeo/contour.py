@@ -61,6 +61,15 @@ class ChainCode:
         self.codes = codes.astype(np.uint8)
         self.codes.flags.writeable = False
 
+    @classmethod
+    def _fresh(cls, start: tuple[int, int], codes: np.ndarray) -> ChainCode:
+        """A chain of int coordinates and a new uint8 array of codes in 0..7
+        that no one else holds, built without the check and the copy."""
+        chain = object.__new__(cls)
+        codes.flags.writeable = False
+        chain.start, chain.codes = start, codes
+        return chain
+
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -277,7 +286,8 @@ def trace_contour(edges: BinaryImage) -> ChainCode:
 
     def chain(rank: int, codes: np.ndarray) -> ChainCode:
         y, x = divmod(int(idx[rank]), width)  # padded coordinates
-        return ChainCode(start=(x - 1, y - 1), codes=codes)
+        # Fancy indexing of the uint8 state table made the codes.
+        return ChainCode._fresh((x - 1, y - 1), codes)
 
     # idx is in raster order, so idx[0] is the topmost-then-leftmost pixel of
     # its component. A loop from it that visits every edge pixel is the only

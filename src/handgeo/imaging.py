@@ -2,7 +2,9 @@
 
 The chain is: 8-bit BMP -> GrayImage -> low-pass filter -> threshold
 binarization -> boundary ring. The last two are BinaryImages, whose bits
-are a bool mask. All operations are pure functions of their inputs.
+are a bool mask. `silhouette` is the filter and the threshold in one call,
+which decides an 8-bit scan from integer window sums of its levels. All
+operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ MM_PER_INCH = 25.4
 #: Identity grey palette of save_bmp: BGRA quads (i, i, i, 0) for i = 0..255.
 _GREY_PALETTE = bytes(b for i in range(256) for b in (i, i, i, 0))
 
+#: A threshold whose window-sum equivalent q lies within this much of an
+#: integer sends silhouette to the float route; see silhouette for the bound.
+_LEVEL_GUARD = 1e-6
+
 
 def check_dpi(dpi: float, error: type[Exception]) -> None:
     """error unless dpi is a positive, finite resolution."""
@@ -62,7 +68,13 @@ def check_kernel_radius(kernel_radius: int, error: type[Exception]) -> None:
 
 @dataclass
 class GrayImage:
-    """Grayscale raster with intensities in [0, 1] and a physical resolution."""
+    """Grayscale raster with intensities in [0, 1] and a physical resolution.
+
+    An 8-bit scan (load_bmp of a BMP with save_bmp's identity palette, or
+    quantize) also keeps its `levels`, the bytes its pixels were read from.
+    Its pixels are read-only, and assigning new pixels drops the levels, as
+    does a copy or pickle, so an image's levels always belong to its pixels.
+    """
 
     pixels: np.ndarray  # (height, width) float64
     dpi: float = DEFAULT_DPI
@@ -76,6 +88,21 @@ class GrayImage:
             raise ValueError(f"intensities outside [0, 1]: min={lo}, max={hi}")
         check_dpi(self.dpi, ValueError)
 
+    def __setattr__(self, name: str, value) -> None:
+        if name == "pixels":
+            object.__setattr__(self, "_levels", None)
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self) -> dict:
+        # copy.deepcopy and pickle give writable pixels, so a copy keeps no levels.
+        return {"pixels": self.pixels, "dpi": self.dpi, "_levels": None}
+
+    @property
+    def levels(self) -> np.ndarray | None:
+        """The read-only (height, width) uint8 levels of an 8-bit scan, whose
+        pixels are the identity ramp's intensities of them; None otherwise."""
+        return self._levels
+
     @classmethod
     def _in_range(cls, pixels: np.ndarray, dpi: float) -> GrayImage:
         """A GrayImage of non-empty 2-D float64 pixels that their producer
@@ -83,6 +110,16 @@ class GrayImage:
         check_dpi(dpi, ValueError)
         img = object.__new__(cls)
         img.pixels, img.dpi = pixels, dpi
+        return img
+
+    @classmethod
+    def _scan(cls, levels: np.ndarray, dpi: float) -> GrayImage:
+        """The 8-bit scan of non-empty 2-D uint8 levels under the identity
+        ramp. The levels are kept as given, made read-only."""
+        img = cls._in_range(_gather(_GREY_RAMP, levels), dpi)
+        img.pixels.flags.writeable = False
+        levels.flags.writeable = False
+        img._levels = levels
         return img
 
 
@@ -120,7 +157,9 @@ def load_bmp(path: str | Path) -> GrayImage:
     intensity = value / 255, and dpi comes from the resolution fields
     (defaulting to 100 dpi when the file carries none). A dpi save_bmp wrote
     on the 0.1-dpi grid reads back exactly. The pixel data must start at or
-    after the palette's end, 14 + header size + 4 * colours bytes in.
+    after the palette's end, 14 + header size + 4 * colours bytes in. Under
+    save_bmp's identity palette the image is an 8-bit scan: it keeps the
+    file's bytes as its levels, a read-only view of them.
     """
     data = Path(path).read_bytes()
     if len(data) < 54:
@@ -159,15 +198,6 @@ def load_bmp(path: str | Path) -> GrayImage:
             f"pixel data offset {pixel_offset} lies inside the headers and palette,"
             f" which end at offset {palette_end}"
         )
-    quads = np.frombuffer(data[palette_start:palette_end], dtype=np.uint8)
-    quads = quads.reshape(n_colors, 4).astype(np.float64)
-    luminance = np.zeros(256, dtype=np.float64)
-    luminance[:n_colors] = (
-        0.299 * quads[:, 2] + 0.587 * quads[:, 1] + 0.114 * quads[:, 0]
-    )
-    # Clip and scale the 256 palette entries, not every pixel.
-    intensity = np.clip(luminance, 0.0, 255.0) / 255.0
-
     row_stride = (width + 3) & ~3
     if pixel_offset + row_stride * height > len(data):
         raise FormatError("truncated pixel data")
@@ -176,20 +206,49 @@ def load_bmp(path: str | Path) -> GrayImage:
     ).reshape(height, row_stride)[:, :width]
     if not top_down:
         raw = raw[::-1]
+    dpi = _dpi_of(x_ppm) if x_ppm > 0 else DEFAULT_DPI
+    palette = data[palette_start:palette_end]
+    if palette == _GREY_PALETTE:
+        return GrayImage._scan(raw, dpi)
+    # Every value is an entry of the clipped and scaled table.
+    return GrayImage._in_range(_gather(_intensity(palette), raw), dpi)
 
-    # take over intp indices gathers a 235x177 scan in half the time of
-    # indexing by the bytes. The indices are converted a block of rows at a
-    # time: an index array of the whole raster is too large for the heap, so
-    # its pages were mapped and faulted in afresh for every image.
+
+def _intensity(palette: bytes) -> np.ndarray:
+    """Each byte's intensity under a palette of BGRA quads: its entry's
+    luminance, clipped to [0, 255] and scaled to [0, 1]; a byte past the
+    palette's end reads 0. Only the 256 entries are clipped and scaled,
+    not every pixel."""
+    quads = np.frombuffer(palette, dtype=np.uint8).reshape(-1, 4).astype(np.float64)
+    luminance = np.zeros(256, dtype=np.float64)
+    luminance[: len(quads)] = (
+        0.299 * quads[:, 2] + 0.587 * quads[:, 1] + 0.114 * quads[:, 0]
+    )
+    return np.clip(luminance, 0.0, 255.0) / 255.0
+
+
+#: The intensities of save_bmp's identity palette, within 1.5 * 2**-53 of
+#: v / 255 for every byte v (measured exactly; see silhouette).
+_GREY_RAMP = _intensity(_GREY_PALETTE)
+
+
+def _gather(table: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """table[raw] as a new (height, width) float64 raster, for 2-D uint8 raw.
+
+    take over intp indices gathers a 235x177 scan in half the time of
+    indexing by the bytes. The indices are converted a block of rows at a
+    time: an index array of the whole raster is too large for the heap, so
+    its pages were mapped and faulted in afresh for every image.
+    """
+    height, width = raw.shape
     pixels = np.empty((height, width))
     rows = _BLOCK // width
     index = np.empty((rows, width), dtype=np.intp)
     for top in range(0, height, rows):
         block = raw[top : top + rows]
         np.copyto(index[: len(block)], block)
-        intensity.take(index[: len(block)], mode="clip", out=pixels[top : top + rows])
-    # Every value is an entry of the clipped and scaled table.
-    return GrayImage._in_range(pixels, _dpi_of(x_ppm) if x_ppm > 0 else DEFAULT_DPI)
+        table.take(index[: len(block)], mode="clip", out=pixels[top : top + rows])
+    return pixels
 
 
 def _dpi_of(ppm: int) -> float:
@@ -201,15 +260,25 @@ def _dpi_of(ppm: int) -> float:
     return dpi if round(dpi / _METERS_PER_INCH) == ppm else exact
 
 
+def quantize(img: GrayImage) -> GrayImage:
+    """The image as an 8-bit BMP holds it: each intensity rounded to the
+    nearest of 256 levels, as save_bmp writes them, with the pixels load_bmp
+    reads back. An image that has levels is already that image."""
+    if img.levels is not None:
+        return img
+    return GrayImage._scan(np.rint(img.pixels * 255.0).astype(np.uint8), img.dpi)
+
+
 def save_bmp(img: GrayImage, path: str | Path) -> None:
-    """Write an 8-bit grayscale BMP (identity palette, bottom-up rows). A dpi
-    whose px/m is no positive int32 (0 reads back as none) is refused."""
+    """Write an 8-bit grayscale BMP (identity palette, bottom-up rows) of
+    quantize(img). A dpi whose px/m is no positive int32 (0 reads back as
+    none) is refused."""
     height, width = img.pixels.shape
     _check_size(width, height)
     ppm = round(img.dpi / _METERS_PER_INCH)
     if not 0 < ppm < 2**31:
         raise ValueError(f"dpi {img.dpi} is {ppm} px/m, outside a BMP's 1..{2**31 - 1}")
-    values = np.rint(img.pixels * 255.0).astype(np.uint8)
+    values = quantize(img).levels
     row_stride = (width + 3) & ~3
     pixel_offset = 14 + 40 + 4 * 256
     file_size = pixel_offset + row_stride * height
@@ -246,11 +315,7 @@ def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -
     # back to the OS and faulted them in again for the next image: a default
     # gen pass took 62 000 minor page faults, against 11 000-20 000 with one.
     padded, spare = np.empty((2, height + 2 * r, width + 2 * r))
-    padded[r:-r, r:-r] = img.pixels
-    padded[r:-r, :r] = img.pixels[:, :1]
-    padded[r:-r, -r:] = img.pixels[:, -1:]
-    padded[:r] = padded[r]
-    padded[-r:] = padded[-r - 1]
+    _edge_pad(img.pixels, r, padded)
     flat = ~_window_varies(padded, r)
     _box(np.add, padded.reshape(-1), spare.reshape(-1), n, n, padded.shape[1])
     # The window sums are now in padded; the means go to the front of spare.
@@ -260,6 +325,16 @@ def lowpass_filter(img: GrayImage, kernel_radius: int = DEFAULT_KERNEL_RADIUS) -
     )
     np.copyto(out, img.pixels, where=flat)
     return GrayImage._in_range(out, img.dpi)
+
+
+def _edge_pad(raster: np.ndarray, r: int, out: np.ndarray) -> None:
+    """Fill out, r > 0 larger than raster on every side, with raster padded
+    by edge replication."""
+    out[r:-r, r:-r] = raster
+    out[r:-r, :r] = raster[:, :1]
+    out[r:-r, -r:] = raster[:, -1:]
+    out[:r] = out[r]
+    out[-r:] = out[-r - 1]
 
 
 def _runs(op, x: np.ndarray, n: int, step: int, spare: np.ndarray) -> None:
@@ -342,6 +417,53 @@ def binarize(img: GrayImage, threshold: float = DEFAULT_THRESHOLD) -> BinaryImag
     """Threshold to a mask: True wherever intensity >= threshold."""
     check_threshold(threshold, ValueError)
     return BinaryImage(bits=img.pixels >= threshold, dpi=img.dpi)
+
+
+def silhouette(
+    img: GrayImage,
+    kernel_radius: int = DEFAULT_KERNEL_RADIUS,
+    threshold: float = DEFAULT_THRESHOLD,
+) -> BinaryImage:
+    """binarize(lowpass_filter(img, kernel_radius), threshold), bit for bit.
+
+    An 8-bit scan is decided from its levels instead. With S the sum of the
+    k = (2r+1)^2 edge-replicated levels in a pixel's window, taken in uint16
+    (uint32 above r = 7, where 255 k passes 65535), and q = threshold * 255 k,
+    the pixel is foreground where S >= ceil(q).
+
+    Why that is exact, with u = 2**-53. Each identity-ramp intensity lies
+    within 1.5u of v / 255. The float route's mean adds k of them, in
+    whatever order, and divides once, so it lies within (k + 2)u of
+    S / (255 k); a flat window keeps its pixel, within 1.5u. In sum units
+    (times 255 k, at most 663,255 at r = 25) that is under 2e-7, and q's
+    two roundings add under 2e-10. So wherever q lies more than
+    _LEVEL_GUARD = 1e-6 from an integer, mean >= threshold exactly when
+    S >= ceil(q). Nearer an integer (a threshold of 18/255 at r = 0, say)
+    float rounding could decide, so that threshold takes the float route,
+    as does an image without levels: a float image, or a BMP under another
+    palette.
+    """
+    check_kernel_radius(kernel_radius, ValueError)
+    check_threshold(threshold, ValueError)
+    q = threshold * 255.0 * (2 * kernel_radius + 1) ** 2
+    if img.levels is None or abs(q - round(q)) <= _LEVEL_GUARD:
+        return binarize(lowpass_filter(img, kernel_radius), threshold)
+    return BinaryImage(bits=_level_sums(img.levels, kernel_radius) >= math.ceil(q), dpi=img.dpi)
+
+
+def _level_sums(levels: np.ndarray, r: int) -> np.ndarray:
+    """Each pixel's (2r+1)^2 window sum of the edge-replicated uint8 levels,
+    exact in the narrowest unsigned type that holds 255 (2r+1)^2: the levels
+    themselves at r = 0."""
+    if r == 0:
+        return levels
+    n = 2 * r + 1
+    dtype = np.uint16 if 255 * n * n <= np.iinfo(np.uint16).max else np.uint32
+    height, width = levels.shape
+    padded, spare = np.empty((2, height + 2 * r, width + 2 * r), dtype=dtype)
+    _edge_pad(levels, r, padded)
+    _box(np.add, padded.reshape(-1), spare.reshape(-1), n, n, padded.shape[1])
+    return padded[:height, :width]
 
 
 def boundary_ring(img: BinaryImage) -> BinaryImage:

@@ -9,8 +9,8 @@ import numpy as np
 from .contour import Landmarks, find_landmarks, trace_contour
 from .errors import ConfigError
 from .features import RawFeatures, measure, select
-from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_THRESHOLD, GrayImage, binarize, boundary_ring
-from .imaging import check_kernel_radius, check_threshold, lowpass_filter
+from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_THRESHOLD, GrayImage, boundary_ring
+from .imaging import check_kernel_radius, check_threshold, silhouette
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,11 @@ class Extraction:
 
 
 def extract(img: GrayImage, settings: ExtractionSettings | None = None) -> Extraction:
-    """Smooth, threshold, find edges, trace, locate landmarks, measure."""
+    """Smooth and threshold, find edges, trace, locate landmarks, measure."""
     s = settings or ExtractionSettings()
-    smoothed = lowpass_filter(img, s.kernel_radius)
-    silhouette = binarize(smoothed, s.threshold)
-    edges = boundary_ring(silhouette)
+    mask = silhouette(img, s.kernel_radius, s.threshold)
+    edges = boundary_ring(mask)
     chain = trace_contour(edges)
     landmarks = find_landmarks(chain)
-    raw = measure(landmarks, chain, silhouette)
+    raw = measure(landmarks, chain, mask)
     return Extraction(raw=raw, vector=select(raw), landmarks=landmarks)

@@ -28,7 +28,7 @@ from .contour import Landmarks, trace_contour
 from .errors import CorpusError, HandGeoError, RenderError, read_config, typed_field
 from .features import FEATURE_NAMES, measure, select
 from .imaging import BinaryImage, GrayImage, _check_size, boundary_ring, check_dpi
-from .imaging import load_bmp, save_bmp
+from .imaging import load_bmp, quantize, save_bmp
 from .pipeline import Extraction, extract
 
 REFERENCE_DPI = 100.0
@@ -424,9 +424,11 @@ def render_person(settings: CorpusSettings, p: int) -> tuple[list[GrayImage], li
     """Person p's samples and their truths: the prototype is drawn from the
     stream (master_seed, p) and sample j is posed from (master_seed, p, j).
 
-    A sample whose render fails or whose landmarks are not detected by the
-    default extraction chain is regenerated from the same stream, up to 100
-    attempts; giving up names the last attempt's failure.
+    Each sample is its render quantized, the 8-bit scan save_bmp writes
+    and load_bmp reads back. A sample whose render fails or whose landmarks
+    the default extraction chain does not detect in that scan is
+    regenerated from the same stream, up to 100 attempts; giving up names
+    the last attempt's failure.
     """
     s = settings
     proto = _draw_prototype(np.random.default_rng((s.master_seed, p)))
@@ -441,6 +443,7 @@ def render_person(settings: CorpusSettings, p: int) -> tuple[list[GrayImage], li
             except RenderError as exc:
                 failure = exc
                 continue
+            img = quantize(img)
             try:
                 extract(img)
                 break

@@ -517,7 +517,8 @@ class TestExtract:
         def no_filter(*args):
             raise AssertionError("the box filter ran with an oversized radius")
 
-        monkeypatch.setattr(pipeline, "lowpass_filter", no_filter)
+        # Both of silhouette's routes take window sums over the radius.
+        monkeypatch.setattr(pipeline, "silhouette", no_filter)
         out = tmp_path / "out"
         assert main([command, *argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()

@@ -1,9 +1,13 @@
 """Image ingestion, filtering, binarization, and the boundary ring."""
 
+import copy
 import dataclasses
 import hashlib
+import math
+import pickle
 import struct
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -15,19 +19,25 @@ from scipy import ndimage
 
 from handgeo.contour import find_landmarks, trace_contour
 from handgeo.errors import ConfigError, ContourError, FormatError, LandmarkError, SizeError
+from handgeo import imaging
 from handgeo.imaging import (
+    _BLOCK,
+    _GREY_RAMP,
+    _LEVEL_GUARD,
     DEFAULT_THRESHOLD,
     MAX_KERNEL_RADIUS,
     MAX_SIDE,
-    _BLOCK,
     BinaryImage,
     GrayImage,
+    _level_sums,
     _window_varies,
     binarize,
     boundary_ring,
     load_bmp,
     lowpass_filter,
+    quantize,
     save_bmp,
+    silhouette,
 )
 from handgeo.pipeline import ExtractionSettings, extract
 from handgeo.synthgen import _draw_prototype, render
@@ -503,6 +513,184 @@ class TestBinarize:
         once = binarize(img, threshold)
         again = binarize(gray(once.bits.astype(float)), threshold)
         np.testing.assert_array_equal(once.bits, again.bits)
+
+
+def scan(levels, dpi=100.0):
+    """The 8-bit scan of a uint8 raster, as load_bmp reads save_bmp's file."""
+    img = quantize(gray(np.asarray(levels, dtype=np.uint8) / 255.0, dpi))
+    np.testing.assert_array_equal(img.levels, levels)
+    return img
+
+
+def reference_window_sums(levels, radius):
+    """Each pixel's (2r+1)^2 window sum of the edge-replicated levels, in int64."""
+    n = 2 * radius + 1
+    padded = np.pad(levels.astype(np.int64), radius, mode="edge")
+    return np.lib.stride_tricks.sliding_window_view(padded, (n, n)).sum(axis=(2, 3))
+
+
+@st.composite
+def level_rasters(draw):
+    """uint8 rasters: random bytes, or blocks of a few levels so that flat
+    windows are common; square-ish, 1 x N or N x 1."""
+    shape = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            st.tuples(st.just(1), st.integers(1, 40)),
+            st.tuples(st.integers(1, 40), st.just(1)),
+        )
+    )
+    if draw(st.booleans()):
+        return draw(hnp.arrays(np.uint8, shape))
+    palette = draw(st.lists(st.integers(0, 255), min_size=1, max_size=3))
+    coarse = draw(
+        hnp.arrays(np.uint8, ((shape[0] + 3) // 4, (shape[1] + 3) // 4),
+                   elements=st.sampled_from(palette))
+    )
+    return np.repeat(np.repeat(coarse, 4, axis=0), 4, axis=1)[: shape[0], : shape[1]].copy()
+
+
+class TestSilhouette:
+    """silhouette against binarize(lowpass_filter(...)), bit for bit, and
+    which route it takes."""
+
+    def test_every_grey_ramp_entry_lies_within_1_5_u_of_v_over_255(self):
+        u = Fraction(1, 2**53)  # the unit roundoff of float64
+        for v, x in enumerate(_GREY_RAMP.tolist()):
+            assert abs(Fraction(x) - Fraction(v, 255)) <= Fraction(3, 2) * u
+
+    @settings(deadline=None, max_examples=300)
+    @given(level_rasters(), st.integers(0, MAX_KERNEL_RADIUS), st.data())
+    def test_level_route_equals_the_float_route_next_to_every_window_sum(
+        self, levels, radius, data
+    ):
+        img = scan(levels)
+        sums = reference_window_sums(levels, radius)
+        k = 255 * (2 * radius + 1) ** 2
+        total = data.draw(st.sampled_from(sums.ravel()) | st.integers(0, k), label="total")
+        offset = data.draw(
+            st.sampled_from([-1e-9, 0.0, 1e-9]) | st.floats(-1e-9, 1e-9), label="offset"
+        )
+        threshold = min(max(int(total) / k + offset, 0.0), 1.0)
+        expected = binarize(lowpass_filter(img, radius), threshold).bits
+        np.testing.assert_array_equal(silhouette(img, radius, threshold).bits, expected)
+        np.testing.assert_array_equal(_level_sums(img.levels, radius), sums)
+        q = threshold * 255.0 * (2 * radius + 1) ** 2
+        if abs(q - round(q)) > _LEVEL_GUARD:  # the level route's own decision
+            np.testing.assert_array_equal(sums >= math.ceil(q), expected)
+
+    def test_the_widest_window_sums_past_uint16(self):
+        levels = np.full((3, 4), 255, dtype=np.uint8)
+        sums = _level_sums(levels, MAX_KERNEL_RADIUS)
+        assert sums.dtype == np.uint32 and (sums == 255 * 51**2).all()
+        assert _level_sums(levels, 7).dtype == np.uint16
+
+    @pytest.fixture
+    def float_route(self, monkeypatch):
+        """The calls silhouette makes to lowpass_filter."""
+        calls = []
+
+        def spy(img, kernel_radius):
+            calls.append(kernel_radius)
+            return lowpass_filter(img, kernel_radius)
+
+        monkeypatch.setattr(imaging, "lowpass_filter", spy)
+        return calls
+
+    @pytest.fixture
+    def hand(self, tmp_path):
+        img, _ = render(_draw_prototype(np.random.default_rng(0)), 100.0, 0.03)
+        save_bmp(img, tmp_path / "hand.bmp")
+        return img, load_bmp(tmp_path / "hand.bmp")
+
+    def test_a_scan_takes_the_level_route(self, hand, float_route):
+        _, loaded = hand
+        assert loaded.levels is not None
+        mask = silhouette(loaded, 1, DEFAULT_THRESHOLD)
+        assert float_route == []
+        np.testing.assert_array_equal(mask.bits, binarize(lowpass_filter(loaded, 1)).bits)
+
+    def test_a_float_image_takes_the_float_route(self, hand, float_route):
+        rendered, _ = hand
+        assert rendered.levels is None
+        silhouette(rendered, 1, DEFAULT_THRESHOLD)
+        assert float_route == [1]
+
+    @pytest.mark.parametrize(
+        "palette",
+        [
+            bytes(b for i in range(255) for b in (i, i, i, 0)),  # 255 colours
+            bytes(b for i in range(256) for b in (i, i, i, 255)),  # alpha set
+            bytes(b for i in range(256) for b in (255 - i,) * 3 + (0,)),  # inverted
+        ],
+        ids=["short", "alpha", "inverted"],
+    )
+    def test_a_bmp_under_another_palette_takes_the_float_route(
+        self, tmp_path, float_route, palette
+    ):
+        path = tmp_path / "palette.bmp"
+        path.write_bytes(bmp_bytes([[0, 30, 200], [90, 18, 254]], palette=palette))
+        img = load_bmp(path)
+        assert img.levels is None
+        silhouette(img, 1, DEFAULT_THRESHOLD)
+        assert float_route == [1]
+
+    def test_a_threshold_on_a_level_takes_the_float_route(self, float_route):
+        # 18/255 at r = 0 puts q within rounding of the integer 18.
+        img = scan([[17, 18, 19]])
+        assert silhouette(img, 0, 18 / 255).bits.tolist() == [[False, True, True]]
+        assert float_route == [0]
+
+    def test_reassigned_pixels_drop_the_levels(self, hand, float_route):
+        _, loaded = hand
+        loaded.pixels = np.zeros_like(loaded.pixels)
+        assert loaded.levels is None
+        assert not silhouette(loaded, 1, DEFAULT_THRESHOLD).bits.any()
+        assert float_route == [1]
+
+    def test_copies_and_unpickled_scans_keep_no_levels(self, hand):
+        # Their pixels are writable, so levels kept beside them could go stale.
+        _, loaded = hand
+        for twin in (copy.deepcopy(loaded), pickle.loads(pickle.dumps(loaded)), copy.copy(loaded)):
+            assert twin.levels is None
+            np.testing.assert_array_equal(twin.pixels, loaded.pixels)
+        assert loaded.levels is not None
+
+    def test_the_pixels_and_levels_of_a_scan_are_read_only(self, hand):
+        rendered, loaded = hand
+        for img in (loaded, quantize(rendered)):
+            with pytest.raises(ValueError, match="read-only"):
+                img.pixels[0, 0] = 0.5
+            with pytest.raises(ValueError, match="read-only"):
+                img.levels[0, 0] = 7
+
+    def test_a_scan_extracts_as_its_float_copy(self, hand):
+        _, loaded = hand
+        for radius in (0, 1, 3):
+            settings_ = ExtractionSettings(kernel_radius=radius)
+            copy = gray(loaded.pixels.copy())
+            assert copy.levels is None
+            np.testing.assert_array_equal(
+                extract(loaded, settings_).vector, extract(copy, settings_).vector
+            )
+
+
+class TestQuantize:
+    def test_quantize_is_what_save_bmp_writes_and_load_bmp_reads(self, tmp_path):
+        rng = np.random.default_rng(4)
+        img = gray(rng.random((17, 23)), dpi=150.0)
+        save_bmp(img, tmp_path / "q.bmp")
+        loaded, quantized = load_bmp(tmp_path / "q.bmp"), quantize(img)
+        np.testing.assert_array_equal(quantized.pixels, loaded.pixels)
+        np.testing.assert_array_equal(quantized.levels, loaded.levels)
+        assert quantized.dpi == loaded.dpi == 150.0
+        save_bmp(quantized, tmp_path / "again.bmp")
+        assert (tmp_path / "again.bmp").read_bytes() == (tmp_path / "q.bmp").read_bytes()
+
+    def test_a_scan_is_its_own_quantization(self):
+        img = scan(np.arange(256, dtype=np.uint8).reshape(16, 16))
+        assert quantize(img) is img
+        np.testing.assert_array_equal(img.pixels, _GREY_RAMP.reshape(16, 16))
 
 
 # -- reference edge detector: the Laplacian-of-Gaussian stage boundary_ring replaced --

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import handgeo.synthgen as synthgen
 from handgeo.errors import CorpusError, LandmarkError, RenderError, SizeError
 from handgeo.features import FEATURE_NAMES
-from handgeo.imaging import GrayImage, binarize
+from handgeo.imaging import GrayImage, binarize, load_bmp, save_bmp
 from handgeo.pipeline import ExtractionSettings, extract
 from handgeo.synthgen import (
     CorpusSettings,
@@ -26,6 +26,7 @@ from handgeo.synthgen import (
     load_settings,
     make_corpus,
     render,
+    render_person,
     save_corpus,
     write_corpus,
 )
@@ -337,6 +338,17 @@ class TestMakeCorpus:
             vectors = [extract(img).vector for img in row]
             for v in vectors[1:]:
                 np.testing.assert_array_equal(v, vectors[0])
+
+    def test_every_sample_extracts_as_gen_writes_it(self, tmp_path):
+        # Person 18 of this corpus has a sample whose float render extracts
+        # but whose 8-bit file does not; the check must read the file's image.
+        images, _ = render_person(CorpusSettings(3, noise_level=0.1), 18)
+        for j, img in enumerate(images):
+            save_bmp(img, tmp_path / f"sample_{j:02d}.bmp")
+            loaded = load_bmp(tmp_path / f"sample_{j:02d}.bmp")
+            np.testing.assert_array_equal(loaded.pixels, img.pixels)
+            np.testing.assert_array_equal(loaded.levels, img.levels)
+            extract(loaded)
 
     def test_out_of_range_jitter_is_rejected(self):
         with pytest.raises(CorpusError, match="intra_sigma"):

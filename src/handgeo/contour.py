@@ -33,9 +33,10 @@ _SQRT2 = math.sqrt(2.0)
 _HYSTERESIS = 3
 
 #: Least ratio of the wrist run to the widest interior finger base, valley to
-#: valley, that find_landmarks accepts. Upright renders of seeds 0-4 and 7
-#: give 2.27-2.74; the same hands turned 180 degrees or flipped upside down,
-#: whose "tips" are the arm cut and palm corners, give 0.05-1.08.
+#: valley, that find_landmarks accepts. Two samples of every person of the
+#: corpora of seeds 0-4 and 7 give 2.30-2.74 upright; the same hands turned
+#: 180 degrees or flipped upside down, whose "tips" are the arm cut and palm
+#: corners, give 0.20-1.23.
 _MIN_WRIST_TO_FINGER = 1.5
 
 
@@ -352,9 +353,11 @@ def find_landmarks(chain: ChainCode) -> Landmarks:
     descending-band transitions), valleys the local y-maxima between
     fingers; the wrist crossing at the contour's bottommost row anchors the
     walk and is excluded from the valleys. The _HYSTERESIS pixels of y
-    prominence absorb staircase jitter on tilted runs. A wrist run under
-    _MIN_WRIST_TO_FINGER times the widest interior finger base, measured
-    valley to valley, marks a turned hand and is refused.
+    prominence absorb staircase jitter on tilted runs. The wrist is the
+    ends of the bottommost row. A wrist run, the x extent of the contour
+    within _HYSTERESIS rows of its bottom, under _MIN_WRIST_TO_FINGER times
+    the widest interior finger base, measured valley to valley, marks a
+    turned hand and is refused.
     """
     xs, ys = chain._replay()
     n = ys.size
@@ -400,8 +403,11 @@ def find_landmarks(chain: ChainCode) -> Landmarks:
 
     wrist = ((int(xs[bottom[0]]), bottom_y), (int(xs[bottom[-1]]), bottom_y))
     # The forearm is wider than any finger, so a narrow "wrist" is a hand
-    # that entered the glass from the other side.
-    run = abs(wrist[1][0] - wrist[0][0])
+    # that entered the glass from the other side. The run is the x extent of
+    # the contour's bottom _HYSTERESIS rows, not of its bottom row alone:
+    # a forearm tilted by half a degree meets that row in a short run.
+    band = xs[ys > bottom_y - _HYSTERESIS]
+    run = int(band.max() - band.min())
     base = max(math.dist(valleys[j - 1], valleys[j]) for j in (1, 2, 3))
     if run < _MIN_WRIST_TO_FINGER * base:
         raise LandmarkError(

@@ -2,9 +2,11 @@
 
 The chain is: 8-bit BMP -> GrayImage -> low-pass filter -> threshold
 binarization -> boundary ring. The last two are BinaryImages, whose bits
-are a bool mask. `silhouette` is the filter and the threshold in one call,
-which decides an 8-bit scan from integer window sums of its levels. All
-operations are pure functions of their inputs.
+are a bool mask. An 8-bit scan holds its bytes alone, as its levels; its
+float pixels are derived from them on first read. `silhouette` is the
+filter and the threshold in one call, which decides an 8-bit scan from
+integer window sums of its levels, so the scan route never reads pixels.
+All operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
@@ -71,9 +73,11 @@ class GrayImage:
     """Grayscale raster with intensities in [0, 1] and a physical resolution.
 
     An 8-bit scan (load_bmp of a BMP with save_bmp's identity palette, or
-    quantize) also keeps its `levels`, the bytes its pixels were read from.
-    Its pixels are read-only, and assigning new pixels drops the levels, as
-    does a copy or pickle, so an image's levels always belong to its pixels.
+    quantize) holds its `levels` alone, the bytes of the scan. Its pixels,
+    the identity ramp's intensities of those bytes, are gathered the first
+    time they are read and kept, read-only. Assigning new pixels drops the
+    levels, as does a copy or pickle, so an image's levels always belong to
+    its pixels.
     """
 
     pixels: np.ndarray  # (height, width) float64
@@ -92,6 +96,17 @@ class GrayImage:
         if name == "pixels":
             object.__setattr__(self, "_levels", None)
         object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str):
+        # Reached only when normal lookup fails: a scan's pixels before their
+        # first read. Stored past __setattr__, they keep the levels.
+        levels = self.__dict__.get("_levels")
+        if name != "pixels" or levels is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        pixels = _gather(_GREY_RAMP, levels)
+        pixels.flags.writeable = False
+        self.__dict__["pixels"] = pixels
+        return pixels
 
     def __getstate__(self) -> dict:
         # copy.deepcopy and pickle give writable pixels, so a copy keeps no levels.
@@ -115,11 +130,12 @@ class GrayImage:
     @classmethod
     def _scan(cls, levels: np.ndarray, dpi: float) -> GrayImage:
         """The 8-bit scan of non-empty 2-D uint8 levels under the identity
-        ramp. The levels are kept as given, made read-only."""
-        img = cls._in_range(_gather(_GREY_RAMP, levels), dpi)
-        img.pixels.flags.writeable = False
+        ramp. The levels are kept as given, made read-only, and no pixels
+        are gathered until they are read."""
+        check_dpi(dpi, ValueError)
+        img = object.__new__(cls)
         levels.flags.writeable = False
-        img._levels = levels
+        img._levels, img.dpi = levels, dpi
         return img
 
 
@@ -266,14 +282,16 @@ def quantize(img: GrayImage) -> GrayImage:
     reads back. An image that has levels is already that image."""
     if img.levels is not None:
         return img
-    return GrayImage._scan(np.rint(img.pixels * 255.0).astype(np.uint8), img.dpi)
+    scaled = img.pixels * 255.0
+    return GrayImage._scan(np.rint(scaled, out=scaled).astype(np.uint8), img.dpi)
 
 
 def save_bmp(img: GrayImage, path: str | Path) -> None:
     """Write an 8-bit grayscale BMP (identity palette, bottom-up rows) of
     quantize(img). A dpi whose px/m is no positive int32 (0 reads back as
-    none) is refused."""
-    height, width = img.pixels.shape
+    none) is refused. A scan's shape is read from its levels, so its pixels
+    are never gathered."""
+    height, width = (img.pixels if img.levels is None else img.levels).shape
     _check_size(width, height)
     ppm = round(img.dpi / _METERS_PER_INCH)
     if not 0 < ppm < 2**31:

@@ -146,39 +146,53 @@ def canonical_params(seed: int = 0) -> HandParams:
 _MISS = ((math.inf,), (-math.inf,))
 
 
-def _capsule_xsection(
-    base: tuple[float, float], tip: tuple[float, float], r: float, y: np.ndarray
+def _capsule_xsections(
+    bases: list[tuple[float, float]],
+    tips: list[tuple[float, float]],
+    radii: list[float],
+    y: np.ndarray,
 ) -> np.ndarray:
-    """Closed [x_lo, x_hi] of a capsule cut by the horizontal line at each
-    y, as a (2, len(y)) array; a row that misses it reads _MISS, and a row
-    tangent to an end circle reads that one point.
+    """Closed [x_lo, x_hi] of each capsule cut by the horizontal line at
+    each y, as a (capsules, 2, len(y)) array; a row that misses a capsule
+    reads _MISS, and a row tangent to an end circle reads that one point.
 
     The cut is the union of the two end-circle chords and the stretch of the
     line closer than r to the axis whose projection lands on the segment
     (0 <= t <= 1); the capsule is convex, so the union is one interval.
+    Every capsule is cut in one broadcast: its scalars are (capsules, 1)
+    columns against the row of y.
     """
+    miss = np.reshape(_MISS, (2, 1, 1))
+    bx, by = np.array(bases).T[:, :, None]
+    r = np.array(radii)[:, None]
     spans = []
-    for cx, cy in (base, tip):
+    for cx, cy in ((bx, by), np.array(tips).T[:, :, None]):
         h2 = (r - (y - cy)) * (r + (y - cy))
         h = np.sqrt(np.maximum(h2, 0.0))
-        spans.append(np.where(h2 >= 0, (cx - h, cx + h), _MISS))
-    bx, by = base
-    length = math.hypot(tip[0] - bx, tip[1] - by)
-    if length > 0:
-        ex, ey = (tip[0] - bx) / length, (tip[1] - by) / length
-        # In u = x - bx both strip conditions read |a*u + b| < bound: the
-        # position along the axis (between the centres) and the distance to it.
-        dy, half = y - by, 0.5 * length
-        lo, hi = -math.inf, math.inf
-        for a, b, bound in ((ex, dy * ey - half, half), (ey, -dy * ex, r)):
-            if a != 0:
-                with np.errstate(over="ignore"):  # a tiny a sends an end to +-inf
-                    ends = (-b - bound) / a, (-b + bound) / a
-                lo, hi = np.maximum(lo, np.minimum(*ends)), np.minimum(hi, np.maximum(*ends))
-            else:
-                lo = np.where(abs(b) < bound, lo, math.inf)
-        spans.append(np.where(lo < hi, (bx + lo, bx + hi), _MISS))
-    return np.array([np.min([lo for lo, _ in spans], 0), np.max([hi for _, hi in spans], 0)])
+        spans.append(np.where(h2 >= 0, (cx - h, cx + h), miss))
+    # The unit axes in Python floats, rounded as math.hypot rounds the
+    # length. A zero-length capsule gets a zero axis and half = 0, so its
+    # strip misses every row.
+    axes = []
+    for (x0, y0), (x1, y1) in zip(bases, tips):
+        length = math.hypot(x1 - x0, y1 - y0)
+        unit = ((x1 - x0) / length, (y1 - y0) / length) if length > 0 else (0.0, 0.0)
+        axes.append((*unit, 0.5 * length))
+    ex, ey, half = np.array(axes).T[:, :, None]
+    # In u = x - bx both strip conditions read |a*u + b| < bound: the
+    # position along the axis (between the centres) and the distance to it.
+    # Where a = 0, |b| < bound alone decides; a tiny a sends an end to +-inf.
+    dy = y - by
+    lo, hi = np.full(dy.shape, -math.inf), np.full(dy.shape, math.inf)
+    for a, b, bound in ((ex, dy * ey - half, half), (ey, -dy * ex, r)):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ends = (-b - bound) / a, (-b + bound) / a
+        zero_a = np.where(abs(b) < bound, lo, math.inf)
+        lo = np.where(a != 0, np.maximum(lo, np.minimum(*ends)), zero_a)
+        hi = np.where(a != 0, np.minimum(hi, np.maximum(*ends)), hi)
+    spans.append(np.where(lo < hi, (bx + lo, bx + hi), miss))
+    lows, highs = zip(*spans)
+    return np.stack([np.min(lows, 0), np.max(highs, 0)], axis=1)
 
 
 @dataclass
@@ -261,8 +275,8 @@ def _row_cuts(lay: _Layout) -> np.ndarray:
     palm = np.where(h2 >= 0, (lay.palm_left + cr - h, lay.palm_right - cr + h), _MISS)
     on_arm = (y >= lay.arm_top) & (y <= lay.arm_cut)
     arm = np.where(on_arm, ((lay.arm_left,), (lay.arm_right,)), _MISS)
-    fingers = [_capsule_xsection(*f, y) for f in zip(lay.bases, lay.tips, lay.radii)]
-    return np.array([palm, arm, *fingers])
+    fingers = _capsule_xsections(lay.bases, lay.tips, lay.radii, y)
+    return np.concatenate(([palm, arm], fingers))
 
 
 def _pixel_runs(cuts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,8 +320,9 @@ def _validate_layout(params: HandParams, lay: _Layout, scale: float) -> np.ndarr
 
 def _rasterize(cuts: np.ndarray, width: int) -> np.ndarray:
     """The closed union of the shapes, filled from their _pixel_runs: a run
-    adds 1 at its first column and -1 past its last, and a cumulative sum
-    along each row counts the shapes covering a pixel."""
+    adds 1 at its first column and -1 past its last, and a running sum
+    counts the shapes covering a pixel. Each row's entries add up to 0, so
+    one sum over the flattened rows restarts at 0 on every row."""
     first, last = _pixel_runs(cuts)
     first = np.clip(first, 0, width).astype(np.intp)
     # An empty run adds and takes away 1 at the same column.
@@ -317,7 +332,8 @@ def _rasterize(cuts: np.ndarray, width: int) -> np.ndarray:
     for a, b in zip(first, last):
         cover[rows, a] += 1
         cover[rows, b + 1] -= 1
-    return np.cumsum(cover[:, :width], axis=1, dtype=np.int8) > 0
+    count = np.cumsum(cover.reshape(-1), dtype=np.int8).reshape(cover.shape)
+    return count[:, :width] > 0
 
 
 def _westward_mid(a: int, b: int) -> int:

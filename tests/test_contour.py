@@ -28,9 +28,12 @@ from handgeo.imaging import (
     boundary_ring,
     load_bmp,
     lowpass_filter,
+    quantize,
     save_bmp,
+    silhouette,
 )
-from handgeo.synthgen import _draw_prototype, canonical_params, render
+from handgeo.synthgen import CorpusSettings, _draw_prototype, canonical_params, render
+from handgeo.synthgen import render_person
 
 
 # -- reference tracer: the per-pixel Moore walk the table-driven one replaced --
@@ -166,7 +169,8 @@ def reference_find_landmarks(
     chain: ChainCode, hysteresis: int = 3, min_wrist_ratio: float = 1.5
 ) -> Landmarks:
     """Locate fingertips, inter-finger valleys, and wrist endpoints; refuse
-    a wrist run under min_wrist_ratio times the widest interior finger base."""
+    a wrist run, the x extent of the contour's bottom `hysteresis` rows,
+    under min_wrist_ratio times the widest interior finger base."""
     pts = reference_pixels(chain)
     ys = [p[1] for p in pts]
     n = len(pts)
@@ -189,7 +193,8 @@ def reference_find_landmarks(
 
     bottom = [i for i, y in enumerate(ys) if y == bottom_y]
     wrist = (pts[bottom[0]], pts[bottom[-1]])
-    run = abs(wrist[1][0] - wrist[0][0])
+    band = [x for x, y in pts if y > bottom_y - hysteresis]
+    run = max(band) - min(band)
     bases = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in zip(valleys, valleys[1:])]
     if run < min_wrist_ratio * max(bases):
         raise LandmarkError(
@@ -763,6 +768,18 @@ class TestFindLandmarks:
         chain = trace_contour(boundary_ring(binarize(lowpass_filter(turned))))
         with pytest.raises(LandmarkError, match="times the widest interior finger base"):
             find_landmarks(chain)
+
+    @pytest.mark.parametrize("angle", [-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    def test_a_slightly_tilted_hand_is_accepted(self, angle):
+        # A tilted forearm meets the bottom contour row in a short run; the
+        # upright rule measures the bottom _HYSTERESIS rows instead.
+        for p in range(3):
+            (img,), _ = render_person(CorpusSettings(0, samples=1), p)
+            tilted = ndimage.rotate(img.pixels, angle, order=1)
+            marks = find_landmarks(
+                trace_contour(boundary_ring(silhouette(quantize(GrayImage(tilted, img.dpi)))))
+            )
+            assert len(marks.tips) == 5 and len(marks.valleys) == 4
 
     def test_triangle_blob_reports_its_single_tip(self):
         mask = np.zeros((40, 40), dtype=bool)

@@ -262,10 +262,67 @@ def reference_capsule_xsection(
 
 
 def one_row_cut(base, tip, r, y):
-    """synthgen._capsule_xsection on the single row y; None where the cut
-    has no interior, as the bisection reports a miss or a tangent row."""
-    lo, hi = synthgen._capsule_xsection(base, tip, r, np.array([y]))[:, 0]
+    """synthgen._capsule_xsections of one capsule on the single row y; None
+    where the cut has no interior, as the bisection reports a miss or a
+    tangent row."""
+    lo, hi = synthgen._capsule_xsections([base], [tip], [r], np.array([y]))[0, :, 0]
     return None if lo >= hi else (lo, hi)
+
+
+def per_capsule_xsection(
+    base: tuple[float, float], tip: tuple[float, float], r: float, y: np.ndarray
+) -> np.ndarray:
+    """Closed [x_lo, x_hi] of one capsule on each row y, as a (2, len(y))
+    array: the per-capsule cut the broadcast over every finger replaced."""
+    spans = []
+    for cx, cy in (base, tip):
+        h2 = (r - (y - cy)) * (r + (y - cy))
+        h = np.sqrt(np.maximum(h2, 0.0))
+        spans.append(np.where(h2 >= 0, (cx - h, cx + h), synthgen._MISS))
+    bx, by = base
+    length = math.hypot(tip[0] - bx, tip[1] - by)
+    if length > 0:
+        ex, ey = (tip[0] - bx) / length, (tip[1] - by) / length
+        dy, half = y - by, 0.5 * length
+        lo, hi = -math.inf, math.inf
+        for a, b, bound in ((ex, dy * ey - half, half), (ey, -dy * ex, r)):
+            if a != 0:
+                with np.errstate(over="ignore"):
+                    ends = (-b - bound) / a, (-b + bound) / a
+                lo, hi = np.maximum(lo, np.minimum(*ends)), np.minimum(hi, np.maximum(*ends))
+            else:
+                lo = np.where(abs(b) < bound, lo, math.inf)
+        spans.append(np.where(lo < hi, (bx + lo, bx + hi), synthgen._MISS))
+    return np.array([np.min([lo for lo, _ in spans], 0), np.max([hi for _, hi in spans], 0)])
+
+
+@st.composite
+def capsules(draw):
+    """(base, tip, r): upright, tilted by a hair or up to 90 degrees either
+    way, or of zero length."""
+    base = (draw(st.floats(0.0, 300.0)), draw(st.floats(20.0, 300.0)))
+    tilt = draw(st.sampled_from([0.0, 1e-300, -1e-300]) | st.floats(-90.0, 90.0))
+    length = draw(st.just(0.0) | st.floats(0.0, 150.0))
+    theta = math.radians(tilt)
+    tip = (base[0] + length * math.sin(theta), base[1] - length * math.cos(theta))
+    return base, tip, draw(st.floats(0.5, 20.0))
+
+
+class TestCapsuleBroadcast:
+    """_capsule_xsections against the per-capsule cut it replaced."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        st.lists(capsules(), min_size=1, max_size=5),
+        st.integers(1, 320),
+        st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_equals_the_per_capsule_cut_bit_for_bit(self, shapes, height, shift):
+        y = np.arange(height, dtype=float) + shift
+        got = synthgen._capsule_xsections(*zip(*shapes), y)
+        want = np.array([per_capsule_xsection(base, tip, r, y) for base, tip, r in shapes])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestCapsuleCrossSection:

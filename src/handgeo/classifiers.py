@@ -12,18 +12,12 @@ with one BLAS thread on any number of cores.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import subprocess
-import sys
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .errors import ConfigError, TrainingError
 from .features import ScalerParams
 
@@ -390,39 +384,15 @@ def mlp_identify(model: MlpModel, x: np.ndarray) -> int:
     return model.person_ids[int(np.argmax(model.outputs(x)))]
 
 
-#: Thread-count variables of the BLAS builds NumPy may load; each
-#: training worker gets 1, so n workers keep n cores busy. A second BLAS thread
-#: gains nothing at these matrix sizes.
-_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-_WORKER = "from handgeo.classifiers import _worker_main; _worker_main()"
+def _train_each(
+    train: list[tuple[int, np.ndarray]], cfgs: list[TrainConfig], hidden: int
+) -> Iterator[MlpModel]:
+    """A model per config, trained in order: a training worker's job."""
+    return (mlp_train(train, cfg, hidden) for cfg in cfgs)
 
 
-def _cores() -> int:
-    """Cores this process may run on."""
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-
-
-def _worker_main() -> None:
-    """A training worker: unpickle one share (train, cfgs, hidden) from stdin,
-    train a model per config in order and pickle the list of them to stdout.
-    A member whose training raises ends the list with its exception. Stops
-    before the next member once its parent has died."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent kills its workers
-    parent = os.getppid()
-    try:
-        train, cfgs, hidden = pickle.load(sys.stdin.buffer)
-    except EOFError:  # the parent closed the stream before sending a share
-        return
-    results: list[MlpModel | Exception] = []
-    for cfg in cfgs:
-        if os.getppid() != parent:
-            return
-        try:
-            results.append(mlp_train(train, cfg, hidden))
-        except Exception as exc:
-            results.append(exc)
-            break
-    pickle.dump(results, sys.stdout.buffer, pickle.HIGHEST_PROTOCOL)
+def _lost_trainer(code: int) -> TrainingError:
+    return TrainingError(f"a training worker exited with code {code} before returning a model")
 
 
 def _shares(epochs: list[int], n_workers: int) -> list[list[int]]:
@@ -448,63 +418,28 @@ def train_populations(
     cfg.seed + 0..K-1 in seed order.
 
     The inputs are checked before any worker starts. With more than one core,
-    min(cores, members) worker processes with single-threaded BLAS each get
-    their share of the members (see _shares) as one message and answer with
-    one message of models; on one core the members train in this process.
-    A member's exception, a worker lost before replying (TrainingError) or an
-    interrupt while waiting kills the workers still running; every worker is
-    reaped before the call returns or raises.
+    min(cores, members) parallel.workers with single-threaded BLAS each get
+    their share of the members (see _shares) as one job and answer with one
+    message of models; this process trains none, since its BLAS threads would
+    change a model's last bits. On one core the members train in this
+    process. A member's exception, a worker lost before replying
+    (TrainingError) or an interrupt while waiting kills the workers still
+    running; every worker is reaped before the call returns or raises.
     """
     _check_training(train, hidden)
     members = [replace(cfg, seed=cfg.seed + k) for cfg in cfgs for k in range(cfg.multistart)]
-    cores = _cores()
+    cores = parallel.cores()
     if cores < 2:
-        models = [mlp_train(train, cfg, hidden) for cfg in members]
+        models = list(_train_each(train, members, hidden))
     else:
         shares = _shares([cfg.epochs for cfg in members], min(cores, len(members)))
-        root = str(Path(__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, **_ONE_THREAD, "PYTHONPATH": path}
+        jobs = [(_train_each, (train, [members[i] for i in share], hidden)) for share in shares]
+        with parallel.workers(jobs, _lost_trainer) as replies:
+            results = replies()
         models = [None] * len(members)
-        workers: list[subprocess.Popen] = []
-        try:
-            for share in shares:
-                worker = subprocess.Popen(
-                    [sys.executable, "-c", _WORKER],
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    env=env,
-                )
-                workers.append(worker)
-                job = (train, [members[i] for i in share], hidden)
-                # A worker that died first is reported below, where its reply
-                # is missing.
-                with suppress(BrokenPipeError):
-                    pickle.dump(job, worker.stdin, pickle.HIGHEST_PROTOCOL)
-                    worker.stdin.close()
-            for worker, share in zip(workers, shares):
-                try:
-                    results = pickle.load(worker.stdout)
-                except (EOFError, pickle.UnpicklingError):
-                    raise TrainingError(
-                        f"a training worker exited with code {worker.wait()}"
-                        " before returning a model"
-                    ) from None
-                for i, result in zip(share, results):
-                    if isinstance(result, BaseException):
-                        raise result
-                    models[i] = result
-        except BaseException:
-            for worker in workers:
-                if worker.poll() is None:
-                    worker.kill()
-            raise
-        finally:
-            for worker in workers:
-                with suppress(OSError):  # unsent bytes of a share to a dead worker
-                    worker.stdin.close()
-                worker.wait()
-                worker.stdout.close()
+        for share, share_models in zip(shares, results):
+            for i, model in zip(share, share_models):
+                models[i] = model
     it = iter(models)
     return [[next(it) for _ in range(cfg.multistart)] for cfg in cfgs]
 

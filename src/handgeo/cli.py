@@ -43,17 +43,11 @@ from .evaluation import (
     sweep_rbf_features,
 )
 from .features import check_ids, load_features, save_features
+from .gen import generate_corpus
 from .imaging import DEFAULT_KERNEL_RADIUS, DEFAULT_THRESHOLD, load_bmp
 from .pipeline import ExtractionSettings, extract
 from .synthgen import DEFAULT_INTRA_SIGMA, DEFAULT_NOISE_LEVEL, DEFAULT_PERSONS, DEFAULT_SAMPLES
-from .synthgen import (
-    REFERENCE_DPI,
-    CorpusSettings,
-    load_person,
-    load_settings,
-    render_person,
-    write_corpus,
-)
+from .synthgen import REFERENCE_DPI, CorpusSettings, load_person, load_settings
 
 
 #: key -> (cast from string, default, help); a REQUIRED default makes _merge
@@ -216,10 +210,10 @@ def _load_entries(cfg: argparse.Namespace, s: ExtractionSettings) -> tuple[list,
 
 
 def cmd_gen(cfg: argparse.Namespace) -> int:
-    """Render and write one person at a time, so memory does not grow with
-    --persons; the settings are checked before the first render."""
+    """Render and write one person at a time in each process, so memory does
+    not grow with --persons; the settings are checked before the first render."""
     settings = CorpusSettings(cfg.seed, **_fields(cfg, CorpusSettings))
-    write_corpus(cfg.out, settings, (render_person(settings, p) for p in range(settings.persons)))
+    generate_corpus(cfg.out, settings)
     print(f"wrote {cfg.persons} persons x {cfg.samples} samples to {cfg.out}")
     return 0
 

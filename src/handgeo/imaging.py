@@ -68,7 +68,7 @@ def check_kernel_radius(kernel_radius: int, error: type[Exception]) -> None:
         raise error(f"kernel_radius must be in [0, {MAX_KERNEL_RADIUS}], got {kernel_radius}")
 
 
-@dataclass
+@dataclass(eq=False)
 class GrayImage:
     """Grayscale raster with intensities in [0, 1] and a physical resolution.
 
@@ -139,7 +139,7 @@ class GrayImage:
         return img
 
 
-@dataclass
+@dataclass(eq=False)
 class BinaryImage:
     """Monochrome raster as a bool mask, built from any array of 0 and 1;
     dimensions match its source."""

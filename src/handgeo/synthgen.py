@@ -389,7 +389,9 @@ def render(
     if noise_level > 0:
         rng = np.random.default_rng(params.seed)
         pixels += rng.uniform(-noise_level, noise_level, pixels.shape)
-    return GrayImage(pixels=np.clip(pixels, 0.0, 1.0, out=pixels), dpi=dpi), truth
+    # Finite levels plus finite draws (uniform refuses an infinite range, and
+    # a NaN noise_level adds none), clipped: the range needs no scan.
+    return GrayImage._in_range(np.clip(pixels, 0.0, 1.0, out=pixels), dpi), truth
 
 
 def _draw_prototype(rng: np.random.Generator) -> HandParams:
@@ -477,8 +479,8 @@ def render_person(settings: CorpusSettings, p: int) -> tuple[list[GrayImage], li
 
 # perfbench traces make_corpus by name.
 def make_corpus(settings: CorpusSettings) -> Corpus:
-    """Every person's render_person row, held in memory at once; gen writes
-    the same rows one at a time through write_corpus instead."""
+    """Every person's render_person row, held in memory at once; gen
+    (gen.generate_corpus) writes the same rows one at a time instead."""
     rows = [render_person(settings, p) for p in range(settings.persons)]
     return Corpus(settings, [images for images, _ in rows], [truths for _, truths in rows])
 
@@ -530,6 +532,26 @@ def _numbered(folder: Path, pattern: str) -> list[tuple[int, Path]]:
     return [(int(m[1]), path) for m, path in found if m]
 
 
+def _refuse_strays(root: str | Path, s: CorpusSettings) -> None:
+    """CorpusError naming the first person_<p> directory or sample_<j>.bmp in
+    root that lies outside settings s, which a write would leave in the tree."""
+    for p, pdir in _numbered(Path(root), r"person_(\d+)"):
+        samples = _numbered(pdir, r"sample_(\d+)\.bmp")
+        strays = [pdir] if p >= s.persons else [f for j, f in samples if j >= s.samples]
+        if strays:
+            raise CorpusError(f"{strays[0]} lies outside a {s.persons} x {s.samples} corpus")
+
+
+def _write_config(root: str | Path, settings: CorpusSettings) -> None:
+    (Path(root) / "corpus_config.txt").write_text(
+        "".join(
+            f"{key}={getattr(settings, key):{'.17g' if cast is float else ''}}\n"
+            for key, cast in _SETTING_TYPES.items()
+        ),
+        encoding="utf-8",
+    )
+
+
 def write_corpus(
     root: str | Path,
     settings: CorpusSettings,
@@ -547,11 +569,7 @@ def write_corpus(
     is a CorpusError, raised before that row or the config is written.
     """
     s = settings
-    for p, pdir in _numbered(Path(root), r"person_(\d+)"):
-        samples = _numbered(pdir, r"sample_(\d+)\.bmp")
-        strays = [pdir] if p >= s.persons else [f for j, f in samples if j >= s.samples]
-        if strays:
-            raise CorpusError(f"{strays[0]} lies outside a {s.persons} x {s.samples} corpus")
+    _refuse_strays(root, s)
     config = Path(root) / "corpus_config.txt"
     p = 0  # not enumerate(rows): its result tuple would hold a row until the next arrives
     for images, truths in rows:
@@ -567,13 +585,7 @@ def write_corpus(
         p += 1
     if p < s.persons:
         raise CorpusError(f"rows end before person {p} of a {s.persons} x {s.samples} corpus")
-    config.write_text(
-        "".join(
-            f"{key}={getattr(settings, key):{'.17g' if cast is float else ''}}\n"
-            for key, cast in _SETTING_TYPES.items()
-        ),
-        encoding="utf-8",
-    )
+    _write_config(root, settings)
 
 
 # perfbench traces save_corpus by name.

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import handgeo
-from handgeo import cli, pipeline, synthgen
+from handgeo import cli, parallel, pipeline, synthgen
 from handgeo.cli import _OPTIONS, REQUIRED, main
 from handgeo.classifiers import MAX_HIDDEN
 from handgeo.evaluation import (
@@ -141,6 +141,8 @@ class TestGen:
             return dataclasses.replace(proto, palm_width=1.0) if len(drawn) == 3 else proto
 
         monkeypatch.setattr(synthgen, "_draw_prototype", third_cannot_render)
+        # Worker processes do not see the patch: pin the in-process path it states.
+        monkeypatch.setattr(parallel, "cores", lambda: 1)
         capsys.readouterr()
         assert main(["gen", "--out", str(out), "--persons", "4", "--samples", "3"]) == 1
         err = capsys.readouterr().err.splitlines()
@@ -190,7 +192,10 @@ class TestOnePersonAtATime:
     3.3 MiB of float64 pixels; a warm-up run first takes the one-off
     allocations of the first render, extraction and BMP write."""
 
-    def test_gen_peak_memory_does_not_grow_with_persons(self, tmp_path):
+    def test_gen_peak_memory_does_not_grow_with_persons(self, tmp_path, monkeypatch):
+        # tracemalloc sees this process alone. On one core gen starts no
+        # worker and runs here the loop (gen._write_taken) each worker runs.
+        monkeypatch.setattr(parallel, "cores", lambda: 1)
         main(["gen", "--out", str(tmp_path / "warm"), "--persons", "1", "--samples", "1"])
         peaks = {
             n: traced_peak(["gen", "--out", str(tmp_path / f"g{n}"), "--persons", str(n)])
@@ -1154,9 +1159,9 @@ def test_extracting_never_loads_scipy_ndimage(tmp_path):
 #: argv[1] is a features CSV and argv[2] a scratch folder.
 TRAINING_PROCESS = """
 import sys
-from handgeo import classifiers, cli
+from handgeo import classifiers, cli, parallel
 
-classifiers._cores = lambda: 1
+parallel.cores = lambda: 1
 calls = []
 mlp_train = classifiers.mlp_train
 classifiers.mlp_train = lambda *a: calls.append(a) or mlp_train(*a)

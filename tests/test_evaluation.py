@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from handgeo import classifiers
+from handgeo import parallel
 from handgeo.classifiers import TemplateDb, TrainConfig, nn_identify
 from handgeo.errors import ConfigError
 from handgeo.evaluation import (
@@ -214,7 +214,7 @@ class TestEvaluateAll:
         person is about 3.3 MiB of float64 pixels. Both sides train in two
         worker processes, whatever the core count, so tracemalloc
         sees the same work in this process."""
-        monkeypatch.setattr(classifiers, "_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "cores", lambda: 2)
 
         def traced_peak(persons):
             tracemalloc.start()

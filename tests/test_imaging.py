@@ -94,6 +94,18 @@ class TestGrayImage:
         with pytest.raises(ValueError, match=f"dpi must be positive and finite, got {dpi}"):
             make(dpi)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: gray(np.zeros((2, 2))), lambda: scan(np.zeros((2, 2), np.uint8)),
+         lambda: BinaryImage(np.zeros((2, 2)))],
+        ids=["gray", "scan", "binary"],
+    )
+    def test_distinct_images_of_equal_values_compare_unequal(self, make):
+        a, b = make(), make()
+        assert (a == b, a != b, a == a) == (False, True, True)
+        if getattr(a, "levels", None) is not None:
+            assert "pixels" not in vars(a) and "pixels" not in vars(b)  # no scan gathered
+
     # load_bmp and lowpass_filter build their images without the range scan;
     # the constructor keeps it, also for a copy of their images.
     @pytest.mark.parametrize("bad", [np.nan, 1.5])

@@ -104,7 +104,7 @@ def _named(tree: ast.Module) -> set[str]:
 def test_every_private_module_name_is_used():
     """A module-level or class-level _name that no module of the package
     loads, imports or names is dead code. String constants count: the
-    training worker's -c source names _worker_main."""
+    worker's -c source names _worker_main."""
     paths = sorted((ROOT / "src" / "handgeo").glob("*.py"))
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in paths}
     named = set().union(*map(_named, trees.values()))

@@ -14,6 +14,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import handgeo.synthgen as synthgen
+from handgeo import parallel
+from handgeo.gen import generate_corpus
 from handgeo.errors import CorpusError, LandmarkError, RenderError, SizeError
 from handgeo.features import FEATURE_NAMES
 from handgeo.imaging import GrayImage, binarize, load_bmp, save_bmp
@@ -512,11 +514,20 @@ class TestCorpusSerialization:
         assert tree_files(tmp_path) == {}
 
     @pytest.mark.parametrize("seed", ["0", "7"])
-    def test_default_trees_match_the_stored_digests(self, tmp_path, corpus_rows, seed):
+    @pytest.mark.parametrize("route", ["write_corpus", "gen on 1 core", "gen on 2 cores"])
+    def test_default_trees_match_the_stored_digests(
+        self, tmp_path, monkeypatch, corpus_rows, route, seed
+    ):
+        """write_corpus of render_person rows, and gen's generate_corpus with
+        no worker and with one."""
         references = Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
         want = json.loads(references.read_text())[seed]["gen_tree_sha256"]
         settings = CorpusSettings(int(seed))
-        write_corpus(tmp_path, settings, corpus_rows(settings))
+        if route == "write_corpus":
+            write_corpus(tmp_path, settings, corpus_rows(settings))
+        else:
+            monkeypatch.setattr(parallel, "cores", lambda: int(route.split()[2]))
+            generate_corpus(tmp_path, settings)
         h = hashlib.sha256()
         for rel, data in sorted(tree_files(tmp_path).items()):
             h.update(rel.encode() + b"\0" + data + b"\0")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from handgeo import classifiers
+from handgeo import classifiers, parallel
 from handgeo.classifiers import TrainConfig, mlp_train, train_populations
 from handgeo.cli import main
 from handgeo.errors import ConfigError, TrainingError
@@ -42,13 +42,13 @@ pickle.dump(
 LARGE = """
 import pickle, sys
 import numpy as np
-from handgeo import classifiers
+import handgeo.parallel
 from handgeo.classifiers import TrainConfig, train_populations
 rng = np.random.default_rng(7)
 centres = rng.uniform(-1, 1, size=(100, 9))
 train = [(p, centres[p] + rng.normal(0, 0.1, 9)) for p in range(100) for _ in range(20)]
 def populations(cores):
-    classifiers._cores = lambda: cores
+    handgeo.parallel.cores = lambda: cores
     return train_populations(train, [TrainConfig(epochs=2, multistart=6)], 30)
 parallel = populations(2)
 share = parallel[0][0::2]  # the first worker's members
@@ -89,7 +89,7 @@ def workers(monkeypatch):
             self.env = kwargs.get("env")
             started.append(self)
 
-    monkeypatch.setattr(classifiers, "_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
     monkeypatch.setattr(subprocess, "Popen", Recorded)
     return started
 
@@ -129,10 +129,10 @@ def test_members_equal_a_single_threaded_serial_run(workers):
 
 
 def test_one_core_trains_in_this_process(workers, monkeypatch):
-    monkeypatch.setattr(classifiers, "_cores", lambda: 1)
+    monkeypatch.setattr(parallel, "cores", lambda: 1)
     in_process = train_populations(toy_set(), CFGS, HIDDEN)
     assert workers == []
-    monkeypatch.setattr(classifiers, "_cores", lambda: 2)
+    monkeypatch.setattr(parallel, "cores", lambda: 2)
     assert weights(in_process) == weights(train_populations(toy_set(), CFGS, HIDDEN))
 
 
@@ -247,7 +247,7 @@ def test_messages_larger_than_a_pipe_buffer_do_not_block():
 
 def test_a_worker_whose_stdin_closes_first_exits_quietly():
     done = subprocess.run(
-        [sys.executable, "-c", classifiers._WORKER],
+        [sys.executable, "-c", parallel._WORKER],
         input=b"",
         capture_output=True,
         env=worker_env(),
@@ -256,15 +256,18 @@ def test_a_worker_whose_stdin_closes_first_exits_quietly():
     assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
 
 
-def test_an_orphaned_worker_stops_before_its_next_member(monkeypatch):
-    parents = iter([100, 100, 1])  # the parent dies while the first member trains
+@pytest.mark.parametrize("first", [0, 1], ids=["before_the_first_member", "while_it_trains"])
+def test_an_orphaned_worker_stops_before_its_next_member(monkeypatch, first):
     trained = []
-    monkeypatch.setattr(os, "getppid", lambda: next(parents))
+    # The caller, process 100, dies before the worker trains a member, or
+    # while the first member trains.
+    monkeypatch.setattr(os, "getppid", lambda: 1 if len(trained) >= first else 100)
     monkeypatch.setattr(classifiers, "mlp_train", lambda train, cfg, hidden: trained.append(cfg))
-    monkeypatch.setattr(classifiers.signal, "signal", lambda *args: None)
+    monkeypatch.setattr(parallel.signal, "signal", lambda *args: None)
     share = (toy_set(), [replace(CFGS[0], seed=k) for k in range(3)], HIDDEN)
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(pickle.dumps(share))))
+    job = pickle.dumps((100, classifiers._train_each, share))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(job)))
     monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BytesIO()))
-    classifiers._worker_main()
-    assert [cfg.seed for cfg in trained] == [0]
+    parallel._worker_main()
+    assert [cfg.seed for cfg in trained] == [0][:first]
     assert sys.stdout.buffer.getvalue() == b""
